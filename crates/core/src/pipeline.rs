@@ -1,13 +1,14 @@
 //! The diagnosis pipeline core: ingest → detect → index.
 //!
-//! [`Diagnosis::from_archive`] is the entry point of the crate. It parses
-//! the four text streams of a [`LogArchive`] — chunked into line ranges and
-//! spread over a work-stealing pool sized from the machine (see
-//! [`Diagnosis::ingest_threads`]) — k-way merges them into one
-//! chronological event sequence, detects manifested failures, and builds
-//! the [`EventStore`] indexes that every analysis module queries.
-//! [`Diagnosis::from_dir`] runs the same pooled ingest straight off an
-//! on-disk archive with bounded memory.
+//! [`Diagnosis::from_dir`] is the entry point `hpc-diagnose` uses. It pulls
+//! the four log files of an archive directory through one pool sized from
+//! the machine ([`Diagnosis::ingest_threads`]): each worker takes the reader
+//! lock, pulls the next bounded block of whole lines, releases the lock and
+//! parses the block, so reading overlaps parsing and raw text in memory
+//! never exceeds one block per worker. The per-source results are k-way
+//! merged into one chronological sequence, failures are detected, and the
+//! [`EventStore`] indexes every analysis module queries are built.
+//! [`Diagnosis::from_archive`] runs the same pool over an in-memory archive.
 //!
 //! The pipeline deliberately starts from *text*: it knows nothing about the
 //! simulator, mirroring the paper's position of mining p0-directory,
@@ -15,14 +16,13 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 
 use hpc_logs::archive::{merge_by_time, LogArchive};
-use hpc_logs::chunk::{
-    chunk_lines_for, chunk_spans, parse_chunk, stitch, ChunkParse, ChunkedStream,
-};
+use hpc_logs::chunk::{chunk_lines_for, chunk_spans, parse_chunk, stitch, ChunkParse};
 use hpc_logs::event::{LogEvent, LogSource};
-use hpc_logs::parse::LogParser;
+use hpc_logs::fs::{Block, BlockReader};
 use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::system::SchedulerKind;
 use hpc_platform::{BladeId, CabinetId, NodeId};
@@ -36,8 +36,8 @@ use crate::swo::{detect_swos, partition_failures, SwoConfig, SwoWindow};
 /// paper's methodology; the bench crate sweeps them as ablations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiagnosisConfig {
-    /// Parse the streams on a chunked work-stealing pool (false = one
-    /// thread, sequential whole-stream parse).
+    /// Run the ingest pool at machine width (false = the same code with
+    /// one worker, on the calling thread).
     pub parallel_ingest: bool,
     /// Ingest pool width. `None` defers to the `HPC_INGEST_THREADS`
     /// environment variable, then to `std::thread::available_parallelism()`.
@@ -124,67 +124,70 @@ impl Diagnosis {
             .max(1)
     }
 
-    /// Runs ingest + detection + indexing over an archive.
+    /// Runs ingest + detection + indexing over an in-memory archive: each
+    /// stream is cut into line ranges (a few per pool thread) that feed the
+    /// same pool [`Diagnosis::from_dir`] reads blocks into.
     pub fn from_archive(archive: &LogArchive, config: DiagnosisConfig) -> Diagnosis {
         let _span = hpc_telemetry::span!("core.from_archive");
         let threads = Self::ingest_threads(&config);
-        hpc_telemetry::gauge("core.ingest.threads").set(threads as f64);
-        let (per_source, skipped_lines) = {
-            let _parse = hpc_telemetry::span!("core.ingest.parse");
-            if config.parallel_ingest {
-                parse_sources_pooled(archive, threads)
-            } else {
-                parse_sources_sequential(archive)
-            }
-        };
-        hpc_telemetry::counter("ingest.lines").add(archive.total_lines());
-        hpc_telemetry::counter("ingest.skipped_lines").add(skipped_lines);
-        let events = {
-            let _merge = hpc_telemetry::span!("core.ingest.merge");
-            merge_by_time(per_source)
-        };
-        hpc_telemetry::counter("ingest.events").add(events.len() as u64);
-        Self::from_events(events, skipped_lines, config)
+        let ranges = LogSource::ALL.iter().enumerate().flat_map(|(si, &source)| {
+            let lines = archive.lines(source);
+            chunk_spans(lines.len(), chunk_lines_for(lines.len(), threads))
+                .map(move |span| (si, &lines[span]))
+        });
+        let parse =
+            |source, lines: &&[String]| parse_chunk(source, lines.iter().map(String::as_str));
+        Self::from_blocks(threads, ranges, parse, config)
     }
 
     /// Runs the pooled ingest directly off an on-disk archive directory
-    /// (the `save_archive` layout), reading each stream in bounded line
-    /// batches instead of materialising whole files the way
-    /// `load_archive` + [`Diagnosis::from_archive`] does. Missing stream
-    /// files load as empty, matching `load_archive`.
+    /// (the `save_archive` layout), reading each stream in bounded blocks
+    /// instead of materialising whole files the way `load_archive` +
+    /// [`Diagnosis::from_archive`] does. Missing files load as empty.
     pub fn from_dir(root: &Path, config: DiagnosisConfig) -> io::Result<Diagnosis> {
+        Self::from_dir_with(root, config, BlockReader::open)
+    }
+
+    /// [`Diagnosis::from_dir`] with the block readers opened by `open`
+    /// (tests force tiny blocks through it).
+    fn from_dir_with(
+        root: &Path,
+        config: DiagnosisConfig,
+        open: impl Fn(&Path) -> io::Result<BlockReader>,
+    ) -> io::Result<Diagnosis> {
         let _span = hpc_telemetry::span!("core.from_dir");
-        let threads = Self::ingest_threads(&config);
-        hpc_telemetry::gauge("core.ingest.threads").set(threads as f64);
         let scheduler = hpc_logs::fs::detect_scheduler(root);
-        let mut per_source = Vec::with_capacity(LogSource::ALL.len());
-        let mut skipped_lines = 0u64;
-        let mut total_lines = 0u64;
-        {
-            let _parse = hpc_telemetry::span!("core.ingest.parse");
-            for source in LogSource::ALL {
-                let _src = hpc_telemetry::span!(format!("core.ingest.parse.{}", source.key()));
-                let path = root.join(hpc_logs::fs::source_path(source, scheduler));
-                let stream = if path.exists() {
-                    stream_file_pooled(&path, source, threads)?
-                } else {
-                    ChunkedStream {
-                        events: Vec::new(),
-                        parsed_lines: 0,
-                        skipped_lines: 0,
-                    }
-                };
-                record_source_counters(
-                    source,
-                    stream.total_lines(),
-                    stream.events.len() as u64,
-                    stream.skipped_lines,
-                );
-                total_lines += stream.total_lines();
-                skipped_lines += stream.skipped_lines;
-                per_source.push(stream.events);
+        // Opened up front, so an unreadable file fails before any parsing.
+        let mut readers = Vec::with_capacity(LogSource::ALL.len());
+        for (si, source) in LogSource::ALL.into_iter().enumerate() {
+            let path = root.join(hpc_logs::fs::source_path(source, scheduler));
+            if path.exists() {
+                readers.push((si, open(&path)?));
             }
         }
+        // One queue for the directory: a source run dry hands on to the next.
+        let blocks = readers
+            .into_iter()
+            .flat_map(|(si, reader)| reader.map(move |block| (si, block)));
+        let parse = |source, block: &Block| parse_chunk(source, block.lines());
+        let threads = Self::ingest_threads(&config);
+        Ok(Self::from_blocks(threads, blocks, parse, config))
+    }
+
+    /// The ingest shared by [`Diagnosis::from_dir`] and
+    /// [`Diagnosis::from_archive`]: pool-parse `blocks`, merge the
+    /// per-source streams, hand over to [`Diagnosis::from_events`].
+    fn from_blocks<B: Send>(
+        threads: usize,
+        blocks: impl Iterator<Item = (usize, B)> + Send,
+        parse: impl Fn(LogSource, &B) -> ChunkParse + Sync,
+        config: DiagnosisConfig,
+    ) -> Diagnosis {
+        hpc_telemetry::gauge("core.ingest.threads").set(threads as f64);
+        let (per_source, total_lines, skipped_lines) = {
+            let _parse = hpc_telemetry::span!("core.ingest.parse");
+            run_ingest_pool(threads, blocks, parse)
+        };
         hpc_telemetry::counter("ingest.lines").add(total_lines);
         hpc_telemetry::counter("ingest.skipped_lines").add(skipped_lines);
         let events = {
@@ -192,7 +195,7 @@ impl Diagnosis {
             merge_by_time(per_source)
         };
         hpc_telemetry::counter("ingest.events").add(events.len() as u64);
-        Ok(Self::from_events(events, skipped_lines, config))
+        Self::from_events(events, skipped_lines, config)
     }
 
     /// Builds a diagnosis from already-parsed chronological events (used by
@@ -353,161 +356,81 @@ impl Diagnosis {
     }
 }
 
-/// Per-source ingest counters (`ingest.<source>.{lines,events,skipped}`),
-/// recorded once per parsed stream from either ingest path.
-fn record_source_counters(source: LogSource, lines: u64, events: u64, skipped: u64) {
-    let key = source.key();
-    hpc_telemetry::counter(&format!("ingest.{key}.lines")).add(lines);
-    hpc_telemetry::counter(&format!("ingest.{key}.events")).add(events);
-    hpc_telemetry::counter(&format!("ingest.{key}.skipped")).add(skipped);
-}
-
-fn parse_one_source(archive: &LogArchive, source: LogSource) -> (Vec<LogEvent>, u64) {
-    let _span = hpc_telemetry::span!(format!("core.ingest.parse.{}", source.key()));
-    let lines = archive.lines(source);
-    let (events, skipped) = LogParser::parse_stream(source, lines.iter().map(|s| s.as_str()));
-    record_source_counters(source, lines.len() as u64, events.len() as u64, skipped);
-    (events, skipped)
-}
-
-fn parse_sources_sequential(archive: &LogArchive) -> (Vec<Vec<LogEvent>>, u64) {
-    let mut per_source = Vec::with_capacity(4);
-    let mut skipped = 0;
-    for source in LogSource::ALL {
-        let (events, sk) = parse_one_source(archive, source);
-        skipped += sk;
-        per_source.push(events);
-    }
-    (per_source, skipped)
-}
-
-/// One pool task: a line-range chunk of one source stream.
-struct ChunkTask<'a> {
-    source_idx: usize,
-    chunk_idx: usize,
-    lines: &'a [String],
-}
-
-/// Runs `tasks` on `threads` scoped workers pulling from one shared queue
-/// (an atomic cursor — chunks are claimed in order, finished in any order).
-/// Returns each task's `(source_idx, chunk_idx, parse, elapsed_us)`.
-fn run_chunk_pool(tasks: &[ChunkTask<'_>], threads: usize) -> Vec<(usize, usize, ChunkParse, u64)> {
-    let next = AtomicUsize::new(0);
-    let workers = threads.min(tasks.len()).max(1);
-    let mut collected = Vec::with_capacity(tasks.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move |_| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(task) = tasks.get(i) else { break };
-                        let span = hpc_telemetry::Span::enter("core.ingest.chunk");
-                        let parse = parse_chunk(
-                            LogSource::ALL[task.source_idx],
-                            task.lines.iter().map(|s| s.as_str()),
-                        );
-                        let us = span.finish();
-                        local.push((task.source_idx, task.chunk_idx, parse, us));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            collected.extend(h.join().expect("ingest worker panicked"));
+/// The ingest pool. `threads` workers (the calling thread is one of them)
+/// loop: take the queue lock, pull the next of `blocks` — `(source index,
+/// run of whole lines)`, sources and their blocks in file order — release
+/// the lock, parse the block with `parse`. Pulling is the only serial
+/// section, so reading overlaps parsing and at most `threads` blocks are
+/// resident. Each source's chunk parses are then reassembled in file order
+/// by [`stitch`], which makes the output bit-identical to a single-threaded
+/// [`hpc_logs::LogParser`] even when block boundaries cut through
+/// multi-line oops/stack-trace records (see `crates/logs/src/chunk.rs`).
+/// Returns the per-source event streams (in [`LogSource::ALL`] order) and
+/// the total and skipped line counts.
+///
+/// Telemetry: a `core.ingest.read` span per pull (lock wait apart, in the
+/// `core.ingest.read.wait_us` histogram) and, per block, a
+/// `core.ingest.parse.<source>` span around its `core.ingest.chunk`; one
+/// more `core.ingest.parse.<source>` wraps `core.ingest.stitch.<source>`,
+/// so the per-source histogram sums the CPU time a source cost across the
+/// pool, not one thread's wall time.
+fn run_ingest_pool<B: Send>(
+    threads: usize,
+    blocks: impl Iterator<Item = (usize, B)> + Send,
+    parse: impl Fn(LogSource, &B) -> ChunkParse + Sync,
+) -> (Vec<Vec<LogEvent>>, u64, u64) {
+    // Pulls are numbered, so results sort back into file order.
+    let queue = Mutex::new(blocks.enumerate());
+    let work = || {
+        let mut parsed = Vec::new();
+        loop {
+            let pulled = {
+                let waiting = Instant::now();
+                let mut queue = queue.lock().expect("an ingest worker panicked mid-pull");
+                hpc_telemetry::histogram("core.ingest.read.wait_us")
+                    .record(waiting.elapsed().as_micros() as u64);
+                let _read = hpc_telemetry::span!("core.ingest.read");
+                queue.next()
+            };
+            let Some((seq, (si, block))) = pulled else {
+                return parsed;
+            };
+            let source = LogSource::ALL[si];
+            let _source = hpc_telemetry::span!(format!("core.ingest.parse.{}", source.key()));
+            let _chunk = hpc_telemetry::span!("core.ingest.chunk");
+            parsed.push((seq, si, parse(source, &block)));
         }
-    })
-    .expect("crossbeam scope");
-    collected
-}
-
-/// Parses all four streams as line-range chunks on one work-stealing pool:
-/// every chunk of every source feeds a single shared queue, so the console
-/// stream (by far the largest) spreads across the whole machine instead of
-/// pinning one thread per source the way the old 4-way split did. Chunk
-/// results are reassembled per source in file order by
-/// [`hpc_logs::chunk::stitch`], which makes the output bit-identical to a
-/// sequential parse even when chunk boundaries cut through multi-line
-/// oops/stack-trace records (see `crates/logs/src/chunk.rs`).
-fn parse_sources_pooled(archive: &LogArchive, threads: usize) -> (Vec<Vec<LogEvent>>, u64) {
-    let mut tasks: Vec<ChunkTask<'_>> = Vec::new();
-    for (si, &source) in LogSource::ALL.iter().enumerate() {
-        let lines = archive.lines(source);
-        let chunk_lines = chunk_lines_for(lines.len(), threads);
-        for (ci, span) in chunk_spans(lines.len(), chunk_lines).enumerate() {
-            tasks.push(ChunkTask {
-                source_idx: si,
-                chunk_idx: ci,
-                lines: &lines[span],
-            });
+    };
+    let mut parsed = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut parsed = work();
+        for worker in spawned {
+            parsed.extend(worker.join().expect("ingest worker panicked"));
         }
+        parsed
+    });
+    parsed.sort_by_key(|&(seq, _, _)| seq);
+    let mut chunks: [Vec<ChunkParse>; 4] = Default::default();
+    for (_, si, chunk) in parsed {
+        chunks[si].push(chunk);
     }
-    let mut grouped: Vec<Vec<(usize, ChunkParse, u64)>> =
-        (0..LogSource::ALL.len()).map(|_| Vec::new()).collect();
-    for (si, ci, parse, us) in run_chunk_pool(&tasks, threads) {
-        grouped[si].push((ci, parse, us));
-    }
-    let mut per_source = Vec::with_capacity(LogSource::ALL.len());
-    let mut skipped = 0u64;
-    for (si, mut chunks) in grouped.into_iter().enumerate() {
-        let source = LogSource::ALL[si];
-        chunks.sort_by_key(|&(ci, _, _)| ci);
-        let parse_us: u64 = chunks.iter().map(|&(_, _, us)| us).sum();
-        let stitch_span =
-            hpc_telemetry::Span::enter(format!("core.ingest.stitch.{}", source.key()));
-        let stream = stitch(chunks.into_iter().map(|(_, p, _)| p));
-        let stitch_us = stitch_span.finish();
-        // Under pooled ingest the per-source parse histogram aggregates the
-        // CPU time the source's chunks spent across the pool (plus the
-        // stitch), not one thread's wall time.
-        hpc_telemetry::histogram(&format!("core.ingest.parse.{}.time_us", source.key()))
-            .record(parse_us + stitch_us);
-        hpc_telemetry::counter(&format!("core.ingest.parse.{}.calls", source.key())).inc();
-        record_source_counters(
-            source,
-            stream.total_lines(),
-            stream.events.len() as u64,
-            stream.skipped_lines,
-        );
+    let mut per_source = Vec::with_capacity(chunks.len());
+    let (mut total, mut skipped) = (0, 0);
+    for (source, chunks) in LogSource::ALL.into_iter().zip(chunks) {
+        let key = source.key();
+        let _source = hpc_telemetry::span!(format!("core.ingest.parse.{key}"));
+        let stream = {
+            let _stitch = hpc_telemetry::span!(format!("core.ingest.stitch.{key}"));
+            stitch(chunks)
+        };
+        hpc_telemetry::counter(&format!("ingest.{key}.lines")).add(stream.total_lines());
+        hpc_telemetry::counter(&format!("ingest.{key}.events")).add(stream.events.len() as u64);
+        hpc_telemetry::counter(&format!("ingest.{key}.skipped")).add(stream.skipped_lines);
+        total += stream.total_lines();
         skipped += stream.skipped_lines;
         per_source.push(stream.events);
     }
-    (per_source, skipped)
-}
-
-/// Streams one log file through the chunked pool: reads a bounded batch of
-/// lines, parses the batch's chunks concurrently, keeps only the parsed
-/// [`ChunkParse`] results, and moves to the next batch — so raw text in
-/// memory never exceeds one batch even for multi-GB files. All chunk
-/// results stitch once at EOF (stitching is sequential by design and needs
-/// the chunks in file order).
-fn stream_file_pooled(path: &Path, source: LogSource, threads: usize) -> io::Result<ChunkedStream> {
-    // Fixed chunk size: file length is unknown up front, and 4 Ki lines is
-    // comfortably above the chunk_lines_for floor while keeping batches
-    // (threads * 2 chunks) responsive.
-    const CHUNK_LINES: usize = 4096;
-    let si = LogSource::ALL
-        .iter()
-        .position(|&s| s == source)
-        .expect("source in ALL");
-    let mut chunks: Vec<ChunkParse> = Vec::new();
-    for batch in hpc_logs::fs::LineBatches::open(path, CHUNK_LINES * threads * 2)? {
-        let tasks: Vec<ChunkTask<'_>> = chunk_spans(batch.len(), CHUNK_LINES)
-            .enumerate()
-            .map(|(ci, span)| ChunkTask {
-                source_idx: si,
-                chunk_idx: ci,
-                lines: &batch[span],
-            })
-            .collect();
-        let mut parsed = run_chunk_pool(&tasks, threads);
-        parsed.sort_by_key(|&(_, ci, _, _)| ci);
-        chunks.extend(parsed.into_iter().map(|(_, _, p, _)| p));
-    }
-    Ok(stitch(chunks))
+    (per_source, total, skipped)
 }
 
 #[cfg(test)]
@@ -547,6 +470,11 @@ mod tests {
                 ..DiagnosisConfig::default()
             },
         );
+        // One worker is the same pool code: pin it to the whole-stream
+        // parser, which never chunks, so the sweep has an outside witness.
+        let whole = out.archive.parse_merged();
+        assert_eq!(seq.events(), whole.events);
+        assert_eq!(seq.skipped_lines, whole.skipped_lines);
         let machine = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
@@ -570,9 +498,7 @@ mod tests {
     #[test]
     fn from_dir_streams_to_the_same_diagnosis() {
         let out = Scenario::new(SystemId::S1, 1, 4, 13).run();
-        let dir =
-            std::env::temp_dir().join(format!("hpc-core-from-dir-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmpdir("from-dir");
         hpc_logs::fs::save_archive(&out.archive, &dir).unwrap();
         let streamed = Diagnosis::from_dir(&dir, DiagnosisConfig::default()).unwrap();
         let in_memory = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());
@@ -583,6 +509,115 @@ mod tests {
         std::fs::remove_dir_all(dir.join("controller")).unwrap();
         let partial = Diagnosis::from_dir(&dir, DiagnosisConfig::default()).unwrap();
         assert!(partial.events().len() < in_memory.events().len());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn tmpdir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("hpc-core-pipeline-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// `from_dir` with `threads` workers over blocks of `block_bytes`.
+    fn from_dir_blocks(dir: &Path, threads: usize, block_bytes: usize) -> Diagnosis {
+        let config = DiagnosisConfig {
+            ingest_threads: Some(threads),
+            ..DiagnosisConfig::default()
+        };
+        Diagnosis::from_dir_with(dir, config, |path| {
+            BlockReader::with_block_bytes(path, block_bytes)
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn from_dir_agrees_at_tiny_blocks_and_every_pool_width() {
+        use hpc_faultsim::chaos::{ChaosFeed, ChaosSpec, Intensity};
+        let out = Scenario::new(SystemId::S1, 1, 2, 21).run();
+        let clean = tmpdir("blocks-clean");
+        hpc_logs::fs::save_archive(&out.archive, &clean).unwrap();
+        let hostile = tmpdir("blocks-chaos");
+        ChaosFeed::corrupt(&out.archive, &ChaosSpec::mixed(Intensity::Heavy, 5))
+            .write_dir(&hostile)
+            .unwrap();
+        for dir in [&clean, &hostile] {
+            let loaded = hpc_logs::fs::load_archive(dir).unwrap();
+            let reference = Diagnosis::from_archive(
+                &loaded,
+                DiagnosisConfig {
+                    parallel_ingest: false,
+                    ..DiagnosisConfig::default()
+                },
+            );
+            // The pool's own one-worker run is not an independent witness:
+            // pin it to the whole-stream parser, which never chunks.
+            let whole = loaded.parse_merged();
+            assert_eq!(reference.events(), whole.events);
+            assert_eq!(reference.skipped_lines, whole.skipped_lines);
+            // 64 bytes is below every line length: one line per block, so
+            // every multi-line trace straddles block boundaries.
+            for block_bytes in [64, 997, 1 << 20] {
+                for threads in [1, 2, 4] {
+                    let d = from_dir_blocks(dir, threads, block_bytes);
+                    let at = format!("{} at {block_bytes} B x {threads}", dir.display());
+                    assert_eq!(d.events(), reference.events(), "{at}");
+                    assert_eq!(d.failures, reference.failures, "{at}");
+                    assert_eq!(d.skipped_lines, reference.skipped_lines, "{at}");
+                }
+            }
+        }
+        assert!(
+            Diagnosis::from_dir(&hostile, DiagnosisConfig::default())
+                .unwrap()
+                .skipped_lines
+                > 0,
+            "the hostile directory must exercise the skip path"
+        );
+        std::fs::remove_dir_all(&clean).unwrap();
+        std::fs::remove_dir_all(&hostile).unwrap();
+    }
+
+    #[test]
+    fn oops_trace_straddling_any_block_boundary_reassembles() {
+        use hpc_logs::event::{ConsoleDetail, OopsCause, Payload, StackModule};
+        let console = |ms: u64, node: u32, detail: ConsoleDetail| LogEvent {
+            time: SimTime::from_millis(ms),
+            payload: Payload::Console {
+                node: NodeId(node),
+                detail,
+            },
+        };
+        let events = vec![
+            console(500, 3, ConsoleDetail::DiskError),
+            console(
+                1_000,
+                7,
+                ConsoleDetail::KernelOops {
+                    cause: OopsCause::NullDeref,
+                    modules: vec![StackModule::LdlmBl, StackModule::MceLog],
+                },
+            ),
+            console(2_000, 3, ConsoleDetail::BiosError),
+            console(3_000, 7, ConsoleDetail::DiskError), // completes the oops
+        ];
+        let mut archive = LogArchive::new(SchedulerKind::Slurm);
+        for event in &events {
+            archive.append_event(event);
+        }
+        let dir = tmpdir("straddle");
+        hpc_logs::fs::save_archive(&archive, &dir).unwrap();
+        let bytes = archive.total_bytes() as usize;
+        assert!(archive.total_lines() > events.len() as u64, "trace lines");
+        // Every block size up to the whole file puts a boundary after every
+        // line of the trace in turn.
+        for block_bytes in 1..=bytes {
+            for threads in [1, 3] {
+                let d = from_dir_blocks(&dir, threads, block_bytes);
+                assert_eq!(d.events(), &events[..], "{block_bytes} B x {threads}");
+                assert_eq!(d.skipped_lines, 0, "{block_bytes} B x {threads}");
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -128,11 +128,16 @@ fn parse_plain_chunk<'a, I>(source: LogSource, lines: I) -> ChunkParse
 where
     I: IntoIterator<Item = &'a str>,
 {
+    let lines = lines.into_iter();
     let mut parser = LogParser::new();
-    let mut events = Vec::new();
+    // These grammars are one event per recognised line.
+    let mut events = Vec::with_capacity(lines.size_hint().0);
     for line in lines {
         parser.parse_line(source, line, &mut events);
     }
+    // Every chunk's events stay resident until `stitch`: give back the
+    // slack that doubling growth left (up to half the vector).
+    events.shrink_to_fit();
     ChunkParse {
         events,
         resolutions: Vec::new(),
@@ -208,6 +213,7 @@ where
             }
         }
     }
+    events.shrink_to_fit();
     ChunkParse {
         events,
         resolutions,
@@ -225,10 +231,11 @@ pub fn stitch<I>(chunks: I) -> ChunkedStream
 where
     I: IntoIterator<Item = ChunkParse>,
 {
+    let chunks: Vec<ChunkParse> = chunks.into_iter().collect();
     // Reports open across the current chunk boundary — exactly the
     // sequential parser's pending map at the equivalent line.
     let mut state: HashMap<NodeId, PendingTrace> = HashMap::new();
-    let mut out: Vec<LogEvent> = Vec::new();
+    let mut out: Vec<LogEvent> = Vec::with_capacity(chunks.iter().map(|c| c.events.len()).sum());
     let mut parsed = 0u64;
     let mut skipped = 0u64;
     for chunk in chunks {
@@ -251,21 +258,19 @@ where
             }
         }
         // Splice straddling-report completions at each node's resolving
-        // position, preserving the sequential emission order.
-        let mut resolutions = chunk.resolutions.into_iter().peekable();
-        for (i, event) in chunk.events.into_iter().enumerate() {
-            while let Some((node, _)) = resolutions.next_if(|&(_, pos)| pos == i) {
-                if let Some(p) = state.remove(&node) {
-                    out.push(complete_pending(node, p));
-                }
-            }
-            out.push(event);
-        }
-        for (node, _) in resolutions {
+        // position, preserving the sequential emission order; the events
+        // between two resolutions (all of them, for the stateless sources)
+        // move in bulk.
+        let mut events = chunk.events.into_iter();
+        let mut moved = 0;
+        for (node, pos) in chunk.resolutions {
+            out.extend(events.by_ref().take(pos - moved));
+            moved = pos;
             if let Some(p) = state.remove(&node) {
                 out.push(complete_pending(node, p));
             }
         }
+        out.extend(events);
         // Reports the chunk left open continue into the next chunk. A node
         // with a chunk-local pending was necessarily resolved above, so
         // this cannot clobber a carried report.

@@ -13,8 +13,9 @@
 //!   scheduler/slurmctld.log     scheduler lines (or pbs_server.log)
 //! ```
 
+use std::collections::VecDeque;
 use std::fs;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 use hpc_platform::system::SchedulerKind;
@@ -22,43 +23,130 @@ use hpc_platform::system::SchedulerKind;
 use crate::archive::LogArchive;
 use crate::event::LogSource;
 
-/// One raw line read from a log file, byte-level, with degradation rather
-/// than failure on hostile bytes (the contract of DESIGN.md §10): invalid
-/// UTF-8 is lossily sanitised and counted, and a mid-file I/O error is
-/// treated as truncation at the error point and counted — neither ever
-/// aborts ingest of the rest of the archive.
-enum RawLine {
-    Eof,
-    Line(String),
-    /// A read failed mid-file; the file is treated as ending here.
-    Truncated,
+/// Bytes a [`BlockReader`] asks for per block: per-block costs (a `read`, a
+/// UTF-8 validation, a pool hand-off) vanish against parsing ~10k lines,
+/// and a pool's worth of blocks stays a few MiB whatever the file size.
+const BLOCK_BYTES: usize = 1 << 20;
+
+/// The sanitiser shared by every reader of log bytes (the block reader
+/// here, `hpc-stream`'s follower): turns a buffer of whole lines into text
+/// and counts the lines that held invalid UTF-8. A valid buffer is
+/// converted in place after its one validation; only a buffer that fails is
+/// rebuilt, each invalid sequence replaced by U+FFFD exactly as a per-line
+/// `String::from_utf8_lossy` would (`\n` is never part of one).
+pub fn sanitise_lines(bytes: Vec<u8>) -> (String, u64) {
+    let bytes = match String::from_utf8(bytes) {
+        Ok(text) => return (text, 0),
+        Err(e) => e.into_bytes(),
+    };
+    let mut text = Vec::with_capacity(bytes.len() + bytes.len() / 16);
+    let mut invalid_lines = 0;
+    // Whether the line in progress already holds a replacement.
+    let mut counted = false;
+    let mut rest = &bytes[..];
+    while let Err(e) = std::str::from_utf8(rest) {
+        let (valid, bad) = rest.split_at(e.valid_up_to());
+        counted &= !valid.contains(&b'\n');
+        invalid_lines += u64::from(!counted);
+        counted = true;
+        text.extend_from_slice(valid);
+        text.extend_from_slice("\u{FFFD}".as_bytes());
+        // `None`: the buffer ends inside a sequence, all of it one bad run.
+        rest = &bad[e.error_len().unwrap_or(bad.len())..];
+    }
+    text.extend_from_slice(rest);
+    let text = String::from_utf8(text).expect("valid runs joined by U+FFFD");
+    (text, invalid_lines)
 }
 
-/// Reads one `\n`-terminated line as raw bytes, stripping trailing
-/// `\r`/`\n`. Non-UTF-8 bytes are replaced with U+FFFD and counted under
-/// `core.ingest.dropped.invalid_utf8`; read errors are counted under
-/// `core.ingest.dropped.io_error` and degrade to end-of-file.
-fn read_raw_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> RawLine {
-    buf.clear();
-    match reader.read_until(b'\n', buf) {
-        Ok(0) => RawLine::Eof,
-        Ok(_) => {
-            while matches!(buf.last(), Some(b'\n') | Some(b'\r')) {
-                buf.pop();
-            }
-            match std::str::from_utf8(buf) {
-                Ok(s) => RawLine::Line(s.to_string()),
+/// A run of whole lines read from a log file as one valid-UTF-8 buffer,
+/// every line `\n`-terminated except possibly the file's last.
+pub struct Block(String);
+
+impl Block {
+    /// The block's lines in file order, borrowed from the block, trailing
+    /// `\r`/`\n` stripped.
+    pub fn lines(&self) -> impl Iterator<Item = &str> {
+        let lines = self.0.split_terminator('\n');
+        lines.map(|line| line.trim_end_matches('\r'))
+    }
+}
+
+/// Reads a log file as bounded [`Block`]s: ask for ~1 MiB, cut at the last
+/// `\n`, carry the remainder into the next block — the one file-reading
+/// path under [`load_archive`], [`parse_file`], [`LineBatches`] and
+/// `hpc-diagnosis`'s pooled `Diagnosis::from_dir`. A line longer than the
+/// block size grows the block until its `\n` arrives.
+///
+/// Hostile bytes degrade rather than fail (DESIGN.md §10): a block that is
+/// not valid UTF-8 is rebuilt by [`sanitise_lines`], each bad line counted
+/// under `core.ingest.dropped.invalid_utf8`; a mid-file read error
+/// truncates the file at the last whole line before it, counted under
+/// `core.ingest.dropped.io_error`. Neither aborts ingest of the rest.
+pub struct BlockReader {
+    file: fs::File,
+    block_bytes: usize,
+    /// Bytes after the last `\n` of the previous block.
+    carry: Vec<u8>,
+    done: bool,
+}
+
+impl BlockReader {
+    /// Opens `path` for block reading.
+    pub fn open(path: &Path) -> io::Result<BlockReader> {
+        BlockReader::with_block_bytes(path, BLOCK_BYTES)
+    }
+
+    /// [`BlockReader::open`] with a forced block size (at least 1), so
+    /// tests can put block boundaries anywhere. Not a tunable.
+    #[doc(hidden)]
+    pub fn with_block_bytes(path: &Path, block_bytes: usize) -> io::Result<BlockReader> {
+        Ok(BlockReader {
+            file: fs::File::open(path)?,
+            block_bytes: block_bytes.max(1),
+            carry: Vec::new(),
+            done: false,
+        })
+    }
+}
+
+impl Iterator for BlockReader {
+    type Item = Block;
+
+    fn next(&mut self) -> Option<Block> {
+        let mut buf = std::mem::take(&mut self.carry);
+        while !self.done {
+            let before = buf.len();
+            buf.reserve(self.block_bytes);
+            let mut chunk = (&mut self.file).take(self.block_bytes as u64);
+            match chunk.read_to_end(&mut buf) {
+                // End of file: what is left is the unterminated last line.
+                Ok(0) => self.done = true,
+                Ok(_) => {
+                    if let Some(nl) = buf[before..].iter().rposition(|&b| b == b'\n') {
+                        self.carry = buf.split_off(before + nl + 1);
+                        break;
+                    }
+                }
                 Err(_) => {
-                    hpc_telemetry::counter("core.ingest.dropped.invalid_utf8").inc();
-                    RawLine::Line(String::from_utf8_lossy(buf).into_owned())
+                    hpc_telemetry::counter("core.ingest.dropped.io_error").inc();
+                    self.done = true;
+                    let whole = buf.iter().rposition(|&b| b == b'\n').map_or(0, |nl| nl + 1);
+                    buf.truncate(whole);
                 }
             }
         }
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => read_raw_line(reader, buf),
-        Err(_) => {
-            hpc_telemetry::counter("core.ingest.dropped.io_error").inc();
-            RawLine::Truncated
+        if buf.is_empty() {
+            return None;
         }
+        hpc_telemetry::counter("core.ingest.blocks").inc();
+        hpc_telemetry::counter("core.ingest.bytes").add(buf.len() as u64);
+        let (text, invalid_lines) = sanitise_lines(buf);
+        if invalid_lines > 0 {
+            hpc_telemetry::counter("core.ingest.lossy_blocks").inc();
+            hpc_telemetry::counter("core.ingest.dropped.invalid_utf8").add(invalid_lines);
+        }
+        Some(Block(text))
     }
 }
 
@@ -119,22 +207,20 @@ pub fn detect_scheduler(root: &Path) -> SchedulerKind {
 
 /// Loads an archive from `root`. Missing files yield empty streams (the
 /// paper's "absence of certain environmental logs"); the scheduler flavour
-/// comes from [`detect_scheduler`]. Hostile bytes never fail the load:
-/// invalid UTF-8 is sanitised and a mid-file read error truncates that one
-/// stream at the error point, both counted under `core.ingest.dropped.*`.
+/// comes from [`detect_scheduler`]. Hostile bytes degrade ([`BlockReader`]).
 pub fn load_archive(root: &Path) -> io::Result<LogArchive> {
     let _span = hpc_telemetry::span!("logs.load_archive");
     let scheduler = detect_scheduler(root);
     let mut archive = LogArchive::new(scheduler);
-    let mut buf = Vec::new();
     for source in LogSource::ALL {
         let path = root.join(source_path(source, scheduler));
         if !path.exists() {
             continue;
         }
-        let mut reader = BufReader::new(fs::File::open(&path)?);
-        while let RawLine::Line(line) = read_raw_line(&mut reader, &mut buf) {
-            archive.push_raw_line(source, line);
+        for block in BlockReader::open(&path)? {
+            for line in block.lines() {
+                archive.push_raw_line(source, line.to_string());
+            }
         }
     }
     Ok(archive)
@@ -145,25 +231,26 @@ pub fn load_archive(root: &Path) -> io::Result<LogArchive> {
 /// (sorted by time) and the count of unrecognised lines.
 pub fn parse_file(path: &Path, source: LogSource) -> io::Result<(Vec<crate::LogEvent>, u64)> {
     use crate::parse::LogParser;
-    let mut reader = BufReader::new(fs::File::open(path)?);
     let mut parser = LogParser::new();
     let mut out = Vec::new();
-    let mut buf = Vec::new();
-    while let RawLine::Line(line) = read_raw_line(&mut reader, &mut buf) {
-        parser.parse_line(source, &line, &mut out);
+    for block in BlockReader::open(path)? {
+        for line in block.lines() {
+            parser.parse_line(source, line, &mut out);
+        }
     }
     parser.finish(&mut out);
     out.sort_by_key(|e| e.time);
     Ok((out, parser.skipped_lines))
 }
 
-/// Reads a log file as fixed-size batches of lines (trailing `\r`/`\n`
-/// stripped), holding only one batch in memory at a time — the I/O side of
-/// the pooled streaming ingest (`hpc-diagnosis`'s `Diagnosis::from_dir`),
-/// which parses each batch's chunks concurrently before reading the next.
+/// Reads a log file as fixed-size batches of owned lines (trailing
+/// `\r`/`\n` stripped) for callers that need `String`s; holds one batch
+/// plus at most one block of lines at a time.
 pub struct LineBatches {
-    reader: BufReader<fs::File>,
+    reader: BlockReader,
     batch_lines: usize,
+    /// Lines of the last block read that did not fit its batch.
+    queued: VecDeque<String>,
 }
 
 impl LineBatches {
@@ -171,33 +258,30 @@ impl LineBatches {
     /// (clamped to at least 1).
     pub fn open(path: &Path, batch_lines: usize) -> io::Result<LineBatches> {
         Ok(LineBatches {
-            reader: BufReader::new(fs::File::open(path)?),
+            reader: BlockReader::open(path)?,
             batch_lines: batch_lines.max(1),
+            queued: VecDeque::new(),
         })
     }
 }
 
 impl Iterator for LineBatches {
-    /// Batches of sanitised lines. Hostile bytes degrade per the §10
-    /// contract rather than surfacing as `Err`: invalid UTF-8 is lossily
-    /// replaced and a mid-file read error ends the file at the error point,
-    /// both counted under `core.ingest.dropped.*`.
+    /// Batches of sanitised lines; hostile bytes degrade as documented on
+    /// [`BlockReader`] rather than surfacing as `Err`.
     type Item = Vec<String>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let mut batch = Vec::with_capacity(self.batch_lines.min(1 << 16));
-        let mut buf = Vec::new();
+        let queued = self.batch_lines.min(self.queued.len());
+        let mut batch: Vec<String> = self.queued.drain(..queued).collect();
         while batch.len() < self.batch_lines {
-            match read_raw_line(&mut self.reader, &mut buf) {
-                RawLine::Line(line) => batch.push(line),
-                RawLine::Eof | RawLine::Truncated => break,
-            }
+            let Some(block) = self.reader.next() else {
+                break;
+            };
+            let mut lines = block.lines().map(str::to_string);
+            batch.extend(lines.by_ref().take(self.batch_lines - batch.len()));
+            self.queued.extend(lines);
         }
-        if batch.is_empty() {
-            None
-        } else {
-            Some(batch)
-        }
+        (!batch.is_empty()).then_some(batch)
     }
 }
 
@@ -207,6 +291,8 @@ mod tests {
     use crate::event::{ConsoleDetail, LogEvent, Payload};
     use crate::time::SimTime;
     use hpc_platform::NodeId;
+    use proptest::prelude::*;
+    use std::io::BufRead;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -214,6 +300,125 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Serialises the tests that read or move the process-global
+    /// `core.ingest.dropped.invalid_utf8` counter.
+    fn invalid_utf8_counter_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The per-line reader the block reader replaced, kept as the oracle:
+    /// `read_until` one `\n`-terminated line, strip trailing `\r`/`\n`,
+    /// validate the line on its own, lossily replace and count a bad one.
+    /// Returns the lines and the number that held invalid UTF-8.
+    fn per_line_oracle(mut bytes: &[u8]) -> (Vec<String>, u64) {
+        let (mut lines, mut invalid) = (Vec::new(), 0);
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            if bytes.read_until(b'\n', &mut buf).unwrap() == 0 {
+                return (lines, invalid);
+            }
+            while matches!(buf.last(), Some(b'\n') | Some(b'\r')) {
+                buf.pop();
+            }
+            match std::str::from_utf8(&buf) {
+                Ok(s) => lines.push(s.to_string()),
+                Err(_) => {
+                    invalid += 1;
+                    lines.push(String::from_utf8_lossy(&buf).into_owned());
+                }
+            }
+        }
+    }
+
+    /// Everything a [`BlockReader`] over `path` yields: the lines, what it
+    /// added to `core.ingest.dropped.invalid_utf8` (hold the counter lock),
+    /// and the number of blocks.
+    fn read_blocks(path: &Path, block_bytes: usize) -> (Vec<String>, u64, usize) {
+        let counter = hpc_telemetry::counter("core.ingest.dropped.invalid_utf8");
+        let before = counter.get();
+        let (mut lines, mut blocks) = (Vec::new(), 0);
+        for block in BlockReader::with_block_bytes(path, block_bytes).unwrap() {
+            lines.extend(block.lines().map(str::to_string));
+            blocks += 1;
+        }
+        (lines, counter.get() - before, blocks)
+    }
+
+    /// Byte soup weighted towards what breaks a block reader: line ends of
+    /// both flavours (and runs of them), multi-byte sequences that a block
+    /// boundary can cut anywhere, truncated and stray sequence bytes.
+    fn hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let piece = prop_oneof![
+            "[ -~]{0,12}".prop_map(String::into_bytes),
+            prop::sample::select(vec![
+                &b"\n"[..],
+                b"\r\n",
+                b"\r",
+                b"\n\n",
+                b"\r\r\n",
+                "é".as_bytes(),
+                "€".as_bytes(),
+                "𝄞".as_bytes(),
+                "\u{FFFD}".as_bytes(),
+                b"\xE2\x82",
+                b"\xF0\x9F",
+                b"\x80",
+                b"\xFF\xFE",
+                b"\xC3",
+            ])
+            .prop_map(<[u8]>::to_vec),
+        ];
+        prop::collection::vec(piece, 0..40).prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn block_reader_yields_what_the_per_line_reader_did(
+            bytes in hostile_bytes(),
+            sizes in prop::collection::vec(1usize..64, 1..4),
+        ) {
+            let _guard = invalid_utf8_counter_lock();
+            let dir = tmpdir("blocks");
+            let path = dir.join("log");
+            fs::write(&path, &bytes).unwrap();
+            let (lines, invalid) = per_line_oracle(&bytes);
+            for block_bytes in sizes.into_iter().chain([1, 2, 3, bytes.len().max(1), BLOCK_BYTES]) {
+                let (got, got_invalid, blocks) = read_blocks(&path, block_bytes);
+                prop_assert_eq!(&got, &lines, "block_bytes={}", block_bytes);
+                prop_assert_eq!(got_invalid, invalid, "block_bytes={}", block_bytes);
+                prop_assert!(blocks <= lines.len().max(1), "a block holds at least one line");
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn sanitise_lines_counts_bad_lines_not_bad_sequences() {
+        let (text, invalid) = sanitise_lines(b"ok\n\xFF mid \xFE\xE2\x82\nfine\r\n\x80".to_vec());
+        assert_eq!(text, "ok\n\u{FFFD} mid \u{FFFD}\u{FFFD}\nfine\r\n\u{FFFD}");
+        assert_eq!(invalid, 2);
+        // Valid input comes back as the same allocation, untouched.
+        let (text, invalid) = sanitise_lines("héllo\n".as_bytes().to_vec());
+        assert_eq!((text.as_str(), invalid), ("héllo\n", 0));
+    }
+
+    #[test]
+    fn a_line_longer_than_the_block_grows_the_block() {
+        let _guard = invalid_utf8_counter_lock();
+        let dir = tmpdir("longline");
+        let path = dir.join("log");
+        let long = "x".repeat(1000);
+        fs::write(&path, format!("a\n{long}\nb")).unwrap();
+        let (lines, invalid, blocks) = read_blocks(&path, 16);
+        assert_eq!(lines, vec!["a".to_string(), long, "b".to_string()]);
+        assert_eq!((invalid, blocks), (0, 3));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     fn sample_archive() -> LogArchive {
@@ -350,6 +555,7 @@ mod tests {
 
     #[test]
     fn invalid_utf8_is_sanitised_not_fatal() {
+        let _guard = invalid_utf8_counter_lock();
         let dir = tmpdir("utf8");
         let path = dir.join("console");
         let good =

@@ -226,8 +226,11 @@ impl LogParser {
     where
         I: IntoIterator<Item = &'a str>,
     {
+        let lines = lines.into_iter();
         let mut p = LogParser::new();
-        let mut out = Vec::new();
+        // Nearly every line of a healthy stream is one event: sizing for
+        // that up front saves regrowing (and re-copying) a multi-MB vector.
+        let mut out = Vec::with_capacity(lines.size_hint().0);
         for line in lines {
             p.parse_line(source, line, &mut out);
         }
@@ -288,9 +291,10 @@ pub(crate) fn complete_pending(node: NodeId, p: PendingTrace) -> LogEvent {
 /// Parses single-line console payloads (everything except oops/hung-task).
 fn parse_console_single(rest: &str) -> Option<ConsoleDetail> {
     if let Some(r) = rest.strip_prefix("mce: [Hardware Error]: Machine Check Exception ") {
-        let bank = field(r, "bank=")?.parse().ok()?;
-        let kind = MceKind::from_token(field(r, "kind=")?)?;
-        let corrected = match field(r, "status=")? {
+        let [bank, kind, status] = fields(r, ["bank=", "kind=", "status="]);
+        let bank = bank?.parse().ok()?;
+        let kind = MceKind::from_token(kind?)?;
+        let corrected = match status? {
             "corrected" => true,
             "uncorrected" => false,
             _ => return None,
@@ -495,7 +499,19 @@ fn parse_erd(line: &str, out: &mut Vec<LogEvent>) -> bool {
 }
 
 fn parse_erd_payload(rest: &str) -> Option<(ControllerScope, ErdDetail)> {
-    let src: Cname = field(rest, "src=")?.parse().ok()?;
+    let [src, sensor, ch, reading, component, port, status] = fields(
+        rest,
+        [
+            "src=",
+            "sensor=",
+            "ch=",
+            "reading=",
+            "component=",
+            "port=",
+            "status=",
+        ],
+    );
+    let src: Cname = src?.parse().ok()?;
     let scope = match src.granularity() {
         0 => ControllerScope::Cabinet(src.cabinet_id()),
         2 => ControllerScope::Blade(src.blade_id()?),
@@ -503,9 +519,9 @@ fn parse_erd_payload(rest: &str) -> Option<(ControllerScope, ErdDetail)> {
         _ => return None,
     };
     let detail = if rest.starts_with("ec_sedc_warning ") {
-        let sensor = SensorKind::from_mnemonic(field(rest, "sensor=")?)?;
-        let channel = field(rest, "ch=")?.parse().ok()?;
-        let reading: f64 = field(rest, "reading=")?.parse().ok()?;
+        let sensor = SensorKind::from_mnemonic(sensor?)?;
+        let channel = ch?.parse().ok()?;
+        let reading: f64 = reading?.parse().ok()?;
         let deviation = if rest.ends_with("below minimum threshold") {
             Deviation::BelowMinimum
         } else if rest.ends_with("above maximum threshold") {
@@ -523,20 +539,20 @@ fn parse_erd_payload(rest: &str) -> Option<(ControllerScope, ErdDetail)> {
         }
     } else if rest.starts_with("ec_sedc_data ") {
         ErdDetail::SedcReading {
-            sensor: SensorKind::from_mnemonic(field(rest, "sensor=")?)?,
-            channel: field(rest, "ch=")?.parse().ok()?,
-            reading: field(rest, "reading=")?.parse().ok()?,
+            sensor: SensorKind::from_mnemonic(sensor?)?,
+            channel: ch?.parse().ok()?,
+            reading: reading?.parse().ok()?,
         }
     } else if rest.starts_with("ec_hw_error ") {
         let node = src.node_id()?;
-        let component = parse_component(field(rest, "component=")?)?;
+        let component = parse_component(component?)?;
         ErdDetail::HwError { node, component }
     } else if rest.starts_with("ec_heartbeat_stop ") {
         ErdDetail::HeartbeatStop
     } else if rest.starts_with("ec_l0_failed ") {
         ErdDetail::L0Failed
     } else if rest.starts_with("ec_link_error ") {
-        let port = field(rest, "port=")?.parse().ok()?;
+        let port = port?.parse().ok()?;
         let kind = parse_link_error(rest)?;
         ErdDetail::LinkError { port, kind }
     } else if rest.starts_with("ec_environment ") {
@@ -545,7 +561,7 @@ fn parse_erd_payload(rest: &str) -> Option<(ControllerScope, ErdDetail)> {
         }
     } else if rest.starts_with("ec_cabinet_sensor_check ") {
         ErdDetail::CabinetSensorCheck {
-            ok: field(rest, "status=") == Some("ok"),
+            ok: status == Some("ok"),
         }
     } else if rest.starts_with("ec_node_failed ") {
         ErdDetail::NodeFailed {
@@ -608,54 +624,72 @@ fn parse_scheduler(line: &str, out: &mut Vec<LogEvent>) -> bool {
 
 fn parse_scheduler_payload(rest: &str) -> Option<SchedulerDetail> {
     if let Some(r) = rest.strip_prefix("nhc: ") {
+        let [node, test, status] = fields(r, ["node=", "test=", "status="]);
         return Some(SchedulerDetail::NhcResult {
-            node: parse_nid(field(r, "node=")?)?,
-            test: NhcTest::from_token(field(r, "test=")?)?,
-            passed: field(r, "status=")? == "pass",
+            node: parse_nid(node?)?,
+            test: NhcTest::from_token(test?)?,
+            passed: status? == "pass",
         });
     }
     if let Some(r) = rest.strip_prefix("epilogue: ") {
+        let [job, node] = fields(r, ["job=", "node="]);
         return Some(SchedulerDetail::EpilogueCleanup {
-            job: JobId(field(r, "job=")?.parse().ok()?),
-            node: parse_nid(field(r, "node=")?)?,
+            job: JobId(job?.parse().ok()?),
+            node: parse_nid(node?)?,
         });
     }
     if let Some(r) = rest.strip_prefix("sched: ") {
         if r.contains("memory overallocation") {
-            let req = field(r, "requested=")?.strip_suffix("MiB")?;
-            let avail = field(r, "available=")?.strip_suffix("MiB")?;
+            let [requested, available, job, node] =
+                fields(r, ["requested=", "available=", "job=", "node="]);
+            let req = requested?.strip_suffix("MiB")?;
+            let avail = available?.strip_suffix("MiB")?;
             return Some(SchedulerDetail::MemOverallocation {
-                job: JobId(field(r, "job=")?.parse().ok()?),
-                node: parse_nid(field(r, "node=")?)?,
+                job: JobId(job?.parse().ok()?),
+                node: parse_nid(node?)?,
                 requested_mib: req.parse().ok()?,
                 available_mib: avail.parse().ok()?,
             });
         }
         return None;
     }
-    if rest.starts_with("node=") && rest.contains("state=") {
+    if rest.starts_with("node=") {
+        let [node, state] = fields(rest, ["node=", "state="]);
         return Some(SchedulerDetail::NodeStateChange {
-            node: parse_nid(field(rest, "node=")?)?,
-            state: NodeState::from_token(field(rest, "state=")?)?,
+            node: parse_nid(node?)?,
+            state: NodeState::from_token(state?)?,
         });
     }
     if rest.starts_with("job=") {
-        let job = JobId(field(rest, "job=")?.parse().ok()?);
+        let [job, exit_code, reason, mem, apid, user, app, nodes] = fields(
+            rest,
+            [
+                "job=",
+                "exit_code=",
+                "reason=",
+                "mem_per_node=",
+                "apid=",
+                "user=",
+                "app=",
+                "nodes=",
+            ],
+        );
+        let job = JobId(job?.parse().ok()?);
         if rest.contains(" end ") {
             return Some(SchedulerDetail::JobEnd {
                 job,
-                exit_code: field(rest, "exit_code=")?.parse().ok()?,
-                reason: JobEndReason::from_token(field(rest, "reason=")?)?,
+                exit_code: exit_code?.parse().ok()?,
+                reason: JobEndReason::from_token(reason?)?,
             });
         }
         if rest.ends_with(" start") {
-            let mem = field(rest, "mem_per_node=")?.strip_suffix("MiB")?;
+            let mem = mem?.strip_suffix("MiB")?;
             return Some(SchedulerDetail::JobStart {
                 job,
-                apid: Apid(field(rest, "apid=")?.parse().ok()?),
-                user: field(rest, "user=")?.parse().ok()?,
-                app: AppKind::from_executable(field(rest, "app=")?)?,
-                nodes: expand_nid_list(field(rest, "nodes=")?)?,
+                apid: Apid(apid?.parse().ok()?),
+                user: user?.parse().ok()?,
+                app: AppKind::from_executable(app?)?,
+                nodes: expand_nid_list(nodes?)?,
                 mem_per_node_mib: mem.parse().ok()?,
             });
         }
@@ -700,13 +734,43 @@ pub fn split_timestamp(line: &str) -> Option<(SimTime, &str)> {
     Some((time, rest.strip_prefix(' ')?))
 }
 
-/// Extracts the whitespace-delimited token following `key` (e.g.
-/// `field("a=1 b=2", "b=")` → `Some("2")`).
+/// One forward pass over `haystack` that extracts, for every `key=` in
+/// `keys`, the space-delimited token following the key's **first**
+/// occurrence (e.g. `fields("a=1 b=2", ["b=", "z="])` → `[Some("2"), None]`).
+///
+/// The keys are matched as substrings, not as whole tokens — `ch=` is found
+/// inside `xch=3` — which is what hostile lines were always judged by; the
+/// cursor only exploits that every key ends in its single `=`, so a key can
+/// only match where the text up to an `=` ends with it.
+fn fields<'a, const N: usize>(haystack: &'a str, keys: [&str; N]) -> [Option<&'a str>; N] {
+    debug_assert!(keys
+        .iter()
+        .all(|k| k.len() >= 2 && k.ends_with('=') && !k[..k.len() - 1].contains('=')));
+    let bytes = haystack.as_bytes();
+    let mut found = [None; N];
+    for (eq, _) in bytes.iter().enumerate().filter(|&(_, &b)| b == b'=') {
+        let head = &bytes[..=eq];
+        for (slot, key) in found.iter_mut().zip(keys) {
+            let key = key.as_bytes();
+            // The byte before the `=` rules out most keys without a memcmp.
+            if slot.is_none()
+                && eq > 0
+                && bytes[eq - 1] == key[key.len() - 2]
+                && head.ends_with(key)
+            {
+                let value = &haystack[eq + 1..];
+                let end = value.bytes().position(|b| b == b' ').unwrap_or(value.len());
+                *slot = Some(&value[..end]);
+            }
+        }
+    }
+    found
+}
+
+/// [`fields`] for a single key.
 fn field<'a>(haystack: &'a str, key: &str) -> Option<&'a str> {
-    let start = haystack.find(key)? + key.len();
-    let rest = &haystack[start..];
-    let end = rest.find(' ').unwrap_or(rest.len());
-    Some(&rest[..end])
+    let [value] = fields(haystack, [key]);
+    value
 }
 
 #[cfg(test)]
@@ -1199,5 +1263,19 @@ mod tests {
         assert_eq!(field("a=1 b=2 c=3", "b="), Some("2"));
         assert_eq!(field("a=1 b=2", "z="), None);
         assert_eq!(field("tail=last", "tail="), Some("last"));
+        assert_eq!(
+            fields("a=1 b=2", ["b=", "z=", "a="]),
+            [Some("2"), None, Some("1")]
+        );
+        // First occurrence wins, and keys match as substrings: inside a
+        // longer key, and inside another key's value.
+        assert_eq!(field("ch=1 ch=2", "ch="), Some("1"));
+        assert_eq!(field("xch=3 ch=4", "ch="), Some("3"));
+        assert_eq!(
+            fields("sensor=ch=5 ch=6", ["sensor=", "ch="]),
+            [Some("ch=5"), Some("5")]
+        );
+        assert_eq!(field("ch= x", "ch="), Some(""));
+        assert_eq!(field("=", "ch="), None);
     }
 }

@@ -184,20 +184,20 @@ impl SimTime {
     /// Parses the canonical timestamp format produced by `Display`
     /// (`2016-03-04T12:33:01.123`).
     pub fn parse(s: &str) -> Option<SimTime> {
-        let b = s.as_bytes();
-        if b.len() != 23 || b[4] != b'-' || b[7] != b'-' || b[10] != b'T' {
+        let b: &[u8; 23] = s.as_bytes().try_into().ok()?;
+        if b[4] != b'-' || b[7] != b'-' || b[10] != b'T' {
             return None;
         }
         if b[13] != b':' || b[16] != b':' || b[19] != b'.' {
             return None;
         }
+        // Fixed-width fields of ASCII digits only (no sign, no padding):
+        // plain digit arithmetic, on the per-line hot path of every parser.
         let num = |range: std::ops::Range<usize>| -> Option<u64> {
-            let slice = &s[range];
-            if slice.bytes().all(|c| c.is_ascii_digit()) {
-                slice.parse().ok()
-            } else {
-                None
-            }
+            b[range].iter().try_fold(0u64, |acc, &c| {
+                let digit = c.wrapping_sub(b'0');
+                (digit < 10).then(|| acc * 10 + digit as u64)
+            })
         };
         let year = num(0..4)? as i64;
         let month = num(5..7)? as u8;

@@ -331,18 +331,18 @@ impl fmt::Display for Cname {
     }
 }
 
-/// Error produced when parsing a malformed cname string.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Error produced when parsing a malformed cname string. Carries no copy
+/// of the input: the log parsers reject millions of non-cname tokens on
+/// hostile archives, and a rejection must not allocate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CnameParseError {
-    /// The offending input.
-    pub input: String,
     /// Human-readable reason.
     pub reason: &'static str,
 }
 
 impl fmt::Display for CnameParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid cname {:?}: {}", self.input, self.reason)
+        write!(f, "invalid cname: {}", self.reason)
     }
 }
 
@@ -354,10 +354,7 @@ impl FromStr for Cname {
     /// Parses cnames at any granularity: `c0-0`, `c0-0c1`, `c0-0c1s4`,
     /// `c0-0c1s4n2`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let err = |reason| CnameParseError {
-            input: s.to_string(),
-            reason,
-        };
+        let err = |reason| CnameParseError { reason };
         let rest = s
             .strip_prefix('c')
             .ok_or_else(|| err("must start with 'c'"))?;

@@ -25,7 +25,7 @@ use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use hpc_logs::event::LogSource;
-use hpc_logs::fs::{detect_scheduler, source_path};
+use hpc_logs::fs::{detect_scheduler, sanitise_lines, source_path};
 use hpc_logs::parse::split_timestamp;
 use hpc_logs::time::SimTime;
 
@@ -240,26 +240,26 @@ impl Tail {
         let mut buf = Vec::with_capacity((len - self.offset) as usize);
         let read = file.take(len - self.offset).read_to_end(&mut buf)?;
         self.offset += read as u64;
-        let mut fed = 0;
-        let mut rest = buf.as_slice();
-        while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-            let (line, tail) = rest.split_at(nl);
-            rest = &tail[1..];
-            let complete: Vec<u8> = if self.partial.is_empty() {
-                line.to_vec()
-            } else {
-                self.partial.extend_from_slice(line);
-                std::mem::take(&mut self.partial)
-            };
-            if std::str::from_utf8(&complete).is_err() {
-                stats.invalid_utf8 += 1;
-                hpc_telemetry::counter("stream.follow.invalid_utf8").inc();
-            }
-            batch.push(String::from_utf8_lossy(&complete).into_owned());
-            fed += 1;
+        // Whole lines are everything up to the last newline; what follows
+        // it is a line still being written and waits for the next poll.
+        let Some(last_nl) = buf.iter().rposition(|&b| b == b'\n') else {
+            self.partial.extend_from_slice(&buf);
+            return Ok(0);
+        };
+        let mut whole = std::mem::replace(&mut self.partial, buf.split_off(last_nl + 1));
+        if whole.is_empty() {
+            whole = buf;
+        } else {
+            whole.extend_from_slice(&buf);
         }
-        self.partial.extend_from_slice(rest);
-        Ok(fed)
+        let (text, invalid) = sanitise_lines(whole);
+        if invalid > 0 {
+            stats.invalid_utf8 += invalid;
+            hpc_telemetry::counter("stream.follow.invalid_utf8").add(invalid);
+        }
+        let before = batch.len();
+        batch.extend(text.split_terminator('\n').map(str::to_string));
+        Ok((batch.len() - before) as u64)
     }
 }
 
@@ -479,6 +479,20 @@ mod tests {
         assert_eq!(follow.poll_into(&mut engine), 2);
         assert_eq!(follow.stats().invalid_utf8, 1);
         assert_eq!(follow.stats().io_errors, 0);
+
+        // A multi-byte character torn across two polls is judged once, on
+        // the whole line (valid); bad lines count one each, however many
+        // bad sequences they hold.
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&console)
+            .unwrap();
+        f.write_all(b"caf\xC3").unwrap();
+        assert_eq!(follow.poll_into(&mut engine), 0);
+        f.write_all(b"\xA9 au lait\n\xE2\x82 and \xFF\n\x80\n")
+            .unwrap();
+        assert_eq!(follow.poll_into(&mut engine), 3);
+        assert_eq!(follow.stats().invalid_utf8, 3);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -17,9 +17,9 @@
 //! console parser, which counts them as skipped.
 //!
 //! `--save-store <dir>` additionally persists the finished diagnosis as an
-//! on-disk segment store (see `hpc_diagnosis::segment`); `--from-store
-//! <dir>` reopens one in milliseconds instead of re-parsing text, and
-//! emits a byte-identical report.
+//! on-disk segment store (see `hpc_diagnosis::segment`);
+//! `--from-store <dir>` reopens one in milliseconds instead of re-parsing
+//! text, and emits a byte-identical report.
 //!
 //! The report goes to stdout; progress, warnings and the per-stage
 //! telemetry table go to stderr. `--verbose` (or `HPC_TRACE=1`) adds a

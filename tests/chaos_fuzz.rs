@@ -5,13 +5,19 @@
 //! `RECORD_SLACK`-line record, and a loss bigger than what silent
 //! line-merges could explain must leave a `skipped_lines` trace.
 //!
-//! Three properties:
+//! Four properties:
 //! 1. batch: mutated on-disk archive → `Diagnosis::from_dir` — no panic,
 //!    bounded loss/gain, no silent undercounting;
 //! 2. stream: the same mutated bytes fed line-by-line to `StreamEngine`
 //!    — no panic;
 //! 3. chaos layer: `ChaosFeed` with arbitrary per-line probabilities
-//!    keeps its ledger balanced, and the all-zero spec is byte-identical.
+//!    keeps its ledger balanced, and the all-zero spec is byte-identical;
+//! 4. parser: `ChaosFeed`-corrupted and byte-mutated lines get the same
+//!    verdict from the scan-once parser as from the frozen `find()`-based
+//!    one (`crates/logs/tests/oracle`).
+
+#[path = "../crates/logs/tests/oracle/mod.rs"]
+mod oracle;
 
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -22,7 +28,7 @@ use hpc_node_failures::diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_node_failures::faultsim::chaos::{ChaosFeed, ChaosSpec, RECORD_SLACK};
 use hpc_node_failures::faultsim::Scenario;
 use hpc_node_failures::logs::event::LogSource;
-use hpc_node_failures::logs::LogArchive;
+use hpc_node_failures::logs::{LogArchive, LogParser};
 use hpc_node_failures::platform::SystemId;
 use hpc_node_failures::stream::{StreamConfig, StreamEngine};
 
@@ -150,6 +156,43 @@ proptest! {
         }
         engine.finish();
         prop_assert!(engine.stats().lines > 0);
+    }
+
+    /// Parser: whatever the chaos layer and stray byte overwrites do to
+    /// the feed, every stream parses to the frozen oracle's events and
+    /// parsed/skipped line counts.
+    #[test]
+    fn corrupted_lines_parse_like_the_frozen_oracle(
+        torn in 0.0f64..0.1,
+        garbage in 0.0f64..0.1,
+        skew in 0.0f64..0.1,
+        seed in any::<u64>(),
+        mutations in prop::collection::vec(
+            (any::<u8>(), any::<u32>(), any::<u8>()), 0..64),
+    ) {
+        let fx = fixture();
+        let spec = ChaosSpec { seed, torn, garbage, skew, ..ChaosSpec::clean(seed) };
+        let feed = ChaosFeed::corrupt(&fx.archive, &spec);
+        let bytes = LogSource::ALL.map(|source| feed.source_bytes(source));
+        let (streams, _) = mutate(&bytes, &mutations);
+        for (si, source) in LogSource::ALL.into_iter().enumerate() {
+            let lines: Vec<String> = streams[si]
+                .split(|&b| b == b'\n')
+                .map(|line| String::from_utf8_lossy(line).into_owned())
+                .collect();
+            let mut parser = LogParser::new();
+            let mut got = Vec::new();
+            for line in &lines {
+                parser.parse_line(source, line, &mut got);
+            }
+            parser.finish(&mut got);
+            got.sort_by_key(|e| e.time);
+            let (want, parsed, skipped) =
+                oracle::LogParser::parse_stream(source, lines.iter().map(String::as_str));
+            prop_assert_eq!(got.len(), want.len(), "{:?}", source);
+            prop_assert!(got == want, "{:?}: events differ", source);
+            prop_assert_eq!((parser.parsed_lines, parser.skipped_lines), (parsed, skipped));
+        }
     }
 
     /// Chaos layer: an arbitrary spec keeps the ledger balanced

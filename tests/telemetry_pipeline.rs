@@ -36,6 +36,7 @@ fn pipeline_run_populates_all_stage_metrics() {
         "core.ingest.parse.controller",
         "core.ingest.parse.erd",
         "core.ingest.parse.scheduler",
+        "core.ingest.read",
         "core.ingest.chunk",
         "core.ingest.stitch.console",
         "core.ingest.stitch.controller",
@@ -109,6 +110,12 @@ fn pipeline_run_populates_all_stage_metrics() {
         Some(Diagnosis::ingest_threads(&DiagnosisConfig::default()) as f64)
     );
     assert!(snap.counter("core.ingest.chunk.calls").unwrap() >= 1);
+    // Every pull of the pool's queue records its lock wait apart from the
+    // read it then does.
+    assert_eq!(
+        snap.histogram("core.ingest.read.wait_us").unwrap().count,
+        snap.counter("core.ingest.read.calls").unwrap()
+    );
 
     // The per-family event counters cover the whole injected population.
     let family_total: u64 = snap
@@ -129,4 +136,27 @@ fn pipeline_run_populates_all_stage_metrics() {
     // And the whole registry survives a JSON round trip.
     let back = telemetry::Snapshot::from_json(&snap.to_json()).unwrap();
     assert_eq!(back, snap);
+
+    // The on-disk path adds the block reader's ledger: every byte of the
+    // four files went through it, in at least one block per file, and a
+    // clean archive never takes the lossy fallback.
+    let dir = std::env::temp_dir().join(format!("hpc-telemetry-pipeline-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    hpc_node_failures::logs::fs::save_archive(&out.archive, &dir).unwrap();
+    let from_dir = Diagnosis::from_dir(&dir, DiagnosisConfig::default()).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(from_dir.events(), d.events());
+    let snap = telemetry::snapshot();
+    assert!(snap.histogram("core.from_dir.time_us").unwrap().count >= 1);
+    assert!(snap.counter("core.ingest.blocks").unwrap() >= 4);
+    assert_eq!(
+        snap.counter("core.ingest.bytes"),
+        Some(out.archive.total_bytes())
+    );
+    assert_eq!(snap.counter("core.ingest.lossy_blocks"), None);
+    assert_eq!(snap.counter("core.ingest.dropped.invalid_utf8"), None);
+    assert_eq!(
+        snap.counter("ingest.lines"),
+        Some(2 * out.archive.total_lines())
+    );
 }
