@@ -42,6 +42,7 @@ use hpc_logs::time::SimTime;
 use hpc_logs::{LogArchive, LogSource};
 use hpc_platform::SystemId;
 use hpc_stream::{StreamConfig, StreamEngine};
+use hpc_telemetry::json::JsonValue;
 
 fn usage() -> ! {
     eprintln!("usage: hpc-chaos [--seed <n>] [--days <n>] [--cabinets <n>] [--json <path>]");
@@ -414,54 +415,51 @@ fn run_stream_cell(
     cell
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn scorecard_json(opts: &Options, cells: &[Cell]) -> String {
-    let mut out = String::new();
+fn scorecard_json(opts: &Options, cells: &[Cell]) -> JsonValue {
+    let object = |members: Vec<(&str, JsonValue)>| {
+        JsonValue::Object(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    };
+    let text = |v: &str| JsonValue::String(v.to_string());
+    let number = |v: u64| JsonValue::Number(v as f64);
     let passed = cells.iter().filter(|c| c.passed()).count();
-    out.push_str(&format!(
-        "{{\n  \"system\": \"S1\",\n  \"seed\": {},\n  \"cabinets\": {},\n  \"days\": {},\n  \
-         \"record_slack\": {RECORD_SLACK},\n  \"passed\": {passed},\n  \"failed\": {},\n  \
-         \"cells\": [\n",
-        opts.seed,
-        opts.cabinets,
-        opts.days,
-        cells.len() - passed,
-    ));
-    for (i, c) in cells.iter().enumerate() {
-        let golden = match c.golden_identical {
-            None => "null".to_string(),
-            Some(b) => b.to_string(),
-        };
-        let violations: Vec<String> = c
-            .violations
-            .iter()
-            .map(|v| format!("\"{}\"", json_escape(v)))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"pathology\": \"{}\", \"intensity\": \"{}\", \
-             \"lines\": {}, \"corruptions\": {}, \"skipped\": {}, \"events\": {}, \
-             \"failures\": {}, \"events_lost\": {}, \"events_gained\": {}, \
-             \"golden_identical\": {golden}, \"passed\": {}, \"violations\": [{}]}}{}\n",
-            c.mode,
-            c.pathology,
-            c.intensity,
-            c.lines,
-            c.corruptions,
-            c.skipped,
-            c.events,
-            c.failures,
-            c.events_lost,
-            c.events_gained,
-            c.passed(),
-            violations.join(", "),
-            if i + 1 < cells.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let cell = |c: &Cell| {
+        object(vec![
+            ("mode", text(c.mode)),
+            ("pathology", text(&c.pathology)),
+            ("intensity", text(&c.intensity)),
+            ("lines", number(c.lines)),
+            ("corruptions", number(c.corruptions)),
+            ("skipped", number(c.skipped)),
+            ("events", number(c.events)),
+            ("failures", number(c.failures)),
+            ("events_lost", number(c.events_lost)),
+            ("events_gained", number(c.events_gained)),
+            (
+                "golden_identical",
+                c.golden_identical.map_or(JsonValue::Null, JsonValue::Bool),
+            ),
+            ("passed", JsonValue::Bool(c.passed())),
+            (
+                "violations",
+                JsonValue::Array(c.violations.iter().map(|v| text(v)).collect()),
+            ),
+        ])
+    };
+    object(vec![
+        ("system", text("S1")),
+        ("seed", number(opts.seed)),
+        ("cabinets", number(opts.cabinets.into())),
+        ("days", number(opts.days)),
+        ("record_slack", number(RECORD_SLACK)),
+        ("passed", number(passed as u64)),
+        ("failed", number((cells.len() - passed) as u64)),
+        ("cells", JsonValue::Array(cells.iter().map(cell).collect())),
+    ])
 }
 
 fn print_scorecard(cells: &[Cell]) {
@@ -623,7 +621,7 @@ fn main() {
 
     print_scorecard(&cells);
     if let Some(path) = &opts.json {
-        let json = scorecard_json(&opts, &cells);
+        let json = scorecard_json(&opts, &cells).pretty();
         if let Err(e) = std::fs::write(path, json) {
             eprintln!("hpc-chaos: cannot write {path}: {e}");
             exit(1);
@@ -636,4 +634,40 @@ fn main() {
         exit(1);
     }
     eprintln!("hpc-chaos: all {} cells passed", cells.len());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scorecard_round_trips_hostile_violation_text() {
+        let violation = "diagnosis failed: \"C:\\logs\"\nline two";
+        let opts = Options {
+            seed: 42,
+            days: 7,
+            cabinets: 2,
+            json: None,
+        };
+        let cell = Cell {
+            mode: "batch",
+            pathology: "clean".into(),
+            intensity: "-".into(),
+            lines: 10,
+            corruptions: 0,
+            skipped: 0,
+            events: 9,
+            failures: 1,
+            events_lost: 0,
+            events_gained: 0,
+            golden_identical: Some(true),
+            violations: vec![violation.to_string()],
+        };
+        let text = scorecard_json(&opts, &[cell]).pretty();
+        let back = hpc_telemetry::json::parse(&text).expect("scorecard must be JSON");
+        assert_eq!(back.get("failed").and_then(JsonValue::as_number), Some(1.0));
+        let cells = back.get("cells").and_then(JsonValue::as_array).unwrap();
+        let violations = cells[0].get("violations").and_then(JsonValue::as_array);
+        assert_eq!(violations.unwrap()[0].as_str(), Some(violation));
+    }
 }

@@ -1,8 +1,11 @@
 //! # hpc-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (run via the `experiments` binary), plus criterion
-//! performance benches over the pipeline (`benches/`).
+//! evaluation (run via the `experiments` binary), the `hpc-chaos`
+//! corruption-robustness campaign, and criterion benches timing design
+//! *alternatives* against each other (`benches/`, DESIGN §4 ablations).
+//! Performance numbers of the system itself come from `hpc-sysbench`
+//! (`benchmark/` at the repo root), not from this crate.
 //!
 //! Each experiment is a pure function returning its rendered output; the
 //! registry in [`EXPERIMENTS`] maps the paper's table/figure ids to them.
@@ -13,7 +16,6 @@ pub mod figs_external;
 pub mod figs_jobs;
 pub mod figs_lead;
 pub mod figs_time;
-pub mod perf;
 pub mod tables;
 pub mod validation;
 

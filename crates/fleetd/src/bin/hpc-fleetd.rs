@@ -42,30 +42,7 @@ use std::time::Duration;
 use hpc_fleet::shard::{self, BackfillSpec, Feed, ShardConfig};
 use hpc_fleet::{serve, Fleet, QueryStore, ServerConfig};
 use hpc_logs::time::{SimDuration, SimTime};
-use hpc_stream::StreamConfig;
-
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(_signum: i32) {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-#[cfg(unix)]
-fn install_signal_handlers() {
-    type Handler = extern "C" fn(i32);
-    extern "C" {
-        fn signal(signum: i32, handler: Handler) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGINT, on_signal);
-        signal(SIGTERM, on_signal);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
+use hpc_stream::{signal, StreamConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -225,7 +202,10 @@ fn parse_args() -> Options {
 
 fn main() {
     let mut opts = parse_args();
-    install_signal_handlers();
+    if let Some(path) = &opts.telemetry_json {
+        hpc_telemetry::probe_writable(path);
+    }
+    signal::install(false);
 
     // Bind before spawning anything: a taken port should fail fast.
     let listener = match TcpListener::bind(&opts.listen) {
@@ -337,7 +317,7 @@ fn main() {
     }
 
     // Idle until a signal; the threads do all the work.
-    while !SHUTDOWN.load(Ordering::SeqCst) {
+    while !signal::shutdown_requested() {
         std::thread::sleep(Duration::from_millis(100));
     }
     if !opts.quiet {
@@ -350,14 +330,5 @@ fn main() {
     }
     drop(stdin_pump); // EOF pump may outlive us blocking on stdin; detach.
 
-    let snapshot = hpc_telemetry::snapshot();
-    eprintln!("--- telemetry ---");
-    eprint!("{}", hpc_telemetry::summary_table(&snapshot));
-    if let Some(path) = opts.telemetry_json {
-        if let Err(e) = std::fs::write(&path, snapshot.to_json()) {
-            eprintln!("failed to write telemetry JSON to {path}: {e}");
-            exit(1);
-        }
-        eprintln!("telemetry JSON written to {path}");
-    }
+    hpc_telemetry::exit_report(opts.telemetry_json.as_deref());
 }

@@ -15,6 +15,8 @@
 
 use std::fmt::Write as _;
 
+use hpc_telemetry::json::JsonValue;
+
 /// Longest accepted request line (method + target + version), bytes.
 pub const MAX_REQUEST_LINE: usize = 8 * 1024;
 
@@ -224,10 +226,8 @@ impl Response {
 
     /// The error shape every non-2xx path uses: `{"error": "..."}`.
     pub fn error(status: u16, reason: &str) -> Response {
-        let mut r = Response::json(
-            status,
-            format!("{{\"error\":\"{}\"}}", reason.replace('"', "'")),
-        );
+        let body = JsonValue::Object(vec![("error".into(), JsonValue::String(reason.into()))]);
+        let mut r = Response::json(status, body.to_string());
         if status == 405 {
             r.extra_headers
                 .push(("Allow".to_string(), "GET, HEAD".to_string()));
@@ -452,5 +452,10 @@ mod tests {
         let busy = Response::error(503, "server busy");
         let text = String::from_utf8(busy.write_to(false)).unwrap();
         assert!(text.contains("Retry-After: 1\r\n"));
+        // Clients (and the system benchmark) compare these bodies bytewise.
+        assert_eq!(m.body, b"{\"error\":\"method not allowed\"}");
+        assert_eq!(busy.body, b"{\"error\":\"server busy\"}");
+        let missing = Response::error(404, "no such resource");
+        assert_eq!(missing.body, b"{\"error\":\"no such resource\"}");
     }
 }

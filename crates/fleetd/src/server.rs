@@ -638,6 +638,32 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A rejected parameter value is echoed in the reason; whatever bytes
+    /// the request parser let through must come back as valid JSON.
+    #[test]
+    fn bad_query_values_come_back_as_valid_json() {
+        use crate::http::{parse_request, Parse};
+
+        let dir = std::env::temp_dir().join(format!("fleetd-query-echo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let f = query_fleet(&dir);
+        for value in ["a\\q", "say\"hi\"", "ctl\u{1}byte"] {
+            let raw = format!("GET /v1/systems/S1/query?verb=count&class={value} HTTP/1.1\r\n\r\n");
+            let Parse::Complete(request, _) = parse_request(raw.as_bytes()) else {
+                panic!("{value:?} must reach the router");
+            };
+            let resp = route(&request, &f);
+            assert_eq!(resp.status, 400, "{value:?}");
+            let body = hpc_telemetry::json::parse(&String::from_utf8(resp.body).unwrap())
+                .unwrap_or_else(|e| panic!("{value:?}: body is not JSON: {e}"));
+            assert_eq!(
+                body.get("error").and_then(JsonValue::as_str),
+                Some(format!("unknown event class `{value}`").as_str())
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn query_endpoint_matches_direct_plan_results() {
         let dir = std::env::temp_dir().join(format!("fleetd-query-equiv-{}", std::process::id()));

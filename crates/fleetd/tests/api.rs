@@ -526,3 +526,25 @@ fn overload_sheds_load_with_503_retry_after() {
     srv.stop();
     let _ = std::fs::remove_dir_all(&d1);
 }
+
+/// `hpc-fleetd --telemetry-json` under a path that cannot exist (its
+/// parent is a regular file, ENOTDIR even for root) is refused at startup
+/// with one line — before a port is bound or a shard reads the feed.
+#[test]
+fn daemon_fails_fast_on_unwritable_telemetry_json() {
+    let dir = tmpdir("unwritable");
+    let blocker = dir.join("blocker");
+    std::fs::write(&blocker, "not a directory\n").unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hpc-fleetd"))
+        .arg("--replay")
+        .arg(format!("S1={}", dir.display()))
+        .args(["--listen", "127.0.0.1:0", "--telemetry-json"])
+        .arg(blocker.join("x"))
+        .output()
+        .expect("run hpc-fleetd");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("cannot write"), "got:\n{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "got:\n{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

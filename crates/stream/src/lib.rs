@@ -32,6 +32,8 @@
 //!   future `hpc-fleetd` will serve over HTTP.
 //! * [`flight`] — bounded ring buffer of recent state transitions, dumped
 //!   to stderr on panic or `SIGUSR1` (DESIGN.md §11).
+//! * [`signal`] — the SIGINT/SIGTERM/SIGUSR1 flags `hpc-watch` and
+//!   `hpc-fleetd` poll.
 //!
 //! The replay guarantee (tested in `tests/equivalence.rs`): feeding a
 //! finished archive through the engine and calling
@@ -44,6 +46,7 @@ pub mod flight;
 pub mod follow;
 pub mod heartbeat;
 pub mod merger;
+pub mod signal;
 pub mod sink;
 pub mod window;
 

@@ -18,7 +18,7 @@
 //!   nested enter/exit trace on stderr.
 //! - [`Recorder`] — sink trait; [`TextRecorder`] renders the per-stage
 //!   summary table the CLIs print, [`JsonRecorder`] writes the full
-//!   registry as JSON (`--telemetry-json`, bench perf trajectories).
+//!   registry as JSON (`--telemetry-json`).
 //!
 //! Metric names follow `<crate>.<stage>.<metric>` (e.g.
 //! `core.ingest.merge.time_us`, `faultsim.events.fatal_mce`); the
@@ -43,12 +43,14 @@
 //! atomic ops per pipeline run), keeping overhead on the `pipeline`
 //! bench well under the 2% budget.
 
+pub mod cli;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod registry;
 pub mod span;
 
+pub use cli::{exit_report, probe_writable};
 pub use metrics::{Bucket, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use recorder::{
     profile_table, render_text, summary_table, JsonRecorder, Recorder, TextRecorder,

@@ -48,20 +48,6 @@ fn usage() -> ! {
     exit(2)
 }
 
-/// Fails fast — one line, exit 1 — if `path` cannot be created/appended,
-/// so an unwritable output flag is reported before any work is done
-/// rather than as a panic (or a late error) after minutes of ingest.
-fn probe_writable(path: &str) {
-    if let Err(e) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        eprintln!("cannot write {path}: {e}");
-        exit(1);
-    }
-}
-
 /// Reads a pre-merged log stream from stdin into an archive, routing each
 /// line to its source stream by envelope sniffing.
 fn archive_from_stdin() -> LogArchive {
@@ -111,14 +97,14 @@ fn main() {
     // Probe every output path up front (the PR 6 fail-fast contract):
     // better to refuse now than to panic or lose the report after ingest.
     if let Some(path) = &telemetry_json {
-        probe_writable(path);
+        telemetry::probe_writable(path);
     }
     if let Some(dir) = &save_store {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot write {dir}: {e}");
             exit(1);
         }
-        probe_writable(&format!("{dir}/MANIFEST.json"));
+        telemetry::probe_writable(&format!("{dir}/MANIFEST.json"));
     }
 
     let config = DiagnosisConfig::default();
@@ -213,19 +199,6 @@ fn main() {
     let jobs = JobLog::from_diagnosis(&d);
     print!("{}", report::full_report(&d, &jobs));
 
-    let snapshot = telemetry::snapshot();
-    eprintln!("\n--- telemetry ---");
-    eprint!("{}", telemetry::summary_table(&snapshot));
-    let profile = telemetry::profile_table(&snapshot);
-    if !profile.is_empty() {
-        eprintln!("--- profile ---");
-        eprint!("{profile}");
-    }
-    if let Some(path) = telemetry_json {
-        if let Err(e) = std::fs::write(&path, snapshot.to_json()) {
-            eprintln!("failed to write telemetry JSON to {path}: {e}");
-            exit(1);
-        }
-        eprintln!("telemetry JSON written to {path}");
-    }
+    eprintln!();
+    telemetry::exit_report(telemetry_json.as_deref());
 }

@@ -63,6 +63,12 @@ fn main() {
     let cabinets = parse_num(2, 2) as u32;
     let days = parse_num(3, 7);
     let seed = parse_num(4, 42);
+    if let Some(path) = &telemetry_json {
+        // The JSON may go inside the output directory, which need not exist
+        // yet; if it cannot be made, `save_archive` says so below.
+        let _ = std::fs::create_dir_all(&dir);
+        telemetry::probe_writable(path);
+    }
 
     let scenario = Scenario::new(system, cabinets, days, seed);
     eprintln!(
@@ -83,19 +89,6 @@ fn main() {
         out.truth.failures.len()
     );
 
-    let snapshot = telemetry::snapshot();
-    eprintln!("\n--- telemetry ---");
-    eprint!("{}", telemetry::summary_table(&snapshot));
-    let profile = telemetry::profile_table(&snapshot);
-    if !profile.is_empty() {
-        eprintln!("--- profile ---");
-        eprint!("{profile}");
-    }
-    if let Some(path) = telemetry_json {
-        if let Err(e) = std::fs::write(&path, snapshot.to_json()) {
-            eprintln!("failed to write telemetry JSON to {path}: {e}");
-            exit(1);
-        }
-        eprintln!("telemetry JSON written to {path}");
-    }
+    eprintln!();
+    telemetry::exit_report(telemetry_json.as_deref());
 }

@@ -38,7 +38,6 @@
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::exit;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -47,55 +46,13 @@ use hpc_node_failures::logs::parse::guess_source;
 use hpc_node_failures::logs::time::SimDuration;
 use hpc_node_failures::stream::flight::{self, FlightRecorder};
 use hpc_node_failures::stream::{
-    FollowDir, HeartbeatWriter, JsonlSink, StreamConfig, StreamEngine, StreamStats, TextSink,
+    signal, FollowDir, HeartbeatWriter, JsonlSink, StreamConfig, StreamEngine, StreamStats,
+    TextSink,
 };
 use hpc_node_failures::telemetry;
 
 /// Transitions the flight recorder retains.
 const FLIGHT_CAPACITY: usize = 256;
-
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-static DUMP_REQUESTED: AtomicBool = AtomicBool::new(false);
-
-extern "C" fn on_signal(signum: i32) {
-    if signum == sigusr1() {
-        DUMP_REQUESTED.store(true, Ordering::SeqCst);
-    } else {
-        SHUTDOWN.store(true, Ordering::SeqCst);
-    }
-}
-
-#[cfg(target_os = "macos")]
-const fn sigusr1() -> i32 {
-    30
-}
-
-#[cfg(not(target_os = "macos"))]
-const fn sigusr1() -> i32 {
-    10
-}
-
-#[cfg(unix)]
-fn install_signal_handlers() {
-    type Handler = extern "C" fn(i32);
-    extern "C" {
-        fn signal(signum: i32, handler: Handler) -> usize;
-    }
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-    unsafe {
-        signal(SIGINT, on_signal);
-        signal(SIGTERM, on_signal);
-        signal(sigusr1(), on_signal);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
-
-fn shutting_down() -> bool {
-    SHUTDOWN.load(Ordering::SeqCst)
-}
 
 fn usage() -> ! {
     eprintln!(
@@ -298,7 +255,7 @@ impl Monitor {
         if let Some(hb) = &mut self.heartbeat {
             hb.maybe_beat(engine, follow);
         }
-        if DUMP_REQUESTED.swap(false, Ordering::SeqCst) {
+        if signal::take_dump_request() {
             flight::record_global("signal", "SIGUSR1: dump requested");
             self.dump_flight();
         }
@@ -341,7 +298,7 @@ fn run_stdin(engine: &mut StreamEngine, monitor: &mut Monitor, poll: Duration) {
         }
     });
     loop {
-        if shutting_down() {
+        if signal::shutdown_requested() {
             eprintln!("hpc-watch: signal received, finishing ...");
             flight::record_global("signal", "SIGINT/SIGTERM: draining");
             break;
@@ -366,7 +323,7 @@ fn run_follow(
 ) -> FollowDir {
     let mut follow = FollowDir::new(dir);
     loop {
-        if shutting_down() {
+        if signal::shutdown_requested() {
             eprintln!("hpc-watch: signal received, finishing ...");
             flight::record_global("signal", "SIGINT/SIGTERM: draining");
             break;
@@ -382,29 +339,13 @@ fn run_follow(
     follow
 }
 
-/// Fails fast — one line, exit 1 — if `path` cannot be created/appended,
-/// so an unwritable output flag is reported at startup rather than as a
-/// lost artefact (or an exit-time error) after hours of monitoring.
-fn probe_writable(path: &str) {
-    if let Err(e) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
-        eprintln!("cannot write {path}: {e}");
-        exit(1);
-    }
-}
-
 fn main() {
     let opts = parse_args();
-    if let Some(path) = &opts.telemetry_json {
-        probe_writable(path);
+    // An unwritable output is reported now, not after hours of monitoring.
+    for path in opts.telemetry_json.iter().chain(&opts.flight_file) {
+        telemetry::probe_writable(path);
     }
-    if let Some(path) = &opts.flight_file {
-        probe_writable(path);
-    }
-    install_signal_handlers();
+    signal::install(true);
     flight::install_global(Arc::new(Mutex::new(FlightRecorder::new(FLIGHT_CAPACITY))));
     flight::install_panic_hook();
 
@@ -490,19 +431,5 @@ fn main() {
         );
     }
 
-    let snapshot = telemetry::snapshot();
-    eprintln!("--- telemetry ---");
-    eprint!("{}", telemetry::summary_table(&snapshot));
-    let profile = telemetry::profile_table(&snapshot);
-    if !profile.is_empty() {
-        eprintln!("--- profile ---");
-        eprint!("{profile}");
-    }
-    if let Some(path) = opts.telemetry_json {
-        if let Err(e) = std::fs::write(&path, snapshot.to_json()) {
-            eprintln!("failed to write telemetry JSON to {path}: {e}");
-            exit(1);
-        }
-        eprintln!("telemetry JSON written to {path}");
-    }
+    telemetry::exit_report(opts.telemetry_json.as_deref());
 }

@@ -359,6 +359,23 @@ fn watch_fails_fast_on_unwritable_outputs() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+#[test]
+fn simulate_fails_fast_on_unwritable_telemetry_json() {
+    let dir = tmpdir("sim-unwritable");
+    let bad = blocker_path(&dir, "out.json");
+    let logs = dir.join("logs");
+    let out = Command::new(env!("CARGO_BIN_EXE_hpc-simulate"))
+        .args([logs.to_str().unwrap(), "S1", "1", "1", "7"])
+        .args(["--telemetry-json", bad.as_str()])
+        .output()
+        .expect("run hpc-simulate");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot write"), "got:\n{stderr}");
+    assert!(!stderr.contains("simulating"), "refused before any work");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The rehosted batch path: `--save-store` then `--from-store` must emit a
 /// byte-identical report, and `hpc-query` must answer over the same store.
 #[test]
