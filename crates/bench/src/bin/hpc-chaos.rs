@@ -43,11 +43,9 @@ use hpc_logs::{LogArchive, LogSource};
 use hpc_platform::SystemId;
 use hpc_stream::{StreamConfig, StreamEngine};
 use hpc_telemetry::json::JsonValue;
+use hpc_telemetry::Flags;
 
-fn usage() -> ! {
-    eprintln!("usage: hpc-chaos [--seed <n>] [--days <n>] [--cabinets <n>] [--json <path>]");
-    exit(2)
-}
+const USAGE: &str = "usage: hpc-chaos [--seed <n>] [--days <n>] [--cabinets <n>] [--json <path>]";
 
 struct Options {
     seed: u64,
@@ -63,16 +61,19 @@ fn parse_args() -> Options {
         cabinets: 2,
         json: None,
     };
-    let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>| args.next().unwrap_or_else(|| usage());
+    let mut args = Flags::new(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seed" => opts.seed = value(&mut args).parse().unwrap_or_else(|_| usage()),
-            "--days" => opts.days = value(&mut args).parse().unwrap_or_else(|_| usage()),
-            "--cabinets" => opts.cabinets = value(&mut args).parse().unwrap_or_else(|_| usage()),
-            "--json" => opts.json = Some(value(&mut args)),
-            _ => usage(),
+            "--seed" => opts.seed = args.parsed(),
+            "--days" => opts.days = args.parsed(),
+            "--cabinets" => opts.cabinets = args.parsed(),
+            "--json" => opts.json = Some(args.value()),
+            _ => args.usage(),
         }
+    }
+    if opts.cabinets == 0 {
+        // A system has at least one cabinet; the topology cannot be empty.
+        args.usage();
     }
     opts
 }

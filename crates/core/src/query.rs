@@ -13,8 +13,8 @@
 //! (bucketed by class, entity or time), [`tail`] (the last N matching
 //! events rendered back into their original log-line form), and
 //! [`failures`] (the persisted detection output, filterable the same
-//! way). Each verb renders to both plain text and JSON from one result
-//! value, keeping the two output modes structurally in sync.
+//! way). Both front ends — `hpc-query` and fleetd's `/query` — state a
+//! query as one [`Request`] and render its [`Answer`] as text or JSON.
 //!
 //! The same verbs also run straight off a cold on-disk store: [`plan`]
 //! compiles a [`QueryFilter`] against a validated [`Store`] into a
@@ -29,7 +29,7 @@
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
 
-use hpc_logs::event::{nid_name, LogEvent, Payload};
+use hpc_logs::event::{nid_name, parse_nid, LogEvent, Payload};
 use hpc_logs::time::SimTime;
 use hpc_platform::system::SchedulerKind;
 use hpc_platform::{BladeId, CabinetId, NodeId};
@@ -466,138 +466,275 @@ impl Iterator for PlannedEvents<'_> {
     }
 }
 
-// --- rendering ----------------------------------------------------------
+// --- front-end request ---------------------------------------------------
+
+/// What a query asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verb {
+    /// Number of matching events.
+    Count,
+    /// Matching events bucketed by [`Request::by`].
+    Histogram,
+    /// The last [`Request::n`] matching events.
+    Tail,
+    /// Detected failures narrowed by the filter.
+    Failures,
+}
+
+/// One query as a front end states it. `hpc-query` builds it from its
+/// flags (`--class mce` is `set("class", "mce")`, the positional verb is
+/// `set("verb", …)`) and fleetd's `/query` from its URL parameters, so
+/// both speak one vocabulary and refuse with one wording.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Request {
+    /// The verb; a request without one cannot run.
+    pub verb: Option<Verb>,
+    /// Event predicate.
+    pub filter: QueryFilter,
+    /// Histogram dimension; required by [`Verb::Histogram`].
+    pub by: Option<HistKey>,
+    /// Rows [`Verb::Tail`] returns.
+    pub n: usize,
+}
+
+impl Default for Request {
+    fn default() -> Request {
+        Request {
+            verb: None,
+            filter: QueryFilter::default(),
+            by: None,
+            n: 10,
+        }
+    }
+}
+
+/// Why a [`Request`] produced no [`Answer`].
+#[derive(Debug)]
+pub enum RunError {
+    /// The request is incomplete (exit 2 / HTTP 400); the reason.
+    Request(String),
+    /// The store failed underneath a valid request (exit 1 / HTTP 500).
+    Store(OpenError),
+}
+
+impl From<OpenError> for RunError {
+    fn from(e: OpenError) -> RunError {
+        RunError::Store(e)
+    }
+}
+
+fn number<T: std::str::FromStr>(what: &str, s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("invalid {what} `{s}`"))
+}
+
+/// An ISO `2016-03-04T12:33:01.123` timestamp or raw epoch milliseconds.
+fn time(s: &str) -> Result<SimTime, String> {
+    SimTime::parse(s)
+        .or_else(|| s.parse().ok().map(SimTime::from_millis))
+        .ok_or_else(|| {
+            format!("invalid time `{s}` (expected 2016-03-04T12:33:01.123 or epoch milliseconds)")
+        })
+}
+
+impl Request {
+    /// Applies one `key`/`value` pair of the shared vocabulary: `verb`,
+    /// repeatable `class`, `node` (`nid00042` or an id), `blade`,
+    /// `cabinet`, `from`/`to` (`[from, to)`), `by`, `n`. An unknown key or
+    /// a malformed value is refused with the reason, never guessed at.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        match key {
+            "verb" => {
+                self.verb = Some(match value {
+                    "count" => Verb::Count,
+                    "histogram" => Verb::Histogram,
+                    "tail" => Verb::Tail,
+                    "failures" => Verb::Failures,
+                    _ => {
+                        return Err(format!(
+                            "unknown verb `{value}` (expected count, histogram, tail or failures)"
+                        ))
+                    }
+                })
+            }
+            "class" => self.filter.classes.push(
+                EventClass::from_key(value)
+                    .ok_or_else(|| format!("unknown event class `{value}`"))?,
+            ),
+            "node" => {
+                self.filter.node = Some(
+                    parse_nid(value)
+                        .or_else(|| value.parse().ok().map(NodeId))
+                        .ok_or_else(|| {
+                            format!("invalid node `{value}` (expected nid00042 or a node id)")
+                        })?,
+                )
+            }
+            "blade" => self.filter.blade = Some(BladeId(number("blade", value)?)),
+            "cabinet" => self.filter.cabinet = Some(CabinetId(number("cabinet", value)?)),
+            "from" => self.filter.from = Some(time(value)?),
+            "to" => self.filter.to = Some(time(value)?),
+            "by" => {
+                self.by = Some(HistKey::parse(value).ok_or_else(|| {
+                    format!(
+                        "unknown histogram dimension `{value}` \
+                         (expected class, node, blade, cabinet, day or hour)"
+                    )
+                })?)
+            }
+            "n" => self.n = number("tail count", value)?,
+            _ => return Err(format!("unknown query parameter `{key}`")),
+        }
+        Ok(())
+    }
+
+    /// Runs the request against `plan` — [`plan()`] of a store over
+    /// [`Request::filter`]; `scheduler` is the flavour `tail` renders
+    /// scheduler lines in.
+    pub fn run(&self, plan: &StorePlan, scheduler: SchedulerKind) -> Result<Answer, RunError> {
+        Ok(match self.verb {
+            Some(Verb::Count) => Answer::Count(plan.count()?),
+            Some(Verb::Histogram) => {
+                let key = self.by.ok_or_else(|| {
+                    RunError::Request(
+                        "histogram needs `by` (class, node, blade, cabinet, day or hour)"
+                            .to_string(),
+                    )
+                })?;
+                Answer::Histogram(key, plan.histogram(key)?)
+            }
+            Some(Verb::Tail) => Answer::Tail(plan.tail(self.n, scheduler)?),
+            Some(Verb::Failures) => Answer::Failures(plan.failures()?),
+            None => {
+                return Err(RunError::Request(
+                    "query needs a verb (count, histogram, tail or failures)".to_string(),
+                ))
+            }
+        })
+    }
+}
+
+/// A verb's result; renders to text and to JSON from the one value, which
+/// keeps the two output modes structurally in sync.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Answer {
+    /// `count`.
+    Count(u64),
+    /// `histogram`: the dimension and its buckets.
+    Histogram(HistKey, Vec<HistBucket>),
+    /// `tail`: `(time, class, rendered line)` rows, oldest first.
+    Tail(Vec<(SimTime, EventClass, String)>),
+    /// `failures`.
+    Failures(Vec<DetectedFailure>),
+}
 
 fn jn(v: u64) -> JsonValue {
     JsonValue::Number(v as f64)
 }
 
-/// `count` result as text (one line).
-pub fn render_count_text(n: u64) -> String {
-    format!("{n}\n")
+fn js(s: impl Into<String>) -> JsonValue {
+    JsonValue::String(s.into())
 }
 
-/// `count` result as JSON.
-pub fn render_count_json(n: u64) -> JsonValue {
-    JsonValue::Object(vec![
-        ("verb".to_string(), JsonValue::String("count".to_string())),
-        ("count".to_string(), jn(n)),
-    ])
+fn obj<const N: usize>(fields: [(&str, JsonValue); N]) -> JsonValue {
+    JsonValue::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
-/// `histogram` result as an aligned two-column table.
-pub fn render_histogram_text(buckets: &[HistBucket]) -> String {
-    let width = buckets.iter().map(|b| b.label.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for b in buckets {
-        out.push_str(&format!("{:<width$}  {}\n", b.label, b.count));
+impl Answer {
+    /// Plain text: the count on one line; an aligned two-column histogram
+    /// table; the tail's rendered log lines; one `time node terminal` line
+    /// per failure plus a total.
+    pub fn text(&self) -> String {
+        let mut out = String::new();
+        match self {
+            Answer::Count(n) => out = format!("{n}\n"),
+            Answer::Histogram(_, buckets) => {
+                let width = buckets.iter().map(|b| b.label.len()).max().unwrap_or(0);
+                for b in buckets {
+                    out.push_str(&format!("{:<width$}  {}\n", b.label, b.count));
+                }
+            }
+            Answer::Tail(rows) => {
+                for (_, _, line) in rows {
+                    out.push_str(line);
+                    out.push('\n');
+                }
+            }
+            Answer::Failures(rows) => {
+                for f in rows {
+                    out.push_str(&format!(
+                        "{} {} {}\n",
+                        f.time,
+                        nid_name(f.node),
+                        terminal_label(f.terminal)
+                    ));
+                }
+                out.push_str(&format!("total: {}\n", rows.len()));
+            }
+        }
+        out
     }
-    out
-}
 
-/// `histogram` result as JSON.
-pub fn render_histogram_json(key: HistKey, buckets: &[HistBucket]) -> JsonValue {
-    JsonValue::Object(vec![
-        (
-            "verb".to_string(),
-            JsonValue::String("histogram".to_string()),
-        ),
-        ("key".to_string(), JsonValue::String(key.key().to_string())),
-        (
-            "buckets".to_string(),
-            JsonValue::Array(
-                buckets
-                    .iter()
-                    .map(|b| {
-                        JsonValue::Object(vec![
-                            ("bucket".to_string(), JsonValue::String(b.label.clone())),
-                            ("count".to_string(), jn(b.count)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// `tail` result as the rendered log lines.
-pub fn render_tail_text(rows: &[(SimTime, EventClass, String)]) -> String {
-    let mut out = String::new();
-    for (_, _, line) in rows {
-        out.push_str(line);
-        out.push('\n');
+    /// One JSON document, tagged with its `verb`.
+    pub fn json(&self) -> JsonValue {
+        match self {
+            Answer::Count(n) => obj([("verb", js("count")), ("count", jn(*n))]),
+            Answer::Histogram(key, buckets) => obj([
+                ("verb", js("histogram")),
+                ("key", js(key.key())),
+                (
+                    "buckets",
+                    JsonValue::Array(
+                        buckets
+                            .iter()
+                            .map(|b| obj([("bucket", js(&*b.label)), ("count", jn(b.count))]))
+                            .collect(),
+                    ),
+                ),
+            ]),
+            Answer::Tail(rows) => obj([
+                ("verb", js("tail")),
+                (
+                    "events",
+                    JsonValue::Array(
+                        rows.iter()
+                            .map(|(time, class, line)| {
+                                obj([
+                                    ("time_ms", jn(time.as_millis())),
+                                    ("time", js(time.to_string())),
+                                    ("class", js(class.key())),
+                                    ("line", js(&**line)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+            Answer::Failures(rows) => obj([
+                ("verb", js("failures")),
+                ("total", jn(rows.len() as u64)),
+                (
+                    "failures",
+                    JsonValue::Array(
+                        rows.iter()
+                            .map(|f| {
+                                obj([
+                                    ("time_ms", jn(f.time.as_millis())),
+                                    ("time", js(f.time.to_string())),
+                                    ("node", js(nid_name(f.node))),
+                                    ("terminal", js(terminal_label(f.terminal))),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ]),
+        }
     }
-    out
-}
-
-/// `tail` result as JSON.
-pub fn render_tail_json(rows: &[(SimTime, EventClass, String)]) -> JsonValue {
-    JsonValue::Object(vec![
-        ("verb".to_string(), JsonValue::String("tail".to_string())),
-        (
-            "events".to_string(),
-            JsonValue::Array(
-                rows.iter()
-                    .map(|(time, class, line)| {
-                        JsonValue::Object(vec![
-                            ("time_ms".to_string(), jn(time.as_millis())),
-                            ("time".to_string(), JsonValue::String(time.to_string())),
-                            (
-                                "class".to_string(),
-                                JsonValue::String(class.key().to_string()),
-                            ),
-                            ("line".to_string(), JsonValue::String(line.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// `failures` result as text: one `time node terminal` line each, plus a
-/// total.
-pub fn render_failures_text(rows: &[DetectedFailure]) -> String {
-    let mut out = String::new();
-    for f in rows {
-        out.push_str(&format!(
-            "{} {} {}\n",
-            f.time,
-            nid_name(f.node),
-            terminal_label(f.terminal)
-        ));
-    }
-    out.push_str(&format!("total: {}\n", rows.len()));
-    out
-}
-
-/// `failures` result as JSON.
-pub fn render_failures_json(rows: &[DetectedFailure]) -> JsonValue {
-    JsonValue::Object(vec![
-        (
-            "verb".to_string(),
-            JsonValue::String("failures".to_string()),
-        ),
-        ("total".to_string(), jn(rows.len() as u64)),
-        (
-            "failures".to_string(),
-            JsonValue::Array(
-                rows.iter()
-                    .map(|f| {
-                        JsonValue::Object(vec![
-                            ("time_ms".to_string(), jn(f.time.as_millis())),
-                            ("time".to_string(), JsonValue::String(f.time.to_string())),
-                            ("node".to_string(), JsonValue::String(nid_name(f.node))),
-                            (
-                                "terminal".to_string(),
-                                JsonValue::String(terminal_label(f.terminal)),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 #[cfg(test)]
@@ -793,7 +930,7 @@ mod tests {
         );
         assert_eq!(by_time.len(), 1);
         assert_eq!(by_time[0].node, NodeId(1));
-        let text = render_failures_text(&by_time);
+        let text = Answer::Failures(by_time).text();
         assert!(text.contains("nid00001"));
         assert!(text.ends_with("total: 1\n"));
     }
@@ -802,12 +939,13 @@ mod tests {
     fn json_renderings_parse_back() {
         let s = store();
         let buckets = histogram(&s, &QueryFilter::default(), HistKey::Class);
-        for v in [
-            render_count_json(7),
-            render_histogram_json(HistKey::Class, &buckets),
-            render_tail_json(&tail(&s, &QueryFilter::default(), 3, SchedulerKind::Slurm)),
-            render_failures_json(&[]),
+        for answer in [
+            Answer::Count(7),
+            Answer::Histogram(HistKey::Class, buckets),
+            Answer::Tail(tail(&s, &QueryFilter::default(), 3, SchedulerKind::Slurm)),
+            Answer::Failures(Vec::new()),
         ] {
+            let v = answer.json();
             let text = v.pretty();
             let back = hpc_telemetry::json::parse(&text).unwrap();
             assert_eq!(back, v);

@@ -31,29 +31,25 @@
 //! in-flight responses complete, shards finish their engines, the final
 //! telemetry prints, exit 0.
 
-use std::io::BufRead;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Duration;
 
 use hpc_fleet::shard::{self, BackfillSpec, Feed, ShardConfig};
 use hpc_fleet::{serve, Fleet, QueryStore, ServerConfig};
 use hpc_logs::time::{SimDuration, SimTime};
+use hpc_stream::drive::stdin_lines;
 use hpc_stream::{signal, StreamConfig};
+use hpc_telemetry::Flags;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hpc-fleetd (--system NAME=DIR | --replay NAME=DIR | --stdin NAME)... \
-         [--backfill NAME=STORE[,t0_ms,t1_ms]] [--query-store NAME=DIR] \
-         [--listen ADDR] [--workers N] [--queue N] \
-         [--watermark-mins N] [--window-mins N] [--poll-ms N] \
-         [--telemetry-json PATH] [--quiet]"
-    );
-    exit(2)
-}
+const USAGE: &str = "usage: hpc-fleetd (--system NAME=DIR | --replay NAME=DIR | --stdin NAME)... \
+     [--backfill NAME=STORE[,t0_ms,t1_ms]] [--query-store NAME=DIR] \
+     [--listen ADDR] [--workers N] [--queue N] \
+     [--watermark-mins N] [--window-mins N] [--poll-ms N] \
+     [--telemetry-json PATH] [--quiet]";
 
 enum FeedSpec {
     Follow(String, PathBuf),
@@ -87,82 +83,53 @@ fn parse_args() -> Options {
         telemetry_json: None,
         quiet: false,
     };
-    let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>| match args.next() {
-        Some(v) => v,
-        None => usage(),
-    };
-    let name_eq = |v: &str| -> (String, PathBuf) {
-        match v.split_once('=') {
+    let mut args = Flags::new(USAGE);
+    let name_eq = |args: &mut Flags| -> (String, PathBuf) {
+        match args.value().split_once('=') {
             Some((name, dir)) if !name.is_empty() && !dir.is_empty() => {
                 (name.to_string(), PathBuf::from(dir))
             }
-            _ => usage(),
+            _ => args.usage(),
         }
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--system" => {
-                let (name, dir) = name_eq(&value(&mut args));
+                let (name, dir) = name_eq(&mut args);
                 opts.feeds.push(FeedSpec::Follow(name, dir));
             }
             "--replay" => {
-                let (name, dir) = name_eq(&value(&mut args));
+                let (name, dir) = name_eq(&mut args);
                 opts.feeds.push(FeedSpec::Replay(name, dir));
             }
-            "--stdin" => opts.feeds.push(FeedSpec::Stdin(value(&mut args))),
+            "--stdin" => opts.feeds.push(FeedSpec::Stdin(args.value())),
             "--backfill" => {
-                let raw = value(&mut args);
-                let (name, spec) = name_eq(&raw);
+                let (name, spec) = name_eq(&mut args);
                 let spec = spec.to_string_lossy().into_owned();
                 let mut parts = spec.split(',');
                 let store = PathBuf::from(parts.next().unwrap_or_default());
-                let t = |p: Option<&str>| -> Option<SimTime> {
-                    p.map(|v| match v.parse() {
-                        Ok(ms) => SimTime::from_millis(ms),
-                        Err(_) => usage(),
-                    })
-                };
-                let from = t(parts.next());
-                let to = t(parts.next());
+                let from = parts.next().map(|v| SimTime::from_millis(args.parse(v)));
+                let to = parts.next().map(|v| SimTime::from_millis(args.parse(v)));
                 if parts.next().is_some() || store.as_os_str().is_empty() {
-                    usage();
+                    args.usage();
                 }
                 opts.backfills
                     .push((name, BackfillSpec { store, from, to }));
             }
-            "--query-store" => {
-                let (name, dir) = name_eq(&value(&mut args));
-                opts.query_stores.push((name, dir));
-            }
-            "--listen" => opts.listen = value(&mut args),
-            "--workers" => match value(&mut args).parse() {
-                Ok(n) if n > 0 => opts.workers = n,
-                _ => usage(),
-            },
-            "--queue" => match value(&mut args).parse() {
-                Ok(n) if n > 0 => opts.queue = n,
-                _ => usage(),
-            },
-            "--watermark-mins" => match value(&mut args).parse() {
-                Ok(n) => opts.config.watermark = SimDuration::from_mins(n),
-                Err(_) => usage(),
-            },
-            "--window-mins" => match value(&mut args).parse() {
-                Ok(n) => opts.config.window = SimDuration::from_mins(n),
-                Err(_) => usage(),
-            },
-            "--poll-ms" => match value(&mut args).parse() {
-                Ok(n) => opts.poll = Duration::from_millis(n),
-                Err(_) => usage(),
-            },
-            "--telemetry-json" => opts.telemetry_json = Some(value(&mut args)),
+            "--query-store" => opts.query_stores.push(name_eq(&mut args)),
+            "--listen" => opts.listen = args.value(),
+            "--workers" => opts.workers = args.parsed(),
+            "--queue" => opts.queue = args.parsed(),
+            "--watermark-mins" => opts.config.watermark = SimDuration::from_mins(args.parsed()),
+            "--window-mins" => opts.config.window = SimDuration::from_mins(args.parsed()),
+            "--poll-ms" => opts.poll = Duration::from_millis(args.parsed()),
+            "--telemetry-json" => opts.telemetry_json = Some(args.value()),
             "--quiet" => opts.quiet = true,
-            _ => usage(),
+            _ => args.usage(),
         }
     }
-    if opts.feeds.is_empty() {
-        usage();
+    if opts.feeds.is_empty() || opts.workers == 0 || opts.queue == 0 {
+        args.usage();
     }
     let stdin_feeds = opts
         .feeds
@@ -218,16 +185,13 @@ fn main() {
 
     let shutdown = Arc::new(AtomicBool::new(false));
     let mut shards = Vec::new();
-    let mut stdin_tx: Option<mpsc::Sender<String>> = None;
     for feed in opts.feeds.drain(..) {
         let (name, feed) = match feed {
             FeedSpec::Follow(name, dir) => (name, Feed::Follow(dir)),
             FeedSpec::Replay(name, dir) => (name, Feed::Replay(dir)),
-            FeedSpec::Stdin(name) => {
-                let (tx, rx) = mpsc::channel();
-                stdin_tx = Some(tx);
-                (name, Feed::Lines(rx))
-            }
+            // EOF on stdin lets the shard drain and finish; the server
+            // keeps serving its last snapshot.
+            FeedSpec::Stdin(name) => (name, Feed::Lines(stdin_lines())),
         };
         let backfill = opts
             .backfills
@@ -255,21 +219,6 @@ fn main() {
             }
         }
     }
-
-    // Stdin pump: main thread work is cheap, but EOF must not stop the
-    // server, so it runs on its own thread too.
-    let stdin_pump = stdin_tx.map(|tx| {
-        std::thread::spawn(move || {
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
-                let Ok(line) = line else { break };
-                if tx.send(line).is_err() {
-                    break;
-                }
-            }
-            // Dropping tx lets the shard drain and finish.
-        })
-    });
 
     let mut fleet = Fleet::new(
         shards
@@ -328,7 +277,6 @@ fn main() {
     for s in shards {
         s.join();
     }
-    drop(stdin_pump); // EOF pump may outlive us blocking on stdin; detach.
 
     hpc_telemetry::exit_report(opts.telemetry_json.as_deref());
 }

@@ -31,13 +31,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hpc_diagnosis::detection::DetectedFailure;
-use hpc_diagnosis::query::{self, HistKey, QueryFilter};
+use hpc_diagnosis::query::{self, RunError};
 use hpc_diagnosis::segment::{OpenError, Store};
-use hpc_logs::event::parse_nid;
-use hpc_logs::time::SimTime;
-use hpc_platform::system::SchedulerKind;
-use hpc_platform::{BladeId, CabinetId, NodeId};
 use hpc_telemetry::json::JsonValue;
 
 use crate::http::{parse_request, Method, Parse, Request, Response, MAX_HEAD_BYTES};
@@ -75,23 +70,16 @@ impl Default for ServerConfig {
 /// opened once at startup, decoded lazily per query by the planner.
 pub struct QueryStore {
     store: Store,
-    /// Derived failures, decoded once — the `failures` verb needs no
-    /// event rows at all.
-    failures: Vec<DetectedFailure>,
-    scheduler: SchedulerKind,
 }
 
 impl QueryStore {
     /// Opens and validates the store in `dir` ([`Store::open`] — no row
-    /// decode) and pre-decodes the derived failures.
+    /// decode) and proves the derived failures decode, so a bad store
+    /// fails startup, not a `verb=failures` request.
     pub fn open(dir: &Path) -> Result<QueryStore, OpenError> {
         let store = Store::open(dir)?;
-        let derived = store.derived()?;
-        Ok(QueryStore {
-            scheduler: store.manifest().scheduler,
-            failures: derived.failures,
-            store,
-        })
+        store.derived()?;
+        Ok(QueryStore { store })
     }
 }
 
@@ -395,92 +383,25 @@ pub fn route(req: &Request, fleet: &Fleet) -> Response {
 /// Serves `/v1/systems/{id}/query?...` straight from the configured
 /// segment store through the lazy planner — the store-backed read path.
 ///
-/// Parameters mirror the `hpc-query` CLI: `verb=count|histogram|tail|
-/// failures` (required), repeatable `class=<key>`, `node=<nid00042|42>`,
-/// `blade=<id>`, `cabinet=<id>`, `from=`/`to=` (ISO timestamp or epoch
-/// ms; `[from, to)`), `by=<dim>` for histograms, `n=<N>` for tail.
-/// Unknown or malformed parameters are a 400, never a guess.
+/// The URL parameters are the [`query::Request`] vocabulary `hpc-query`
+/// spells as flags: `verb=count|histogram|tail|failures` (required),
+/// repeatable `class=`, `node=`, `blade=`, `cabinet=`, `from=`/`to=`,
+/// `by=` for histograms, `n=` for tail. Whatever the request refuses is a
+/// 400 carrying its reason.
 fn answer_query(req: &Request, qs: &QueryStore) -> Response {
-    use hpc_diagnosis::store::EventClass;
-
-    let bad = |why: String| Response::error(400, &why);
-    let mut verb: Option<&str> = None;
-    let mut by: Option<HistKey> = None;
-    let mut n: usize = 10;
-    let mut filter = QueryFilter::default();
-
-    let parse_time = |v: &str| -> Option<SimTime> {
-        SimTime::parse(v).or_else(|| v.parse::<u64>().ok().map(SimTime::from_millis))
-    };
-    for (k, v) in req.params() {
-        match k {
-            "verb" => verb = Some(v),
-            "class" => match EventClass::from_key(v) {
-                Some(c) => filter.classes.push(c),
-                None => return bad(format!("unknown event class `{v}`")),
-            },
-            "node" => match parse_nid(v).or_else(|| v.parse::<u32>().ok().map(NodeId)) {
-                Some(node) => filter.node = Some(node),
-                None => return bad(format!("invalid node `{v}`")),
-            },
-            "blade" => match v.parse::<u32>() {
-                Ok(id) => filter.blade = Some(BladeId(id)),
-                Err(_) => return bad(format!("invalid blade `{v}`")),
-            },
-            "cabinet" => match v.parse::<u32>() {
-                Ok(id) => filter.cabinet = Some(CabinetId(id)),
-                Err(_) => return bad(format!("invalid cabinet `{v}`")),
-            },
-            "from" => match parse_time(v) {
-                Some(t) => filter.from = Some(t),
-                None => return bad(format!("invalid time `{v}`")),
-            },
-            "to" => match parse_time(v) {
-                Some(t) => filter.to = Some(t),
-                None => return bad(format!("invalid time `{v}`")),
-            },
-            "by" => match HistKey::parse(v) {
-                Some(key) => by = Some(key),
-                None => return bad(format!("unknown histogram dimension `{v}`")),
-            },
-            "n" => match v.parse::<usize>() {
-                Ok(count) => n = count,
-                Err(_) => return bad(format!("invalid tail count `{v}`")),
-            },
-            _ => return bad(format!("unknown query parameter `{k}`")),
+    let mut request = query::Request::default();
+    for (key, value) in req.params() {
+        if let Err(reason) = request.set(key, value) {
+            return Response::error(400, &reason);
         }
     }
-
-    // A decode error after a fully validated open means the store went
-    // bad underneath us — the client did nothing wrong.
-    let failed = |e: OpenError| Response::error(500, &e.to_string());
-    let plan = query::plan(&qs.store, &filter);
-    match verb {
-        Some("count") => match plan.count() {
-            Ok(total) => Response::json(200, query::render_count_json(total).to_string()),
-            Err(e) => failed(e),
-        },
-        Some("histogram") => {
-            let Some(key) = by else {
-                return bad("histogram needs by=<class|node|blade|cabinet|day|hour>".to_string());
-            };
-            match plan.histogram(key) {
-                Ok(buckets) => {
-                    Response::json(200, query::render_histogram_json(key, &buckets).to_string())
-                }
-                Err(e) => failed(e),
-            }
-        }
-        Some("tail") => match plan.tail(n, qs.scheduler) {
-            Ok(rows) => Response::json(200, query::render_tail_json(&rows).to_string()),
-            Err(e) => failed(e),
-        },
-        Some("failures") => {
-            let rows = query::failures(&qs.failures, &filter);
-            Response::json(200, query::render_failures_json(&rows).to_string())
-        }
-        Some(other) => bad(format!("unknown verb `{other}`")),
-        None => bad("query needs verb=<count|histogram|tail|failures>".to_string()),
+    let plan = query::plan(&qs.store, &request.filter);
+    match request.run(&plan, qs.store.manifest().scheduler) {
+        Ok(answer) => Response::json(200, answer.json().to_string()),
+        Err(RunError::Request(reason)) => Response::error(400, &reason),
+        // A decode error after a fully validated open means the store
+        // went bad underneath us — the client did nothing wrong.
+        Err(RunError::Store(e)) => Response::error(500, &e.to_string()),
     }
 }
 
@@ -488,6 +409,9 @@ fn answer_query(req: &Request, qs: &QueryStore) -> Response {
 mod tests {
     use super::*;
     use crate::http::Method;
+    use hpc_logs::time::SimTime;
+    use hpc_platform::system::SchedulerKind;
+    use hpc_platform::NodeId;
 
     fn req(path: &str) -> Request {
         let (path, query) = match path.split_once('?') {
@@ -664,29 +588,99 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// What `hpc-query <store> <argv...>` asks for: the positional verb,
+    /// then each flag with its dashes stripped — the binary's whole
+    /// translation.
+    fn cli_request(argv: &[&str]) -> Result<query::Request, String> {
+        let mut request = query::Request::default();
+        request.set("verb", argv[0])?;
+        for pair in argv[1..].chunks(2) {
+            request.set(pair[0].trim_start_matches('-'), pair[1])?;
+        }
+        Ok(request)
+    }
+
+    /// The two front ends are one request: for every `(hpc-query argv, URL
+    /// query string)` pair the endpoint's body is what the CLI's request
+    /// answers over the same store, and a malformed value is refused by
+    /// both with the same reason.
     #[test]
     fn query_endpoint_matches_direct_plan_results() {
         let dir = std::env::temp_dir().join(format!("fleetd-query-equiv-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let f = query_fleet(&dir);
-
-        let resp = route(
-            &req("/v1/systems/S1/query?verb=count&class=cpu_stall&from=2000&to=6000"),
-            &f,
-        );
-        let body = hpc_telemetry::json::parse(&String::from_utf8(resp.body).unwrap()).unwrap();
-        let via_http = body.get("count").unwrap().as_number().unwrap() as u64;
-
-        let qs = f.query_store("S1").unwrap();
-        let filter = QueryFilter {
-            classes: vec![hpc_diagnosis::store::EventClass::CpuStall],
-            from: Some(SimTime::from_millis(2_000)),
-            to: Some(SimTime::from_millis(6_000)),
-            ..Default::default()
+        let store = &f.query_store("S1").unwrap().store;
+        let http = |url: &str| {
+            let resp = route(&req(&format!("/v1/systems/S1/query?{url}")), &f);
+            (resp.status, String::from_utf8(resp.body).unwrap())
         };
-        let direct = query::plan(&qs.store, &filter).count().unwrap();
-        assert_eq!(via_http, direct);
-        assert_eq!(direct, 2); // events at 3000 and 5000
+
+        let answered: [(&[&str], &str); 6] = [
+            (&["count"], "verb=count"),
+            (
+                &[
+                    "count",
+                    "--class",
+                    "cpu_stall",
+                    "--from",
+                    "2000",
+                    "--to",
+                    "6000",
+                ],
+                "verb=count&class=cpu_stall&from=2000&to=6000",
+            ),
+            (
+                &["histogram", "--by", "class", "--node", "nid00001"],
+                "node=nid00001&by=class&verb=histogram",
+            ),
+            (
+                &["tail", "-n", "3", "--blade", "0", "--cabinet", "0"],
+                "verb=tail&n=3&blade=0&cabinet=0",
+            ),
+            (
+                &["tail", "--from", "2016-01-01T00:00:02.000", "--node", "2"],
+                "verb=tail&from=2016-01-01T00:00:02.000&node=2",
+            ),
+            (&["failures", "--to", "5000"], "verb=failures&to=5000"),
+        ];
+        for (argv, url) in answered {
+            let request = cli_request(argv).unwrap();
+            let answer = request
+                .run(&query::plan(store, &request.filter), SchedulerKind::Slurm)
+                .unwrap();
+            assert_eq!(http(url), (200, answer.json().to_string()), "{url}");
+        }
+        let windowed = cli_request(answered[1].0).unwrap();
+        let plan = query::plan(store, &windowed.filter);
+        assert_eq!(plan.count().unwrap(), 2); // events at 3000 and 5000
+
+        let refused: [(&[&str], &str); 11] = [
+            (&["nope"], "verb=nope"),
+            (&["count", "--class", "bogus"], "verb=count&class=bogus"),
+            (&["count", "--node", "nidx"], "verb=count&node=nidx"),
+            (&["count", "--blade", "-1"], "verb=count&blade=-1"),
+            (&["count", "--cabinet", "c0"], "verb=count&cabinet=c0"),
+            (
+                &["count", "--from", "not-a-time"],
+                "verb=count&from=not-a-time",
+            ),
+            (&["count", "--to", ""], "verb=count&to="),
+            (&["histogram", "--by", "week"], "verb=histogram&by=week"),
+            (&["tail", "-n", "few"], "verb=tail&n=few"),
+            (&["count", "--frobnicate", "1"], "verb=count&frobnicate=1"),
+            (&["histogram"], "verb=histogram"),
+        ];
+        for (argv, url) in refused {
+            let reason = match cli_request(argv) {
+                Err(reason) => reason,
+                Ok(request) => match request.run(&plan, SchedulerKind::Slurm) {
+                    Err(RunError::Request(reason)) => reason,
+                    other => panic!("{argv:?} must be refused, got {other:?}"),
+                },
+            };
+            let body = JsonValue::Object(vec![("error".to_string(), JsonValue::String(reason))]);
+            assert_eq!(http(url), (400, body.to_string()), "{url}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

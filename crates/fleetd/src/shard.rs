@@ -17,7 +17,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -25,27 +25,17 @@ use hpc_diagnosis::detection::DetectedFailure;
 use hpc_diagnosis::prediction::Alert;
 use hpc_diagnosis::segment::Store;
 use hpc_logs::event::LogSource;
-use hpc_logs::parse::guess_source;
 use hpc_logs::render::render_into;
 use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::NodeId;
-use hpc_stream::{AlertSink, FollowDir, StreamConfig, StreamEngine};
+use hpc_stream::drive::drive;
+pub use hpc_stream::drive::Feed;
+use hpc_stream::{AlertSink, FollowDir, StreamConfig, StreamEngine, StreamStats};
 
 use crate::snapshot::{SnapshotSlot, SystemSnapshot};
 
 /// Achieved lead times the shard retains for `/failures` annotation.
 const MAX_LEADS: usize = 4096;
-
-/// Where a shard's log lines come from.
-pub enum Feed {
-    /// Tail the archive directory like `hpc-watch --follow`.
-    Follow(PathBuf),
-    /// Read the archive directory once, drain, and mark finished —
-    /// deterministic, for CI/bench/tests.
-    Replay(PathBuf),
-    /// Lines delivered by the supervisor (stdin routing).
-    Lines(mpsc::Receiver<String>),
-}
 
 /// Optional cold-start backfill from a segment store directory.
 pub struct BackfillSpec {
@@ -148,50 +138,6 @@ fn load_backfill(spec: &BackfillSpec) -> Result<Vec<(LogSource, String)>, String
     Ok(lines)
 }
 
-/// Digest of the observable state; a snapshot is published exactly when
-/// this changes.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct StateKey {
-    lines: u64,
-    skipped: u64,
-    events: u64,
-    late: u64,
-    alerts: u64,
-    failures: u64,
-    expired: u64,
-    outstanding: usize,
-    window_events: usize,
-    window_evicted: u64,
-    merger_buffered: usize,
-    watermark_lag_ms: u64,
-    quarantined: Vec<LogSource>,
-    finished: bool,
-}
-
-impl StateKey {
-    fn of(engine: &StreamEngine, follow: Option<&FollowDir>, finished: bool) -> StateKey {
-        let s = engine.stats();
-        StateKey {
-            lines: s.lines,
-            skipped: s.skipped_lines,
-            events: s.events,
-            late: s.late_events,
-            alerts: s.alerts,
-            failures: s.failures,
-            expired: s.expired_alerts,
-            outstanding: engine.outstanding_alerts(),
-            window_events: s.window_events,
-            window_evicted: s.window_evicted,
-            merger_buffered: s.merger_buffered,
-            watermark_lag_ms: s.watermark_lag.as_millis(),
-            quarantined: follow
-                .map(FollowDir::quarantined_sources)
-                .unwrap_or_default(),
-            finished,
-        }
-    }
-}
-
 fn run_shard(
     config: ShardConfig,
     backfill: Option<Vec<(LogSource, String)>>,
@@ -204,10 +150,20 @@ fn run_shard(
         leads: Arc::clone(&leads),
     }));
 
+    // The driver's observer: a snapshot is published exactly when this
+    // digest of the observable state (engine stats, outstanding alerts,
+    // quarantined sources, finished) changes.
     let mut generation = 0u64;
-    let mut last_key = StateKey::default();
+    let mut last_key = (StreamStats::default(), 0, Vec::new(), false);
     let mut publish = |engine: &StreamEngine, follow: Option<&FollowDir>, finished: bool| {
-        let key = StateKey::of(engine, follow, finished);
+        let key = (
+            engine.stats(),
+            engine.outstanding_alerts(),
+            follow
+                .map(FollowDir::quarantined_sources)
+                .unwrap_or_default(),
+            finished,
+        );
         if key == last_key {
             return;
         }
@@ -231,52 +187,13 @@ fn run_shard(
         publish(&engine, None, false);
     }
 
-    match config.feed {
-        Feed::Replay(dir) => {
-            let mut follow = FollowDir::new(&dir);
-            // A static archive is fully consumed by the first poll; keep
-            // polling until a pass feeds nothing, then drain.
-            while follow.poll_into(&mut engine) > 0 && !shutdown.load(Ordering::SeqCst) {
-                publish(&engine, Some(&follow), false);
-            }
-            engine.finish();
-            publish(&engine, Some(&follow), true);
-            // Stay resident — the snapshot keeps serving until shutdown.
-            while !shutdown.load(Ordering::SeqCst) {
-                std::thread::sleep(config.poll);
-            }
-        }
-        Feed::Follow(dir) => {
-            let mut follow = FollowDir::new(&dir);
-            while !shutdown.load(Ordering::SeqCst) {
-                let fed = follow.poll_into(&mut engine);
-                publish(&engine, Some(&follow), false);
-                if fed == 0 {
-                    std::thread::sleep(config.poll);
-                }
-            }
-            engine.finish();
-            publish(&engine, Some(&follow), true);
-        }
-        Feed::Lines(rx) => {
-            loop {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match rx.recv_timeout(config.poll) {
-                    Ok(line) => {
-                        let source = guess_source(&line).unwrap_or(LogSource::Console);
-                        engine.push_line(source, &line);
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        publish(&engine, None, false);
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            engine.finish();
-            publish(&engine, None, true);
-        }
+    let resident = matches!(config.feed, Feed::Replay(_));
+    let stop = || shutdown.load(Ordering::SeqCst);
+    drive(&mut engine, config.feed, config.poll, stop, publish);
+    // A replayed system stays resident — its snapshot keeps serving —
+    // until shutdown.
+    while resident && !stop() {
+        std::thread::sleep(config.poll);
     }
 }
 
@@ -314,6 +231,44 @@ mod tests {
         shutdown.store(true, Ordering::SeqCst);
         handle.join();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Regression: a `Lines` shard whose lines arrive more often than its
+    /// poll interval used to publish only on a receive timeout — that is,
+    /// never before EOF.
+    #[test]
+    fn lines_shard_fed_faster_than_its_poll_publishes_while_fed() {
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = spawn(
+            ShardConfig {
+                name: "S1".to_string(),
+                feed: Feed::Lines(rx),
+                stream: StreamConfig::default(),
+                poll: Duration::from_millis(200),
+                backfill: None,
+            },
+            Arc::clone(&shutdown),
+        )
+        .unwrap();
+        let mut seen_while_sending = 0;
+        for i in 0..60 {
+            tx.send(format!(
+                "2016-01-01T00:00:{i:02}.000 c0-0c0s0n1 chatter {i}"
+            ))
+            .unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            seen_while_sending = handle.slot.read().generation;
+        }
+        assert!(
+            seen_while_sending > 0,
+            "1.2 s of lines 20 ms apart and the slot never left generation 0"
+        );
+        // EOF drains the shard; its last snapshot has every line.
+        drop(tx);
+        let slot = Arc::clone(&handle.slot);
+        handle.join();
+        assert!(slot.read().finished);
     }
 
     #[test]

@@ -548,3 +548,27 @@ fn daemon_fails_fast_on_unwritable_telemetry_json() {
     assert_eq!(stderr.lines().count(), 1, "got:\n{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A bad `hpc-fleetd` command line is the usage line and exit 2, never a
+/// panic.
+#[test]
+fn daemon_rejects_bad_command_lines_with_usage() {
+    let cases: [&[&str]; 5] = [
+        &[],
+        &["--frobnicate"],
+        &["--replay"],
+        &["--replay", "S1=/tmp", "--workers", "many"],
+        &["--replay", "S1=/tmp", "--backfill", "S1=/tmp,soon"],
+    ];
+    for args in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_hpc-fleetd"))
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("run hpc-fleetd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

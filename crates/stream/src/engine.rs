@@ -121,7 +121,7 @@ impl LeadTracker {
 }
 
 /// Point-in-time summary of the engine, for status lines and run reports.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Raw lines fed in.
     pub lines: u64,

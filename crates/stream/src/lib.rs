@@ -27,6 +27,8 @@
 //!   per-alert lead-time bookkeeping.
 //! * [`sink`] — pluggable alert sinks (stderr text, JSONL).
 //! * [`follow`] — polling directory tailer for `hpc-watch --follow`.
+//! * [`drive`] — the one feed loop (follow / replay / routed stdin lines →
+//!   engine → drain) under `hpc-watch` and every `hpc-fleetd` shard.
 //! * [`heartbeat`] — periodic flat-JSON engine snapshots
 //!   (`hpc-watch --heartbeat-jsonl`), the live-introspection substrate a
 //!   future `hpc-fleetd` will serve over HTTP.
@@ -41,6 +43,7 @@
 //! and the same alert set as the batch [`hpc_diagnosis::Diagnosis`] path,
 //! for external gating on and off.
 
+pub mod drive;
 pub mod engine;
 pub mod flight;
 pub mod follow;

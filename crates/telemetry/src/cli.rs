@@ -1,9 +1,66 @@
-//! Startup and exit plumbing every binary shares: probe an output path
-//! before the work, print the telemetry epilogue after it.
+//! Startup and exit plumbing every binary shares: walk the command line
+//! under the exit-2 contract, probe an output path before the work, print
+//! the telemetry epilogue after it.
 
 use std::process::exit;
+use std::str::FromStr;
 
 use crate::recorder::{profile_table, summary_table};
+
+/// Cursor over the process arguments that owns the bad-command-line
+/// contract: the binary's usage line on stderr, exit 2, never a panic.
+/// Each binary keeps its own usage text and its own `match` on the flags.
+pub struct Flags {
+    usage: &'static str,
+    args: std::iter::Skip<std::env::Args>,
+}
+
+impl Flags {
+    /// Cursor over this process's arguments; `usage` is printed whole.
+    pub fn new(usage: &'static str) -> Flags {
+        Flags {
+            usage,
+            args: std::env::args().skip(1),
+        }
+    }
+
+    /// Prints the usage line and exits 2.
+    pub fn usage(&self) -> ! {
+        eprintln!("{}", self.usage);
+        exit(2)
+    }
+
+    /// Prints why the command line is refused, then the usage line, and
+    /// exits 2.
+    pub fn refuse(&self, reason: &str) -> ! {
+        eprintln!("{reason}");
+        self.usage()
+    }
+
+    /// The value of the flag just read; missing is a usage error.
+    pub fn value(&mut self) -> String {
+        self.next().unwrap_or_else(|| self.usage())
+    }
+
+    /// `text` as a `T`; unparsable is a usage error.
+    pub fn parse<T: FromStr>(&self, text: &str) -> T {
+        text.parse().unwrap_or_else(|_| self.usage())
+    }
+
+    /// The value of the flag just read, as a `T`.
+    pub fn parsed<T: FromStr>(&mut self) -> T {
+        let value = self.value();
+        self.parse(&value)
+    }
+}
+
+impl Iterator for Flags {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.args.next()
+    }
+}
 
 /// Fails fast — one line, exit 1 — if `path` cannot be created/appended,
 /// so an unwritable output flag is reported before any work is done

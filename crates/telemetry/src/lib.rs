@@ -50,7 +50,7 @@ pub mod recorder;
 pub mod registry;
 pub mod span;
 
-pub use cli::{exit_report, probe_writable};
+pub use cli::{exit_report, probe_writable, Flags};
 pub use metrics::{Bucket, Counter, Gauge, Histogram, HistogramSnapshot};
 pub use recorder::{
     profile_table, render_text, summary_table, JsonRecorder, Recorder, TextRecorder,

@@ -30,23 +30,17 @@ use std::io::BufRead;
 use std::path::Path;
 use std::process::exit;
 
-use hpc_node_failures::logs::event::LogSource;
-use hpc_node_failures::logs::parse::guess_source;
 use hpc_node_failures::logs::LogArchive;
 use hpc_node_failures::platform::system::SchedulerKind;
 
 use hpc_node_failures::diagnosis::jobs::JobLog;
 use hpc_node_failures::diagnosis::report;
 use hpc_node_failures::diagnosis::{Diagnosis, DiagnosisConfig};
-use hpc_node_failures::telemetry;
+use hpc_node_failures::stream::drive::source_of;
+use hpc_node_failures::telemetry::{self, Flags};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hpc-diagnose (<log-dir> | --stdin | --from-store <dir>) \
-         [--save-store <dir>] [--verbose] [--telemetry-json <path>]"
-    );
-    exit(2)
-}
+const USAGE: &str = "usage: hpc-diagnose (<log-dir> | --stdin | --from-store <dir>) \
+     [--save-store <dir>] [--verbose] [--telemetry-json <path>]";
 
 /// Reads a pre-merged log stream from stdin into an archive, routing each
 /// line to its source stream by envelope sniffing.
@@ -55,8 +49,7 @@ fn archive_from_stdin() -> LogArchive {
     let stdin = std::io::stdin();
     for line in stdin.lock().lines() {
         let Ok(line) = line else { break };
-        let source = guess_source(&line).unwrap_or(LogSource::Console);
-        archive.push_raw_line(source, line);
+        archive.push_raw_line(source_of(&line), line);
     }
     archive
 }
@@ -67,24 +60,15 @@ fn main() {
     let mut from_store: Option<String> = None;
     let mut from_stdin = false;
     let mut positional = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = Flags::new(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--verbose" => telemetry::set_trace(true),
             "--stdin" => from_stdin = true,
-            "--telemetry-json" => match args.next() {
-                Some(path) => telemetry_json = Some(path),
-                None => usage(),
-            },
-            "--save-store" => match args.next() {
-                Some(dir) => save_store = Some(dir),
-                None => usage(),
-            },
-            "--from-store" => match args.next() {
-                Some(dir) => from_store = Some(dir),
-                None => usage(),
-            },
-            _ if arg.starts_with("--") => usage(),
+            "--telemetry-json" => telemetry_json = Some(args.value()),
+            "--save-store" => save_store = Some(args.value()),
+            "--from-store" => from_store = Some(args.value()),
+            _ if arg.starts_with("--") => args.usage(),
             _ => positional.push(arg),
         }
     }
@@ -92,7 +76,7 @@ fn main() {
     if inputs != 1 || (from_store.is_some() && save_store.is_some()) {
         // Exactly one input: a directory, the merged stream on stdin, or a
         // previously saved segment store (which there is no point re-saving).
-        usage();
+        args.usage();
     }
     // Probe every output path up front (the PR 6 fail-fast contract):
     // better to refuse now than to panic or lose the report after ingest.

@@ -31,162 +31,52 @@
 use std::path::Path;
 use std::process::exit;
 
-use hpc_node_failures::diagnosis::query::{self, HistKey, QueryFilter};
+use hpc_node_failures::diagnosis::query::{self, Request, RunError};
 use hpc_node_failures::diagnosis::segment;
-use hpc_node_failures::diagnosis::EventClass;
-use hpc_node_failures::logs::event::parse_nid;
-use hpc_node_failures::logs::time::SimTime;
-use hpc_node_failures::platform::{BladeId, CabinetId, NodeId};
+use hpc_node_failures::telemetry::Flags;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hpc-query <store-dir> <count|histogram|tail|failures> \
-         [--class <key>]... [--node <nid>] [--blade <id>] [--cabinet <id>] \
-         [--from <time>] [--to <time>] [--by <dim>] [-n <N>] [--json]"
-    );
-    exit(2)
-}
-
-fn bad(msg: String) -> ! {
-    eprintln!("{msg}");
-    exit(2)
-}
-
-/// Accepts an ISO `2016-03-04T12:33:01.123` timestamp or raw epoch ms.
-fn parse_time(s: &str) -> SimTime {
-    if let Some(t) = SimTime::parse(s) {
-        return t;
-    }
-    match s.parse::<u64>() {
-        Ok(ms) => SimTime::from_millis(ms),
-        Err(_) => bad(format!(
-            "invalid time `{s}` (expected 2016-03-04T12:33:01.123 or epoch milliseconds)"
-        )),
-    }
-}
-
-/// Accepts a `nid00042` scheduler name or a bare node id.
-fn parse_node(s: &str) -> NodeId {
-    if let Some(n) = parse_nid(s) {
-        return n;
-    }
-    match s.parse::<u32>() {
-        Ok(id) => NodeId(id),
-        Err(_) => bad(format!(
-            "invalid node `{s}` (expected nid00042 or a node id)"
-        )),
-    }
-}
-
-fn parse_u32(what: &str, s: &str) -> u32 {
-    s.parse()
-        .unwrap_or_else(|_| bad(format!("invalid {what} `{s}`")))
-}
+const USAGE: &str = "usage: hpc-query <store-dir> <count|histogram|tail|failures> \
+     [--class <key>]... [--node <nid>] [--blade <id>] [--cabinet <id>] \
+     [--from <time>] [--to <time>] [--by <dim>] [-n <N>] [--json]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() < 2 {
-        usage();
-    }
-    let store_dir = &args[0];
-    let verb = args[1].as_str();
-    if !matches!(verb, "count" | "histogram" | "tail" | "failures") {
-        bad(format!(
-            "unknown verb `{verb}` (expected count, histogram, tail or failures)"
-        ));
-    }
-
-    let mut filter = QueryFilter::default();
-    let mut by: Option<HistKey> = None;
-    let mut tail_n: usize = 10;
+    let mut args = Flags::new(USAGE);
+    let (Some(store_dir), Some(verb)) = (args.next(), args.next()) else {
+        args.usage()
+    };
+    let mut request = Request::default();
     let mut json = false;
-    let mut it = args[2..].iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> &str {
-            it.next()
-                .unwrap_or_else(|| bad(format!("{flag} needs a value")))
+    if let Err(reason) = request.set("verb", &verb) {
+        args.refuse(&reason);
+    }
+    while let Some(arg) = args.next() {
+        // Every flag but `--json` is the query vocabulary behind dashes.
+        let key = match arg.as_str() {
+            "--json" => {
+                json = true;
+                continue;
+            }
+            "-n" => "n",
+            long => long.strip_prefix("--").unwrap_or_else(|| args.usage()),
         };
-        match arg.as_str() {
-            "--class" => {
-                let v = value("--class");
-                let class = EventClass::from_key(v)
-                    .unwrap_or_else(|| bad(format!("unknown event class `{v}`")));
-                filter.classes.push(class);
-            }
-            "--node" => filter.node = Some(parse_node(value("--node"))),
-            "--blade" => filter.blade = Some(BladeId(parse_u32("blade", value("--blade")))),
-            "--cabinet" => {
-                filter.cabinet = Some(CabinetId(parse_u32("cabinet", value("--cabinet"))))
-            }
-            "--from" => filter.from = Some(parse_time(value("--from"))),
-            "--to" => filter.to = Some(parse_time(value("--to"))),
-            "--by" => {
-                let v = value("--by");
-                by = Some(HistKey::parse(v).unwrap_or_else(|| {
-                    bad(format!(
-                        "unknown histogram dimension `{v}` \
-                         (expected class, node, blade, cabinet, day or hour)"
-                    ))
-                }));
-            }
-            "-n" => tail_n = parse_u32("tail count", value("-n")) as usize,
-            "--json" => json = true,
-            _ => usage(),
+        let value = args.value();
+        if let Err(reason) = request.set(key, &value) {
+            args.refuse(&reason);
         }
     }
 
     // Validate-everything open — checksums, footers, fingerprint — but
-    // decode nothing. Each verb decodes only what its plan selects.
-    let store = match segment::Store::open(Path::new(store_dir)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            exit(1);
-        }
-    };
-    let scheduler = store.manifest().scheduler;
+    // decode nothing. The verb decodes only what its plan selects.
     let die = |e: segment::OpenError| -> ! {
         eprintln!("{e}");
         exit(1);
     };
-    let plan = query::plan(&store, &filter);
-
-    match verb {
-        "count" => {
-            let n = plan.count().unwrap_or_else(|e| die(e));
-            if json {
-                print!("{}", query::render_count_json(n).pretty());
-            } else {
-                print!("{}", query::render_count_text(n));
-            }
-        }
-        "histogram" => {
-            let key = by.unwrap_or_else(|| {
-                bad("histogram needs --by <class|node|blade|cabinet|day|hour>".to_string())
-            });
-            let buckets = plan.histogram(key).unwrap_or_else(|e| die(e));
-            if json {
-                print!("{}", query::render_histogram_json(key, &buckets).pretty());
-            } else {
-                print!("{}", query::render_histogram_text(&buckets));
-            }
-        }
-        "tail" => {
-            let rows = plan.tail(tail_n, scheduler).unwrap_or_else(|e| die(e));
-            if json {
-                print!("{}", query::render_tail_json(&rows).pretty());
-            } else {
-                print!("{}", query::render_tail_text(&rows));
-            }
-        }
-        "failures" => {
-            let rows = plan.failures().unwrap_or_else(|e| die(e));
-            if json {
-                print!("{}", query::render_failures_json(&rows).pretty());
-            } else {
-                print!("{}", query::render_failures_text(&rows));
-            }
-        }
-        _ => unreachable!("verb validated above"),
+    let store = segment::Store::open(Path::new(&store_dir)).unwrap_or_else(|e| die(e));
+    let plan = query::plan(&store, &request.filter);
+    match request.run(&plan, store.manifest().scheduler) {
+        Ok(answer) if json => print!("{}", answer.json().pretty()),
+        Ok(answer) => print!("{}", answer.text()),
+        Err(RunError::Request(reason)) => args.refuse(&reason),
+        Err(RunError::Store(e)) => die(e),
     }
 }

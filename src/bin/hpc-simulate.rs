@@ -16,33 +16,27 @@ use std::process::exit;
 use hpc_node_failures::faultsim::Scenario;
 use hpc_node_failures::logs::fs::save_archive;
 use hpc_node_failures::platform::SystemId;
-use hpc_node_failures::telemetry;
+use hpc_node_failures::telemetry::{self, Flags};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hpc-simulate <output-dir> [system S1..S5] [cabinets N] [days N] [seed N] \
-         [--verbose] [--telemetry-json <path>]"
-    );
-    exit(2)
-}
+const USAGE: &str =
+    "usage: hpc-simulate <output-dir> [system S1..S5] [cabinets N] [days N] [seed N] \
+     [--verbose] [--telemetry-json <path>]";
 
 fn main() {
     let mut telemetry_json: Option<String> = None;
-    let mut positional = Vec::new();
-    let mut raw = std::env::args().skip(1);
-    while let Some(arg) = raw.next() {
+    let mut args = Vec::new();
+    let mut flags = Flags::new(USAGE);
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--verbose" => telemetry::set_trace(true),
-            "--telemetry-json" => match raw.next() {
-                Some(path) => telemetry_json = Some(path),
-                None => usage(),
-            },
-            _ if arg.starts_with("--") => usage(),
-            _ => positional.push(arg),
+            "--telemetry-json" => telemetry_json = Some(flags.value()),
+            _ if arg.starts_with("--") => flags.usage(),
+            _ => args.push(arg),
         }
     }
-    let args = positional;
-    let Some(dir) = args.first() else { usage() };
+    let Some(dir) = args.first() else {
+        flags.usage()
+    };
     let dir = PathBuf::from(dir);
     let system = match args.get(1).map(String::as_str).unwrap_or("S1") {
         "S1" => SystemId::S1,
@@ -50,19 +44,15 @@ fn main() {
         "S3" => SystemId::S3,
         "S4" => SystemId::S4,
         "S5" => SystemId::S5,
-        other => {
-            eprintln!("unknown system {other:?}");
-            usage()
-        }
+        other => flags.refuse(&format!("unknown system {other:?}")),
     };
-    let parse_num = |i: usize, default: u64| -> u64 {
-        args.get(i)
-            .map(|s| s.parse().unwrap_or_else(|_| usage()))
-            .unwrap_or(default)
-    };
-    let cabinets = parse_num(2, 2) as u32;
-    let days = parse_num(3, 7);
-    let seed = parse_num(4, 42);
+    let cabinets: u32 = args.get(2).map_or(2, |s| flags.parse(s));
+    let days: u64 = args.get(3).map_or(7, |s| flags.parse(s));
+    let seed: u64 = args.get(4).map_or(42, |s| flags.parse(s));
+    if cabinets == 0 {
+        // A system has at least one cabinet; the topology cannot be empty.
+        flags.usage();
+    }
     if let Some(path) = &telemetry_json {
         // The JSON may go inside the output directory, which need not exist
         // yet; if it cannot be made, `save_archive` says so below.

@@ -35,34 +35,27 @@
 //! dumps it to stderr (and `--flight-file`) without stopping the monitor;
 //! a panic dumps it before the backtrace (DESIGN.md §11).
 
-use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::exit;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use hpc_node_failures::logs::event::LogSource;
-use hpc_node_failures::logs::parse::guess_source;
 use hpc_node_failures::logs::time::SimDuration;
+use hpc_node_failures::stream::drive::{drive, stdin_lines, Feed};
 use hpc_node_failures::stream::flight::{self, FlightRecorder};
 use hpc_node_failures::stream::{
     signal, FollowDir, HeartbeatWriter, JsonlSink, StreamConfig, StreamEngine, StreamStats,
     TextSink,
 };
-use hpc_node_failures::telemetry;
+use hpc_node_failures::telemetry::{self, Flags};
 
 /// Transitions the flight recorder retains.
 const FLIGHT_CAPACITY: usize = 256;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hpc-watch (--stdin | --follow <log-dir>) [--require-external] \
-         [--watermark-mins <n>] [--window-mins <n>] [--poll-ms <n>] \
-         [--alerts-jsonl <path>] [--heartbeat-jsonl <path>] [--heartbeat-secs <n>] \
-         [--flight-file <path>] [--quiet] [--telemetry-json <path>] [--verbose]"
-    );
-    exit(2)
-}
+const USAGE: &str = "usage: hpc-watch (--stdin | --follow <log-dir>) [--require-external] \
+     [--watermark-mins <n>] [--window-mins <n>] [--poll-ms <n>] \
+     [--alerts-jsonl <path>] [--heartbeat-jsonl <path>] [--heartbeat-secs <n>] \
+     [--flight-file <path>] [--quiet] [--telemetry-json <path>] [--verbose]";
 
 struct Options {
     follow: Option<PathBuf>,
@@ -90,34 +83,28 @@ fn parse_args() -> Options {
         quiet: false,
         telemetry_json: None,
     };
-    let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>| args.next().unwrap_or_else(|| usage());
-    let number = |s: String| s.parse::<u64>().unwrap_or_else(|_| usage());
+    let mut args = Flags::new(USAGE);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--stdin" => opts.stdin = true,
-            "--follow" => opts.follow = Some(PathBuf::from(value(&mut args))),
+            "--follow" => opts.follow = Some(PathBuf::from(args.value())),
             "--require-external" => opts.config.predictor.require_external = true,
-            "--watermark-mins" => {
-                opts.config.watermark = SimDuration::from_mins(number(value(&mut args)));
-            }
-            "--window-mins" => {
-                opts.config.window = SimDuration::from_mins(number(value(&mut args)));
-            }
-            "--poll-ms" => opts.poll = Duration::from_millis(number(value(&mut args))),
-            "--alerts-jsonl" => opts.alerts_jsonl = Some(value(&mut args)),
-            "--heartbeat-jsonl" => opts.heartbeat_jsonl = Some(value(&mut args)),
-            "--heartbeat-secs" => opts.heartbeat = Duration::from_secs(number(value(&mut args))),
-            "--flight-file" => opts.flight_file = Some(value(&mut args)),
+            "--watermark-mins" => opts.config.watermark = SimDuration::from_mins(args.parsed()),
+            "--window-mins" => opts.config.window = SimDuration::from_mins(args.parsed()),
+            "--poll-ms" => opts.poll = Duration::from_millis(args.parsed()),
+            "--alerts-jsonl" => opts.alerts_jsonl = Some(args.value()),
+            "--heartbeat-jsonl" => opts.heartbeat_jsonl = Some(args.value()),
+            "--heartbeat-secs" => opts.heartbeat = Duration::from_secs(args.parsed()),
+            "--flight-file" => opts.flight_file = Some(args.value()),
             "--quiet" => opts.quiet = true,
-            "--telemetry-json" => opts.telemetry_json = Some(value(&mut args)),
+            "--telemetry-json" => opts.telemetry_json = Some(args.value()),
             "--verbose" => telemetry::set_trace(true),
-            _ => usage(),
+            _ => args.usage(),
         }
     }
     if opts.stdin == opts.follow.is_some() {
         // Exactly one input mode.
-        usage();
+        args.usage();
     }
     opts
 }
@@ -125,8 +112,7 @@ fn parse_args() -> Options {
 /// Periodic + final heartbeat emission. The single-final invariant (and
 /// the flush-every-line behaviour that makes heartbeats survive any exit)
 /// lives in [`HeartbeatWriter`]; this wrapper only adds the wall-clock
-/// scheduling, so a signal drain racing the EOF drain can call `beat`
-/// twice and still leave exactly one `"final": true` record in the file.
+/// scheduling.
 struct Heartbeat {
     writer: HeartbeatWriter<std::fs::File>,
     interval: Duration,
@@ -150,7 +136,11 @@ impl Heartbeat {
         }
     }
 
-    fn beat(&mut self, engine: &StreamEngine, follow: Option<&FollowDir>, last: bool) {
+    /// Writes a record when one is due, and always when `last`.
+    fn tick(&mut self, engine: &StreamEngine, follow: Option<&FollowDir>, last: bool) {
+        if !last && self.last.elapsed() < self.interval {
+            return;
+        }
         let health = follow.map(FollowDir::health);
         let seq = self.writer.seq();
         let written = self.writer.beat(
@@ -165,17 +155,12 @@ impl Heartbeat {
         }
         self.last = Instant::now();
     }
-
-    fn maybe_beat(&mut self, engine: &StreamEngine, follow: Option<&FollowDir>) {
-        if self.last.elapsed() >= self.interval {
-            self.beat(engine, follow, false);
-        }
-    }
 }
 
-/// Per-loop bookkeeping shared by both input modes: feeds the flight
-/// recorder with state *transitions* (new alerts/failures, late-event and
-/// quarantine changes) by diffing engine state against the last poll.
+/// The driver's observer: feeds the flight recorder with state
+/// *transitions* (new alerts/failures, late-event and quarantine changes)
+/// by diffing engine state against the last call, keeps the heartbeat
+/// schedule, and writes the exit artefacts on the final call.
 struct Monitor {
     heartbeat: Option<Heartbeat>,
     flight_file: Option<String>,
@@ -197,8 +182,10 @@ impl Monitor {
         }
     }
 
-    /// Called once per loop iteration in both modes.
-    fn observe(&mut self, engine: &StreamEngine, follow: Option<&FollowDir>) {
+    fn observe(&mut self, engine: &StreamEngine, follow: Option<&FollowDir>, finished: bool) {
+        if finished && !signal::shutdown_requested() {
+            flight::record_global("eof", "stdin closed: drained");
+        }
         let stats = engine.stats();
         for alert in &engine.alerts()[self.seen_alerts..] {
             flight::record_global(
@@ -253,11 +240,14 @@ impl Monitor {
         }
         self.last = stats;
         if let Some(hb) = &mut self.heartbeat {
-            hb.maybe_beat(engine, follow);
+            hb.tick(engine, follow, finished);
         }
         if signal::take_dump_request() {
             flight::record_global("signal", "SIGUSR1: dump requested");
             self.dump_flight();
+        }
+        if finished {
+            summary(engine, follow);
         }
     }
 
@@ -276,67 +266,40 @@ impl Monitor {
     }
 }
 
-/// Routes one merged-stream line to its source by envelope sniffing.
-/// Unrecognisable envelopes go to the console parser, which counts them
-/// as skipped (same behaviour as garbage inside a known stream).
-fn route(engine: &mut StreamEngine, line: &str) {
-    let source = guess_source(line).unwrap_or(LogSource::Console);
-    engine.push_line(source, line);
-}
-
-fn run_stdin(engine: &mut StreamEngine, monitor: &mut Monitor, poll: Duration) {
-    // A detached reader thread turns the blocking stdin into a channel the
-    // main loop can poll alongside the shutdown flag.
-    let (tx, rx) = mpsc::sync_channel::<String>(4096);
-    std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if tx.send(line).is_err() {
-                break;
-            }
-        }
-    });
-    loop {
-        if signal::shutdown_requested() {
-            eprintln!("hpc-watch: signal received, finishing ...");
-            flight::record_global("signal", "SIGINT/SIGTERM: draining");
-            break;
-        }
-        match rx.recv_timeout(poll) {
-            Ok(line) => route(engine, &line),
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                flight::record_global("eof", "stdin closed: draining");
-                break;
-            }
-        }
-        monitor.observe(engine, None);
+/// The drained engine's closing lines on stderr.
+fn summary(engine: &StreamEngine, follow: Option<&FollowDir>) {
+    let stats = engine.stats();
+    eprintln!(
+        "hpc-watch: {} lines, {} events ({} late, {} lines skipped) | \
+         {} alerts ({} expired unmatched) | {} failures ({} predicted, {} missed) | \
+         window {} events now, {} peak, {} evicted",
+        stats.lines,
+        stats.events,
+        stats.late_events,
+        stats.skipped_lines,
+        stats.alerts,
+        stats.expired_alerts,
+        stats.failures,
+        stats.predicted_failures,
+        stats.missed_failures,
+        stats.window_events,
+        stats.window_peak,
+        stats.window_evicted,
+    );
+    if let Some(fs) = follow.map(FollowDir::stats) {
+        // Loss accounting per the degradation contract (DESIGN.md §10).
+        eprintln!(
+            "hpc-watch: follow degradation: {} io errors, {} quarantines ({} recovered), \
+             {} rotations, {} invalid-utf8 lines sanitised",
+            fs.io_errors, fs.quarantines, fs.recoveries, fs.rotations, fs.invalid_utf8,
+        );
     }
-}
-
-fn run_follow(
-    engine: &mut StreamEngine,
-    monitor: &mut Monitor,
-    dir: &std::path::Path,
-    poll: Duration,
-) -> FollowDir {
-    let mut follow = FollowDir::new(dir);
-    loop {
-        if signal::shutdown_requested() {
-            eprintln!("hpc-watch: signal received, finishing ...");
-            flight::record_global("signal", "SIGINT/SIGTERM: draining");
-            break;
-        }
-        let fed = follow.poll_into(engine);
-        monitor.observe(engine, Some(&follow));
-        if fed == 0 {
-            std::thread::sleep(poll);
-        }
+    if let Some((blade, n)) = engine.window().hottest_blade() {
+        eprintln!(
+            "hpc-watch: hottest blade {} ({n} external events in window)",
+            blade.cname()
+        );
     }
-    // Returned (not just its stats) so the drain path can emit a final
-    // heartbeat that still carries the follow_* fields.
-    follow
 }
 
 fn main() {
@@ -369,67 +332,37 @@ fn main() {
     let mut monitor = Monitor::new(heartbeat, opts.flight_file.clone());
     flight::record_global("start", "engine configured");
 
-    let follow_dir = match &opts.follow {
+    let feed = match opts.follow {
         Some(dir) => {
             // Fail fast with one clear line on a missing or unreadable
             // archive root instead of silently polling it forever.
-            if let Err(e) = std::fs::read_dir(dir) {
+            if let Err(e) = std::fs::read_dir(&dir) {
                 eprintln!("cannot read log directory {}: {e}", dir.display());
                 exit(1);
             }
-            Some(dir.clone())
+            Feed::Follow(dir)
         }
-        None => None,
+        None => Feed::Lines(stdin_lines()),
     };
-    let follow_tail = match &follow_dir {
-        Some(dir) => Some(run_follow(&mut engine, &mut monitor, dir, opts.poll)),
-        None => {
-            run_stdin(&mut engine, &mut monitor, opts.poll);
-            None
+    let stop = || {
+        let requested = signal::shutdown_requested();
+        if requested {
+            eprintln!("hpc-watch: signal received, finishing ...");
+            flight::record_global("signal", "SIGINT/SIGTERM: draining");
         }
+        requested
     };
-
-    // The drain path — identical for clean EOF and SIGINT/SIGTERM: finish
-    // the engine (flushes alert sinks), write the final heartbeat, print
-    // the summary, then persist telemetry. Nothing below is conditional on
-    // *how* the input ended.
-    engine.finish();
-    if let Some(hb) = &mut monitor.heartbeat {
-        hb.beat(&engine, follow_tail.as_ref(), true);
-    }
-
-    let stats = engine.stats();
-    eprintln!(
-        "hpc-watch: {} lines, {} events ({} late, {} lines skipped) | \
-         {} alerts ({} expired unmatched) | {} failures ({} predicted, {} missed) | \
-         window {} events now, {} peak, {} evicted",
-        stats.lines,
-        stats.events,
-        stats.late_events,
-        stats.skipped_lines,
-        stats.alerts,
-        stats.expired_alerts,
-        stats.failures,
-        stats.predicted_failures,
-        stats.missed_failures,
-        stats.window_events,
-        stats.window_peak,
-        stats.window_evicted,
+    // The drain is the same for clean EOF and SIGINT/SIGTERM: the driver
+    // finishes the engine (flushing the alert sinks), the monitor's final
+    // call writes the final heartbeat and the summary, then telemetry is
+    // persisted. Nothing below is conditional on *how* the input ended.
+    drive(
+        &mut engine,
+        feed,
+        opts.poll,
+        stop,
+        |engine, follow, finished| monitor.observe(engine, follow, finished),
     );
-    if let Some(fs) = follow_tail.as_ref().map(FollowDir::stats) {
-        // Loss accounting per the degradation contract (DESIGN.md §10).
-        eprintln!(
-            "hpc-watch: follow degradation: {} io errors, {} quarantines ({} recovered), \
-             {} rotations, {} invalid-utf8 lines sanitised",
-            fs.io_errors, fs.quarantines, fs.recoveries, fs.rotations, fs.invalid_utf8,
-        );
-    }
-    if let Some((blade, n)) = engine.window().hottest_blade() {
-        eprintln!(
-            "hpc-watch: hottest blade {} ({n} external events in window)",
-            blade.cname()
-        );
-    }
 
     telemetry::exit_report(opts.telemetry_json.as_deref());
 }

@@ -510,3 +510,59 @@ fn simulate_usage_without_args() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
+
+/// The command-line contract of every root binary: a bad invocation is the
+/// usage line and exit 2 — never a panic, never a silently adjusted value.
+#[test]
+fn bad_command_lines_exit_2_with_usage() {
+    let table: [(&str, &[&[&str]]); 4] = [
+        (
+            env!("CARGO_BIN_EXE_hpc-simulate"),
+            &[
+                &[],
+                &["out", "--frobnicate"],
+                &["out", "--telemetry-json"],
+                &["out", "S1", "many"],
+                // Regressions: zero cabinets panicked inside the topology
+                // RNG, and 2^32 + 1 truncated to one cabinet.
+                &["out", "S1", "0", "1", "1"],
+                &["out", "S1", "4294967297"],
+            ],
+        ),
+        (
+            env!("CARGO_BIN_EXE_hpc-diagnose"),
+            &[&[], &["--frobnicate"], &["logs", "--save-store"]],
+        ),
+        (
+            env!("CARGO_BIN_EXE_hpc-watch"),
+            &[
+                &[],
+                &["--stdin", "--frobnicate"],
+                &["--stdin", "--poll-ms"],
+                &["--stdin", "--poll-ms", "soon"],
+            ],
+        ),
+        (
+            env!("CARGO_BIN_EXE_hpc-query"),
+            &[
+                &[],
+                &["store", "count", "--frobnicate", "1"],
+                &["store", "count", "--class"],
+                &["store", "tail", "-n", "few"],
+            ],
+        ),
+    ];
+    for (bin, cases) in table {
+        for args in cases {
+            let out = Command::new(bin)
+                .args(*args)
+                .stdin(std::process::Stdio::null())
+                .output()
+                .expect("run binary");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+            assert!(stderr.contains("usage"), "{bin} {args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        }
+    }
+}
