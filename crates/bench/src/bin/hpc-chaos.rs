@@ -37,11 +37,10 @@ use hpc_diagnosis::report;
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_faultsim::chaos::{ChaosFeed, ChaosSpec, Intensity, Pathology, RECORD_SLACK};
 use hpc_faultsim::Scenario;
-use hpc_logs::parse::split_timestamp;
 use hpc_logs::time::SimTime;
 use hpc_logs::{LogArchive, LogSource};
 use hpc_platform::SystemId;
-use hpc_stream::{StreamConfig, StreamEngine};
+use hpc_stream::{feed_time_aligned, StreamConfig, StreamEngine};
 use hpc_telemetry::json::JsonValue;
 use hpc_telemetry::Flags;
 
@@ -317,30 +316,6 @@ fn run_store_cell(clean: &Diagnosis, total_lines: u64, fixture: &str, in_memory:
     cell
 }
 
-/// Feeds a corrupted feed's lines to the engine in global timestamp order
-/// with per-source FIFO preserved — the arrival order of a live merged
-/// feed (same discipline as `FollowDir::poll_into`).
-fn feed_time_aligned(engine: &mut StreamEngine, lines: &[Vec<String>; 4]) {
-    let mut idx = [0usize; 4];
-    let mut clock = [SimTime::EPOCH; 4];
-    loop {
-        let mut best: Option<(SimTime, usize)> = None;
-        for si in 0..4 {
-            let Some(line) = lines[si].get(idx[si]) else {
-                continue;
-            };
-            let t = split_timestamp(line).map_or(clock[si], |(t, _)| t);
-            if best.is_none_or(|b| (t, si) < b) {
-                best = Some((t, si));
-            }
-        }
-        let Some((t, si)) = best else { break };
-        clock[si] = t;
-        engine.push_line(LogSource::ALL[si], &lines[si][idx[si]]);
-        idx[si] += 1;
-    }
-}
-
 /// Runs one stream cell. For the clean cell (`batch_reference` set) the
 /// engine must reproduce batch detection exactly with nothing late.
 fn run_stream_cell(
@@ -377,7 +352,7 @@ fn run_stream_cell(
         // SWO exclusion is a batch post-pass; the online engine reproduces
         // raw detection, so the clean cell compares against that.
         let mut engine = StreamEngine::new(StreamConfig::default());
-        feed_time_aligned(&mut engine, &lines);
+        feed_time_aligned(&mut engine, &lines, &mut [SimTime::EPOCH; 4]);
         engine.finish();
         engine
     }));

@@ -1,11 +1,9 @@
 //! # hpc-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (run via the `experiments` binary), the `hpc-chaos`
-//! corruption-robustness campaign, and criterion benches timing design
-//! *alternatives* against each other (`benches/`, DESIGN §4 ablations).
-//! Performance numbers of the system itself come from `hpc-sysbench`
-//! (`benchmark/` at the repo root), not from this crate.
+//! evaluation (run via the `experiments` binary) and the `hpc-chaos`
+//! corruption-robustness campaign. Performance numbers come from
+//! `hpc-sysbench` (`benchmark/` at the repo root), not from this crate.
 //!
 //! Each experiment is a pure function returning its rendered output; the
 //! registry in [`EXPERIMENTS`] maps the paper's table/figure ids to them.

@@ -13,46 +13,20 @@
 
 use hpc_faultsim::Scenario;
 use hpc_logs::event::LogSource;
-use hpc_logs::parse::split_timestamp;
 use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::SystemId;
-use hpc_stream::{StreamConfig, StreamEngine};
+use hpc_stream::{feed_time_aligned, StreamConfig, StreamEngine};
 
-/// Interleaves the four streams in global timestamp order — the arrival
-/// order of a live feed. Sequential whole-source feeding would put every
-/// stream but the first hopelessly behind the 10-minute watermark.
-fn aligned_lines(archive: &hpc_logs::LogArchive) -> Vec<(LogSource, &str)> {
-    let lines: Vec<&[String]> = LogSource::ALL.iter().map(|&s| archive.lines(s)).collect();
-    let mut idx = [0usize; 4];
-    let mut clock = [SimTime::EPOCH; 4];
-    let mut out = Vec::with_capacity(lines.iter().map(|l| l.len()).sum());
-    loop {
-        let mut best: Option<(SimTime, usize)> = None;
-        for si in 0..4 {
-            let Some(line) = lines[si].get(idx[si]) else {
-                continue;
-            };
-            let t = split_timestamp(line).map_or(clock[si], |(t, _)| t);
-            if best.is_none_or(|b| (t, si) < b) {
-                best = Some((t, si));
-            }
-        }
-        let Some((t, si)) = best else { break };
-        clock[si] = t;
-        out.push((LogSource::ALL[si], lines[si][idx[si]].as_str()));
-        idx[si] += 1;
-    }
-    out
-}
-
-fn replay(lines: &[(LogSource, &str)], window: SimDuration) -> StreamEngine {
+/// Replays the four streams interleaved in global timestamp order — the
+/// arrival order of a live feed. Sequential whole-source feeding would put
+/// every stream but the first hopelessly behind the 10-minute watermark.
+fn replay(archive: &hpc_logs::LogArchive, window: SimDuration) -> StreamEngine {
     let mut engine = StreamEngine::new(StreamConfig {
         window,
         ..StreamConfig::default()
     });
-    for &(source, line) in lines {
-        engine.push_line(source, line);
-    }
+    let lines = LogSource::ALL.map(|s| archive.lines(s));
+    feed_time_aligned(&mut engine, &lines, &mut [SimTime::EPOCH; 4]);
     engine.finish();
     engine
 }
@@ -60,10 +34,8 @@ fn replay(lines: &[(LogSource, &str)], window: SimDuration) -> StreamEngine {
 #[test]
 fn month_long_replay_holds_o_window_memory() {
     let out = Scenario::new(SystemId::S1, 2, 28, 9).run();
-    let lines = aligned_lines(&out.archive);
-
-    let short = replay(&lines, SimDuration::from_hours(2));
-    let long = replay(&lines, SimDuration::from_hours(8));
+    let short = replay(&out.archive, SimDuration::from_hours(2));
+    let long = replay(&out.archive, SimDuration::from_hours(8));
 
     let s = short.stats();
     let l = long.stats();

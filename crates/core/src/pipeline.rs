@@ -39,10 +39,6 @@ pub struct DiagnosisConfig {
     /// Run the ingest pool at machine width (false = the same code with
     /// one worker, on the calling thread).
     pub parallel_ingest: bool,
-    /// Ingest pool width. `None` defers to the `HPC_INGEST_THREADS`
-    /// environment variable, then to `std::thread::available_parallelism()`.
-    /// Ignored when `parallel_ingest` is false.
-    pub ingest_threads: Option<usize>,
     /// How far back from a terminal event root-cause classification looks
     /// for internal precursors.
     pub lookback: SimDuration,
@@ -67,7 +63,6 @@ impl Default for DiagnosisConfig {
     fn default() -> DiagnosisConfig {
         DiagnosisConfig {
             parallel_ingest: true,
-            ingest_threads: None,
             lookback: SimDuration::from_mins(30),
             external_window: SimDuration::from_hours(2),
             failure_horizon: SimDuration::from_hours(6),
@@ -97,39 +92,33 @@ pub struct Diagnosis {
 }
 
 impl Diagnosis {
-    /// Ingest pool width under `config`: `config.ingest_threads`, else the
-    /// `HPC_INGEST_THREADS` environment variable, else
-    /// `std::thread::available_parallelism()`; always 1 when
-    /// `parallel_ingest` is off. Also what the `core.ingest.threads` gauge
-    /// reports.
+    /// Ingest pool width under `config`: 1 when `parallel_ingest` is off,
+    /// otherwise `std::thread::available_parallelism()` (which honours CPU
+    /// affinity and cgroup quotas). Also what the `core.ingest.threads`
+    /// gauge reports.
     pub fn ingest_threads(config: &DiagnosisConfig) -> usize {
-        Self::resolve_ingest_threads(config, std::env::var("HPC_INGEST_THREADS").ok().as_deref())
-    }
-
-    fn resolve_ingest_threads(config: &DiagnosisConfig, env: Option<&str>) -> usize {
         if !config.parallel_ingest {
             return 1;
         }
-        config
-            .ingest_threads
-            .or_else(|| {
-                env.and_then(|v| v.trim().parse().ok())
-                    .filter(|&n: &usize| n > 0)
-            })
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .max(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
     }
 
     /// Runs ingest + detection + indexing over an in-memory archive: each
     /// stream is cut into line ranges (a few per pool thread) that feed the
     /// same pool [`Diagnosis::from_dir`] reads blocks into.
     pub fn from_archive(archive: &LogArchive, config: DiagnosisConfig) -> Diagnosis {
+        Self::from_archive_with(archive, Self::ingest_threads(&config), config)
+    }
+
+    /// [`Diagnosis::from_archive`] at a given pool width (tests sweep it).
+    fn from_archive_with(
+        archive: &LogArchive,
+        threads: usize,
+        config: DiagnosisConfig,
+    ) -> Diagnosis {
         let _span = hpc_telemetry::span!("core.from_archive");
-        let threads = Self::ingest_threads(&config);
         let ranges = LogSource::ALL.iter().enumerate().flat_map(|(si, &source)| {
             let lines = archive.lines(source);
             chunk_spans(lines.len(), chunk_lines_for(lines.len(), threads))
@@ -145,13 +134,19 @@ impl Diagnosis {
     /// instead of materialising whole files the way `load_archive` +
     /// [`Diagnosis::from_archive`] does. Missing files load as empty.
     pub fn from_dir(root: &Path, config: DiagnosisConfig) -> io::Result<Diagnosis> {
-        Self::from_dir_with(root, config, BlockReader::open)
+        Self::from_dir_with(
+            root,
+            Self::ingest_threads(&config),
+            config,
+            BlockReader::open,
+        )
     }
 
-    /// [`Diagnosis::from_dir`] with the block readers opened by `open`
-    /// (tests force tiny blocks through it).
+    /// [`Diagnosis::from_dir`] at a given pool width, with the block readers
+    /// opened by `open` (tests sweep the width and force tiny blocks).
     fn from_dir_with(
         root: &Path,
+        threads: usize,
         config: DiagnosisConfig,
         open: impl Fn(&Path) -> io::Result<BlockReader>,
     ) -> io::Result<Diagnosis> {
@@ -170,7 +165,6 @@ impl Diagnosis {
             .into_iter()
             .flat_map(|(si, reader)| reader.map(move |block| (si, block)));
         let parse = |source, block: &Block| parse_chunk(source, block.lines());
-        let threads = Self::ingest_threads(&config);
         Ok(Self::from_blocks(threads, blocks, parse, config))
     }
 
@@ -475,17 +469,10 @@ mod tests {
         let whole = out.archive.parse_merged();
         assert_eq!(seq.events(), whole.events);
         assert_eq!(seq.skipped_lines, whole.skipped_lines);
-        let machine = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
+        let machine = Diagnosis::ingest_threads(&DiagnosisConfig::default());
         for threads in [1, 2, 4, machine] {
-            let pooled = Diagnosis::from_archive(
-                &out.archive,
-                DiagnosisConfig {
-                    ingest_threads: Some(threads),
-                    ..DiagnosisConfig::default()
-                },
-            );
+            let pooled =
+                Diagnosis::from_archive_with(&out.archive, threads, DiagnosisConfig::default());
             assert_eq!(pooled.events(), seq.events(), "pool width {threads}");
             assert_eq!(pooled.failures, seq.failures, "pool width {threads}");
             assert_eq!(
@@ -521,11 +508,7 @@ mod tests {
 
     /// `from_dir` with `threads` workers over blocks of `block_bytes`.
     fn from_dir_blocks(dir: &Path, threads: usize, block_bytes: usize) -> Diagnosis {
-        let config = DiagnosisConfig {
-            ingest_threads: Some(threads),
-            ..DiagnosisConfig::default()
-        };
-        Diagnosis::from_dir_with(dir, config, |path| {
+        Diagnosis::from_dir_with(dir, threads, DiagnosisConfig::default(), |path| {
             BlockReader::with_block_bytes(path, block_bytes)
         })
         .unwrap()
@@ -625,29 +608,16 @@ mod tests {
     fn ingest_thread_resolution_precedence() {
         let seq = DiagnosisConfig {
             parallel_ingest: false,
-            ingest_threads: Some(9),
             ..DiagnosisConfig::default()
         };
-        assert_eq!(Diagnosis::resolve_ingest_threads(&seq, Some("6")), 1);
-        let cfg = DiagnosisConfig {
-            ingest_threads: Some(3),
-            ..DiagnosisConfig::default()
-        };
-        // Explicit config beats the environment, which beats the machine.
-        assert_eq!(Diagnosis::resolve_ingest_threads(&cfg, Some("6")), 3);
-        let auto = DiagnosisConfig::default();
-        assert_eq!(Diagnosis::resolve_ingest_threads(&auto, Some("6")), 6);
-        assert_eq!(Diagnosis::resolve_ingest_threads(&auto, Some(" 2 ")), 2);
+        assert_eq!(Diagnosis::ingest_threads(&seq), 1);
         let machine = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4);
-        for bad in [None, Some("0"), Some("lots"), Some("")] {
-            assert_eq!(
-                Diagnosis::resolve_ingest_threads(&auto, bad),
-                machine,
-                "{bad:?}"
-            );
-        }
+        assert_eq!(
+            Diagnosis::ingest_threads(&DiagnosisConfig::default()),
+            machine
+        );
     }
 
     #[test]

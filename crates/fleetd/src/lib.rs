@@ -27,7 +27,7 @@
 //! passthrough to the lazy segment-store planner (`--query-store`): it
 //! answers count/histogram/tail/failures straight from an on-disk store
 //! via [`server::QueryStore`], pruning segments on the manifest before
-//! decoding a row. See DESIGN.md §13/§14 for the architecture contract.
+//! decoding a row. See DESIGN.md §9 and §11 for the architecture contract.
 
 pub mod http;
 pub mod server;

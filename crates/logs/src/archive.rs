@@ -9,8 +9,8 @@
 //! [`merge_by_time`] provides the k-way timestamp merge the pipeline uses to
 //! build one chronological event sequence from per-source parses — a
 //! `BinaryHeap`-based merge chosen over concat-and-sort because each source
-//! is already time-ordered (DESIGN.md §4.2; the `ingest` criterion bench times
-//! both).
+//! is already time-ordered (DESIGN.md §4.2; `hpc-sysbench` times it as
+//! `logs.archive.merge_ms`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

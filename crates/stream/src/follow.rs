@@ -59,9 +59,6 @@ struct Tail {
     offset: u64,
     /// Bytes of an incomplete trailing line.
     partial: Vec<u8>,
-    /// Timestamp of the last line consumed — stands in for lines that
-    /// carry no timestamp of their own when aligning the poll batch.
-    clock: SimTime,
     /// Consecutive I/O errors; nonzero means the tail is quarantined.
     errors: u32,
     /// Poll number at which a quarantined tail may retry.
@@ -71,6 +68,9 @@ struct Tail {
 /// A polling tailer over the four source files under an archive root.
 pub struct FollowDir {
     tails: Vec<Tail>,
+    /// Per source, the timestamp of the last line fed (see
+    /// [`feed_time_aligned`]); persists across polls.
+    clocks: [SimTime; 4],
     polls: u64,
     stats: FollowStats,
 }
@@ -89,11 +89,11 @@ impl FollowDir {
                     path: root.join(source_path(source, scheduler)),
                     offset: 0,
                     partial: Vec::new(),
-                    clock: SimTime::EPOCH,
                     errors: 0,
                     retry_at: 0,
                 })
                 .collect(),
+            clocks: [SimTime::EPOCH; 4],
             polls: 0,
             stats: FollowStats::default(),
         }
@@ -135,15 +135,8 @@ impl FollowDir {
     }
 
     /// Reads everything newly appended to every source file and feeds the
-    /// batch to `engine` in global timestamp order. Returns how many
+    /// batch to `engine` through [`feed_time_aligned`]. Returns how many
     /// complete lines were fed.
-    ///
-    /// The per-poll alignment matters most on the first poll against an
-    /// already-written archive: feeding whole files one source at a time
-    /// would advance the merger's high-water mark to the end of the first
-    /// file and drop nearly every event of the remaining three behind the
-    /// watermark. In steady state the batches are small and the merge is
-    /// effectively free.
     pub fn poll_into(&mut self, engine: &mut StreamEngine) -> u64 {
         self.polls += 1;
         let polls = self.polls;
@@ -155,26 +148,45 @@ impl FollowDir {
             }
             fed += tail.poll_lines(batch, polls, &mut self.stats);
         }
-        hpc_telemetry::gauge("stream.follow.quarantined")
-            .set(self.tails.iter().filter(|t| t.errors > 0).count() as f64);
-        let mut idx = [0usize; 4];
-        loop {
-            let mut best: Option<(SimTime, usize)> = None;
-            for (si, tail) in self.tails.iter().enumerate() {
-                let Some(line) = batches[si].get(idx[si]) else {
-                    continue;
-                };
-                let t = split_timestamp(line).map_or(tail.clock, |(t, _)| t);
-                if best.is_none_or(|b| (t, si) < b) {
-                    best = Some((t, si));
-                }
-            }
-            let Some((t, si)) = best else { break };
-            self.tails[si].clock = t;
-            engine.push_line(self.tails[si].source, &batches[si][idx[si]]);
-            idx[si] += 1;
-        }
+        hpc_telemetry::gauge("stream.follow.quarantined").set(self.quarantined() as f64);
+        feed_time_aligned(engine, &batches, &mut self.clocks);
         fed
+    }
+}
+
+/// Feeds `batches` — one run of lines per source, in [`LogSource::ALL`]
+/// order — to `engine` in global timestamp order, ties in source order,
+/// each source's own order kept: the arrival order of a live merged feed.
+/// A line without a timestamp of its own takes its source's entry in
+/// `clocks`, the time of the last line fed from that source; start a fresh
+/// feed from [`SimTime::EPOCH`].
+///
+/// The alignment matters most when catching up on an already-written
+/// archive: feeding whole files one source at a time would advance the
+/// merger's high-water mark to the end of the first file and drop nearly
+/// every event of the remaining three behind the watermark. In steady
+/// state the batches are small and the merge is effectively free.
+pub fn feed_time_aligned<B: AsRef<[String]>>(
+    engine: &mut StreamEngine,
+    batches: &[B; 4],
+    clocks: &mut [SimTime; 4],
+) {
+    let mut idx = [0usize; 4];
+    loop {
+        let mut best: Option<(SimTime, usize)> = None;
+        for (si, batch) in batches.iter().enumerate() {
+            let Some(line) = batch.as_ref().get(idx[si]) else {
+                continue;
+            };
+            let t = split_timestamp(line).map_or(clocks[si], |(t, _)| t);
+            if best.is_none_or(|b| (t, si) < b) {
+                best = Some((t, si));
+            }
+        }
+        let Some((t, si)) = best else { break };
+        clocks[si] = t;
+        engine.push_line(LogSource::ALL[si], &batches[si].as_ref()[idx[si]]);
+        idx[si] += 1;
     }
 }
 
@@ -267,7 +279,23 @@ impl Tail {
 mod tests {
     use super::*;
     use crate::engine::StreamConfig;
+    use hpc_logs::event::{ConsoleDetail, LogEvent, Payload};
+    use hpc_logs::render::render;
+    use hpc_platform::system::SchedulerKind;
+    use hpc_platform::NodeId;
     use std::io::Write;
+
+    /// A rendered console line about node 3, stamped `ms`.
+    fn console_line(ms: u64) -> String {
+        let event = LogEvent {
+            time: SimTime::from_millis(ms),
+            payload: Payload::Console {
+                node: NodeId(3),
+                detail: ConsoleDetail::CpuStall { cpu: 0 },
+            },
+        };
+        render(&event, SchedulerKind::Slurm).remove(0)
+    }
 
     fn temp_root(tag: &str) -> PathBuf {
         let dir =
@@ -279,12 +307,6 @@ mod tests {
 
     #[test]
     fn follows_appends_and_buffers_partial_lines() {
-        use hpc_logs::event::{ConsoleDetail, LogEvent, Payload};
-        use hpc_logs::render::render;
-        use hpc_logs::time::SimTime;
-        use hpc_platform::system::SchedulerKind;
-        use hpc_platform::NodeId;
-
         let root = temp_root("append");
         let console = root.join("p0-directory/console");
         let mut engine = StreamEngine::new(StreamConfig::default());
@@ -293,15 +315,8 @@ mod tests {
         // Nothing yet: all files absent.
         assert_eq!(follow.poll_into(&mut engine), 0);
 
-        let ev = |ms: u64| LogEvent {
-            time: SimTime::from_millis(ms),
-            payload: Payload::Console {
-                node: NodeId(3),
-                detail: ConsoleDetail::CpuStall { cpu: 0 },
-            },
-        };
-        let first = render(&ev(60_000), SchedulerKind::Slurm).remove(0);
-        let second = render(&ev(120_000), SchedulerKind::Slurm).remove(0);
+        let first = console_line(60_000);
+        let second = console_line(120_000);
 
         let mut f = std::fs::File::create(&console).unwrap();
         // Write one complete line and half of a second one.
@@ -323,13 +338,7 @@ mod tests {
 
     #[test]
     fn catch_up_poll_feeds_sources_in_timestamp_order() {
-        use hpc_logs::event::{
-            ConsoleDetail, ControllerDetail, ControllerScope, LogEvent, Payload,
-        };
-        use hpc_logs::render::render;
-        use hpc_logs::time::SimTime;
-        use hpc_platform::system::SchedulerKind;
-        use hpc_platform::NodeId;
+        use hpc_logs::event::{ControllerDetail, ControllerScope};
 
         let root = temp_root("catchup");
         std::fs::create_dir_all(root.join("controller")).unwrap();
@@ -337,19 +346,7 @@ mod tests {
         // Console spans two hours; the controller logs in minute one. Fed
         // file-by-file this would put the controller event far behind the
         // default 10-minute watermark.
-        let console: Vec<String> = [0u64, 60, 120]
-            .iter()
-            .map(|&mins| {
-                let e = LogEvent {
-                    time: SimTime::from_millis(mins * 60_000),
-                    payload: Payload::Console {
-                        node: NodeId(3),
-                        detail: ConsoleDetail::CpuStall { cpu: 0 },
-                    },
-                };
-                render(&e, SchedulerKind::Slurm).remove(0)
-            })
-            .collect();
+        let console = [0u64, 60, 120].map(|mins| console_line(mins * 60_000));
         let node = NodeId(7);
         let nvf = LogEvent {
             time: SimTime::from_millis(60_000),
@@ -392,27 +389,14 @@ mod tests {
 
     #[test]
     fn rotation_mid_follow_drops_partial_and_resumes() {
-        use hpc_logs::event::{ConsoleDetail, LogEvent, Payload};
-        use hpc_logs::render::render;
-        use hpc_logs::time::SimTime;
-        use hpc_platform::system::SchedulerKind;
-        use hpc_platform::NodeId;
-
         let root = temp_root("rotate-mid");
         let console = root.join("p0-directory/console");
         let mut engine = StreamEngine::new(StreamConfig::default());
         let mut follow = FollowDir::new(&root);
 
-        let ev = |ms: u64| LogEvent {
-            time: SimTime::from_millis(ms),
-            payload: Payload::Console {
-                node: NodeId(3),
-                detail: ConsoleDetail::CpuStall { cpu: 0 },
-            },
-        };
-        let first = render(&ev(60_000), SchedulerKind::Slurm).remove(0);
-        let second = render(&ev(120_000), SchedulerKind::Slurm).remove(0);
-        let third = render(&ev(180_000), SchedulerKind::Slurm).remove(0);
+        let first = console_line(60_000);
+        let second = console_line(120_000);
+        let third = console_line(180_000);
 
         // One whole line plus half of another, then the file rotates out
         // underneath the tailer before the half ever completes.

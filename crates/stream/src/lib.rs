@@ -33,7 +33,7 @@
 //!   (`hpc-watch --heartbeat-jsonl`), the live-introspection substrate a
 //!   future `hpc-fleetd` will serve over HTTP.
 //! * [`flight`] — bounded ring buffer of recent state transitions, dumped
-//!   to stderr on panic or `SIGUSR1` (DESIGN.md §11).
+//!   to stderr on panic or `SIGUSR1` (DESIGN.md §7).
 //! * [`signal`] — the SIGINT/SIGTERM/SIGUSR1 flags `hpc-watch` and
 //!   `hpc-fleetd` poll.
 //!
@@ -55,7 +55,7 @@ pub mod window;
 
 pub use engine::{StreamConfig, StreamEngine, StreamStats};
 pub use flight::{FlightEntry, FlightRecorder};
-pub use follow::{FollowDir, FollowStats};
+pub use follow::{feed_time_aligned, FollowDir, FollowStats};
 pub use heartbeat::{heartbeat_line, FollowHealth, HeartbeatWriter, HEARTBEAT_VERSION};
 pub use merger::StreamMerger;
 pub use sink::{AlertSink, JsonlSink, TextSink};

@@ -20,7 +20,6 @@ use std::sync::OnceLock;
 use hpc_diagnosis::prediction::{raise_alerts, PredictorConfig};
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_faultsim::Scenario;
-use hpc_logs::parse::split_timestamp;
 use hpc_logs::time::{SimDuration, SimTime};
 use hpc_logs::{LogArchive, LogSource};
 use hpc_platform::SystemId;
@@ -52,25 +51,8 @@ fn fixture() -> &'static Fixture {
 /// Feeds lines in global timestamp order with per-source FIFO preserved —
 /// the arrival order of a live merged feed.
 fn feed_time_aligned(engine: &mut StreamEngine, archive: &LogArchive) {
-    let lines: Vec<&[String]> = LogSource::ALL.iter().map(|&s| archive.lines(s)).collect();
-    let mut idx = [0usize; 4];
-    let mut clock = [SimTime::EPOCH; 4];
-    loop {
-        let mut best: Option<(SimTime, usize)> = None;
-        for si in 0..4 {
-            let Some(line) = lines[si].get(idx[si]) else {
-                continue;
-            };
-            let t = split_timestamp(line).map_or(clock[si], |(t, _)| t);
-            if best.is_none_or(|b| (t, si) < b) {
-                best = Some((t, si));
-            }
-        }
-        let Some((t, si)) = best else { break };
-        clock[si] = t;
-        engine.push_line(LogSource::ALL[si], &lines[si][idx[si]]);
-        idx[si] += 1;
-    }
+    let lines = LogSource::ALL.map(|s| archive.lines(s));
+    hpc_stream::feed_time_aligned(engine, &lines, &mut [SimTime::EPOCH; 4]);
     for source in LogSource::ALL {
         engine.finish_source(source);
     }

@@ -2,6 +2,7 @@
 //! under the exit-2 contract, probe an output path before the work, print
 //! the telemetry epilogue after it.
 
+use std::io::ErrorKind;
 use std::process::exit;
 use std::str::FromStr;
 
@@ -64,13 +65,20 @@ impl Iterator for Flags {
 
 /// Fails fast — one line, exit 1 — if `path` cannot be created/appended,
 /// so an unwritable output flag is reported before any work is done
-/// rather than as a lost artefact (or an exit-time error) after it.
+/// rather than as a lost artefact (or an exit-time error) after it. A file
+/// the probe had to create is removed again, so a run that fails later
+/// leaves no empty output behind; one that already existed is untouched.
 pub fn probe_writable(path: &str) {
-    if let Err(e) = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-    {
+    let mut options = std::fs::OpenOptions::new();
+    options.append(true);
+    let probed = match options.create_new(true).open(path) {
+        Ok(_) => std::fs::remove_file(path),
+        Err(e) if e.kind() == ErrorKind::AlreadyExists => {
+            options.create_new(false).open(path).map(drop)
+        }
+        Err(e) => Err(e),
+    };
+    if let Err(e) = probed {
         eprintln!("cannot write {path}: {e}");
         exit(1);
     }
@@ -94,5 +102,24 @@ pub fn exit_report(json_path: Option<&str>) {
             exit(1);
         }
         eprintln!("telemetry JSON written to {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn probe_keeps_an_existing_file_and_removes_its_own() {
+        let dir = std::env::temp_dir().join(format!("hpc-telemetry-probe-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let existing = dir.join("existing.json");
+        std::fs::write(&existing, b"{\"kept\": true}").unwrap();
+        probe_writable(existing.to_str().unwrap());
+        assert_eq!(std::fs::read(&existing).unwrap(), b"{\"kept\": true}");
+        let fresh = dir.join("fresh.json");
+        probe_writable(fresh.to_str().unwrap());
+        assert!(!fresh.exists(), "the probe left its own file behind");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -16,9 +16,9 @@
 //!   span tree ([`SpanNode`], rendered by [`profile_table`] with per-node
 //!   wall/self time and call counts), and with `HPC_TRACE=1` emits a
 //!   nested enter/exit trace on stderr.
-//! - [`Recorder`] — sink trait; [`TextRecorder`] renders the per-stage
-//!   summary table the CLIs print, [`JsonRecorder`] writes the full
-//!   registry as JSON (`--telemetry-json`).
+//! - [`Snapshot`] — one consistent read of the registry;
+//!   [`summary_table`] renders the per-stage table the CLIs print,
+//!   [`Snapshot::to_json`] the full registry as JSON (`--telemetry-json`).
 //!
 //! Metric names follow `<crate>.<stage>.<metric>` (e.g.
 //! `core.ingest.merge.time_us`, `faultsim.events.fatal_mce`); the
@@ -40,8 +40,7 @@
 //!
 //! Disabled-by-default costs: tracing is off unless requested, and the
 //! instrumentation updates metrics at stage granularity (a handful of
-//! atomic ops per pipeline run), keeping overhead on the `pipeline`
-//! bench well under the 2% budget.
+//! atomic ops per pipeline run).
 
 pub mod cli;
 pub mod json;
@@ -52,8 +51,6 @@ pub mod span;
 
 pub use cli::{exit_report, probe_writable, Flags};
 pub use metrics::{Bucket, Counter, Gauge, Histogram, HistogramSnapshot};
-pub use recorder::{
-    profile_table, render_text, summary_table, JsonRecorder, Recorder, TextRecorder,
-};
+pub use recorder::{profile_table, render_text, summary_table};
 pub use registry::{counter, gauge, histogram, reset, snapshot, Registry, Snapshot};
 pub use span::{set_trace, set_trace_writer, trace_enabled, tree_snapshot, Span, SpanNode};

@@ -1,57 +1,10 @@
-//! Sinks that turn a registry [`Snapshot`] into output for humans or
-//! machines.
-//!
-//! Two built-ins cover the CLI needs: [`TextRecorder`] renders the
-//! per-stage summary table the binaries print on stderr, and
-//! [`JsonRecorder`] writes the machine-readable report consumed by CI
-//! and by `crates/bench` perf-trajectory diffs.
-
-use std::io::{self, Write};
+//! Renderings of a registry [`Snapshot`] for humans: [`summary_table`] is
+//! the per-stage table the binaries print on stderr, [`profile_table`] the
+//! indented span profile under it, [`render_text`] both plus counters and
+//! gauges. The machine-readable form is [`Snapshot::to_json`].
 
 use crate::registry::Snapshot;
 use crate::span::fmt_us;
-
-/// A destination for telemetry snapshots.
-pub trait Recorder {
-    /// Writes one snapshot.
-    fn record(&mut self, snapshot: &Snapshot) -> io::Result<()>;
-}
-
-/// Human-readable sink: stage table plus counters and gauges.
-pub struct TextRecorder<W: Write> {
-    writer: W,
-}
-
-impl<W: Write> TextRecorder<W> {
-    /// Text recorder writing to `writer`.
-    pub fn new(writer: W) -> TextRecorder<W> {
-        TextRecorder { writer }
-    }
-}
-
-impl<W: Write> Recorder for TextRecorder<W> {
-    fn record(&mut self, snapshot: &Snapshot) -> io::Result<()> {
-        self.writer.write_all(render_text(snapshot).as_bytes())
-    }
-}
-
-/// Machine-readable sink: serialises the full registry as JSON.
-pub struct JsonRecorder<W: Write> {
-    writer: W,
-}
-
-impl<W: Write> JsonRecorder<W> {
-    /// JSON recorder writing to `writer`.
-    pub fn new(writer: W) -> JsonRecorder<W> {
-        JsonRecorder { writer }
-    }
-}
-
-impl<W: Write> Recorder for JsonRecorder<W> {
-    fn record(&mut self, snapshot: &Snapshot) -> io::Result<()> {
-        self.writer.write_all(snapshot.to_json().as_bytes())
-    }
-}
 
 /// Renders rows as a table whose column widths are all sized from the
 /// content (header included): the first column is left-aligned, the rest
@@ -215,12 +168,8 @@ mod tests {
     #[test]
     fn recorders_write_through() {
         let snap = sample();
-        let mut text = Vec::new();
-        TextRecorder::new(&mut text).record(&snap).unwrap();
-        assert!(!text.is_empty());
-        let mut json = Vec::new();
-        JsonRecorder::new(&mut json).record(&snap).unwrap();
-        let parsed = Snapshot::from_json(std::str::from_utf8(&json).unwrap()).unwrap();
+        assert!(!render_text(&snap).is_empty());
+        let parsed = Snapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(parsed.counter("ingest.lines"), Some(120));
     }
 

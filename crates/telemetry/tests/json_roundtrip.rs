@@ -1,6 +1,6 @@
 //! JSON sink round-trip: serialize → parse → identical totals.
 
-use hpc_telemetry::{JsonRecorder, Recorder, Registry, Snapshot};
+use hpc_telemetry::{Registry, Snapshot};
 
 fn populated_registry() -> Registry {
     let r = Registry::new();
@@ -27,9 +27,7 @@ fn snapshot_round_trips_through_json() {
 #[test]
 fn recorder_output_parses_with_same_totals() {
     let snap = populated_registry().snapshot();
-    let mut buf = Vec::new();
-    JsonRecorder::new(&mut buf).record(&snap).unwrap();
-    let back = Snapshot::from_json(std::str::from_utf8(&buf).unwrap()).unwrap();
+    let back = Snapshot::from_json(&snap.to_json()).unwrap();
     assert_eq!(back.counter("ingest.lines"), Some(123_456));
     assert_eq!(back.counter("ingest.skipped_lines"), Some(7));
     assert_eq!(back.gauge("faultsim.wall_us_per_sim_day"), Some(1234.5));

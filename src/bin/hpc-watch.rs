@@ -33,7 +33,7 @@
 //! A bounded flight recorder retains the last 256 state transitions
 //! (alerts, failures, quarantine flips, signals, heartbeats). SIGUSR1
 //! dumps it to stderr (and `--flight-file`) without stopping the monitor;
-//! a panic dumps it before the backtrace (DESIGN.md §11).
+//! a panic dumps it before the backtrace (DESIGN.md §7).
 
 use std::path::PathBuf;
 use std::process::exit;

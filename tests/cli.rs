@@ -334,6 +334,64 @@ fn diagnose_fails_fast_on_unwritable_outputs() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The probes must not outlive a run that fails after them: an empty log
+/// directory is refused once both output paths were found writable.
+#[test]
+fn diagnose_failing_after_the_probes_leaves_no_empty_outputs() {
+    let dir = tmpdir("diag-probe-cleanup");
+    let logs = dir.join("logs");
+    let empty = dir.join("empty");
+    std::fs::create_dir_all(&empty).unwrap();
+    let sim = Command::new(env!("CARGO_BIN_EXE_hpc-simulate"))
+        .args([logs.to_str().unwrap(), "S1", "1", "1", "7"])
+        .output()
+        .expect("run hpc-simulate");
+    assert!(sim.status.success(), "simulate failed: {sim:?}");
+    let diagnose = |logs: &std::path::Path, store: &std::path::Path, json: &std::path::Path| {
+        Command::new(env!("CARGO_BIN_EXE_hpc-diagnose"))
+            .arg(logs)
+            .arg("--save-store")
+            .arg(store)
+            .arg("--telemetry-json")
+            .arg(json)
+            .output()
+            .expect("run hpc-diagnose")
+    };
+    let count = |store: &std::path::Path| {
+        let out = Command::new(env!("CARGO_BIN_EXE_hpc-query"))
+            .arg(store)
+            .arg("count")
+            .output()
+            .expect("run hpc-query count");
+        assert!(out.status.success(), "count failed: {out:?}");
+        out.stdout
+    };
+    let good = dir.join("good-store");
+    let saved = diagnose(&logs, &good, &dir.join("good.json"));
+    assert!(saved.status.success(), "save-store failed: {saved:?}");
+    let before = count(&good);
+
+    for store in [dir.join("fresh-store"), good.clone()] {
+        let json = dir.join("failed.json");
+        let failed = diagnose(&empty, &store, &json);
+        assert_eq!(failed.status.code(), Some(1), "{failed:?}");
+        assert!(
+            String::from_utf8_lossy(&failed.stderr).contains("no log lines found"),
+            "{failed:?}"
+        );
+        assert!(!json.exists(), "probe left {}", json.display());
+        if store == good {
+            assert_eq!(count(&good), before, "a failed run damaged the store");
+        } else {
+            assert!(
+                !store.join("MANIFEST.json").exists(),
+                "probe left a manifest"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn watch_fails_fast_on_unwritable_outputs() {
     let dir = tmpdir("watch-unwritable");
