@@ -20,7 +20,8 @@ use serde::{Deserialize, Serialize};
 use hpc_logs::event::{JobId, Payload};
 use hpc_platform::{BladeId, NodeId};
 
-use crate::jobs::{shared_job_groups, JobLog};
+use crate::detection::DetectedFailure;
+use crate::jobs::{shared_job_groups, JobLog, SharedJobGroup};
 use crate::pipeline::Diagnosis;
 use crate::root_cause::{classify_all, CauseClass, InferredCause};
 
@@ -74,11 +75,21 @@ pub struct Advisory {
 
 /// Derives advisories from a diagnosis.
 pub fn advise(d: &Diagnosis, jobs: &JobLog) -> Vec<Advisory> {
+    advise_from(d, jobs, &classify_all(d), shared_job_groups(d, jobs, 2))
+}
+
+/// [`advise`] over a classification and the ≥2-node shared-job groups the
+/// caller already holds.
+pub(crate) fn advise_from(
+    d: &Diagnosis,
+    jobs: &JobLog,
+    classified: &[(DetectedFailure, InferredCause)],
+    groups: Vec<SharedJobGroup>,
+) -> Vec<Advisory> {
     let mut out = Vec::new();
-    let classified = classify_all(d);
 
     // 1. Buggy jobs: any job sharing ≥2 failures.
-    for group in shared_job_groups(d, jobs, 2) {
+    for group in groups {
         let user = jobs.get(group.job).map(|j| j.user);
         out.push(Advisory {
             rationale: format!(
@@ -95,7 +106,7 @@ pub fn advise(d: &Diagnosis, jobs: &JobLog) -> Vec<Advisory> {
     }
 
     // 2/3. Per-failure node disposition.
-    for (failure, cause) in &classified {
+    for (failure, cause) in classified {
         match cause.class() {
             CauseClass::Application => out.push(Advisory {
                 rationale: format!(

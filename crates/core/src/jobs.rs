@@ -50,7 +50,12 @@ impl JobRecord {
     /// Whether the job occupied `node` at `t` (unended jobs count as
     /// occupying until the end of the window).
     pub fn active_on(&self, node: NodeId, t: SimTime) -> bool {
-        self.start <= t && self.end.is_none_or(|e| t < e) && self.nodes.contains(&node)
+        self.active_at(t) && self.nodes.contains(&node)
+    }
+
+    /// Whether the job was running anywhere at `t`.
+    pub fn active_at(&self, t: SimTime) -> bool {
+        self.start <= t && self.end.is_none_or(|e| t < e)
     }
 }
 
@@ -149,14 +154,9 @@ impl JobLog {
         self.jobs.get(&id)
     }
 
-    /// All jobs.
+    /// All jobs, in id order.
     pub fn jobs(&self) -> impl Iterator<Item = &JobRecord> {
         self.jobs.values()
-    }
-
-    /// The job running on `node` at `t`, if any.
-    pub fn job_on(&self, node: NodeId, t: SimTime) -> Option<&JobRecord> {
-        self.jobs.values().find(|j| j.active_on(node, t))
     }
 }
 
@@ -273,16 +273,53 @@ pub struct SharedJobGroup {
     pub times: Vec<SimTime>,
 }
 
+/// How long before the manifestation a failure's job is looked up: the
+/// scheduler may have truncated the job *at* the failure.
+const PROBE_BACKOFF: SimDuration = SimDuration::from_mins(3);
+
+/// Width of the failed-node filter in bits. Exact for any machine below
+/// 65,536 nodes; on larger (or corrupted) node ids two nodes may share a
+/// bit and the search behind the filter tells them apart.
+const FILTER_BITS: usize = 1 << 16;
+
 /// Groups detected failures by the job running on the failed node at
 /// failure time; returns groups of at least `min_nodes`.
+///
+/// A failure belongs to the first job in id order that is active on its
+/// node [`PROBE_BACKOFF`] before it. The job log is swept once for all
+/// failures: each allocated node is tested against a bitset of failed nodes.
 pub fn shared_job_groups(d: &Diagnosis, jobs: &JobLog, min_nodes: usize) -> Vec<SharedJobGroup> {
+    // Failure indices by node, each node's failures in detection order.
+    let mut by_node: Vec<(NodeId, usize)> = (d.failures.iter().map(|f| f.node).zip(0..)).collect();
+    by_node.sort_unstable();
+    let bit = |n: NodeId| (n.0 as usize % FILTER_BITS / 64, 1u64 << (n.0 % 64));
+    let mut marked = vec![0u64; FILTER_BITS / 64];
+    for &(n, _) in &by_node {
+        let (word, mask) = bit(n);
+        marked[word] |= mask;
+    }
+
+    let mut owner: Vec<Option<JobId>> = vec![None; d.failures.len()];
+    for j in jobs.jobs() {
+        for &n in &j.nodes {
+            let (word, mask) = bit(n);
+            if marked[word] & mask == 0 {
+                continue;
+            }
+            let first = by_node.partition_point(|&(m, _)| m < n);
+            for &(_, i) in by_node[first..].iter().take_while(|&&(m, _)| m == n) {
+                let probe = d.failures[i].time.saturating_sub(PROBE_BACKOFF);
+                if owner[i].is_none() && j.active_at(probe) {
+                    owner[i] = Some(j.id);
+                }
+            }
+        }
+    }
+
     let mut by_job: BTreeMap<JobId, (Vec<NodeId>, Vec<SimTime>)> = BTreeMap::new();
-    for f in &d.failures {
-        // The job may have been truncated *at* the failure; probe slightly
-        // before the manifestation.
-        let probe = f.time.saturating_sub(SimDuration::from_mins(3));
-        if let Some(j) = jobs.job_on(f.node, probe) {
-            let entry = by_job.entry(j.id).or_default();
+    for (f, job) in d.failures.iter().zip(owner) {
+        if let Some(job) = job {
+            let entry = by_job.entry(job).or_default();
             entry.0.push(f.node);
             entry.1.push(f.time);
         }
@@ -385,6 +422,74 @@ mod tests {
             }
         }
         assert!(confirmed >= 2, "group membership not confirmed by truth");
+    }
+
+    #[test]
+    fn shared_job_sweep_keeps_the_first_job_in_id_order() {
+        use hpc_logs::event::{Apid, ConsoleDetail, PanicReason};
+        let at = |secs: u64, payload| LogEvent {
+            time: SimTime::EPOCH + SimDuration::from_secs(secs),
+            payload,
+        };
+        let start = |secs, job: u64, node: u32| {
+            let detail = SchedulerDetail::JobStart {
+                job: JobId(job),
+                apid: Apid(job),
+                user: 1000,
+                app: AppKind::MpiSimulation,
+                nodes: vec![NodeId(node)],
+                mem_per_node_mib: 1024,
+            };
+            at(secs, Payload::Scheduler { detail })
+        };
+        let end = |secs, job: u64| {
+            let detail = SchedulerDetail::JobEnd {
+                job: JobId(job),
+                exit_code: 0,
+                reason: JobEndReason::Completed,
+            };
+            at(secs, Payload::Scheduler { detail })
+        };
+        let panic = |secs, node: u32| {
+            let reason = PanicReason::KernelBug;
+            let detail = ConsoleDetail::KernelPanic { reason };
+            let node = NodeId(node);
+            at(secs, Payload::Console { node, detail })
+        };
+        let events = vec![
+            // Node 5: jobs 9 and 4 both run (and never end) when it fails;
+            // job 1 sits on the node that shares node 5's filter bit.
+            start(0, 9, 5),
+            start(0, 1, 5 + FILTER_BITS as u32),
+            // Node 7 fails at 2 min, so its probe saturates to the epoch:
+            // job 2 ran then, job 3 (running at the failure) had not begun.
+            start(0, 2, 7),
+            start(30, 3, 7),
+            end(60, 2),
+            start(60, 4, 5),
+            panic(120, 7),
+            panic(600, 5),
+        ];
+        // Two failures on a machine this small would read as an outage.
+        let config = DiagnosisConfig {
+            exclude_swos: false,
+            ..DiagnosisConfig::default()
+        };
+        let d = Diagnosis::from_events(events, 0, config);
+        let jobs = JobLog::from_diagnosis(&d);
+        let groups = shared_job_groups(&d, &jobs, 1);
+        let got: Vec<_> = groups.iter().map(|g| (g.job, &g.nodes[..])).collect();
+        assert_eq!(
+            got,
+            [(JobId(2), &[NodeId(7)][..]), (JobId(4), &[NodeId(5)][..])]
+        );
+        for (g, f) in groups.iter().zip(&d.failures) {
+            assert_eq!(g.times, [f.time]);
+            // What the sweep replaced: every job probed per failure.
+            let probe = f.time.saturating_sub(PROBE_BACKOFF);
+            let scanned = jobs.jobs().find(|j| j.active_on(f.node, probe));
+            assert_eq!(scanned.map(|j| j.id), Some(g.job));
+        }
     }
 
     #[test]

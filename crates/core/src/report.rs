@@ -7,13 +7,17 @@
 //! the paper uses. [`FINDINGS`] reproduces Table VI's findings ↔
 //! recommendations pairs, and [`render_findings`] prints them.
 
-use hpc_logs::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 
+use hpc_logs::time::{SimDuration, SimTime};
+use hpc_platform::NodeId;
+
+use crate::advisor::{advise_from, render_advisories};
 use crate::detection::DetectedFailure;
-use crate::jobs::{shared_job_groups, JobLog};
-use crate::lead_time::{lead_times, LeadTimeRecord};
+use crate::jobs::{shared_job_groups, JobLog, SharedJobGroup};
+use crate::lead_time::{lead_times, summarize, LeadTimeRecord, LeadTimeSummary};
 use crate::pipeline::Diagnosis;
-use crate::root_cause::{classify_all, InferredCause};
+use crate::root_cause::{classify_all, CauseBreakdown, CauseClass, Fig16Bucket, InferredCause};
 
 /// One rendered case study.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,8 +37,17 @@ pub struct CaseStudy {
 /// Searches the diagnosis for instances of the five Table V archetypes.
 /// Archetypes with no instance in this window are omitted.
 pub fn case_studies(d: &Diagnosis, jobs: &JobLog) -> Vec<CaseStudy> {
-    let classified = classify_all(d);
-    let leads = lead_times(d);
+    let groups = shared_job_groups(d, jobs, 2);
+    case_studies_from(&classify_all(d), &lead_times(d), &groups)
+}
+
+/// [`case_studies`] over a classification, lead times and the ≥2-node
+/// shared-job groups the caller already holds.
+fn case_studies_from(
+    classified: &[(DetectedFailure, InferredCause)],
+    leads: &[LeadTimeRecord],
+    groups: &[SharedJobGroup],
+) -> Vec<CaseStudy> {
     let mut out = Vec::new();
 
     // Case 1: L0_sysd_mce with no deducible cause.
@@ -75,22 +88,22 @@ pub fn case_studies(d: &Diagnosis, jobs: &JobLog) -> Vec<CaseStudy> {
         }
     }
 
-    // Case 3: multi-node same-job memory exhaustion.
-    for group in shared_job_groups(d, jobs, 2) {
-        let all_oom = group.nodes.iter().all(|n| {
-            classified
-                .iter()
-                .any(|(f, c)| f.node == *n && *c == InferredCause::MemoryExhaustion)
-        });
-        if all_oom {
+    // Case 3: multi-node same-job memory exhaustion. A group is its own
+    // (node, time) pairs, not every failure its nodes ever had.
+    let by_incident: BTreeMap<(NodeId, SimTime), _> = (classified.iter())
+        .map(|(f, c)| ((f.node, f.time), (f, c)))
+        .collect();
+    for group in groups {
+        let all_oom: Option<Vec<DetectedFailure>> = (group.nodes.iter().zip(&group.times))
+            .map(|(n, t)| match by_incident.get(&(*n, *t)) {
+                Some((f, InferredCause::MemoryExhaustion)) => Some(**f),
+                _ => None,
+            })
+            .collect();
+        if let Some(failures) = all_oom {
             out.push(CaseStudy {
                 title: "same-job multi-node failures via oom-killer",
-                failures: d
-                    .failures
-                    .iter()
-                    .filter(|f| group.nodes.contains(&f.node))
-                    .copied()
-                    .collect(),
+                failures,
                 internal: "oom-killer invoked → kernel oops with app-based call trace, similar \
                            times and patterns on all nodes"
                     .into(),
@@ -233,10 +246,12 @@ pub fn render_findings() -> String {
 
 /// A one-screen textual summary of a whole diagnosis (used by examples).
 pub fn render_summary(d: &Diagnosis, jobs: &JobLog) -> String {
-    use crate::root_cause::{CauseBreakdown, CauseClass};
+    let leads = summarize(&lead_times(d));
+    summary(d, jobs, &CauseBreakdown::compute(d), &leads)
+}
+
+fn summary(d: &Diagnosis, jobs: &JobLog, b: &CauseBreakdown, leads: &LeadTimeSummary) -> String {
     let (from, to) = d.window();
-    let b = CauseBreakdown::compute(d);
-    let leads = crate::lead_time::summarize(&lead_times(d));
     let mut s = String::new();
     s.push_str(&format!(
         "window: {from} .. {to}\nevents: {}   skipped lines: {}\nfailures: {}\n",
@@ -268,15 +283,21 @@ pub fn render_summary(d: &Diagnosis, jobs: &JobLog) -> String {
 /// The complete five-section report `hpc-diagnose` prints on stdout:
 /// summary, root-cause breakdown, lead-time analysis, case studies and
 /// operator advisories. One string so batch tooling, benches and the
-/// golden-report CI check all render through the same code path.
+/// golden-report CI check all render through the same code path. The
+/// classification, the lead times and the shared-job groups are each
+/// derived once and handed to the sections that read them.
 pub fn full_report(d: &Diagnosis, jobs: &JobLog) -> String {
-    use crate::root_cause::{CauseBreakdown, Fig16Bucket};
+    let classified = classify_all(d);
+    let leads = lead_times(d);
+    let groups = shared_job_groups(d, jobs, 2);
+    let b = CauseBreakdown::of(&classified);
+    let l = summarize(&leads);
+
     let mut s = String::new();
     s.push_str("=== summary ===\n");
-    s.push_str(&render_summary(d, jobs));
+    s.push_str(&summary(d, jobs, &b, &l));
 
     s.push_str("\n=== root-cause breakdown ===\n");
-    let b = CauseBreakdown::compute(d);
     for bucket in Fig16Bucket::ALL {
         s.push_str(&format!(
             "  {:<9} {:5.1}%\n",
@@ -286,7 +307,6 @@ pub fn full_report(d: &Diagnosis, jobs: &JobLog) -> String {
     }
 
     s.push_str("\n=== lead-time analysis ===\n");
-    let l = crate::lead_time::summarize(&lead_times(d));
     s.push_str(&format!(
         "  internal lead {:.1} min | external lead {:.1} min | factor {:.1}x | enhanceable {:.1}%\n",
         l.mean_internal_mins,
@@ -296,12 +316,12 @@ pub fn full_report(d: &Diagnosis, jobs: &JobLog) -> String {
     ));
 
     s.push_str("\n=== case studies ===\n");
-    s.push_str(&render_case_studies(&case_studies(d, jobs)));
+    let cases = case_studies_from(&classified, &leads, &groups);
+    s.push_str(&render_case_studies(&cases));
 
     s.push_str("\n=== advisories ===\n");
-    s.push_str(&crate::advisor::render_advisories(&crate::advisor::advise(
-        d, jobs,
-    )));
+    let advisories = advise_from(d, jobs, &classified, groups);
+    s.push_str(&render_advisories(&advisories));
     s
 }
 
@@ -332,6 +352,55 @@ mod tests {
             assert!(!c.failures.is_empty());
             assert!(rendered.contains(c.title));
         }
+    }
+
+    /// A window in which both nodes of the reported same-job OOM group fail
+    /// again on other days.
+    fn repeat_offender_window() -> (Diagnosis, JobLog) {
+        let out = Scenario::new(SystemId::S1, 2, 28, 17).run();
+        let d = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());
+        let jobs = JobLog::from_diagnosis(&d);
+        (d, jobs)
+    }
+
+    #[test]
+    fn same_job_case_lists_exactly_the_group() {
+        let (d, jobs) = repeat_offender_window();
+        let cases = case_studies(&d, &jobs);
+        let oom = (cases.iter())
+            .find(|c| c.title.contains("same-job"))
+            .expect("this window has a same-job OOM group");
+        let groups = shared_job_groups(&d, &jobs, 2);
+        let group = (groups.iter())
+            .find(|g| oom.external.contains(&format!("(job {})", g.job)))
+            .expect("the case names its job");
+        let repeats = (d.failures.iter())
+            .filter(|f| group.nodes.contains(&f.node))
+            .count();
+        assert!(repeats > group.nodes.len(), "no node of the group repeats");
+
+        assert_eq!(oom.failures.len(), group.nodes.len());
+        for f in &oom.failures {
+            let mut members = group.nodes.iter().zip(&group.times);
+            assert!(members.any(|(n, t)| (*n, *t) == (f.node, f.time)));
+            let cause = crate::root_cause::classify(&d, f);
+            assert_eq!(cause, InferredCause::MemoryExhaustion);
+        }
+    }
+
+    #[test]
+    fn full_report_repeats_the_per_section_entry_points() {
+        // Classification, lead times and groups derived once must print
+        // what each section's own entry point prints.
+        let (d, jobs) = repeat_offender_window();
+        let report = full_report(&d, &jobs);
+        assert!(report.contains(&render_summary(&d, &jobs)));
+        let cases = render_case_studies(&case_studies(&d, &jobs));
+        assert!(cases.contains("same-job"), "{cases}");
+        assert!(report.contains(&cases));
+        let advisories = render_advisories(&crate::advisor::advise(&d, &jobs));
+        assert!(advisories.contains("BLOCK-JOB"), "{advisories}");
+        assert!(report.ends_with(&advisories));
     }
 
     #[test]

@@ -351,8 +351,13 @@ pub struct CauseBreakdown {
 impl CauseBreakdown {
     /// Builds the breakdown from a diagnosis.
     pub fn compute(d: &Diagnosis) -> CauseBreakdown {
+        CauseBreakdown::of(&classify_all(d))
+    }
+
+    /// Builds the breakdown from already classified failures.
+    pub fn of(classified: &[(DetectedFailure, InferredCause)]) -> CauseBreakdown {
         let mut out = CauseBreakdown::default();
-        for (_, cause) in classify_all(d) {
+        for &(_, cause) in classified {
             out.total += 1;
             *out.by_cause.entry(cause).or_insert(0) += 1;
             *out.by_bucket.entry(cause.fig16_bucket()).or_insert(0) += 1;

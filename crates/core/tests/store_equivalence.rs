@@ -6,11 +6,15 @@
 //! divergence in range bounds, class partitioning or entity attribution
 //! shows up as a counterexample.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use hpc_diagnosis::detection::{DetectedFailure, TerminalKind};
 use hpc_diagnosis::external::{nhf_correspondence, nvf_correspondence, FaultCorrespondence};
-use hpc_diagnosis::jobs::{overallocation_analysis, JobLog, OverallocationJob};
+use hpc_diagnosis::jobs::{
+    overallocation_analysis, shared_job_groups, JobLog, OverallocationJob, SharedJobGroup,
+};
 use hpc_diagnosis::lead_time::{
     false_positive_analysis, is_external_indicator, is_indicative_internal, lead_times,
     FalsePositiveComparison, LeadTimeRecord,
@@ -27,16 +31,23 @@ use hpc_platform::NodeId;
 /// A sorted event soup covering every index the store builds: failure
 /// terminals, external faults (blade-scoped controller), indicative
 /// internal symptoms, job lifecycle records and chaff.
+///
+/// Half the soups spread over 64 nodes, half crowd onto 6 so that several
+/// failures, overlapping jobs and faults meet on one node.
 fn event_soup() -> impl Strategy<Value = Vec<LogEvent>> {
+    prop_oneof![event_soup_on(64), event_soup_on(6)]
+}
+
+fn event_soup_on(nodes: u32) -> impl Strategy<Value = Vec<LogEvent>> {
     prop::collection::vec(
         (
             0u64..200_000_000u64,
-            0u32..64,
+            0..nodes,
             prop::sample::select(vec![0u8, 1, 2, 3, 4, 5, 6, 7]),
         ),
         0..120,
     )
-    .prop_map(|mut raw| {
+    .prop_map(move |mut raw| {
         raw.sort();
         raw.into_iter()
             .map(|(ms, node_raw, kind)| {
@@ -74,7 +85,7 @@ fn event_soup() -> impl Strategy<Value = Vec<LogEvent>> {
                             apid: Apid(job.0 + 1),
                             user: 1000 + job.0 as u32,
                             app: AppKind::MpiSimulation,
-                            nodes: vec![node, NodeId((node_raw + 1) % 64)],
+                            nodes: vec![node, NodeId((node_raw + 1) % nodes)],
                             mem_per_node_mib: 65536,
                         },
                     },
@@ -289,6 +300,25 @@ fn naive_overallocation(d: &Diagnosis, jobs: &JobLog) -> Vec<OverallocationJob> 
         .collect()
 }
 
+/// Shared-job attribution the way it was first written: for every failure,
+/// the first job in id order that is active on the node just before it.
+fn naive_shared_job_groups(d: &Diagnosis, jobs: &JobLog, min_nodes: usize) -> Vec<SharedJobGroup> {
+    let mut by_job: BTreeMap<JobId, (Vec<NodeId>, Vec<SimTime>)> = BTreeMap::new();
+    for f in &d.failures {
+        let probe = f.time.saturating_sub(SimDuration::from_mins(3));
+        if let Some(j) = jobs.jobs().find(|j| j.active_on(f.node, probe)) {
+            let entry = by_job.entry(j.id).or_default();
+            entry.0.push(f.node);
+            entry.1.push(f.time);
+        }
+    }
+    by_job
+        .into_iter()
+        .filter(|(_, (nodes, _))| nodes.len() >= min_nodes)
+        .map(|(job, (nodes, times))| SharedJobGroup { job, nodes, times })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -332,6 +362,16 @@ proptest! {
         let jobs = JobLog::from_diagnosis(&d);
         prop_assert_eq!(&jobs, &JobLog::from_events(d.events()));
         prop_assert_eq!(overallocation_analysis(&d, &jobs), naive_overallocation(&d, &jobs));
+
+        // Shared-job attribution (Obs. 8): the one-sweep grouping names the
+        // same jobs, nodes and times, in the same order, as a scan of every
+        // job per failure — over overlapping, re-used-id and never-ended jobs.
+        for min_nodes in 1..=3 {
+            prop_assert_eq!(
+                shared_job_groups(&d, &jobs, min_nodes),
+                naive_shared_job_groups(&d, &jobs, min_nodes)
+            );
+        }
 
         // The windowed entity queries behind the blade/cabinet analyses.
         let (a, b) = d.window();

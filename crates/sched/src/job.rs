@@ -6,6 +6,8 @@
 //! were memory-overallocated. [`JobTimeline`] answers them; the text logs
 //! the diagnosis pipeline consumes are rendered from the same data.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 
 use hpc_logs::event::{Apid, AppKind, JobEndReason, JobId};
@@ -81,9 +83,20 @@ impl Job {
 }
 
 /// The complete job history of one simulated window.
+///
+/// Jobs are held in `(start, id)` order. Two lookups ride along so that
+/// the per-node and per-id questions do not walk every job's node list:
+/// each node's jobs as positions in that order, and each id's position.
+/// Nothing hands out `&mut Job`, and the only in-place amendment
+/// ([`Job::fail_at`]) moves `end`, which neither lookup reads.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct JobTimeline {
     jobs: Vec<Job>,
+    /// Indexed by node id: ascending positions in `jobs` of the jobs
+    /// allocated on that node.
+    by_node: Vec<Vec<u32>>,
+    /// Position in `jobs` of the first job carrying each id.
+    by_id: HashMap<JobId, u32>,
 }
 
 impl JobTimeline {
@@ -95,7 +108,12 @@ impl JobTimeline {
     /// Builds from a job list (sorted by start time internally).
     pub fn from_jobs(mut jobs: Vec<Job>) -> JobTimeline {
         jobs.sort_by_key(|j| (j.start, j.id));
-        JobTimeline { jobs }
+        let mut timeline = JobTimeline {
+            jobs,
+            ..JobTimeline::default()
+        };
+        timeline.index();
+        timeline
     }
 
     /// Adds a job (keeps start order).
@@ -104,16 +122,31 @@ impl JobTimeline {
             .jobs
             .partition_point(|j| (j.start, j.id) <= (job.start, job.id));
         self.jobs.insert(pos, job);
+        // Every later position moved; the insert was O(n) already.
+        self.index();
+    }
+
+    fn index(&mut self) {
+        self.by_node.clear();
+        self.by_id.clear();
+        for (pos, job) in (0u32..).zip(&self.jobs) {
+            self.by_id.entry(job.id).or_insert(pos);
+            for node in &job.nodes {
+                let node = node.0 as usize;
+                if node >= self.by_node.len() {
+                    self.by_node.resize_with(node + 1, Vec::new);
+                }
+                // A node listed twice in one allocation is still one job.
+                if self.by_node[node].last() != Some(&pos) {
+                    self.by_node[node].push(pos);
+                }
+            }
+        }
     }
 
     /// All jobs in start order.
     pub fn jobs(&self) -> &[Job] {
         &self.jobs
-    }
-
-    /// Mutable access for post-hoc amendment (node-failure truncation).
-    pub fn jobs_mut(&mut self) -> &mut [Job] {
-        &mut self.jobs
     }
 
     /// Number of jobs.
@@ -128,13 +161,16 @@ impl JobTimeline {
 
     /// Looks up a job by id.
     pub fn get(&self, id: JobId) -> Option<&Job> {
-        self.jobs.iter().find(|j| j.id == id)
+        self.by_id.get(&id).map(|&pos| &self.jobs[pos as usize])
     }
 
     /// The job running on `node` at `t`, if any (nodes run one job at a
-    /// time in this model, matching dedicated-node HPC scheduling).
+    /// time in this model, matching dedicated-node HPC scheduling); the
+    /// first in `(start, id)` order should several overlap.
     pub fn job_on(&self, node: NodeId, t: SimTime) -> Option<&Job> {
-        self.jobs.iter().find(|j| j.active_on(node, t))
+        self.jobs_touching(node)
+            .take_while(|j| j.start <= t)
+            .find(|j| j.active_at(t))
     }
 
     /// Jobs active anywhere at instant `t`.
@@ -142,17 +178,19 @@ impl JobTimeline {
         self.jobs.iter().filter(move |j| j.active_at(t))
     }
 
-    /// Jobs whose node set includes `node`.
+    /// Jobs whose node set includes `node`, in `(start, id)` order.
     pub fn jobs_touching(&self, node: NodeId) -> impl Iterator<Item = &Job> {
-        self.jobs.iter().filter(move |j| j.nodes.contains(&node))
+        let positions = self.by_node.get(node.0 as usize);
+        (positions.into_iter().flatten()).map(|&pos| &self.jobs[pos as usize])
     }
 
     /// Truncates every job running on `node` at `t` with a node-fail end.
-    /// Returns the ids of the jobs affected.
+    /// Returns the ids of the jobs affected, in `(start, id)` order.
     pub fn fail_node_at(&mut self, node: NodeId, t: SimTime) -> Vec<JobId> {
         let mut hit = Vec::new();
-        for j in &mut self.jobs {
-            if j.active_on(node, t) {
+        for &pos in self.by_node.get(node.0 as usize).into_iter().flatten() {
+            let j = &mut self.jobs[pos as usize];
+            if j.active_at(t) {
                 j.fail_at(t);
                 hit.push(j.id);
             }
@@ -231,6 +269,73 @@ mod tests {
         assert_eq!(t.get(JobId(1)).unwrap().end_reason, JobEndReason::NodeFail);
         assert_eq!(t.get(JobId(2)).unwrap().end_reason, JobEndReason::Completed);
         assert_eq!(t.get(JobId(3)).unwrap().end_reason, JobEndReason::Completed);
+    }
+
+    /// The pre-index answers: every job, every node list, in order.
+    fn linear_job_on(t: &JobTimeline, node: NodeId, at: SimTime) -> Option<JobId> {
+        let first = t.jobs().iter().find(|j| j.active_on(node, at));
+        first.map(|j| j.id)
+    }
+
+    fn linear_fail_node_at(jobs: &mut [Job], node: NodeId, at: SimTime) -> Vec<JobId> {
+        let mut hit = Vec::new();
+        for j in jobs.iter_mut().filter(|j| j.active_on(node, at)) {
+            j.fail_at(at);
+            hit.push(j.id);
+        }
+        hit
+    }
+
+    #[test]
+    fn indexed_lookups_match_the_linear_scans() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Twelve nodes and 200 ms of starts: overlaps, equal starts and
+            // a node listed twice are all common.
+            let mut random_job = |id: u64| {
+                let width = rng.gen_range(1..=4);
+                let nodes: Vec<u32> = (0..width).map(|_| rng.gen_range(0..12)).collect();
+                let start = rng.gen_range(0..200);
+                job(id, &nodes, start, start + rng.gen_range(1..80))
+            };
+            let mut t = JobTimeline::from_jobs((1..=60).map(&mut random_job).collect());
+            for id in 61..=70 {
+                t.push(random_job(id));
+            }
+            let mut reference = t.jobs().to_vec();
+            assert!(reference
+                .windows(2)
+                .all(|w| (w[0].start, w[0].id) < (w[1].start, w[1].id)));
+
+            for round in 0..40 {
+                let node = NodeId(rng.gen_range(0..14));
+                let at = SimTime::from_millis(rng.gen_range(0..300));
+                assert_eq!(
+                    t.job_on(node, at).map(|j| j.id),
+                    linear_job_on(&t, node, at),
+                    "seed {seed} round {round}: job_on({node}, {at})"
+                );
+                let touching: Vec<JobId> = t.jobs_touching(node).map(|j| j.id).collect();
+                let linear: Vec<JobId> = (t.jobs().iter())
+                    .filter(|j| j.nodes.contains(&node))
+                    .map(|j| j.id)
+                    .collect();
+                assert_eq!(touching, linear);
+                // Truncation moves ends; later rounds query the amended jobs.
+                assert_eq!(
+                    t.fail_node_at(node, at),
+                    linear_fail_node_at(&mut reference, node, at),
+                    "seed {seed} round {round}: fail_node_at({node}, {at})"
+                );
+                assert_eq!(t.jobs(), &reference[..]);
+            }
+            for id in 0..=71 {
+                let linear = t.jobs().iter().find(|j| j.id == JobId(id));
+                assert_eq!(t.get(JobId(id)), linear);
+            }
+        }
     }
 
     #[test]
