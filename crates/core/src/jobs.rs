@@ -286,7 +286,7 @@ const FILTER_BITS: usize = 1 << 16;
 /// failure time; returns groups of at least `min_nodes`.
 ///
 /// A failure belongs to the first job in id order that is active on its
-/// node [`PROBE_BACKOFF`] before it. The job log is swept once for all
+/// node `PROBE_BACKOFF` before it. The job log is swept once for all
 /// failures: each allocated node is tested against a bitset of failed nodes.
 pub fn shared_job_groups(d: &Diagnosis, jobs: &JobLog, min_nodes: usize) -> Vec<SharedJobGroup> {
     // Failure indices by node, each node's failures in detection order.

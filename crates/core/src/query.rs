@@ -30,7 +30,7 @@ use std::borrow::Borrow;
 use std::collections::{BTreeMap, VecDeque};
 
 use hpc_logs::event::{nid_name, parse_nid, LogEvent, Payload};
-use hpc_logs::time::SimTime;
+use hpc_logs::time::{SimTime, MILLIS_PER_DAY, MILLIS_PER_HOUR};
 use hpc_platform::system::SchedulerKind;
 use hpc_platform::{BladeId, CabinetId, NodeId};
 use hpc_telemetry::json::JsonValue;
@@ -213,39 +213,60 @@ pub fn histogram(store: &EventStore, filter: &QueryFilter, key: HistKey) -> Vec<
     bucket_stream(filter.select(store), key)
 }
 
+/// Histogram counts by `(sort_key, label)`; [`order_buckets`] turns them
+/// into the rendered order.
+type BucketCounts = BTreeMap<(u64, String), u64>;
+
+/// `(sort_key, label)` of a class bucket.
+fn class_bucket(class: EventClass) -> (u64, String) {
+    (0, class.key().to_string())
+}
+
+/// `(sort_key, label)` of a `day` or `hour` bucket; the sort key keeps
+/// time buckets numeric. `None` for every other dimension.
+fn time_bucket(key: HistKey, time: SimTime) -> Option<(u64, String)> {
+    match key {
+        HistKey::Day => Some((time.day_index(), format!("day {}", time.day_index()))),
+        HistKey::Hour => Some((
+            time.hour_of_day() as u64,
+            format!("hour {:02}", time.hour_of_day()),
+        )),
+        _ => None,
+    }
+}
+
 /// Core of [`histogram`]: buckets any stream of events (borrowed from an
 /// [`EventStore`] or streamed off a [`StorePlan`]) in O(buckets) memory.
 fn bucket_stream<B: Borrow<LogEvent>>(
     events: impl IntoIterator<Item = B>,
     key: HistKey,
 ) -> Vec<HistBucket> {
-    // (sort_key, label) — sort_key keeps time buckets numeric.
-    let mut buckets: BTreeMap<(u64, String), u64> = BTreeMap::new();
+    let mut buckets = BucketCounts::new();
     for e in events {
         let e = e.borrow();
         let entry = match key {
-            HistKey::Class => Some((0, EventClass::of(&e.payload).key().to_string())),
+            HistKey::Class => Some(class_bucket(EventClass::of(&e.payload))),
             HistKey::Node => e.subject_node().map(|n| (0, nid_name(n))),
             HistKey::Blade => e.subject_blade().map(|b| (0, format!("blade {}", b.0))),
             HistKey::Cabinet => subject_cabinet(e).map(|c| (0, format!("cabinet {}", c.0))),
-            HistKey::Day => Some((e.time.day_index(), format!("day {}", e.time.day_index()))),
-            HistKey::Hour => Some((
-                e.time.hour_of_day() as u64,
-                format!("hour {:02}", e.time.hour_of_day()),
-            )),
+            HistKey::Day | HistKey::Hour => time_bucket(key, e.time),
         };
-        if let Some((sort_key, label)) = entry {
-            *buckets.entry((sort_key, label)).or_insert(0) += 1;
+        if let Some(bucket) = entry {
+            *buckets.entry(bucket).or_insert(0) += 1;
         }
     }
+    order_buckets(buckets, key)
+}
+
+/// Bucket order of every histogram: time dimensions chronological, the
+/// others heaviest first with the label as deterministic tie-break.
+fn order_buckets(buckets: BucketCounts, key: HistKey) -> Vec<HistBucket> {
     let mut out: Vec<(u64, HistBucket)> = buckets
         .into_iter()
         .map(|((sort_key, label), count)| (sort_key, HistBucket { label, count }))
         .collect();
     match key {
-        // Time dimensions: chronological.
         HistKey::Day | HistKey::Hour => out.sort_by_key(|a| a.0),
-        // Entity dimensions: heaviest first, label as deterministic tie.
         _ => out.sort_by(|a, b| {
             b.1.count
                 .cmp(&a.1.count)
@@ -367,8 +388,16 @@ impl<'a> StorePlan<'a> {
     /// Matching events as a stream in global merge order. Decodes rows
     /// on demand; drop the iterator early and the tail is never read.
     pub fn events(&self) -> Result<PlannedEvents<'_>, OpenError> {
+        self.stream(None)
+    }
+
+    /// [`StorePlan::events`]; with `last: Some(n)` the caller promises to
+    /// keep only the last `n` events, so each segment may skip all but its
+    /// own last `n` in-range rows.
+    fn stream(&self, last: Option<usize>) -> Result<PlannedEvents<'_>, OpenError> {
+        let QueryFilter { classes, node, .. } = &self.filter;
         let scan = match self.bounds() {
-            Some((from, to)) => Some(self.store.scan(&self.filter.classes, from, to)?),
+            Some((from, to)) => Some(self.store.scan_filter(classes, *node, from, to, last)?),
             None => None,
         };
         Ok(PlannedEvents {
@@ -399,7 +428,16 @@ impl<'a> StorePlan<'a> {
     }
 
     /// Matching events bucketed by `key`, streamed in O(buckets) memory.
+    ///
+    /// With no entity predicate a `class`, `day` or `hour` bucket is
+    /// decided by a row's segment and time, so — like [`StorePlan::count`]
+    /// — this never decodes a payload.
     pub fn histogram(&self, key: HistKey) -> Result<Vec<HistBucket>, OpenError> {
+        if !self.has_entity_predicate() {
+            if let Some(buckets) = self.catalogue_histogram(key)? {
+                return Ok(order_buckets(buckets, key));
+            }
+        }
         let mut it = self.events()?;
         let buckets = bucket_stream(it.by_ref(), key);
         match it.take_error() {
@@ -408,14 +446,44 @@ impl<'a> StorePlan<'a> {
         }
     }
 
+    /// `key`'s buckets from segment classes and time columns alone:
+    /// `class` counts the in-window rows of each segment, `day` and `hour`
+    /// count them between consecutive bucket edges. `None` for an entity
+    /// dimension, which needs the payloads.
+    fn catalogue_histogram(&self, key: HistKey) -> Result<Option<BucketCounts>, OpenError> {
+        let width = match key {
+            HistKey::Class => None,
+            HistKey::Day => Some(MILLIS_PER_DAY),
+            HistKey::Hour => Some(MILLIS_PER_HOUR),
+            HistKey::Node | HistKey::Blade | HistKey::Cabinet => return Ok(None),
+        };
+        let mut buckets = BucketCounts::new();
+        if let Some((from, to)) = self.bounds() {
+            let classes = &self.filter.classes;
+            self.store
+                .count_rows_in_buckets(classes, from, to, width, |class, time, rows| {
+                    if rows > 0 {
+                        let bucket = time_bucket(key, time).unwrap_or_else(|| class_bucket(class));
+                        *buckets.entry(bucket).or_insert(0) += rows;
+                    }
+                })?;
+        }
+        Ok(Some(buckets))
+    }
+
     /// The last `n` matching events, oldest of the `n` first, via a
     /// bounded ring — the stream is scanned once and never materialised.
+    ///
+    /// When every in-window row matches (no entity predicate), a row that
+    /// is not among its own segment's last `n` has `n` later rows in that
+    /// segment alone and cannot be among the global last `n`: the scan is
+    /// told `n` and reads no further back.
     pub fn tail(
         &self,
         n: usize,
         scheduler: SchedulerKind,
     ) -> Result<Vec<(SimTime, EventClass, String)>, OpenError> {
-        let mut it = self.events()?;
+        let mut it = self.stream((!self.has_entity_predicate()).then_some(n))?;
         let ring = keep_last(it.by_ref(), n);
         match it.take_error() {
             Some(e) => Err(e),

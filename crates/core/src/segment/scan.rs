@@ -2,20 +2,28 @@
 //!
 //! [`Store::open`] proves every file intact without decoding a row; this
 //! module is the read path that decodes *as little as possible* to
-//! answer a filter:
+//! answer a filter. A row is read only if it survives, in order:
 //!
-//! 1. **Segment pruning** — a segment is selected only if its class is
-//!    in the query's class set and its catalogue time range overlaps the
-//!    query window; everything else is skipped without touching a byte
-//!    of its body.
-//! 2. **Row pruning** — within a selected segment the delta-decoded
-//!    time column is binary-searched to the `[from, to]` row range; rows
-//!    past the range are never payload-decoded. The payload column has
-//!    no per-row offsets, so rows *before* the range are decoded and
-//!    discarded — the time column alone cannot skip their bytes.
-//! 3. **Streaming merge** — per-segment cursors are merged by global
-//!    position into one chronological stream, one event at a time; no
-//!    full event vector is ever materialised.
+//! 1. **Class** — a segment is one class; the catalogue names it.
+//! 2. **Time range** — the catalogue holds each segment's first and last
+//!    time. Neither tier reads a byte of the segment.
+//! 3. **Subject** — under a node predicate, a segment is dropped if its
+//!    class cannot name a subject node
+//!    ([`EventClass::carries_subject_node`]) or its sorted node dictionary
+//!    — the short first column of the body — lacks the node.
+//! 4. **Block** — the block directory is binary-searched for the blocks
+//!    that can hold `[from, to]`; time, position and payload columns are
+//!    read from the first such block on, never the prefix before it. A
+//!    `tail` with no entity predicate also passes `n` down, and a cursor
+//!    then starts no earlier than its segment's last `n` in-range rows.
+//! 5. **Row** — within those blocks the decoded times are binary-searched
+//!    to the row range; payloads are decoded from the start of the block
+//!    holding the first in-range row (at most a block of rows that are
+//!    not returned) and never past the last in-range row.
+//!
+//! Per-segment cursors are merged by global position into one
+//! chronological stream, one event at a time; no full event vector is
+//! ever materialised.
 //!
 //! Decode effort is observable: `core.segment.segments_pruned`,
 //! `core.segment.segments_decoded` and `core.segment.rows_decoded`
@@ -28,25 +36,25 @@
 //! and is surfaced by [`Scan::take_error`] — callers that need
 //! corruption to be fatal check it after draining.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use hpc_logs::event::{LogEvent, Payload};
+use hpc_logs::event::LogEvent;
 use hpc_logs::time::SimTime;
 use hpc_platform::NodeId;
 
-use super::codec::{self, Dec};
-use super::{decode_columns, OpenError, SegmentMeta, Store, FOOTER_LEN, MANIFEST_FILE, SEG_MAGIC};
+use super::{OpenError, Payloads, Segment, SegmentMeta, Store, MANIFEST_FILE};
 use crate::store::EventClass;
 
 /// What one scan (or column-only count) skipped and decoded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Segments skipped on catalogue class/time alone — zero bytes read.
+    /// Segments skipped on catalogue class/time or on the subject tier —
+    /// no time, position or payload byte read.
     pub segments_pruned: u64,
     /// Segments whose columns were decoded.
     pub segments_decoded: u64,
-    /// Payload rows decoded (including pre-range rows that were
-    /// decoded only to advance the offset-less payload column).
+    /// Payload rows decoded (including the rows between a block's start
+    /// and the first in-range row, which are decoded and dropped).
     pub rows_decoded: u64,
 }
 
@@ -55,81 +63,118 @@ fn flush_segment_counters(stats: &ScanStats) {
     hpc_telemetry::counter("core.segment.segments_decoded").add(stats.segments_decoded);
 }
 
+/// The in-range rows of one segment, found through the block directory.
+struct Window {
+    /// The block holding the first in-range row.
+    block: usize,
+    /// Times from that block's first row up to the last in-range row.
+    times: Vec<SimTime>,
+    /// Index in `times` of the first in-range row.
+    first: usize,
+}
+
+impl Segment {
+    /// The block holding the first row at or after `t`, if any block does.
+    /// A run of equal times can straddle a block boundary, so that row
+    /// may end the block *before* the first one that starts at `t`.
+    fn block_of(&self, t: SimTime) -> usize {
+        self.blocks
+            .partition_point(|b| b.first_time < t.as_millis())
+            .saturating_sub(1)
+    }
+
+    /// Rows with times in `[from, to]`, or only the last `last` of them;
+    /// `None` when there are none. Only the blocks that can hold such rows
+    /// have their times decoded.
+    fn window(
+        &self,
+        from: SimTime,
+        to: SimTime,
+        last: Option<usize>,
+    ) -> Result<Option<Window>, OpenError> {
+        let mut b_lo = self.block_of(from);
+        let b_hi = self
+            .blocks
+            .partition_point(|b| b.first_time <= to.as_millis());
+        if let Some(n) = last {
+            // Every block after `b_lo` below `b_hi` is in range whole.
+            b_lo = b_lo.max(b_hi.saturating_sub(1 + n.div_ceil(self.block_rows)));
+        }
+        if b_lo >= b_hi {
+            return Ok(None);
+        }
+        let mut times = self.times(b_lo..b_hi)?;
+        let mut lo = times.partition_point(|t| *t < from);
+        let hi = times.partition_point(|t| *t <= to);
+        if let Some(n) = last {
+            lo = lo.max(hi.saturating_sub(n));
+        }
+        if lo >= hi {
+            return Ok(None);
+        }
+        let skipped = lo / self.block_rows;
+        times.truncate(hi);
+        times.drain(..skipped * self.block_rows);
+        Ok(Some(Window {
+            block: b_lo + skipped,
+            times,
+            first: lo - skipped * self.block_rows,
+        }))
+    }
+}
+
 /// One segment's in-range rows, decoded on demand in row order.
 struct Cursor<'a> {
-    path: &'a Path,
-    class: EventClass,
     dict: Vec<NodeId>,
+    /// Times and positions from the first row of the block `payloads`
+    /// started in; `times` ends with the last in-range row, and rows
+    /// beyond it are never decoded.
     times: Vec<SimTime>,
     positions: Vec<u32>,
-    dec: Dec<'a>,
-    /// Payload rows consumed from `dec` so far (the payload column is
-    /// strictly sequential).
-    decoded: usize,
-    /// Next in-range row to yield.
+    /// The payload column, strictly sequential.
+    payloads: Payloads<'a>,
+    /// Next in-range row to yield, as an index into `times`.
     next: usize,
-    /// One past the last in-range row; rows beyond are never decoded.
-    hi: usize,
     /// The next in-range row, pre-decoded for the merge.
     peeked: Option<(u32, LogEvent)>,
 }
 
 impl<'a> Cursor<'a> {
-    /// Decodes the segment's columns, binary-searches the `[from, to]`
-    /// row range, and primes the first in-range row. `None` when no row
-    /// falls inside the range.
+    /// Positions the columns on `window`'s first in-range row and primes
+    /// it for the merge.
     fn open(
-        path: &'a Path,
-        meta: &'a SegmentMeta,
-        image: &'a [u8],
-        from: SimTime,
-        to: SimTime,
+        seg: &'a Segment,
+        dict: Vec<NodeId>,
+        window: Window,
         rows_decoded: &mut u64,
-    ) -> Result<Option<Cursor<'a>>, OpenError> {
-        let body = &image[SEG_MAGIC.len() + 1..image.len() - FOOTER_LEN];
-        let mut dec = Dec::new(body);
-        let cols = decode_columns(path, meta, body, &mut dec)?;
-        let lo = cols.times.partition_point(|t| *t < from);
-        let hi = cols.times.partition_point(|t| *t <= to);
-        if lo >= hi {
-            return Ok(None);
-        }
+    ) -> Result<Cursor<'a>, OpenError> {
+        let blocks = window.times.len().div_ceil(seg.block_rows);
         let mut cursor = Cursor {
-            path,
-            class: meta.class,
-            dict: cols.dict,
-            times: cols.times,
-            positions: cols.positions,
-            dec,
-            decoded: 0,
-            next: lo,
-            hi,
+            dict,
+            positions: seg.positions(window.block..window.block + blocks)?,
+            times: window.times,
+            payloads: seg.payloads(window.block),
+            next: window.first,
             peeked: None,
         };
+        // Rows between the block's start and the first in-range row have
+        // no offset of their own: they are decoded and dropped.
+        for _ in 0..window.first {
+            cursor.payloads.next(&cursor.dict)?;
+        }
+        *rows_decoded += window.first as u64;
         cursor.peeked = cursor.advance(rows_decoded)?;
-        Ok(Some(cursor))
+        Ok(cursor)
     }
 
-    fn decode_one(&mut self) -> Result<Payload, OpenError> {
-        let row = self.decoded;
-        let payload = codec::decode_payload(self.class, &mut self.dec, &self.dict)
-            .map_err(|e| OpenError::Corrupt(self.path.to_path_buf(), format!("row {row}: {e}")))?;
-        self.decoded += 1;
-        Ok(payload)
-    }
-
-    /// Decodes forward to the next in-range row; `None` once the range
-    /// is exhausted. Rows after the range are left undecoded.
+    /// Decodes the next in-range row; `None` once the range is exhausted.
+    /// Rows after the range are left undecoded.
     fn advance(&mut self, rows_decoded: &mut u64) -> Result<Option<(u32, LogEvent)>, OpenError> {
-        if self.next >= self.hi {
+        let row = self.next;
+        if row >= self.times.len() {
             return Ok(None);
         }
-        while self.decoded < self.next {
-            self.decode_one()?;
-            *rows_decoded += 1;
-        }
-        let row = self.next;
-        let payload = self.decode_one()?;
+        let payload = self.payloads.next(&self.dict)?;
         *rows_decoded += 1;
         self.next += 1;
         Ok(Some((
@@ -209,31 +254,59 @@ impl Drop for Scan<'_> {
     }
 }
 
+/// The two catalogue tiers: class set (empty = all), then time range.
+fn in_catalogue(meta: &SegmentMeta, classes: &[EventClass], from: SimTime, to: SimTime) -> bool {
+    (classes.is_empty() || classes.contains(&meta.class))
+        && meta.max_time >= from
+        && meta.min_time <= to
+}
+
 impl Store {
     /// Streams events of `classes` (empty = all classes) with times in
     /// `[from, to]` (inclusive), merged into global position order.
     ///
     /// Segments outside the class set or time window are pruned on the
-    /// catalogue alone; within a selected segment the time column is
-    /// binary-searched and only in-range payload rows (plus the
-    /// unavoidable pre-range prefix) are decoded.
+    /// catalogue alone; within a selected segment only the blocks that
+    /// can hold the window are read, and only up to its last in-range row.
     pub fn scan(
         &self,
         classes: &[EventClass],
         from: SimTime,
         to: SimTime,
     ) -> Result<Scan<'_>, OpenError> {
+        self.scan_filter(classes, None, from, to, None)
+    }
+
+    /// [`Store::scan`] for the planner: `node` drops every segment that
+    /// cannot hold an event with that subject node (the subject tier; the
+    /// caller still tests each event), and `last: Some(n)` says the caller
+    /// keeps only the last `n` events of the stream, so no cursor starts
+    /// before its own last `n` in-range rows.
+    pub(crate) fn scan_filter(
+        &self,
+        classes: &[EventClass],
+        node: Option<NodeId>,
+        from: SimTime,
+        to: SimTime,
+        last: Option<usize>,
+    ) -> Result<Scan<'_>, OpenError> {
         let mut stats = ScanStats::default();
         let mut cursors = Vec::new();
-        for (meta, (path, image)) in self.manifest.segments.iter().zip(&self.segments) {
-            let wanted = classes.is_empty() || classes.contains(&meta.class);
-            if !wanted || meta.max_time < from || meta.min_time > to {
+        for (meta, seg) in self.manifest.segments.iter().zip(&self.segments) {
+            if !in_catalogue(meta, classes, from, to)
+                || (node.is_some() && !meta.class.carries_subject_node())
+            {
+                stats.segments_pruned += 1;
+                continue;
+            }
+            let dict = seg.dict()?;
+            if node.is_some_and(|n| dict.binary_search(&n).is_err()) {
                 stats.segments_pruned += 1;
                 continue;
             }
             stats.segments_decoded += 1;
-            if let Some(c) = Cursor::open(path, meta, image, from, to, &mut stats.rows_decoded)? {
-                cursors.push(c);
+            if let Some(window) = seg.window(from, to, last)? {
+                cursors.push(Cursor::open(seg, dict, window, &mut stats.rows_decoded)?);
             }
         }
         flush_segment_counters(&stats);
@@ -248,36 +321,76 @@ impl Store {
     /// Counts rows of `classes` (empty = all) with times in `[from, to]`
     /// without decoding a single payload: segments fully inside the
     /// window answer from the catalogue row count, straddling segments
-    /// decode only their time column. With no time bounds this touches
-    /// no segment bytes at all — the manifest alone answers.
+    /// decode the times of the one or two blocks a bound falls in. With
+    /// no time bounds this touches no segment bytes at all — the manifest
+    /// alone answers.
     pub fn count_rows(
         &self,
         classes: &[EventClass],
         from: SimTime,
         to: SimTime,
     ) -> Result<u64, OpenError> {
+        let mut n = 0;
+        self.count_rows_in_buckets(classes, from, to, None, |_, _, rows| n += rows)?;
+        Ok(n)
+    }
+
+    /// [`Store::count_rows`] one piece at a time: every segment the
+    /// catalogue selects is cut at the multiples of `width` milliseconds
+    /// (`None`: not cut), and `each` gets the segment's class, a time
+    /// inside the piece and the piece's in-window row count. Each cut
+    /// decodes the times of the one block it falls in.
+    pub(crate) fn count_rows_in_buckets(
+        &self,
+        classes: &[EventClass],
+        from: SimTime,
+        to: SimTime,
+        width: Option<u64>,
+        mut each: impl FnMut(EventClass, SimTime, u64),
+    ) -> Result<(), OpenError> {
         let mut stats = ScanStats::default();
-        let mut n = 0u64;
-        for (meta, (path, image)) in self.manifest.segments.iter().zip(&self.segments) {
-            let wanted = classes.is_empty() || classes.contains(&meta.class);
-            if !wanted || meta.max_time < from || meta.min_time > to {
+        for (meta, seg) in self.manifest.segments.iter().zip(&self.segments) {
+            if !in_catalogue(meta, classes, from, to) {
                 stats.segments_pruned += 1;
                 continue;
             }
-            if from <= meta.min_time && meta.max_time <= to {
-                // Fully covered: the catalogue row count is the answer.
-                n += meta.events;
-                continue;
+            // Rows with a time before `t`, from the times of the one block
+            // `t` falls in; consecutive cuts often share it.
+            let mut held: Option<(usize, Vec<SimTime>)> = None;
+            let mut rows_before = |t: u64| -> Result<usize, OpenError> {
+                let t = SimTime::from_millis(t);
+                let b = seg.block_of(t);
+                let times = match &mut held {
+                    Some((block, times)) if *block == b => times,
+                    _ => &mut held.insert((b, seg.times(b..b + 1)?)).1,
+                };
+                Ok(b * seg.block_rows + times.partition_point(|x| *x < t))
+            };
+            // A bound at or beyond the segment's own is answered by the
+            // catalogue: row 0, or the row count.
+            let mut piece = from.max(meta.min_time);
+            let mut lo = if from <= meta.min_time {
+                0
+            } else {
+                rows_before(from.as_millis())?
+            };
+            let last = to.min(meta.max_time).as_millis();
+            let mut cut = width.and_then(|w| (piece.as_millis() / w + 1).checked_mul(w));
+            while let Some(edge) = cut.filter(|edge| *edge <= last) {
+                let hi = rows_before(edge)?;
+                each(meta.class, piece, hi.saturating_sub(lo) as u64);
+                (piece, lo) = (SimTime::from_millis(edge), hi);
+                cut = width.and_then(|w| edge.checked_add(w));
             }
-            stats.segments_decoded += 1;
-            let body = &image[SEG_MAGIC.len() + 1..image.len() - FOOTER_LEN];
-            let mut dec = Dec::new(body);
-            let cols = decode_columns(path, meta, body, &mut dec)?;
-            let lo = cols.times.partition_point(|t| *t < from);
-            let hi = cols.times.partition_point(|t| *t <= to);
-            n += hi.saturating_sub(lo) as u64;
+            // Times are whole milliseconds: `<= to` is `< to + 1`.
+            let hi = match to.as_millis().checked_add(1) {
+                Some(end) if to < meta.max_time => rows_before(end)?,
+                _ => seg.rows,
+            };
+            each(meta.class, piece, hi.saturating_sub(lo) as u64);
+            stats.segments_decoded += u64::from(held.is_some());
         }
         flush_segment_counters(&stats);
-        Ok(n)
+        Ok(())
     }
 }

@@ -334,6 +334,28 @@ impl EventClass {
         EventClass::ALL.get(b as usize).copied()
     }
 
+    /// Whether events of this class name a subject node
+    /// ([`LogEvent::subject_node`] is `Some`). The payload *detail* variant
+    /// decides that, and a class is one detail variant, so this holds for
+    /// every event of the class — which lets the segment planner drop a
+    /// whole segment under a `node` predicate without reading it.
+    pub fn carries_subject_node(self) -> bool {
+        EventClass::CONSOLE.contains(&self)
+            || matches!(
+                self,
+                EventClass::NodeHeartbeatFault
+                    | EventClass::NodeVoltageFault
+                    | EventClass::L0SysdMce
+                    | EventClass::NodePowerOff
+                    | EventClass::HwError
+                    | EventClass::NodeFailed
+                    | EventClass::NhcResult
+                    | EventClass::NodeStateChange
+                    | EventClass::EpilogueCleanup
+                    | EventClass::MemOverallocation
+            )
+    }
+
     /// The class of an event payload (total: every payload has one).
     pub fn of(payload: &Payload) -> EventClass {
         match payload {
@@ -905,6 +927,25 @@ mod tests {
                 detail: ControllerDetail::NodeVoltageFault { node },
             },
         }
+    }
+
+    /// The segment planner drops whole segments on this table, so it must
+    /// say exactly what the per-event accessor says, for an event of every
+    /// class.
+    #[test]
+    fn class_subject_table_matches_the_event_accessor() {
+        let events = crate::segment::codec::one_of_every_class();
+        let mut seen = Vec::new();
+        for e in &events {
+            let class = EventClass::of(&e.payload);
+            seen.push(class);
+            assert_eq!(
+                class.carries_subject_node(),
+                e.subject_node().is_some(),
+                "{class:?}"
+            );
+        }
+        assert_eq!(seen, EventClass::ALL, "one event of every class");
     }
 
     fn failure(ms: u64, node: u32) -> DetectedFailure {

@@ -222,6 +222,74 @@ fn assert_queries_agree(mem: &EventStore, re: &EventStore, events: &[LogEvent]) 
     }
 }
 
+/// For every filter, `plan(...).events()` must yield exactly
+/// `Store::load` followed by `filter.matches`, in order, and every planner
+/// verb must agree with the in-memory `EventStore` verb over the same
+/// data — `tail` both shorter and longer than a block.
+fn assert_plans_match_full_load(dir: &std::path::Path, filters: &[QueryFilter]) {
+    let store = segment::Store::open(dir).expect("open");
+    let full = segment::Store::open(dir)
+        .and_then(segment::Store::load)
+        .expect("load");
+    let mem = EventStore::build(full.events.clone(), &full.failures);
+    let keys = [
+        HistKey::Class,
+        HistKey::Node,
+        HistKey::Blade,
+        HistKey::Cabinet,
+        HistKey::Day,
+        HistKey::Hour,
+    ];
+    for filter in filters {
+        let plan = query::plan(&store, filter);
+        let mut planned = plan.events().expect("events");
+        let streamed: Vec<LogEvent> = planned.by_ref().collect();
+        assert!(planned.take_error().is_none(), "mid-stream error");
+        let stats = planned.stats();
+
+        // Brute force: full decode, then the residual predicate alone.
+        let brute: Vec<LogEvent> = full
+            .events
+            .iter()
+            .filter(|e| filter.matches(e))
+            .cloned()
+            .collect();
+        assert_eq!(streamed, brute, "{filter:?}");
+        assert_eq!(
+            plan.count().expect("count"),
+            brute.len() as u64,
+            "{filter:?}"
+        );
+
+        // Pruning must never decode more rows than the store holds, and
+        // pruned + decoded must account for every selected segment.
+        assert!(stats.rows_decoded <= full.manifest.events);
+        assert!(
+            (stats.segments_decoded + stats.segments_pruned) as usize
+                <= full.manifest.segments.len()
+        );
+
+        for key in keys {
+            assert_eq!(
+                plan.histogram(key).expect("histogram"),
+                query::histogram(&mem, filter, key),
+                "{key:?} {filter:?}"
+            );
+        }
+        for n in [7, 300] {
+            assert_eq!(
+                plan.tail(n, SchedulerKind::Slurm).expect("tail"),
+                query::tail(&mem, filter, n, SchedulerKind::Slurm),
+                "tail {n} {filter:?}"
+            );
+        }
+        assert_eq!(
+            plan.failures().expect("failures"),
+            query::failures(&full.failures, filter)
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -362,6 +430,65 @@ proptest! {
         prop_assert_eq!(tail, query::tail(&mem, &filter, 7, SchedulerKind::Slurm));
         prop_assert_eq!(fails, query::failures(&full.failures, &filter));
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The same equivalence where the block directory matters: one class
+    /// holds 600–900 rows (three or four blocks) in runs of equal times —
+    /// the telemetry archive stamps a whole sweep of sensors with one
+    /// millisecond — so runs straddle block boundaries, and the windows
+    /// start and end on, one tick before and one tick after the time of
+    /// every block's first row. `partition_point(< from)` / `(<= to)` must
+    /// mean the same through the block search as over a whole column.
+    #[test]
+    fn pruned_scan_survives_block_boundaries(
+        soup in event_soup(),
+        rows in 600u64..900,
+        run in 1u64..40,
+        step in 1u64..5_000,
+    ) {
+        let mut events = soup;
+        events.extend((0..rows).map(|i| LogEvent {
+            time: SimTime::from_millis(i / run * step),
+            payload: Payload::Console {
+                node: NodeId((i % 64) as u32),
+                detail: ConsoleDetail::CpuStall { cpu: 1 },
+            },
+        }));
+        events.sort_by_key(|e| e.time);
+        let d = Diagnosis::from_events(events, 0, DiagnosisConfig::default());
+        let dir = tmpdir("blocks");
+        save(&d, &dir);
+
+        let stall = hpc_diagnosis::EventClass::CpuStall;
+        let stalls: Vec<&LogEvent> = d
+            .events()
+            .iter()
+            .filter(|e| hpc_diagnosis::EventClass::of(&e.payload) == stall)
+            .collect();
+        prop_assert!(stalls.len() >= 600);
+        let mut filters = Vec::new();
+        for first_row in stalls.iter().step_by(256).skip(1) {
+            let t = first_row.time.as_millis();
+            let at = |ms: u64| Some(SimTime::from_millis(ms));
+            for edge in [t.saturating_sub(1), t, t + 1] {
+                filters.push(QueryFilter { from: at(edge), ..QueryFilter::default() });
+                filters.push(QueryFilter { to: at(edge), ..QueryFilter::default() });
+                filters.push(QueryFilter {
+                    classes: vec![stall],
+                    from: at(edge),
+                    to: at(edge + step),
+                    ..QueryFilter::default()
+                });
+                filters.push(QueryFilter {
+                    node: first_row.subject_node(),
+                    to: at(edge),
+                    ..QueryFilter::default()
+                });
+            }
+            filters.push(QueryFilter { from: at(t), to: at(t + 1), ..QueryFilter::default() });
+        }
+        assert_plans_match_full_load(&dir, &filters);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -553,5 +680,136 @@ fn single_event_round_trips() {
     let failures = opened.failures.clone();
     let store = EventStore::build(opened.events, &failures);
     assert_eq!(query::count(&store, &QueryFilter::default()), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The subject tier: under a node predicate a segment is read only if its
+/// class names subject nodes and its dictionary holds the node. Answers
+/// must stay those of the in-memory verbs for a node in several segments'
+/// dictionaries, in one, only in the dictionary of a class that never has
+/// a subject (a job's node list), in none, and beyond the largest id.
+#[test]
+fn node_predicates_prune_segments_and_keep_the_answers() {
+    let console = |ms: u64, node: u32, detail| LogEvent {
+        time: SimTime::from_millis(ms),
+        payload: Payload::Console {
+            node: NodeId(node),
+            detail,
+        },
+    };
+    let mut events = Vec::new();
+    for i in 0..60u64 {
+        let stall = ConsoleDetail::CpuStall { cpu: 0 };
+        events.push(console(i * 1_000, [1, 2, 3][i as usize % 3], stall));
+        let oom = ConsoleDetail::OomKill {
+            victim: AppKind::Python,
+            pid: 1,
+        };
+        events.push(console(i * 1_000 + 1, [2, 5][i as usize % 2], oom));
+    }
+    events.push(LogEvent {
+        time: SimTime::from_millis(70_000),
+        payload: Payload::Scheduler {
+            detail: SchedulerDetail::JobStart {
+                job: JobId(9),
+                apid: Apid(10),
+                user: 1000,
+                app: AppKind::MpiSimulation,
+                nodes: vec![NodeId(2), NodeId(7)],
+                mem_per_node_mib: 1024,
+            },
+        },
+    });
+    let d = Diagnosis::from_events(events, 0, DiagnosisConfig::default());
+    let dir = tmpdir("subject");
+    save(&d, &dir);
+    let store = segment::Store::open(&dir).expect("open");
+    let segments = store.manifest().segments.len() as u64;
+    assert_eq!(segments, 3);
+
+    // (node, segments whose rows can match it)
+    for (node, holding) in [(2, 2), (5, 1), (7, 0), (4, 0), (1_000_000, 0)] {
+        let filter = QueryFilter {
+            node: Some(NodeId(node)),
+            ..QueryFilter::default()
+        };
+        let plan = query::plan(&store, &filter);
+        let mut stream = plan.events().expect("events");
+        let streamed = stream.by_ref().count() as u64;
+        assert!(stream.take_error().is_none());
+        assert_eq!(stream.stats().segments_decoded, holding, "node {node}");
+        assert_eq!(stream.stats().segments_pruned, segments - holding);
+        assert_eq!(streamed, query::count(d.store(), &filter), "node {node}");
+        assert_eq!(plan.count().expect("count"), streamed);
+        for key in [HistKey::Node, HistKey::Class, HistKey::Day] {
+            assert_eq!(
+                plan.histogram(key).expect("histogram"),
+                query::histogram(d.store(), &filter, key),
+                "node {node} {key:?}"
+            );
+        }
+        assert_eq!(
+            plan.tail(7, SchedulerKind::Slurm).expect("tail"),
+            query::tail(d.store(), &filter, 7, SchedulerKind::Slurm),
+            "node {node}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `testdata/store-v1` was written by the last schema 1 build from
+/// `testdata/sample-logs`. It must keep opening, and give the same events
+/// and the same answer to every verb as a store this build writes from
+/// the same archive.
+#[test]
+fn schema_1_fixture_answers_like_a_fresh_store() {
+    let testdata = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../testdata");
+    let logs = testdata.join("sample-logs");
+    let d = Diagnosis::from_dir(&logs, DiagnosisConfig::default()).expect("sample logs");
+    let dir = tmpdir("fresh");
+    let written = d
+        .save_store(&dir, "testdata/sample-logs", 784, SchedulerKind::Slurm)
+        .expect("save_store");
+    assert_eq!(written.schema_version, 2);
+
+    let old = segment::Store::open(&testdata.join("store-v1")).expect("schema 1 opens");
+    let new = segment::Store::open(&dir).expect("schema 2 opens");
+    assert_eq!(old.manifest().schema_version, 1);
+    assert_eq!(old.manifest().events, new.manifest().events);
+
+    let requests: [&[(&str, &str)]; 10] = [
+        &[("verb", "count")],
+        &[("verb", "count"), ("node", "nid00005")],
+        &[("verb", "count"), ("from", "20000000"), ("to", "50000000")],
+        &[
+            ("verb", "count"),
+            ("class", "job_start"),
+            ("to", "50000000"),
+        ],
+        &[("verb", "histogram"), ("by", "class")],
+        &[("verb", "histogram"), ("by", "hour"), ("from", "20000000")],
+        &[("verb", "histogram"), ("by", "node"), ("cabinet", "0")],
+        &[("verb", "tail"), ("n", "5")],
+        &[("verb", "tail"), ("n", "20"), ("node", "nid00005")],
+        &[("verb", "failures")],
+    ];
+    for pairs in requests {
+        let mut request = query::Request::default();
+        for (key, value) in pairs {
+            request.set(key, value).expect("request");
+        }
+        let answer = |store| {
+            request
+                .run(&query::plan(store, &request.filter), SchedulerKind::Slurm)
+                .expect("answer")
+        };
+        assert_eq!(answer(&old), answer(&new), "{pairs:?}");
+    }
+
+    let (old, new) = (old.load().expect("load"), new.load().expect("load"));
+    assert_eq!(old.events, new.events);
+    assert_eq!(&old.events, d.events());
+    assert_eq!(old.failures, new.failures);
+    assert_eq!(old.swos, new.swos);
     std::fs::remove_dir_all(&dir).ok();
 }

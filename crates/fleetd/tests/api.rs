@@ -491,12 +491,35 @@ fn overload_sheds_load_with_503_retry_after() {
     );
     srv.wait_all_finished();
 
-    // Open idle connections to fill the worker and the queue; they hold
-    // their slots until the read timeout.
-    let _idle: Vec<TcpStream> = (0..4)
-        .map(|_| TcpStream::connect(srv.addr).unwrap())
-        .collect();
-    std::thread::sleep(Duration::from_millis(200));
+    // Pin the worker and fill the queue with idle connections, which hold
+    // their slots until the read timeout — one at a time, because opened
+    // back to back the acceptor can shed #2 before the worker has taken #1
+    // and leave the queue empty behind a pinned worker. A shed connection
+    // is answered 503 at once, a held one stays silent. One shed only says
+    // the queue was full at that instant (an idle worker may still empty
+    // it, and then the next connection is queued); two in a row say the
+    // worker is pinned with the queue full behind it.
+    let rejected = || hpc_telemetry::counter("fleetd.http.rejected").get();
+    let rejected_before = rejected();
+    let mut idle = Vec::new();
+    let mut sheds_in_a_row = 0;
+    for _ in 0..12 {
+        let mut conn = TcpStream::connect(srv.addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        if matches!(conn.read(&mut [0u8; 1]), Ok(1)) {
+            sheds_in_a_row += 1;
+        } else {
+            sheds_in_a_row = 0;
+            idle.push(conn);
+        }
+        if sheds_in_a_row == 2 {
+            break;
+        }
+    }
+    assert_eq!(sheds_in_a_row, 2, "worker and queue never filled up");
+    // The counter is process-wide (other tests shed too), hence `>=`.
+    assert!(rejected() - rejected_before >= 2);
 
     // Now a burst of real requests: every response is either served or a
     // clean 503 with Retry-After.
@@ -523,6 +546,8 @@ fn overload_sheds_load_with_503_retry_after() {
     }
     assert!(saw_503, "queue of 1 under a burst must shed something");
 
+    // Closing the idle connections frees the worker without the timeout.
+    drop(idle);
     srv.stop();
     let _ = std::fs::remove_dir_all(&d1);
 }
