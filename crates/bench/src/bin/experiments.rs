@@ -14,75 +14,73 @@
 
 use std::path::PathBuf;
 
-use hpc_bench::{find, EXPERIMENTS};
+use hpc_bench::{find, Experiment, EXPERIMENTS};
+use hpc_telemetry::Flags;
+
+const USAGE: &str = "usage: experiments <id>...|all|list [--out DIR]";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let out_dir: Option<PathBuf> = args.iter().position(|a| a == "--out").map(|i| {
-        let dir = args
-            .get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("--out requires a directory");
-                std::process::exit(2);
+    let mut out_dir: Option<PathBuf> = None;
+    let mut ids = Vec::new();
+    let mut flags = Flags::new(USAGE);
+    while let Some(arg) = flags.next() {
+        match arg.as_str() {
+            "--out" => out_dir = Some(PathBuf::from(flags.value())),
+            _ if arg.starts_with("--") => flags.usage(),
+            _ => ids.push(arg),
+        }
+    }
+    let Some(first) = ids.first() else {
+        flags.usage()
+    };
+    if first == "list" {
+        eprintln!("{USAGE}\n\navailable experiments:");
+        for e in EXPERIMENTS {
+            eprintln!("  {:<16} {}", e.id, e.description);
+        }
+        return;
+    }
+    let all = first == "all";
+    let selected: Vec<&Experiment> = if all {
+        EXPERIMENTS.iter().collect()
+    } else {
+        let known = |id: &String| {
+            find(id).unwrap_or_else(|| {
+                flags.refuse(&format!(
+                    "unknown experiment {id:?} (try `experiments list`)"
+                ))
             })
-            .clone();
-        args.drain(i..=i + 1);
-        PathBuf::from(dir)
-    });
+        };
+        ids.iter().map(known).collect()
+    };
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
             eprintln!("cannot create {}: {e}", dir.display());
             std::process::exit(1);
         });
     }
-    let emit = |id: &str, text: &str| {
-        print!("{text}");
-        if let Some(dir) = &out_dir {
-            if let Err(e) = std::fs::write(dir.join(format!("{id}.txt")), text) {
-                eprintln!("cannot write {id}.txt: {e}");
-            }
-        }
-    };
 
-    let write_telemetry = || {
-        if let Some(dir) = &out_dir {
-            let path = dir.join("telemetry.json");
-            if let Err(e) = std::fs::write(&path, hpc_telemetry::snapshot().to_json()) {
-                eprintln!("cannot write telemetry.json: {e}");
-            } else {
-                eprintln!("telemetry JSON written to {}", path.display());
-            }
-        }
-    };
-
-    if args.is_empty() || args[0] == "list" {
-        eprintln!("usage: experiments <id>|all|list [--out DIR]\n\navailable experiments:");
-        for e in EXPERIMENTS {
-            eprintln!("  {:<16} {}", e.id, e.description);
-        }
-        return;
-    }
-    if args[0] == "all" {
-        for e in EXPERIMENTS {
+    for e in selected {
+        if all {
             eprintln!("[running {}]", e.id);
-            emit(e.id, &(e.run)());
+        }
+        let text = (e.run)();
+        print!("{text}");
+        if all {
             println!();
         }
-        write_telemetry();
-        return;
-    }
-    let mut failed = false;
-    for id in &args {
-        match find(id) {
-            Some(e) => emit(e.id, &(e.run)()),
-            None => {
-                eprintln!("unknown experiment {id:?} (try `experiments list`)");
-                failed = true;
+        if let Some(dir) = &out_dir {
+            if let Err(err) = std::fs::write(dir.join(format!("{}.txt", e.id)), text) {
+                eprintln!("cannot write {}.txt: {err}", e.id);
             }
         }
     }
-    write_telemetry();
-    if failed {
-        std::process::exit(2);
+    if let Some(dir) = &out_dir {
+        let path = dir.join("telemetry.json");
+        if let Err(e) = std::fs::write(&path, hpc_telemetry::snapshot().to_json()) {
+            eprintln!("cannot write telemetry.json: {e}");
+        } else {
+            eprintln!("telemetry JSON written to {}", path.display());
+        }
     }
 }

@@ -101,8 +101,3 @@ pub fn header(id: &str, title: &str, paper: &str) -> String {
          ----------------------------------------------------------------\n"
     )
 }
-
-/// Formats a simple two-column row.
-pub fn row(label: &str, value: impl std::fmt::Display) -> String {
-    format!("  {label:<46} {value}\n")
-}

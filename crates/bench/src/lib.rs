@@ -3,7 +3,10 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (run via the `experiments` binary) and the `hpc-chaos`
 //! corruption-robustness campaign. Performance numbers come from
-//! `hpc-sysbench` (`benchmark/` at the repo root), not from this crate.
+//! `hpc-sysbench` (`benchmark/` at the repo root), not from this crate;
+//! what this crate holds of performance is the release-mode inequalities in
+//! `tests/*_smoke.rs` (pooled ingest ≥ sequential, index ≥ scan, O(window)
+//! stream memory).
 //!
 //! Each experiment is a pure function returning its rendered output; the
 //! registry in [`EXPERIMENTS`] maps the paper's table/figure ids to them.

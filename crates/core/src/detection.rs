@@ -45,7 +45,7 @@ pub struct DetectedFailure {
 }
 
 /// Terminal signatures of one event, if any.
-pub fn terminal_of(event: &LogEvent) -> Option<(NodeId, TerminalKind)> {
+fn terminal_of(event: &LogEvent) -> Option<(NodeId, TerminalKind)> {
     match &event.payload {
         Payload::Console { node, detail } => match detail {
             ConsoleDetail::KernelPanic { reason } => Some((*node, TerminalKind::Panic(*reason))),

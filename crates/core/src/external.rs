@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use hpc_logs::event::{ConsoleDetail, ControllerDetail, ErdDetail, LogEvent, Payload};
 use hpc_logs::time::{SimDuration, SimTime, MILLIS_PER_DAY, MILLIS_PER_WEEK};
 use hpc_platform::sensors::SensorKind;
-use hpc_platform::{BladeId, CabinetId, NodeId};
+use hpc_platform::{BladeId, NodeId};
 use hpc_stats::descriptive::Summary;
 
 use crate::pipeline::Diagnosis;
@@ -344,16 +344,6 @@ pub fn temperature_map(d: &Diagnosis) -> BTreeMap<(BladeId, u16), Summary> {
         .into_iter()
         .map(|(k, v)| (k, Summary::of(&v)))
         .collect()
-}
-
-/// Cabinets with faults in a window — helper for Obs. 3 reporting.
-pub fn faulty_cabinet_count(d: &Diagnosis, from: SimTime, to: SimTime) -> usize {
-    d.faulty_cabinets_between(from, to).len()
-}
-
-/// Returns the cabinets with faults — exposed for case-study rendering.
-pub fn faulty_cabinets(d: &Diagnosis, from: SimTime, to: SimTime) -> Vec<CabinetId> {
-    d.faulty_cabinets_between(from, to)
 }
 
 #[cfg(test)]

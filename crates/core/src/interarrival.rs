@@ -20,7 +20,7 @@ use crate::pipeline::Diagnosis;
 use crate::root_cause::{classify_all, CauseClass, InferredCause};
 
 /// Sorted failure timestamps (ms).
-pub fn failure_times_ms(d: &Diagnosis) -> Vec<u64> {
+fn failure_times_ms(d: &Diagnosis) -> Vec<u64> {
     d.failures.iter().map(|f| f.time.as_millis()).collect()
 }
 

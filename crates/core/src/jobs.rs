@@ -54,7 +54,7 @@ impl JobRecord {
     }
 
     /// Whether the job was running anywhere at `t`.
-    pub fn active_at(&self, t: SimTime) -> bool {
+    fn active_at(&self, t: SimTime) -> bool {
         self.start <= t && self.end.is_none_or(|e| t < e)
     }
 }

@@ -303,11 +303,6 @@ impl Diagnosis {
         self.store.window()
     }
 
-    /// All events whose subject is `node`, chronological.
-    pub fn node_events(&self, node: NodeId) -> impl Iterator<Item = &LogEvent> {
-        self.store.node_events(node)
-    }
-
     /// Events about `node` within `[from, to)`.
     pub fn node_events_between(
         &self,
@@ -342,11 +337,6 @@ impl Diagnosis {
     /// Blades that logged any external fault/warning in `[from, to)`.
     pub fn faulty_blades_between(&self, from: SimTime, to: SimTime) -> Vec<BladeId> {
         self.store.faulty_blades_between(from, to)
-    }
-
-    /// Cabinets that logged any external fault/warning in `[from, to)`.
-    pub fn faulty_cabinets_between(&self, from: SimTime, to: SimTime) -> Vec<CabinetId> {
-        self.store.faulty_cabinets_between(from, to)
     }
 }
 
@@ -648,7 +638,10 @@ mod tests {
     fn node_events_are_chronological_and_scoped() {
         let (d, _) = diagnose(2, true);
         let node = d.failures[0].node;
-        let events: Vec<_> = d.node_events(node).collect();
+        let (a, b) = d.window();
+        let events: Vec<_> = d
+            .node_events_between(node, a, b + SimDuration::from_millis(1))
+            .collect();
         assert!(!events.is_empty());
         assert!(events.windows(2).all(|w| w[0].time <= w[1].time));
         for e in events {
@@ -667,7 +660,9 @@ mod tests {
         }
         // Full-window query matches unfiltered iteration.
         let (a, b) = d.window();
-        let all: Vec<_> = d.node_events(node).collect();
+        let all: Vec<_> = (d.events().iter())
+            .filter(|e| e.subject_node() == Some(node))
+            .collect();
         let windowed: Vec<_> = d
             .node_events_between(node, a, b + SimDuration::from_millis(1))
             .collect();
@@ -680,11 +675,8 @@ mod tests {
         let (a, b) = d.window();
         let blades = d.faulty_blades_between(a, b);
         assert!(!blades.is_empty());
-        let cabs = d.faulty_cabinets_between(a, b);
-        assert!(!cabs.is_empty());
         // Sorted, deduplicated.
         assert!(blades.windows(2).all(|w| w[0] < w[1]));
-        assert!(cabs.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

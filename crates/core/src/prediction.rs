@@ -191,7 +191,7 @@ fn is_strong_external(event: &hpc_logs::LogEvent) -> Option<NodeId> {
 /// How a single event can trigger the predictor, before debouncing and
 /// external gating are applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlertTrigger {
+enum AlertTrigger {
     /// A strong external indicator against this node (`ec_hw_error`, NVF,
     /// `L0_sysd_mce`) — fires by itself in externally-correlated mode.
     StrongExternal(NodeId),
@@ -201,7 +201,7 @@ pub enum AlertTrigger {
 }
 
 /// Classifies an event as a potential alert trigger.
-pub fn alert_trigger(event: &hpc_logs::LogEvent) -> Option<AlertTrigger> {
+fn alert_trigger(event: &hpc_logs::LogEvent) -> Option<AlertTrigger> {
     if let Some(node) = is_strong_external(event) {
         Some(AlertTrigger::StrongExternal(node))
     } else if is_indicative_internal(event) {
@@ -234,11 +234,6 @@ impl AlertRaiser {
             config,
             last_alert: Default::default(),
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &PredictorConfig {
-        &self.config
     }
 
     /// Offers the next chronological event. `backed` answers whether the

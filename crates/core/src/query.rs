@@ -171,7 +171,7 @@ pub enum HistKey {
 
 impl HistKey {
     /// CLI spelling.
-    pub fn key(self) -> &'static str {
+    fn key(self) -> &'static str {
         match self {
             HistKey::Class => "class",
             HistKey::Node => "node",
@@ -183,7 +183,7 @@ impl HistKey {
     }
 
     /// Parses a CLI spelling.
-    pub fn parse(s: &str) -> Option<HistKey> {
+    fn parse(s: &str) -> Option<HistKey> {
         [
             HistKey::Class,
             HistKey::Node,
@@ -318,7 +318,7 @@ fn render_tail_rows<B: Borrow<LogEvent>>(
 }
 
 /// One-word stable label for a terminal signature.
-pub fn terminal_label(t: TerminalKind) -> String {
+fn terminal_label(t: TerminalKind) -> String {
     match t {
         TerminalKind::Panic(reason) => format!("panic:{reason:?}"),
         TerminalKind::UnexpectedShutdown => "unexpected_shutdown".to_string(),

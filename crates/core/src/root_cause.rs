@@ -131,7 +131,7 @@ impl InferredCause {
     }
 
     /// Fig. 16 reporting bucket (APP-EXIT / KBUG / FSBUG / MEM / Others).
-    pub fn fig16_bucket(self) -> Fig16Bucket {
+    fn fig16_bucket(self) -> Fig16Bucket {
         match self {
             InferredCause::AppAbnormalExit => Fig16Bucket::AppExit,
             InferredCause::KernelBug => Fig16Bucket::KernelBug,

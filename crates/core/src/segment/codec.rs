@@ -46,7 +46,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Appends a zigzag-encoded signed varint.
-pub fn put_zigzag(out: &mut Vec<u8>, v: i64) {
+fn put_zigzag(out: &mut Vec<u8>, v: i64) {
     put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
@@ -79,7 +79,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Next raw byte.
-    pub fn u8(&mut self) -> Result<u8, String> {
+    fn u8(&mut self) -> Result<u8, String> {
         let b = *self
             .buf
             .get(self.pos)
@@ -114,7 +114,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Next zigzag-encoded signed varint.
-    pub fn zigzag(&mut self) -> Result<i64, String> {
+    fn zigzag(&mut self) -> Result<i64, String> {
         let v = self.varint()?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }

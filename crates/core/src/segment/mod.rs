@@ -106,7 +106,7 @@ const INDEXED_FOOTER_LEN: usize = 48;
 /// FNV-1a 64-bit hash — the manifest fingerprint primitive. Stable and
 /// dependency-free; its byte-serial multiply chain is fine for the few
 /// dozen bytes of catalogue digest it hashes.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -120,7 +120,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// speed instead of FNV's one-multiply-per-byte. The length fold at the
 /// end catches truncations that land on an all-zero tail; this detects
 /// corruption, it is not cryptographic.
-pub fn hash64(bytes: &[u8]) -> u64 {
+fn hash64(bytes: &[u8]) -> u64 {
     const M: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut h = 0x1b87_3593_cc9e_2d51u64 ^ (bytes.len() as u64).wrapping_mul(M);
     let mut chunks = bytes.chunks_exact(8);

@@ -103,14 +103,6 @@ impl BladeFailureGroup {
     pub fn same_reason(&self) -> bool {
         self.causes.windows(2).all(|w| w[0] == w[1])
     }
-
-    /// Spread between first and last failure of the group.
-    pub fn spread(&self) -> SimDuration {
-        match (self.times.first(), self.times.last()) {
-            (Some(a), Some(b)) => b.since(*a),
-            _ => SimDuration::ZERO,
-        }
-    }
 }
 
 /// Finds blades with at least `min_nodes` node failures within `window` of
@@ -242,7 +234,8 @@ mod tests {
         assert!(share > 60.0, "same-reason share {share}%");
         for g in &groups {
             assert!(g.times.len() >= 3);
-            assert!(g.spread() <= SimDuration::from_mins(10));
+            let spread = g.times.last().unwrap().since(g.times[0]);
+            assert!(spread <= SimDuration::from_mins(10));
         }
     }
 

@@ -255,7 +255,7 @@ impl EventClass {
     ];
 
     /// Classes that can trigger an online alert
-    /// ([`alert_trigger`](crate::prediction::alert_trigger)): the
+    /// ([`AlertRaiser::offer`](crate::prediction::AlertRaiser::offer)): the
     /// indicative internal classes plus the strong external indicators.
     pub const ALERT_TRIGGERS: &'static [EventClass] = &[
         EventClass::Mce,
@@ -326,12 +326,6 @@ impl EventClass {
     /// Parses a [`EventClass::key`] identifier.
     pub fn from_key(s: &str) -> Option<EventClass> {
         EventClass::ALL.into_iter().find(|c| c.key() == s)
-    }
-
-    /// The class with `repr` discriminant `b` (the byte stored in segment
-    /// file headers).
-    pub fn from_repr(b: u8) -> Option<EventClass> {
-        EventClass::ALL.get(b as usize).copied()
     }
 
     /// Whether events of this class name a subject node
@@ -417,11 +411,11 @@ impl EventClass {
 /// A time-sorted posting list: parallel columns of timestamps and values.
 ///
 /// The time column answers half-open `[from, to)` range queries by binary
-/// search ([`Postings::range`]); the [`VecDeque`] backing additionally
-/// supports O(1) front eviction ([`Postings::evict_before`]), which is what
-/// lets the batch [`EventStore`] and the streaming sliding window share one
-/// type. `push` requires non-decreasing times (events arrive merged, or in
-/// release order on a stream).
+/// search (`range`); the [`VecDeque`] backing additionally supports O(1)
+/// front eviction (`evict_before`), which is what lets the batch
+/// [`EventStore`] and the streaming sliding window share one type. `push`
+/// requires non-decreasing times (events arrive merged, or in release order
+/// on a stream).
 #[derive(Debug, Clone)]
 pub struct Postings<V> {
     times: VecDeque<SimTime>,
@@ -436,7 +430,7 @@ impl<V> Default for Postings<V> {
 
 impl<V> Postings<V> {
     /// Empty posting list.
-    pub fn new() -> Postings<V> {
+    fn new() -> Postings<V> {
         Postings {
             times: VecDeque::new(),
             values: VecDeque::new(),
@@ -454,7 +448,7 @@ impl<V> Postings<V> {
     }
 
     /// Appends a posting. Times must be non-decreasing.
-    pub fn push(&mut self, time: SimTime, value: V) {
+    fn push(&mut self, time: SimTime, value: V) {
         debug_assert!(
             self.times.back().is_none_or(|&t| t <= time),
             "postings must be pushed in time order"
@@ -471,35 +465,30 @@ impl<V> Postings<V> {
     }
 
     /// Values posted within `[from, to)`, in time order.
-    pub fn range(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &V> {
+    fn range(&self, from: SimTime, to: SimTime) -> impl Iterator<Item = &V> {
         let (lo, hi) = self.bounds(from, to);
         self.values.range(lo..hi)
     }
 
     /// Number of postings within `[from, to)` — O(log n).
-    pub fn range_len(&self, from: SimTime, to: SimTime) -> usize {
+    fn range_len(&self, from: SimTime, to: SimTime) -> usize {
         let (lo, hi) = self.bounds(from, to);
         hi - lo
     }
 
     /// Whether any posting falls within `[from, to)` — O(log n).
-    pub fn any_in(&self, from: SimTime, to: SimTime) -> bool {
+    fn any_in(&self, from: SimTime, to: SimTime) -> bool {
         self.range_len(from, to) > 0
     }
 
     /// All values, in time order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
+    fn values(&self) -> impl Iterator<Item = &V> {
         self.values.iter()
-    }
-
-    /// All `(time, value)` postings, in time order.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &V)> {
-        self.times.iter().copied().zip(self.values.iter())
     }
 
     /// Pops postings strictly older than `cutoff` off the front, returning
     /// how many were dropped.
-    pub fn evict_before(&mut self, cutoff: SimTime) -> usize {
+    fn evict_before(&mut self, cutoff: SimTime) -> usize {
         let mut dropped = 0;
         while self.times.front().is_some_and(|&t| t < cutoff) {
             self.times.pop_front();
@@ -511,9 +500,9 @@ impl<V> Postings<V> {
 }
 
 /// Per-entity posting lists: one [`Postings`] per key, plus the cross-key
-/// queries both the batch pipeline (`faulty_*_between` via
-/// [`EntityIndex::active_between`]) and the streaming window (hotness via
-/// [`EntityIndex::iter`], eviction via [`EntityIndex::evict_before`]) need.
+/// queries both the batch pipeline (`faulty_blades_between`) and the
+/// streaming window (hotness via [`EntityIndex::iter`], eviction via
+/// [`EntityIndex::evict_before`]) need.
 #[derive(Debug, Clone)]
 pub struct EntityIndex<K, V = u32> {
     map: HashMap<K, Postings<V>>,
@@ -551,7 +540,7 @@ impl<K: Eq + Hash + Copy, V> EntityIndex<K, V> {
     }
 
     /// The posting list of `key`, if any.
-    pub fn get(&self, key: &K) -> Option<&Postings<V>> {
+    fn get(&self, key: &K) -> Option<&Postings<V>> {
         self.map.get(key)
     }
 
@@ -564,20 +553,14 @@ impl<K: Eq + Hash + Copy, V> EntityIndex<K, V> {
             .flat_map(move |p| p.range(from, to))
     }
 
-    /// All keys (arbitrary order).
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.map.keys()
-    }
-
     /// All `(key, postings)` pairs (arbitrary order).
     pub fn iter(&self) -> impl Iterator<Item = (&K, &Postings<V>)> {
         self.map.iter()
     }
 
-    /// Keys with at least one posting in `[from, to)`, sorted — the one
-    /// generic implementation behind `faulty_blades_between` and
-    /// `faulty_cabinets_between`.
-    pub fn active_between(&self, from: SimTime, to: SimTime) -> Vec<K>
+    /// Keys with at least one posting in `[from, to)`, sorted — behind
+    /// `faulty_blades_between`.
+    fn active_between(&self, from: SimTime, to: SimTime) -> Vec<K>
     where
         K: Ord,
     {
@@ -711,16 +694,6 @@ impl EventStore {
         &self.events
     }
 
-    /// Number of events owned.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the window has no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// First and last event times (epoch..epoch for an empty window).
     pub fn window(&self) -> (SimTime, SimTime) {
         match (self.events.first(), self.events.last()) {
@@ -753,12 +726,6 @@ impl EventStore {
         let postings = &self.by_class[class as usize];
         self.account(postings.range_len(from, to));
         self.resolve(postings.range(from, to))
-    }
-
-    /// Number of events of `class` — O(1).
-    pub fn class_count(&self, class: EventClass) -> usize {
-        self.account(0);
-        self.by_class[class as usize].len()
     }
 
     /// All events of any of `classes`, merged back into chronological
@@ -803,18 +770,6 @@ impl EventStore {
         let hi = hi.max(lo);
         self.account(hi - lo);
         &self.events[lo..hi]
-    }
-
-    /// All events whose subject is `node`, chronological.
-    pub fn node_events(&self, node: NodeId) -> impl Iterator<Item = &LogEvent> {
-        let touched = self.by_node.get(&node).map_or(0, Postings::len);
-        self.account(touched);
-        self.resolve(
-            self.by_node
-                .get(&node)
-                .into_iter()
-                .flat_map(Postings::values),
-        )
     }
 
     /// Events about `node` within `[from, to)`.
@@ -867,15 +822,8 @@ impl EventStore {
         self.blade_external.active_between(from, to)
     }
 
-    /// Cabinets that logged any external fault/warning in `[from, to)`,
-    /// sorted.
-    pub fn faulty_cabinets_between(&self, from: SimTime, to: SimTime) -> Vec<CabinetId> {
-        self.account(0);
-        self.cabinet_external.active_between(from, to)
-    }
-
     /// Sorted failure times of `node` (empty for never-failed nodes).
-    pub fn node_failure_times(&self, node: NodeId) -> &[SimTime] {
+    fn node_failure_times(&self, node: NodeId) -> &[SimTime] {
         self.node_failures.get(&node).map_or(&[], Vec::as_slice)
     }
 
@@ -989,7 +937,7 @@ mod tests {
         // Eviction is strict: postings exactly at the cutoff survive.
         assert_eq!(p.evict_before(SimTime::from_millis(20)), 1);
         assert_eq!(p.len(), 2);
-        assert_eq!(p.iter().next(), Some((SimTime::from_millis(20), &20)));
+        assert_eq!(p.values().next(), Some(&20));
     }
 
     #[test]
@@ -1016,10 +964,11 @@ mod tests {
             nvf(40, 5),
         ];
         let s = EventStore::build(events, &[]);
-        let total: usize = EventClass::ALL.iter().map(|&c| s.class_count(c)).sum();
-        assert_eq!(total, s.len());
-        assert_eq!(s.class_count(EventClass::NodeVoltageFault), 2);
-        assert_eq!(s.class_count(EventClass::GracefulShutdown), 1);
+        let count = |c| s.class_events(c).count();
+        let total: usize = EventClass::ALL.into_iter().map(count).sum();
+        assert_eq!(total, s.events().len());
+        assert_eq!(count(EventClass::NodeVoltageFault), 2);
+        assert_eq!(count(EventClass::GracefulShutdown), 1);
         // Multi-class merge is chronological.
         let merged: Vec<u64> = s
             .classes_events(&[EventClass::NodeVoltageFault, EventClass::CpuStall])

@@ -3,12 +3,12 @@
 //! Real log collection is messy in ways the fault simulator's clean renders
 //! never are: writers die mid-`write(2)` and leave torn lines, consoles
 //! interleave binary garbage, syslog relays duplicate and locally reorder
-//! batches, node clocks regress, whole sources drop out and resume, and
-//! files rotate underneath a tailer. [`ChaosFeed`] applies exactly those
-//! pathologies to a rendered [`LogArchive`] — reproducibly, from a seed —
-//! and keeps an exact [`ChaosLedger`] of every corruption it injected, so a
-//! consumer's loss accounting can be checked against a ground-truth bound
-//! rather than eyeballed.
+//! batches, node clocks regress, and whole sources drop out and resume.
+//! [`ChaosFeed`] applies exactly those pathologies to a rendered
+//! [`LogArchive`] — reproducibly, from a seed — and keeps an exact
+//! [`ChaosLedger`] of every corruption it injected, so a consumer's loss
+//! accounting can be checked against a ground-truth bound rather than
+//! eyeballed.
 //!
 //! The degradation contract the ledger underwrites (DESIGN.md §10): each
 //! injected corruption may cost the ingest pipeline at most
@@ -88,7 +88,7 @@ pub enum Intensity {
 
 impl Intensity {
     /// Per-line corruption probability.
-    pub fn rate(self) -> f64 {
+    fn rate(self) -> f64 {
         match self {
             Intensity::Light => 0.002,
             Intensity::Heavy => 0.02,
@@ -241,18 +241,6 @@ impl ChaosLedger {
     }
 }
 
-/// One step of a follow-mode write script (see [`ChaosFeed::follow_script`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FollowStep {
-    /// Append raw bytes to one source file. Boundaries fall at arbitrary
-    /// byte offsets — mid-line, even mid-UTF-8-sequence — to exercise a
-    /// tailer's partial-line buffering.
-    Append { source: LogSource, bytes: Vec<u8> },
-    /// Rotate one source file: truncate it to zero length. Subsequent
-    /// appends continue the stream in the fresh file.
-    Rotate { source: LogSource },
-}
-
 /// A corrupted rendering of a [`LogArchive`]: four byte streams plus the
 /// exact ledger of what was injected.
 pub struct ChaosFeed {
@@ -261,7 +249,6 @@ pub struct ChaosFeed {
     /// valid UTF-8 by construction).
     lines: [Vec<Vec<u8>>; 4],
     ledger: ChaosLedger,
-    seed: u64,
 }
 
 fn source_index(source: LogSource) -> usize {
@@ -290,7 +277,6 @@ impl ChaosFeed {
             scheduler: archive.scheduler(),
             lines,
             ledger,
-            seed: spec.seed,
         }
     }
 
@@ -331,70 +317,6 @@ impl ChaosFeed {
             f.flush()?;
         }
         Ok(())
-    }
-
-    /// A deterministic follow-mode write script: each source's byte stream
-    /// is split into `segments` chunks at arbitrary byte offsets (so
-    /// appends land mid-line), interleaved round-robin across sources, with
-    /// a rotation (truncate-to-zero) inserted per source with probability
-    /// `rotate_prob` at a segment boundary. Replaying the script against a
-    /// directory while a tailer polls between steps exercises partial
-    /// writes, rotation and resumption.
-    pub fn follow_script(&self, segments: usize, rotate_prob: f64) -> Vec<FollowStep> {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0xF011_0111);
-        let segments = segments.max(1);
-        let mut per_source: Vec<Vec<FollowStep>> = Vec::with_capacity(4);
-        for source in LogSource::ALL {
-            let bytes = self.source_bytes(source);
-            let mut steps = Vec::new();
-            let mut cuts: Vec<usize> = (0..segments - 1)
-                .map(|_| {
-                    if bytes.is_empty() {
-                        0
-                    } else {
-                        rng.gen_range(0..bytes.len())
-                    }
-                })
-                .collect();
-            cuts.sort_unstable();
-            cuts.push(bytes.len());
-            let mut start = 0;
-            let rotate_at = if rotate_prob > 0.0 && rng.gen_bool(rotate_prob) && segments > 1 {
-                Some(rng.gen_range(1..segments))
-            } else {
-                None
-            };
-            for (i, &end) in cuts.iter().enumerate() {
-                if Some(i) == rotate_at {
-                    steps.push(FollowStep::Rotate { source });
-                }
-                if end > start {
-                    steps.push(FollowStep::Append {
-                        source,
-                        bytes: bytes[start..end].to_vec(),
-                    });
-                }
-                start = end;
-            }
-            per_source.push(steps);
-        }
-        // Round-robin interleave so the tailer sees all sources progress.
-        let mut script = Vec::new();
-        let mut idx = [0usize; 4];
-        loop {
-            let mut advanced = false;
-            for (si, steps) in per_source.iter().enumerate() {
-                if idx[si] < steps.len() {
-                    script.push(steps[idx[si]].clone());
-                    idx[si] += 1;
-                    advanced = true;
-                }
-            }
-            if !advanced {
-                break;
-            }
-        }
-        script
     }
 }
 
@@ -625,36 +547,5 @@ mod tests {
             assert!(ts <= tc, "skew only moves clocks backwards");
         }
         assert!(regressed > 0);
-    }
-
-    #[test]
-    fn follow_script_replays_to_the_same_bytes_without_rotation() {
-        let archive = small_archive();
-        let feed = ChaosFeed::corrupt(archive, &ChaosSpec::clean(21));
-        let script = feed.follow_script(8, 0.0);
-        let mut replayed: [Vec<u8>; 4] = Default::default();
-        for step in &script {
-            match step {
-                FollowStep::Append { source, bytes } => {
-                    replayed[source_index(*source)].extend_from_slice(bytes)
-                }
-                FollowStep::Rotate { source } => replayed[source_index(*source)].clear(),
-            }
-        }
-        for source in LogSource::ALL {
-            assert_eq!(replayed[source_index(source)], feed.source_bytes(source));
-        }
-    }
-
-    #[test]
-    fn follow_script_emits_rotations_when_asked() {
-        let archive = small_archive();
-        let feed = ChaosFeed::corrupt(archive, &ChaosSpec::clean(22));
-        let script = feed.follow_script(6, 1.0);
-        let rotations = script
-            .iter()
-            .filter(|s| matches!(s, FollowStep::Rotate { .. }))
-            .count();
-        assert!(rotations >= 1, "rotate_prob=1.0 must rotate");
     }
 }

@@ -81,30 +81,6 @@ impl<T> EventQueue<T> {
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         self.heap.pop().map(|e| (e.time, e.item))
     }
-
-    /// Time of the earliest entry without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Pending entry count.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drains the queue in chronological order.
-    pub fn drain_ordered(&mut self) -> Vec<(SimTime, T)> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(e) = self.pop() {
-            out.push(e);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -121,7 +97,6 @@ mod tests {
         q.push(t(30), "c");
         q.push(t(10), "a");
         q.push(t(20), "b");
-        assert_eq!(q.peek_time(), Some(t(10)));
         assert_eq!(q.pop(), Some((t(10), "a")));
         assert_eq!(q.pop(), Some((t(20), "b")));
         assert_eq!(q.pop(), Some((t(30), "c")));
@@ -134,7 +109,7 @@ mod tests {
         q.push(t(5), 1);
         q.push(t(5), 2);
         q.push(t(5), 3);
-        let order: Vec<i32> = q.drain_ordered().into_iter().map(|(_, x)| x).collect();
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop()).map(|(_, x)| x).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
 
@@ -147,8 +122,7 @@ mod tests {
         q.push(t(50), "mid");
         assert_eq!(q.pop().unwrap().1, "mid");
         assert_eq!(q.pop().unwrap().1, "late");
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -77,24 +77,6 @@ pub enum TrueRootCause {
 }
 
 impl TrueRootCause {
-    /// All causes.
-    pub const ALL: [TrueRootCause; 14] = [
-        TrueRootCause::HardwareMce,
-        TrueRootCause::CpuCorruption,
-        TrueRootCause::MemoryFailSlow,
-        TrueRootCause::NodeVoltage,
-        TrueRootCause::InterconnectFailure,
-        TrueRootCause::LustreBug,
-        TrueRootCause::KernelBug,
-        TrueRootCause::DriverFirmwareBug,
-        TrueRootCause::AppMemoryExhaustion,
-        TrueRootCause::AppAbnormalExit,
-        TrueRootCause::AppFsBug,
-        TrueRootCause::UnknownBios,
-        TrueRootCause::UnknownL0Mce,
-        TrueRootCause::OperatorShutdown,
-    ];
-
     /// Coarse class of this cause.
     pub fn class(self) -> RootCauseClass {
         match self {
@@ -119,43 +101,6 @@ impl TrueRootCause {
     /// "root cause often lies in the application").
     pub fn is_app_triggered(self) -> bool {
         self.class() == RootCauseClass::Application
-    }
-
-    /// Whether failures of this cause exhibit fail-slow behaviour with
-    /// early *external* indicators (§III-D: hardware errors and file-system
-    /// bugs possess early indicators; application-triggered failures do
-    /// not).
-    pub fn can_have_external_indicators(self) -> bool {
-        matches!(
-            self,
-            TrueRootCause::HardwareMce
-                | TrueRootCause::CpuCorruption
-                | TrueRootCause::MemoryFailSlow
-                | TrueRootCause::NodeVoltage
-                | TrueRootCause::InterconnectFailure
-                | TrueRootCause::LustreBug
-                | TrueRootCause::DriverFirmwareBug
-        )
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TrueRootCause::HardwareMce => "hardware-mce",
-            TrueRootCause::CpuCorruption => "cpu-corruption",
-            TrueRootCause::MemoryFailSlow => "memory-fail-slow",
-            TrueRootCause::NodeVoltage => "node-voltage",
-            TrueRootCause::InterconnectFailure => "interconnect-failure",
-            TrueRootCause::LustreBug => "lustre-bug",
-            TrueRootCause::KernelBug => "kernel-bug",
-            TrueRootCause::DriverFirmwareBug => "driver-firmware-bug",
-            TrueRootCause::AppMemoryExhaustion => "app-memory-exhaustion",
-            TrueRootCause::AppAbnormalExit => "app-abnormal-exit",
-            TrueRootCause::AppFsBug => "app-fs-bug",
-            TrueRootCause::UnknownBios => "unknown-bios",
-            TrueRootCause::UnknownL0Mce => "unknown-l0-mce",
-            TrueRootCause::OperatorShutdown => "operator-shutdown",
-        }
     }
 }
 
@@ -227,17 +172,6 @@ pub struct GroundTruth {
 }
 
 impl GroundTruth {
-    /// Failures within `[from, to)`.
-    pub fn failures_between(
-        &self,
-        from: SimTime,
-        to: SimTime,
-    ) -> impl Iterator<Item = &FailureRecord> {
-        self.failures
-            .iter()
-            .filter(move |f| from <= f.time && f.time < to)
-    }
-
     /// Count of failures per coarse class.
     pub fn class_counts(&self) -> [(RootCauseClass, usize); 4] {
         let mut counts = [
@@ -264,33 +198,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_cause_has_a_class() {
-        for c in TrueRootCause::ALL {
-            let _ = c.class();
-            assert!(!c.name().is_empty());
-        }
-    }
-
-    #[test]
     fn app_triggered_set() {
         assert!(TrueRootCause::AppMemoryExhaustion.is_app_triggered());
         assert!(TrueRootCause::AppAbnormalExit.is_app_triggered());
         assert!(TrueRootCause::AppFsBug.is_app_triggered());
         assert!(!TrueRootCause::HardwareMce.is_app_triggered());
         assert!(!TrueRootCause::UnknownBios.is_app_triggered());
-    }
-
-    #[test]
-    fn app_failures_never_have_external_indicators() {
-        // Obs. 5: "such enhancements are not possible for
-        // application-triggered node failures".
-        for c in TrueRootCause::ALL {
-            if c.is_app_triggered() {
-                assert!(!c.can_have_external_indicators(), "{c:?}");
-            }
-        }
-        assert!(TrueRootCause::MemoryFailSlow.can_have_external_indicators());
-        assert!(!TrueRootCause::OperatorShutdown.can_have_external_indicators());
     }
 
     #[test]
@@ -332,10 +245,5 @@ mod tests {
         assert_eq!(counts[1].1, 1);
         assert_eq!(counts[2].1, 2);
         assert_eq!(counts[3].1, 1);
-        assert_eq!(
-            gt.failures_between(SimTime::from_millis(1), SimTime::from_millis(4))
-                .count(),
-            3
-        );
     }
 }

@@ -27,9 +27,7 @@ pub mod incidents;
 pub mod noise;
 pub mod scenario;
 
-pub use chaos::{
-    ChaosFeed, ChaosLedger, ChaosSpec, FollowStep, Intensity, Pathology, RECORD_SLACK,
-};
+pub use chaos::{ChaosFeed, ChaosLedger, ChaosSpec, Intensity, Pathology, RECORD_SLACK};
 pub use fault::{FailureRecord, GroundTruth, RootCauseClass, TrueRootCause};
 pub use incidents::ChainTiming;
 pub use scenario::{Scenario, ScenarioConfig, SimOutput};

@@ -263,7 +263,7 @@ impl Response {
 }
 
 /// Reason phrase for the status codes fleetd emits.
-pub fn status_text(status: u16) -> &'static str {
+fn status_text(status: u16) -> &'static str {
     match status {
         200 => "OK",
         304 => "Not Modified",

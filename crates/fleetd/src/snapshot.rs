@@ -98,7 +98,7 @@ pub struct SystemSnapshot {
 impl SystemSnapshot {
     /// An empty generation-0 snapshot, published before the shard's first
     /// poll so the system is listable immediately.
-    pub fn empty(system: &str) -> SystemSnapshot {
+    fn empty(system: &str) -> SystemSnapshot {
         SystemSnapshot {
             system: system.to_string(),
             generation: 0,

@@ -8,12 +8,15 @@
 //! 5xx other than deliberate 503 backpressure, with every JSON body
 //! parsing.
 
+use std::ffi::OsString;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+#[cfg(unix)]
+use std::{ffi::OsStr, os::unix::ffi::OsStrExt};
 
 use hpc_faultsim::scenario::Scenario;
 use hpc_fleet::shard::{Feed, ShardConfig};
@@ -585,9 +588,14 @@ fn daemon_rejects_bad_command_lines_with_usage() {
         &["--replay", "S1=/tmp", "--workers", "many"],
         &["--replay", "S1=/tmp", "--backfill", "S1=/tmp,soon"],
     ];
+    let mut cases: Vec<Vec<OsString>> = (cases.iter())
+        .map(|args| args.iter().map(Into::into).collect())
+        .collect();
+    #[cfg(unix)]
+    cases.push(vec![OsStr::from_bytes(b"\xff").into()]);
     for args in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_hpc-fleetd"))
-            .args(args)
+            .args(&args)
             .stdin(std::process::Stdio::null())
             .output()
             .expect("run hpc-fleetd");

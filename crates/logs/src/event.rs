@@ -837,16 +837,6 @@ impl LogSource {
         LogSource::Scheduler,
     ];
 
-    /// Conventional file name of this stream.
-    pub fn file_name(self) -> &'static str {
-        match self {
-            LogSource::Console => "console",
-            LogSource::Controller => "controller",
-            LogSource::Erd => "event-20160101",
-            LogSource::Scheduler => "slurmctld.log",
-        }
-    }
-
     /// Short stable identifier used in metric names
     /// (`ingest.<key>.lines`, `core.ingest.parse.<key>`).
     pub fn key(self) -> &'static str {

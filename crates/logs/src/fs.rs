@@ -74,7 +74,7 @@ impl Block {
 
 /// Reads a log file as bounded [`Block`]s: ask for ~1 MiB, cut at the last
 /// `\n`, carry the remainder into the next block — the one file-reading
-/// path under [`load_archive`], [`parse_file`], [`LineBatches`] and
+/// path under [`load_archive`], [`LineBatches`] and
 /// `hpc-diagnosis`'s pooled `Diagnosis::from_dir`. A line longer than the
 /// block size grows the block until its `\n` arrives.
 ///
@@ -224,23 +224,6 @@ pub fn load_archive(root: &Path) -> io::Result<LogArchive> {
         }
     }
     Ok(archive)
-}
-
-/// Streams one log file through the parser without materialising all lines
-/// — bounded memory for multi-GB real logs. Returns the parsed events
-/// (sorted by time) and the count of unrecognised lines.
-pub fn parse_file(path: &Path, source: LogSource) -> io::Result<(Vec<crate::LogEvent>, u64)> {
-    use crate::parse::LogParser;
-    let mut parser = LogParser::new();
-    let mut out = Vec::new();
-    for block in BlockReader::open(path)? {
-        for line in block.lines() {
-            parser.parse_line(source, line, &mut out);
-        }
-    }
-    parser.finish(&mut out);
-    out.sort_by_key(|e| e.time);
-    Ok((out, parser.skipped_lines))
 }
 
 /// Reads a log file as fixed-size batches of owned lines (trailing
@@ -508,33 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_file_streams_and_matches_in_memory_parse() {
-        let dir = tmpdir("stream");
-        let a = sample_archive();
-        save_archive(&a, &dir).unwrap();
-        let path = dir.join(source_path(LogSource::Console, SchedulerKind::Slurm));
-        let (streamed, skipped) = parse_file(&path, LogSource::Console).unwrap();
-        assert_eq!(skipped, 0);
-        let (in_memory, _) = a.parse_source(LogSource::Console);
-        assert_eq!(streamed, in_memory);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn parse_file_handles_crlf_and_garbage() {
-        let dir = tmpdir("crlf");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("console");
-        let good =
-            "2016-01-01T00:00:00.000 c0-0c0s0n0 kernel: sd 0:0:0:0: [sda] Unhandled error code";
-        fs::write(&path, format!("{good}\r\nnot a log line\n")).unwrap();
-        let (events, skipped) = parse_file(&path, LogSource::Console).unwrap();
-        assert_eq!(events.len(), 1, "CRLF line endings must be tolerated");
-        assert_eq!(skipped, 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn line_batches_cover_file_exactly() {
         let dir = tmpdir("batches");
         let path = dir.join("log");
@@ -568,17 +524,13 @@ mod tests {
         bytes.push(b'\n');
         fs::write(&path, &bytes).unwrap();
         let before = hpc_telemetry::counter("core.ingest.dropped.invalid_utf8").get();
-        // Streaming parse: good lines still parse, the garbage line is
-        // skipped (not a crash, not a file-level error).
-        let (events, skipped) = parse_file(&path, LogSource::Console).unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(skipped, 1);
-        // Batched reader: all three lines come through, garbage sanitised.
+        // All three lines come through, garbage sanitised (not a crash,
+        // not a file-level error).
         let lines: Vec<String> = LineBatches::open(&path, 100).unwrap().flatten().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[1].contains('\u{FFFD}'));
         let after = hpc_telemetry::counter("core.ingest.dropped.invalid_utf8").get();
-        assert_eq!(after - before, 2, "one count per read of the bad line");
+        assert_eq!(after - before, 1, "one count per read of the bad line");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -595,9 +547,6 @@ mod tests {
         let b = load_archive(&dir).unwrap();
         assert!(b.lines(LogSource::Console).is_empty());
         assert_eq!(b.lines(LogSource::Erd), a.lines(LogSource::Erd));
-        let (events, _) =
-            parse_file(&dir.join("p0-directory/console"), LogSource::Console).unwrap();
-        assert!(events.is_empty());
         assert_eq!(
             LineBatches::open(&dir.join("p0-directory/console"), 4)
                 .unwrap()
@@ -605,7 +554,7 @@ mod tests {
             0
         );
         let after = hpc_telemetry::counter("core.ingest.dropped.io_error").get();
-        assert_eq!(after - before, 3, "each reader counts its own error");
+        assert_eq!(after - before, 2, "each reader counts its own error");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -324,7 +324,7 @@ fn render_scheduler(
 /// Compresses a node list into Slurm hostlist syntax: `nid00007` for a
 /// single node, `nid[00001-00004,00007]` otherwise. The input need not be
 /// sorted; the output enumerates sorted, deduplicated ranges.
-pub fn compress_nid_list(nodes: &[NodeId]) -> String {
+fn compress_nid_list(nodes: &[NodeId]) -> String {
     if nodes.is_empty() {
         return "nid[]".to_string();
     }

@@ -70,18 +70,13 @@ impl SimDuration {
         SimDuration(n * MILLIS_PER_DAY)
     }
 
-    /// Span of `n` weeks.
-    pub const fn from_weeks(n: u64) -> SimDuration {
-        SimDuration(n * MILLIS_PER_WEEK)
-    }
-
     /// Raw milliseconds.
     pub const fn as_millis(self) -> u64 {
         self.0
     }
 
     /// Span in fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
+    fn as_secs_f64(self) -> f64 {
         self.0 as f64 / MILLIS_PER_SEC as f64
     }
 
@@ -93,11 +88,6 @@ impl SimDuration {
     /// Span in fractional hours.
     pub fn as_hours_f64(self) -> f64 {
         self.0 as f64 / MILLIS_PER_HOUR as f64
-    }
-
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 }
 
@@ -139,11 +129,6 @@ impl SimTime {
         self.0 / MILLIS_PER_DAY
     }
 
-    /// Which simulated week (0-based) this instant falls on.
-    pub fn week_index(self) -> u64 {
-        self.0 / MILLIS_PER_WEEK
-    }
-
     /// Hour of day, 0..24.
     pub fn hour_of_day(self) -> u32 {
         ((self.0 % MILLIS_PER_DAY) / MILLIS_PER_HOUR) as u32
@@ -166,7 +151,7 @@ impl SimTime {
     }
 
     /// Breaks the instant into calendar components.
-    pub fn to_civil(self) -> CivilTime {
+    fn to_civil(self) -> CivilTime {
         let days = (self.0 / MILLIS_PER_DAY) as i64 + EPOCH_DAYS_FROM_UNIX;
         let (year, month, day) = civil_from_days(days);
         let rem = self.0 % MILLIS_PER_DAY;
@@ -268,21 +253,21 @@ impl fmt::Display for SimTime {
 
 /// Calendar decomposition of a [`SimTime`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CivilTime {
+struct CivilTime {
     /// Calendar year (e.g. 2016).
-    pub year: i64,
+    year: i64,
     /// Month 1..=12.
-    pub month: u8,
+    month: u8,
     /// Day of month 1..=31.
-    pub day: u8,
+    day: u8,
     /// Hour 0..=23.
-    pub hour: u8,
+    hour: u8,
     /// Minute 0..=59.
-    pub minute: u8,
+    minute: u8,
     /// Second 0..=59.
-    pub second: u8,
+    second: u8,
     /// Millisecond 0..=999.
-    pub millisecond: u16,
+    millisecond: u16,
 }
 
 /// Days since 1970-01-01 for a civil date (Hinnant's `days_from_civil`).
@@ -362,10 +347,9 @@ mod tests {
     }
 
     #[test]
-    fn day_week_hour_indexing() {
+    fn day_hour_indexing() {
         let t = SimTime::from_millis(9 * MILLIS_PER_DAY + 13 * MILLIS_PER_HOUR);
         assert_eq!(t.day_index(), 9);
-        assert_eq!(t.week_index(), 1);
         assert_eq!(t.hour_of_day(), 13);
     }
 
@@ -374,7 +358,6 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_millis(), 2000);
         assert_eq!(SimDuration::from_mins(3).as_mins_f64(), 3.0);
         assert_eq!(SimDuration::from_hours(2).as_hours_f64(), 2.0);
-        assert_eq!(SimDuration::from_weeks(1).as_millis(), MILLIS_PER_WEEK);
     }
 
     #[test]

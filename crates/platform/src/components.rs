@@ -1,15 +1,11 @@
-//! Per-node hardware inventory.
+//! Per-node hardware component classes.
 //!
 //! Fault injection targets concrete components: MCEs hit CPU caches or DIMMs
 //! (the paper: "MCE log triggers (page/cache/DIMM)"), disk errors hit local
 //! disks (S5), GPU errors hit GPUs (S5), and link errors hit the NIC/HSN
-//! port. The inventory also determines which fault classes are *possible* on
-//! a given system (e.g. no GPU faults on S1–S4, no local-disk faults on
-//! diskless Cray compute nodes).
+//! port.
 
 use serde::{Deserialize, Serialize};
-
-use crate::system::{Accelerator, ProcessorKind, SystemProfile};
 
 /// A hardware component class within a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -38,140 +34,6 @@ impl Component {
             Component::Disk => "DISK",
             Component::Gpu => "GPU",
             Component::BurstBufferSsd => "BB_SSD",
-        }
-    }
-}
-
-/// The hardware complement of a single node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NodeInventory {
-    /// CPU sockets per node.
-    pub sockets: u8,
-    /// Cores per socket.
-    pub cores_per_socket: u8,
-    /// DIMMs per node.
-    pub dimms: u8,
-    /// Memory per node in GiB.
-    pub memory_gib: u32,
-    /// Whether the node has a local disk.
-    pub has_disk: bool,
-    /// Number of GPUs.
-    pub gpus: u8,
-    /// Whether the node can reach a burst buffer.
-    pub has_burst_buffer: bool,
-}
-
-impl NodeInventory {
-    /// Inventory implied by a Table I system profile.
-    pub fn for_profile(profile: &SystemProfile) -> NodeInventory {
-        let (sockets, cores_per_socket, memory_gib) = match profile.processor {
-            // 2-socket 12-core Ivy Bridge, 64 GiB — typical XC30 node.
-            ProcessorKind::IvyBridge => (2, 12, 64),
-            // 2-socket 16-core Haswell, 128 GiB — typical XC40 node.
-            ProcessorKind::Haswell => (2, 16, 128),
-            ProcessorKind::Mixed => (2, 14, 96),
-        };
-        NodeInventory {
-            sockets,
-            cores_per_socket,
-            dimms: 8,
-            memory_gib,
-            // Cray compute nodes are diskless; the institutional S5 cluster
-            // has local disks (its Fig. 15 hung-task pathology comes from
-            // slow local I/O).
-            has_disk: !profile.is_cray(),
-            gpus: if profile.accelerator == Accelerator::Gpu {
-                2
-            } else {
-                0
-            },
-            has_burst_buffer: profile.accelerator == Accelerator::BurstBuffer,
-        }
-    }
-
-    /// Total cores on the node.
-    pub fn total_cores(&self) -> u32 {
-        self.sockets as u32 * self.cores_per_socket as u32
-    }
-
-    /// Which component classes exist on this node (and can therefore fault).
-    pub fn present_components(&self) -> Vec<Component> {
-        let mut v = vec![Component::Cpu, Component::Dimm, Component::Nic];
-        if self.has_disk {
-            v.push(Component::Disk);
-        }
-        if self.gpus > 0 {
-            v.push(Component::Gpu);
-        }
-        if self.has_burst_buffer {
-            v.push(Component::BurstBufferSsd);
-        }
-        v
-    }
-
-    /// Whether a fault against `component` is physically possible here.
-    pub fn supports(&self, component: Component) -> bool {
-        match component {
-            Component::Cpu | Component::Dimm | Component::Nic => true,
-            Component::Disk => self.has_disk,
-            Component::Gpu => self.gpus > 0,
-            Component::BurstBufferSsd => self.has_burst_buffer,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::system::SystemId;
-
-    #[test]
-    fn cray_nodes_are_diskless() {
-        for s in SystemId::CRAY {
-            let inv = NodeInventory::for_profile(&s.profile());
-            assert!(!inv.has_disk, "{s}");
-            assert!(!inv.supports(Component::Disk));
-            assert_eq!(inv.gpus, 0, "{s}");
-        }
-    }
-
-    #[test]
-    fn s5_has_disks_and_gpus() {
-        let inv = NodeInventory::for_profile(&SystemId::S5.profile());
-        assert!(inv.has_disk);
-        assert_eq!(inv.gpus, 2);
-        assert!(inv.supports(Component::Gpu));
-        assert!(inv.present_components().contains(&Component::Disk));
-    }
-
-    #[test]
-    fn burst_buffer_systems() {
-        for s in [SystemId::S3, SystemId::S4] {
-            let inv = NodeInventory::for_profile(&s.profile());
-            assert!(inv.has_burst_buffer, "{s}");
-            assert!(inv.supports(Component::BurstBufferSsd));
-        }
-        let s1 = NodeInventory::for_profile(&SystemId::S1.profile());
-        assert!(!s1.has_burst_buffer);
-    }
-
-    #[test]
-    fn core_counts_positive() {
-        for s in SystemId::ALL {
-            let inv = NodeInventory::for_profile(&s.profile());
-            assert!(inv.total_cores() >= 24, "{s}");
-            assert!(inv.memory_gib >= 64, "{s}");
-        }
-    }
-
-    #[test]
-    fn baseline_components_always_present() {
-        for s in SystemId::ALL {
-            let inv = NodeInventory::for_profile(&s.profile());
-            let comps = inv.present_components();
-            for c in [Component::Cpu, Component::Dimm, Component::Nic] {
-                assert!(comps.contains(&c), "{s} missing {c:?}");
-            }
         }
     }
 }

@@ -132,12 +132,6 @@ impl NodeId {
 }
 
 impl BladeId {
-    /// First node on this blade.
-    #[inline]
-    pub fn first_node(self) -> NodeId {
-        NodeId(self.0 * NODES_PER_BLADE)
-    }
-
     /// All nodes hosted by this blade.
     pub fn nodes(self) -> impl Iterator<Item = NodeId> {
         let base = self.0 * NODES_PER_BLADE;
@@ -158,7 +152,7 @@ impl BladeId {
 
     /// Slot number within the chassis (`s0..s15`).
     #[inline]
-    pub fn slot_in_chassis(self) -> u32 {
+    fn slot_in_chassis(self) -> u32 {
         self.0 % BLADES_PER_CHASSIS
     }
 
@@ -177,21 +171,15 @@ impl ChassisId {
 
     /// Chassis number within the cabinet (`c0..c2`).
     #[inline]
-    pub fn index_in_cabinet(self) -> u32 {
+    fn index_in_cabinet(self) -> u32 {
         self.0 % CHASSIS_PER_CABINET
-    }
-
-    /// All blades hosted by this chassis.
-    pub fn blades(self) -> impl Iterator<Item = BladeId> {
-        let base = self.0 * BLADES_PER_CHASSIS;
-        (base..base + BLADES_PER_CHASSIS).map(BladeId)
     }
 }
 
 impl CabinetId {
     /// Machine-room column of this cabinet (`c<column>-<row>`).
     #[inline]
-    pub fn column(self) -> u32 {
+    fn column(self) -> u32 {
         self.0 % CABINETS_PER_ROW
     }
 
@@ -199,18 +187,6 @@ impl CabinetId {
     #[inline]
     pub fn row(self) -> u32 {
         self.0 / CABINETS_PER_ROW
-    }
-
-    /// All chassis hosted by this cabinet.
-    pub fn chassis(self) -> impl Iterator<Item = ChassisId> {
-        let base = self.0 * CHASSIS_PER_CABINET;
-        (base..base + CHASSIS_PER_CABINET).map(ChassisId)
-    }
-
-    /// All blades hosted by this cabinet.
-    pub fn blades(self) -> impl Iterator<Item = BladeId> {
-        let base = self.0 * BLADES_PER_CABINET;
-        (base..base + BLADES_PER_CABINET).map(BladeId)
     }
 
     /// The cname of this cabinet, e.g. `c3-1`.
@@ -251,7 +227,7 @@ pub struct Cname {
 
 impl Cname {
     /// Cname for a whole cabinet.
-    pub fn for_cabinet(cab: CabinetId) -> Self {
+    fn for_cabinet(cab: CabinetId) -> Self {
         Cname {
             column: cab.column(),
             row: cab.row(),
@@ -262,7 +238,7 @@ impl Cname {
     }
 
     /// Cname for a blade.
-    pub fn for_blade(blade: BladeId) -> Self {
+    fn for_blade(blade: BladeId) -> Self {
         let chassis = blade.chassis();
         let cab = chassis.cabinet();
         Cname {
@@ -275,7 +251,7 @@ impl Cname {
     }
 
     /// Cname for a node.
-    pub fn for_node(node: NodeId) -> Self {
+    fn for_node(node: NodeId) -> Self {
         let mut c = Self::for_blade(node.blade());
         c.node = Some(node.slot_in_blade());
         c

@@ -4,12 +4,10 @@
 //! errors* as external indicators that are "distant from the failure time" —
 //! i.e. usually benign — while failed interconnect failovers are cited as a
 //! recovery weakness. We model just enough of the fabric to produce
-//! realistic link-error events: each blade exposes HSN ports, links connect
-//! port pairs, and errors carry a class (CRC, lane degrade, failover).
+//! realistic link-error events: errors carry a class (CRC, lane degrade,
+//! failover).
 
 use serde::{Deserialize, Serialize};
-
-use crate::id::BladeId;
 
 /// The interconnect family of a system (Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -31,44 +29,11 @@ impl InterconnectKind {
             InterconnectKind::Infiniband => "Infiniband",
         }
     }
-
-    /// Vendor ASIC name used in log lines (`aries`, `gemini`, `mlx`).
-    pub fn asic(self) -> &'static str {
-        match self {
-            InterconnectKind::AriesDragonfly => "aries",
-            InterconnectKind::GeminiTorus => "gemini",
-            InterconnectKind::Infiniband => "mlx5",
-        }
-    }
-
-    /// HSN ports per blade for this fabric.
-    pub fn ports_per_blade(self) -> u8 {
-        match self {
-            InterconnectKind::AriesDragonfly => 8,
-            InterconnectKind::GeminiTorus => 6,
-            InterconnectKind::Infiniband => 2,
-        }
-    }
 }
 
 impl std::fmt::Display for InterconnectKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// One endpoint of a link: a port on a blade's router ASIC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Port {
-    /// Blade hosting the router ASIC.
-    pub blade: BladeId,
-    /// Port index on that ASIC.
-    pub port: u8,
-}
-
-impl std::fmt::Display for Port {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}p{}", self.blade.cname(), self.port)
     }
 }
 
@@ -116,38 +81,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn asic_names() {
-        assert_eq!(InterconnectKind::AriesDragonfly.asic(), "aries");
-        assert_eq!(InterconnectKind::GeminiTorus.asic(), "gemini");
-        assert_eq!(InterconnectKind::Infiniband.asic(), "mlx5");
-    }
-
-    #[test]
     fn severity_classification() {
         assert!(!LinkErrorKind::Crc.is_severe());
         assert!(!LinkErrorKind::LaneDegrade.is_severe());
         assert!(LinkErrorKind::LinkDown.is_severe());
         assert!(LinkErrorKind::Failover { succeeded: false }.is_severe());
         assert!(!LinkErrorKind::Failover { succeeded: true }.is_severe());
-    }
-
-    #[test]
-    fn port_display_embeds_cname() {
-        let p = Port {
-            blade: BladeId(0),
-            port: 3,
-        };
-        assert_eq!(p.to_string(), "c0-0c0s0p3");
-    }
-
-    #[test]
-    fn ports_per_blade_positive() {
-        for k in [
-            InterconnectKind::AriesDragonfly,
-            InterconnectKind::GeminiTorus,
-            InterconnectKind::Infiniband,
-        ] {
-            assert!(k.ports_per_blade() > 0);
-        }
     }
 }

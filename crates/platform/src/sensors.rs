@@ -70,18 +70,6 @@ impl SensorKind {
         })
     }
 
-    /// Unit string for display.
-    pub fn unit(self) -> &'static str {
-        match self {
-            SensorKind::Temperature => "C",
-            SensorKind::Voltage => "V",
-            SensorKind::FanSpeed => "RPM",
-            SensorKind::AirVelocity => "m/s",
-            SensorKind::Current => "A",
-            SensorKind::Power => "W",
-        }
-    }
-
     /// Nominal operating range for this sensor kind: (low threshold, nominal
     /// value, high threshold). Readings outside [low, high] produce SEDC
     /// warnings. Values follow typical XC series operating envelopes.
@@ -93,19 +81,6 @@ impl SensorKind {
             SensorKind::AirVelocity => SensorRange::new(1.2, 3.0, 6.0),
             SensorKind::Current => SensorRange::new(1.0, 18.0, 40.0),
             SensorKind::Power => SensorRange::new(40.0, 280.0, 450.0),
-        }
-    }
-
-    /// Gaussian jitter applied to nominal readings during healthy sampling,
-    /// as a standard deviation in the sensor's unit.
-    pub fn healthy_jitter(self) -> f64 {
-        match self {
-            SensorKind::Temperature => 1.8,
-            SensorKind::Voltage => 0.08,
-            SensorKind::FanSpeed => 220.0,
-            SensorKind::AirVelocity => 0.25,
-            SensorKind::Current => 1.4,
-            SensorKind::Power => 22.0,
         }
     }
 }
@@ -131,23 +106,12 @@ pub struct SensorRange {
 impl SensorRange {
     /// Builds a range; panics if not `low <= nominal <= high` (programmer
     /// error).
-    pub fn new(low: f64, nominal: f64, high: f64) -> SensorRange {
+    fn new(low: f64, nominal: f64, high: f64) -> SensorRange {
         assert!(
             low <= nominal && nominal <= high,
             "invalid sensor range {low} <= {nominal} <= {high}"
         );
         SensorRange { low, nominal, high }
-    }
-
-    /// Classifies a reading against the envelope.
-    pub fn classify(&self, reading: f64) -> Deviation {
-        if reading < self.low {
-            Deviation::BelowMinimum
-        } else if reading > self.high {
-            Deviation::AboveMaximum
-        } else {
-            Deviation::Nominal
-        }
     }
 
     /// Width of the healthy band.
@@ -171,11 +135,6 @@ pub enum Deviation {
 }
 
 impl Deviation {
-    /// Whether this reading would produce an SEDC warning.
-    pub fn is_warning(self) -> bool {
-        self != Deviation::Nominal
-    }
-
     /// Log text fragment.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -184,64 +143,6 @@ impl Deviation {
             Deviation::AboveMaximum => "above maximum threshold",
         }
     }
-}
-
-/// One sensor instance attached to a blade or cabinet controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SensorSpec {
-    /// What it measures.
-    pub kind: SensorKind,
-    /// Sensor channel index on the controller (controllers multiplex many
-    /// channels; the id appears in `get sensor reading failed` faults).
-    pub channel: u16,
-}
-
-/// Default sensor complement of a blade controller: per-node temperature and
-/// voltage plus a board current sensor.
-pub fn blade_controller_sensors() -> Vec<SensorSpec> {
-    let mut v = Vec::with_capacity(9);
-    for ch in 0..4 {
-        v.push(SensorSpec {
-            kind: SensorKind::Temperature,
-            channel: ch,
-        });
-        v.push(SensorSpec {
-            kind: SensorKind::Voltage,
-            channel: 4 + ch,
-        });
-    }
-    v.push(SensorSpec {
-        kind: SensorKind::Current,
-        channel: 8,
-    });
-    v
-}
-
-/// Default sensor complement of a cabinet controller: fans, air velocity,
-/// inlet temperature and power.
-pub fn cabinet_controller_sensors() -> Vec<SensorSpec> {
-    vec![
-        SensorSpec {
-            kind: SensorKind::FanSpeed,
-            channel: 0,
-        },
-        SensorSpec {
-            kind: SensorKind::FanSpeed,
-            channel: 1,
-        },
-        SensorSpec {
-            kind: SensorKind::AirVelocity,
-            channel: 2,
-        },
-        SensorSpec {
-            kind: SensorKind::Temperature,
-            channel: 3,
-        },
-        SensorSpec {
-            kind: SensorKind::Power,
-            channel: 4,
-        },
-    ]
 }
 
 #[cfg(test)]
@@ -259,47 +160,11 @@ mod tests {
     }
 
     #[test]
-    fn classification_boundaries() {
-        let r = SensorKind::Temperature.range();
-        assert_eq!(r.classify(r.low), Deviation::Nominal, "low edge inclusive");
-        assert_eq!(
-            r.classify(r.high),
-            Deviation::Nominal,
-            "high edge inclusive"
-        );
-        assert_eq!(r.classify(r.low - 0.01), Deviation::BelowMinimum);
-        assert_eq!(r.classify(r.high + 0.01), Deviation::AboveMaximum);
-        assert_eq!(r.classify(r.nominal), Deviation::Nominal);
-    }
-
-    #[test]
     fn mnemonic_round_trip() {
         for kind in SensorKind::ALL {
             assert_eq!(SensorKind::from_mnemonic(kind.mnemonic()), Some(kind));
         }
         assert_eq!(SensorKind::from_mnemonic("BOGUS"), None);
-    }
-
-    #[test]
-    fn warning_flag() {
-        assert!(!Deviation::Nominal.is_warning());
-        assert!(Deviation::BelowMinimum.is_warning());
-        assert!(Deviation::AboveMaximum.is_warning());
-    }
-
-    #[test]
-    fn controller_sensor_complements() {
-        let bc = blade_controller_sensors();
-        assert_eq!(bc.len(), 9);
-        assert_eq!(
-            bc.iter()
-                .filter(|s| s.kind == SensorKind::Temperature)
-                .count(),
-            4
-        );
-        let cc = cabinet_controller_sensors();
-        assert!(cc.iter().any(|s| s.kind == SensorKind::AirVelocity));
-        assert!(cc.iter().any(|s| s.kind == SensorKind::FanSpeed));
     }
 
     #[test]

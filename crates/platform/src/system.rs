@@ -40,10 +40,6 @@ impl SystemId {
         SystemId::S5,
     ];
 
-    /// The four Cray production systems (the paper's environmental analysis
-    /// covers only these; S5 has no external environmental logs).
-    pub const CRAY: [SystemId; 4] = [SystemId::S1, SystemId::S2, SystemId::S3, SystemId::S4];
-
     /// Short name as used in the paper ("S1" …).
     pub fn name(self) -> &'static str {
         match self {
@@ -78,7 +74,7 @@ pub enum SchedulerKind {
 
 impl SchedulerKind {
     /// Human-readable name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             SchedulerKind::Slurm => "Slurm",
             SchedulerKind::Torque => "Torque",
@@ -97,7 +93,7 @@ pub enum FileSystemKind {
 
 impl FileSystemKind {
     /// Human-readable name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             FileSystemKind::Lustre => "Lustre",
             FileSystemKind::Local => "Local",
@@ -118,7 +114,7 @@ pub enum ProcessorKind {
 
 impl ProcessorKind {
     /// Human-readable name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             ProcessorKind::IvyBridge => "IvyBridge",
             ProcessorKind::Haswell => "Haswell",
@@ -140,7 +136,7 @@ pub enum Accelerator {
 
 impl Accelerator {
     /// Human-readable name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Accelerator::None => "-",
             Accelerator::BurstBuffer => "Burst Buffer",
@@ -185,7 +181,7 @@ pub struct SystemProfile {
 
 impl SystemProfile {
     /// Table I row for the given system.
-    pub fn of(id: SystemId) -> SystemProfile {
+    fn of(id: SystemId) -> SystemProfile {
         match id {
             SystemId::S1 => SystemProfile {
                 id,
@@ -260,11 +256,6 @@ impl SystemProfile {
         }
     }
 
-    /// Whether this is one of the four Cray production systems.
-    pub fn is_cray(&self) -> bool {
-        self.interconnect != InterconnectKind::Infiniband
-    }
-
     /// Renders this profile as a Table I row (pipe-separated), used by the
     /// `experiments table1` harness.
     pub fn table_row(&self) -> String {
@@ -313,15 +304,6 @@ mod tests {
         assert_eq!(s5.nodes, 520);
         assert!(!s5.has_environmental_logs);
         assert_eq!(s5.filesystem, FileSystemKind::Local);
-        assert!(!s5.is_cray());
-    }
-
-    #[test]
-    fn cray_set_excludes_s5() {
-        assert!(!SystemId::CRAY.contains(&SystemId::S5));
-        for s in SystemId::CRAY {
-            assert!(s.profile().is_cray());
-        }
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //! primitives: *membership* (which blade/cabinet does this node live in) and
 //! *distance* (how far apart are two nodes physically). Both live here.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use crate::id::{
-    BladeId, CabinetId, NodeId, BLADES_PER_CABINET, NODES_PER_BLADE, NODES_PER_CABINET,
-};
+use crate::id::{BladeId, NodeId, NODES_PER_BLADE, NODES_PER_CABINET};
 use crate::system::{SystemId, SystemProfile};
 
 /// The physical layout of one system: how many cabinets/blades/nodes exist
@@ -26,8 +24,6 @@ use crate::system::{SystemId, SystemProfile};
 ///
 /// let t = Topology::of(SystemId::S1);
 /// assert_eq!(t.node_count(), 5600);
-/// // Node 5 lives on blade 1 with three peers.
-/// assert_eq!(t.blade_peers(NodeId(5)).count(), 3);
 /// // Nodes in different cabinets are spatially distant (Obs. 8).
 /// assert!(t.spatially_distant(NodeId(0), NodeId(200)));
 /// ```
@@ -60,16 +56,6 @@ impl Topology {
         Topology::new(system.profile())
     }
 
-    /// The profile this topology was built from.
-    pub fn profile(&self) -> &SystemProfile {
-        &self.profile
-    }
-
-    /// Which system this topology models.
-    pub fn system(&self) -> SystemId {
-        self.profile.id
-    }
-
     /// Number of compute nodes.
     pub fn node_count(&self) -> u32 {
         self.nodes
@@ -86,13 +72,8 @@ impl Topology {
     }
 
     /// Whether `node` is a valid node of this machine.
-    pub fn contains_node(&self, node: NodeId) -> bool {
+    fn contains_node(&self, node: NodeId) -> bool {
         node.0 < self.nodes
-    }
-
-    /// Whether `blade` is a valid blade of this machine.
-    pub fn contains_blade(&self, blade: BladeId) -> bool {
-        blade.0 < self.blades
     }
 
     /// Iterator over all nodes.
@@ -100,32 +81,10 @@ impl Topology {
         (0..self.nodes).map(NodeId)
     }
 
-    /// Iterator over all blades.
-    pub fn blades(&self) -> impl Iterator<Item = BladeId> {
-        (0..self.blades).map(BladeId)
-    }
-
-    /// Iterator over all cabinets.
-    pub fn cabinets(&self) -> impl Iterator<Item = CabinetId> {
-        (0..self.cabinets).map(CabinetId)
-    }
-
     /// Nodes of `blade` that actually exist (the trailing blade of the
     /// machine may host fewer than four nodes).
     pub fn blade_nodes(&self, blade: BladeId) -> impl Iterator<Item = NodeId> + '_ {
         blade.nodes().filter(move |n| self.contains_node(*n))
-    }
-
-    /// Blades of `cabinet` that actually exist.
-    pub fn cabinet_blades(&self, cabinet: CabinetId) -> impl Iterator<Item = BladeId> + '_ {
-        cabinet.blades().filter(move |b| self.contains_blade(*b))
-    }
-
-    /// The other nodes sharing a blade with `node` (§II-A step 2: "we
-    /// investigate the nodes' health residing in the same blade as that of
-    /// the failed nodes").
-    pub fn blade_peers(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.blade_nodes(node.blade()).filter(move |n| *n != node)
     }
 
     /// Physical distance proxy between two nodes, used to decide whether
@@ -187,47 +146,10 @@ impl Topology {
     }
 }
 
-/// Summary of one blade's occupancy, used in reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BladeOccupancy {
-    /// The blade.
-    pub blade: BladeId,
-    /// Number of nodes physically present.
-    pub nodes: u32,
-}
-
-impl Topology {
-    /// Occupancy of every blade (all full except possibly the last).
-    pub fn blade_occupancy(&self) -> Vec<BladeOccupancy> {
-        self.blades()
-            .map(|b| BladeOccupancy {
-                blade: b,
-                nodes: self.blade_nodes(b).count() as u32,
-            })
-            .collect()
-    }
-}
-
-/// Returns how many *full* cabinets a node count fills, plus the remainder
-/// nodes in the final partial cabinet. Exposed for reporting.
-pub fn cabinet_fill(nodes: u32) -> (u32, u32) {
-    (nodes / NODES_PER_CABINET, nodes % NODES_PER_CABINET)
-}
-
-/// Returns how many *full* blades a node count fills, plus remainder nodes.
-pub fn blade_fill(nodes: u32) -> (u32, u32) {
-    (nodes / NODES_PER_BLADE, nodes % NODES_PER_BLADE)
-}
-
-/// Number of blades needed for a cabinet count (all full).
-pub fn blades_for_cabinets(cabinets: u32) -> u32 {
-    cabinets * BLADES_PER_CABINET
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::id::{ChassisId, CHASSIS_PER_CABINET};
+    use crate::id::BLADES_PER_CABINET;
 
     #[test]
     fn s1_topology_counts() {
@@ -242,25 +164,6 @@ mod tests {
     fn all_systems_validate() {
         for s in SystemId::ALL {
             Topology::of(s).validate().unwrap();
-        }
-    }
-
-    #[test]
-    fn partial_last_cabinet_s1() {
-        let (full, rem) = cabinet_fill(5600);
-        assert_eq!(full, 29);
-        assert_eq!(rem, 32);
-    }
-
-    #[test]
-    fn blade_peers_excludes_self() {
-        let t = Topology::of(SystemId::S3);
-        let n = NodeId(10);
-        let peers: Vec<_> = t.blade_peers(n).collect();
-        assert_eq!(peers.len(), 3);
-        assert!(!peers.contains(&n));
-        for p in peers {
-            assert_eq!(p.blade(), n.blade());
         }
     }
 
@@ -300,23 +203,5 @@ mod tests {
         assert_eq!(t.cabinet_count(), 2);
         assert_eq!(t.blade_count(), 2 * BLADES_PER_CABINET);
         t.validate().unwrap();
-    }
-
-    #[test]
-    fn blade_occupancy_mostly_full() {
-        let t = Topology::of(SystemId::S1);
-        let occ = t.blade_occupancy();
-        assert_eq!(occ.len(), 1400);
-        assert!(occ.iter().all(|o| o.nodes == 4));
-    }
-
-    #[test]
-    fn cabinet_blades_and_chassis_consistent() {
-        let t = Topology::miniature(SystemId::S1, 1);
-        let cab = CabinetId(0);
-        let blades: Vec<_> = t.cabinet_blades(cab).collect();
-        assert_eq!(blades.len(), BLADES_PER_CABINET as usize);
-        let chassis: Vec<ChassisId> = cab.chassis().collect();
-        assert_eq!(chassis.len(), CHASSIS_PER_CABINET as usize);
     }
 }

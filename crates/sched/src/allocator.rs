@@ -1,4 +1,4 @@
-//! Node allocation, including the memory-overallocation bug of Fig. 17.
+//! Node allocation.
 //!
 //! The allocator models dedicated-node scheduling: each node runs at most
 //! one job at a time; allocations are first-fit over the node index, which
@@ -6,10 +6,6 @@
 //! scattered fragments — giving the paper's "spatially distant nodes with
 //! temporal locality of failures because of the common jobs running on
 //! them" (Obs. 8).
-//!
-//! The Fig. 17 pathology is modelled explicitly: Slurm occasionally grants
-//! a memory request that exceeds the node's physical capacity; the affected
-//! subset of nodes later OOMs under load (injected by `hpc-faultsim`).
 
 use hpc_logs::time::SimTime;
 use hpc_platform::{NodeId, Topology};
@@ -19,28 +15,14 @@ use hpc_platform::{NodeId, Topology};
 pub struct Allocator {
     /// Per-node time until which the node is busy.
     busy_until: Vec<SimTime>,
-    /// Per-node physical memory (MiB).
-    node_mem_mib: u32,
 }
 
 impl Allocator {
-    /// New allocator over a topology; `node_mem_mib` is the physical memory
-    /// of each node.
-    pub fn new(topology: &Topology, node_mem_mib: u32) -> Allocator {
+    /// New allocator over a topology.
+    pub fn new(topology: &Topology) -> Allocator {
         Allocator {
             busy_until: vec![SimTime::EPOCH; topology.node_count() as usize],
-            node_mem_mib,
         }
-    }
-
-    /// Physical memory per node in MiB.
-    pub fn node_mem_mib(&self) -> u32 {
-        self.node_mem_mib
-    }
-
-    /// Number of nodes free at `t`.
-    pub fn free_at(&self, t: SimTime) -> usize {
-        self.busy_until.iter().filter(|&&b| b <= t).count()
     }
 
     /// Attempts to allocate `count` nodes from `start` to `end`. Returns the
@@ -65,18 +47,6 @@ impl Allocator {
         }
         Some(chosen)
     }
-
-    /// Releases a node early (job truncated by failure). The node remains
-    /// unavailable until `until` (reboot/NHC recovery window).
-    pub fn release_until(&mut self, node: NodeId, until: SimTime) {
-        self.busy_until[node.index()] = until;
-    }
-
-    /// Whether a memory request of `requested_mib` per node overcommits the
-    /// physical node memory — the precondition of the Fig. 17 bug.
-    pub fn is_overallocation(&self, requested_mib: u32) -> bool {
-        requested_mib > self.node_mem_mib
-    }
 }
 
 #[cfg(test)]
@@ -94,7 +64,7 @@ mod tests {
 
     #[test]
     fn allocate_first_fit() {
-        let mut a = Allocator::new(&topo(), 65_536);
+        let mut a = Allocator::new(&topo());
         let got = a.allocate(3, t(0), t(100)).unwrap();
         assert_eq!(got, vec![NodeId(0), NodeId(1), NodeId(2)]);
         // Those nodes are busy until 100.
@@ -107,29 +77,9 @@ mod tests {
 
     #[test]
     fn allocation_fails_when_machine_full() {
-        let mut a = Allocator::new(&topo(), 65_536);
+        let mut a = Allocator::new(&topo());
         assert!(a.allocate(192, t(0), t(100)).is_some());
         assert!(a.allocate(1, t(50), t(60)).is_none());
-        assert_eq!(a.free_at(t(50)), 0);
-        assert_eq!(a.free_at(t(100)), 192);
-    }
-
-    #[test]
-    fn release_until_reserves_recovery_window() {
-        let mut a = Allocator::new(&topo(), 65_536);
-        let got = a.allocate(1, t(0), t(1000)).unwrap();
-        a.release_until(got[0], t(500));
-        assert!(a.allocate(1, t(400), t(450)).map(|v| v[0]) != Some(got[0]));
-        // At 500 the node is reusable.
-        let again = a.allocate(192, t(500), t(600));
-        assert!(again.is_some());
-    }
-
-    #[test]
-    fn overallocation_predicate() {
-        let a = Allocator::new(&topo(), 65_536);
-        assert!(!a.is_overallocation(65_536));
-        assert!(a.is_overallocation(65_537));
-        assert!(!a.is_overallocation(1));
+        assert!(a.allocate(192, t(100), t(200)).is_some());
     }
 }

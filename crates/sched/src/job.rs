@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use hpc_logs::event::{Apid, AppKind, JobEndReason, JobId};
-use hpc_logs::time::{SimDuration, SimTime};
+use hpc_logs::time::SimTime;
 use hpc_platform::NodeId;
 
 /// One scheduled job with its full lifecycle.
@@ -50,18 +50,13 @@ impl Job {
     }
 
     /// Whether the job was running anywhere at instant `t`.
-    pub fn active_at(&self, t: SimTime) -> bool {
+    fn active_at(&self, t: SimTime) -> bool {
         self.start <= t && t < self.end
-    }
-
-    /// Wall time of the job.
-    pub fn duration(&self) -> SimDuration {
-        self.end.since(self.start)
     }
 
     /// Truncates the job at `t` with a node-failure end. No-op if the job
     /// already ended by `t`.
-    pub fn fail_at(&mut self, t: SimTime) {
+    fn fail_at(&mut self, t: SimTime) {
         if t < self.end {
             self.end = t;
             self.end_reason = JobEndReason::NodeFail;
@@ -88,7 +83,7 @@ impl Job {
 /// the per-node and per-id questions do not walk every job's node list:
 /// each node's jobs as positions in that order, and each id's position.
 /// Nothing hands out `&mut Job`, and the only in-place amendment
-/// ([`Job::fail_at`]) moves `end`, which neither lookup reads.
+/// (`Job::fail_at`) moves `end`, which neither lookup reads.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct JobTimeline {
     jobs: Vec<Job>,
@@ -114,16 +109,6 @@ impl JobTimeline {
         };
         timeline.index();
         timeline
-    }
-
-    /// Adds a job (keeps start order).
-    pub fn push(&mut self, job: Job) {
-        let pos = self
-            .jobs
-            .partition_point(|j| (j.start, j.id) <= (job.start, job.id));
-        self.jobs.insert(pos, job);
-        // Every later position moved; the insert was O(n) already.
-        self.index();
     }
 
     fn index(&mut self) {
@@ -179,7 +164,7 @@ impl JobTimeline {
     }
 
     /// Jobs whose node set includes `node`, in `(start, id)` order.
-    pub fn jobs_touching(&self, node: NodeId) -> impl Iterator<Item = &Job> {
+    fn jobs_touching(&self, node: NodeId) -> impl Iterator<Item = &Job> {
         let positions = self.by_node.get(node.0 as usize);
         (positions.into_iter().flatten()).map(|&pos| &self.jobs[pos as usize])
     }
@@ -300,10 +285,7 @@ mod tests {
                 let start = rng.gen_range(0..200);
                 job(id, &nodes, start, start + rng.gen_range(1..80))
             };
-            let mut t = JobTimeline::from_jobs((1..=60).map(&mut random_job).collect());
-            for id in 61..=70 {
-                t.push(random_job(id));
-            }
+            let mut t = JobTimeline::from_jobs((1..=70).map(&mut random_job).collect());
             let mut reference = t.jobs().to_vec();
             assert!(reference
                 .windows(2)
@@ -336,16 +318,6 @@ mod tests {
                 assert_eq!(t.get(JobId(id)), linear);
             }
         }
-    }
-
-    #[test]
-    fn push_keeps_start_order() {
-        let mut t = JobTimeline::new();
-        t.push(job(2, &[0], 100, 200));
-        t.push(job(1, &[0], 0, 50));
-        t.push(job(3, &[0], 50, 100));
-        let ids: Vec<u64> = t.jobs().iter().map(|j| j.id.0).collect();
-        assert_eq!(ids, vec![1, 3, 2]);
     }
 
     #[test]

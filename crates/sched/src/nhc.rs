@@ -70,42 +70,6 @@ pub fn admindown_sequence(node: NodeId, t0: SimTime, test: NhcTest) -> Vec<LogEv
     ]
 }
 
-/// NHC probes a node after an anomaly and it passes: suspect → passed test
-/// → up. No failure manifests ("failed nodes need not be quarantined as
-/// these nodes recover once new jobs run on them", §III-E).
-pub fn suspect_recover_sequence(node: NodeId, t0: SimTime, test: NhcTest) -> Vec<LogEvent> {
-    vec![
-        LogEvent {
-            time: t0,
-            payload: Payload::Scheduler {
-                detail: SchedulerDetail::NodeStateChange {
-                    node,
-                    state: NodeState::Suspect,
-                },
-            },
-        },
-        LogEvent {
-            time: t0 + RETEST_DELAY,
-            payload: Payload::Scheduler {
-                detail: SchedulerDetail::NhcResult {
-                    node,
-                    test,
-                    passed: true,
-                },
-            },
-        },
-        LogEvent {
-            time: t0 + RETEST_DELAY + SUSPECT_DELAY,
-            payload: Payload::Scheduler {
-                detail: SchedulerDetail::NodeStateChange {
-                    node,
-                    state: NodeState::Up,
-                },
-            },
-        },
-    ]
-}
-
 /// The scheduler marks a crashed node down (after a kernel panic or
 /// unexpected shutdown is noticed via missing heartbeats).
 pub fn crash_down_event(node: NodeId, t: SimTime) -> LogEvent {
@@ -115,19 +79,6 @@ pub fn crash_down_event(node: NodeId, t: SimTime) -> LogEvent {
             detail: SchedulerDetail::NodeStateChange {
                 node,
                 state: NodeState::Down,
-            },
-        },
-    }
-}
-
-/// A recovered node returns to service.
-pub fn recovery_event(node: NodeId, t: SimTime) -> LogEvent {
-    LogEvent {
-        time: t,
-        payload: Payload::Scheduler {
-            detail: SchedulerDetail::NodeStateChange {
-                node,
-                state: NodeState::Up,
             },
         },
     }
@@ -166,30 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn recover_sequence_ends_up() {
-        let seq = suspect_recover_sequence(NodeId(3), SimTime::EPOCH, NhcTest::Heartbeat);
-        match &seq.last().unwrap().payload {
-            Payload::Scheduler {
-                detail: SchedulerDetail::NodeStateChange { state, .. },
-            } => assert_eq!(*state, NodeState::Up),
-            other => panic!("unexpected terminal payload {other:?}"),
-        }
-        assert!(seq.windows(2).all(|w| w[0].time <= w[1].time));
-    }
-
-    #[test]
-    fn crash_and_recovery_events() {
+    fn crash_down_event_is_critical() {
         let down = crash_down_event(NodeId(1), SimTime::from_millis(5));
         assert_eq!(down.severity(), hpc_logs::Severity::Critical);
-        let up = recovery_event(NodeId(1), SimTime::from_millis(10));
-        assert!(matches!(
-            up.payload,
-            Payload::Scheduler {
-                detail: SchedulerDetail::NodeStateChange {
-                    state: NodeState::Up,
-                    ..
-                }
-            }
-        ));
     }
 }

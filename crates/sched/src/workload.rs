@@ -145,7 +145,7 @@ pub fn generate_workload<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> JobTimeline {
     let _span = hpc_telemetry::span!("sched.workload.generate");
-    let mut alloc = Allocator::new(topology, config.node_mem_mib);
+    let mut alloc = Allocator::new(topology);
     let mut jobs = Vec::new();
     let mut next_id: u64 = 1;
     let mean_gap_ms = 3_600_000.0 / config.arrivals_per_hour;

@@ -19,7 +19,7 @@ proptest! {
     #[test]
     fn allocator_exclusivity(ops in prop::collection::vec((0u64..10_000, 1u64..500, 1usize..20), 1..60)) {
         let topo = Topology::miniature(SystemId::S1, 1); // 192 nodes
-        let mut alloc = Allocator::new(&topo, 65_536);
+        let mut alloc = Allocator::new(&topo);
         let mut leases: Vec<(Vec<NodeId>, SimTime, SimTime)> = Vec::new();
         for (start_ms, dur_ms, count) in ops {
             let start = SimTime::from_millis(start_ms);

@@ -3,7 +3,7 @@
 //! Fig. 3 and Fig. 19 of the paper plot the *cumulative fraction of node
 //! failures* against inter-failure time ("92.3% of the node failures happen
 //! within 1 to 16 minutes of each other"). [`Ecdf`] provides exactly those
-//! queries: `fraction_at_or_below(x)` and fixed-grid series for plotting.
+//! queries: `fraction_at_or_below(x)` and its inverse.
 
 /// An empirical CDF over a finite sample.
 ///
@@ -29,16 +29,6 @@ impl Ecdf {
         Ecdf { sorted: xs }
     }
 
-    /// Sample size.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the sample is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// F(x): fraction of samples ≤ `x` (0 for an empty sample).
     pub fn fraction_at_or_below(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -62,20 +52,6 @@ impl Ecdf {
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
         Some(self.sorted[rank - 1])
-    }
-
-    /// Evaluates the CDF over `points`, yielding `(x, percent ≤ x)` pairs —
-    /// the series format of Fig. 3/19.
-    pub fn series(&self, points: &[f64]) -> Vec<(f64, f64)> {
-        points
-            .iter()
-            .map(|&x| (x, self.percent_at_or_below(x)))
-            .collect()
-    }
-
-    /// Underlying sorted sample.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
     }
 }
 
@@ -110,7 +86,6 @@ mod tests {
     #[test]
     fn empty_sample() {
         let e = Ecdf::new(vec![]);
-        assert!(e.is_empty());
         assert_eq!(e.fraction_at_or_below(1.0), 0.0);
         assert_eq!(e.inverse(0.5), None);
     }
@@ -131,16 +106,6 @@ mod tests {
             let v = e.inverse(q).unwrap();
             assert!(e.fraction_at_or_below(v) >= q - 1e-12, "F({v}) < {q}");
         }
-    }
-
-    #[test]
-    fn series_matches_pointwise_queries() {
-        let e = Ecdf::new(vec![1.0, 2.0, 4.0, 8.0]);
-        let grid = log2_grid(1.0, 8.0);
-        let s = e.series(&grid);
-        assert_eq!(s.len(), 4);
-        assert_eq!(s[0], (1.0, 25.0));
-        assert_eq!(s[3], (8.0, 100.0));
     }
 
     #[test]

@@ -58,16 +58,6 @@ impl Summary {
     }
 }
 
-/// Mean of a sample (0 for empty input).
-pub fn mean(xs: &[f64]) -> f64 {
-    Summary::of(xs).mean
-}
-
-/// Sample standard deviation (n-1; 0 for fewer than two points).
-pub fn stddev(xs: &[f64]) -> f64 {
-    Summary::of(xs).stddev
-}
-
 /// The `q`-quantile (0 ≤ q ≤ 1) by linear interpolation between closest
 /// ranks. Input need not be sorted; empty input yields 0.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
@@ -80,7 +70,7 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 }
 
 /// Like [`quantile`] but assumes `sorted` is ascending (no allocation).
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -94,20 +84,6 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
         let frac = pos - lo as f64;
         sorted[lo] * (1.0 - frac) + sorted[hi] * frac
     }
-}
-
-/// Median (0 for empty input).
-pub fn median(xs: &[f64]) -> f64 {
-    quantile(xs, 0.5)
-}
-
-/// Fraction of `xs` that satisfies `pred`, as a percentage in 0..=100.
-/// Empty input yields 0.
-pub fn percent_where<T>(xs: &[T], pred: impl Fn(&T) -> bool) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    100.0 * xs.iter().filter(|x| pred(x)).count() as f64 / xs.len() as f64
 }
 
 #[cfg(test)]
@@ -148,7 +124,7 @@ mod tests {
         assert_eq!(quantile(&xs, 0.25), 2.0);
         // Interpolation between ranks.
         assert!((quantile(&[1.0, 2.0], 0.5) - 1.5).abs() < 1e-12);
-        assert_eq!(median(&[]), 0.0);
+        assert_eq!(quantile(&[], 0.5), 0.0);
     }
 
     #[test]
@@ -162,13 +138,6 @@ mod tests {
         let xs = [1.0, 2.0];
         assert_eq!(quantile(&xs, -0.5), 1.0);
         assert_eq!(quantile(&xs, 1.5), 2.0);
-    }
-
-    #[test]
-    fn percent_where_counts() {
-        let xs = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-        assert!((percent_where(&xs, |x| *x <= 3) - 30.0).abs() < 1e-12);
-        assert_eq!(percent_where::<i32>(&[], |_| true), 0.0);
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Fixed-width and categorical histograms.
+//! Categorical histograms.
 //!
 //! The paper's bar figures (Fig. 6 NHF outcome breakdown, Fig. 15/16 root
-//! cause percentages, Fig. 9 hourly warning frequencies) are categorical or
-//! hourly counts; [`CategoricalHistogram`] and [`FixedHistogram`] cover
-//! both shapes.
+//! cause percentages) are categorical counts; [`CategoricalHistogram`]
+//! covers that shape.
 
 use std::collections::BTreeMap;
 use std::hash::Hash;
@@ -32,42 +31,13 @@ impl<K: Ord + Clone> CategoricalHistogram<K> {
 
     /// Adds one observation of `key`.
     pub fn add(&mut self, key: K) {
-        self.add_n(key, 1);
-    }
-
-    /// Adds `n` observations of `key`.
-    pub fn add_n(&mut self, key: K, n: u64) {
-        *self.counts.entry(key).or_insert(0) += n;
-        self.total += n;
-    }
-
-    /// Count for `key` (0 if unseen).
-    pub fn count(&self, key: &K) -> u64 {
-        self.counts.get(key).copied().unwrap_or(0)
+        *self.counts.entry(key).or_insert(0) += 1;
+        self.total += 1;
     }
 
     /// Total observations.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Number of distinct categories seen.
-    pub fn categories(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Fraction of observations in `key` as a percentage (0 if empty).
-    pub fn percent(&self, key: &K) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            100.0 * self.count(key) as f64 / self.total as f64
-        }
-    }
-
-    /// Iterates `(key, count)` in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, u64)> {
-        self.counts.iter().map(|(k, v)| (k, *v))
     }
 
     /// The most frequent category and its count (ties broken by key order;
@@ -99,71 +69,18 @@ impl<K: Ord + Clone + Hash> FromIterator<K> for CategoricalHistogram<K> {
     }
 }
 
-/// Fixed-width numeric histogram over `[lo, hi)` with out-of-range
-/// observations clamped into the edge bins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FixedHistogram {
-    lo: f64,
-    width: f64,
-    bins: Vec<u64>,
-    total: u64,
-}
-
-impl FixedHistogram {
-    /// `bins` equal-width bins spanning `[lo, hi)`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> FixedHistogram {
-        assert!(hi > lo && bins > 0, "invalid histogram spec");
-        FixedHistogram {
-            lo,
-            width: (hi - lo) / bins as f64,
-            bins: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Adds one observation (clamped into the edge bins).
-    pub fn add(&mut self, x: f64) {
-        let idx = ((x - self.lo) / self.width).floor();
-        let idx = idx.clamp(0.0, (self.bins.len() - 1) as f64) as usize;
-        self.bins[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// `(bin_center, count)` pairs.
-    pub fn centers(&self) -> Vec<(f64, u64)> {
-        self.bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (self.lo + (i as f64 + 0.5) * self.width, c))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn categorical_counting_and_percent() {
+    fn categorical_counting() {
         let mut h = CategoricalHistogram::new();
         for k in ["a", "b", "a", "a", "c"] {
             h.add(k);
         }
-        assert_eq!(h.count(&"a"), 3);
-        assert_eq!(h.count(&"z"), 0);
         assert_eq!(h.total(), 5);
-        assert_eq!(h.categories(), 3);
-        assert!((h.percent(&"a") - 60.0).abs() < 1e-12);
+        assert_eq!(h.mode(), Some((&"a", 3)));
     }
 
     #[test]
@@ -182,44 +99,5 @@ mod tests {
         let h: CategoricalHistogram<&str> = ["b", "a"].into_iter().collect();
         // Equal counts: smaller key wins deterministically.
         assert_eq!(h.mode().unwrap().0, &"a");
-    }
-
-    #[test]
-    fn iteration_is_key_ordered() {
-        let h: CategoricalHistogram<u32> = [3u32, 1, 2, 1].into_iter().collect();
-        let keys: Vec<u32> = h.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn fixed_histogram_binning() {
-        let mut h = FixedHistogram::new(0.0, 10.0, 5);
-        for x in [0.5, 1.9, 2.0, 9.9, 5.0] {
-            h.add(x);
-        }
-        assert_eq!(h.bins(), &[2, 1, 1, 0, 1]);
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn fixed_histogram_clamps_out_of_range() {
-        let mut h = FixedHistogram::new(0.0, 10.0, 2);
-        h.add(-5.0);
-        h.add(99.0);
-        assert_eq!(h.bins(), &[1, 1]);
-    }
-
-    #[test]
-    fn centers() {
-        let h = FixedHistogram::new(0.0, 4.0, 2);
-        let c = h.centers();
-        assert_eq!(c[0].0, 1.0);
-        assert_eq!(c[1].0, 3.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn invalid_spec_panics() {
-        FixedHistogram::new(1.0, 1.0, 4);
     }
 }

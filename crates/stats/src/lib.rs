@@ -7,23 +7,16 @@
 //! * [`descriptive`] — means, sample standard deviations, quantiles and the
 //!   paper's `mean (±σ)` reporting convention.
 //! * [`cdf`] — empirical CDFs for the inter-failure-time figures (3, 19).
-//! * [`histogram`] — categorical and fixed-width histograms (dominant-cause
-//!   and root-cause breakdowns; hourly warning counts).
-//! * [`timeseries`] — per-day/hour/week keyed binning (Figs. 4, 8, 9, 10, 18).
-//! * [`correlation`] — confusion metrics, set overlap, Pearson r (Figs. 5,
-//!   7, 14).
+//! * [`histogram`] — categorical histograms (dominant-cause and root-cause
+//!   breakdowns).
 //! * [`mtbf`] — inter-event gaps and MTBF summaries (Obs. 1).
 
 pub mod cdf;
-pub mod correlation;
 pub mod descriptive;
 pub mod histogram;
 pub mod mtbf;
-pub mod timeseries;
 
 pub use cdf::Ecdf;
-pub use correlation::Confusion;
 pub use descriptive::Summary;
-pub use histogram::{CategoricalHistogram, FixedHistogram};
+pub use histogram::CategoricalHistogram;
 pub use mtbf::MtbfAnalysis;
-pub use timeseries::TimeBinner;

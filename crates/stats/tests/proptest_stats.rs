@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use hpc_stats::cdf::Ecdf;
-use hpc_stats::correlation::{jaccard, pearson, percent_overlap};
 use hpc_stats::descriptive::{quantile, Summary};
 use hpc_stats::mtbf::{inter_event_gaps_ms, MtbfAnalysis};
 
@@ -65,29 +64,5 @@ proptest! {
         let a = MtbfAnalysis::from_times_ms(&times);
         let p = a.percent_within_minutes(5.0);
         prop_assert!((0.0..=100.0).contains(&p));
-    }
-
-    #[test]
-    fn pearson_is_bounded_and_symmetric(pairs in prop::collection::vec((-1.0e3f64..1.0e3, -1.0e3f64..1.0e3), 2..100)) {
-        let xs: Vec<f64> = pairs.iter().map(|(x, _)| *x).collect();
-        let ys: Vec<f64> = pairs.iter().map(|(_, y)| *y).collect();
-        let r = pearson(&xs, &ys);
-        prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "r = {r}");
-        prop_assert!((r - pearson(&ys, &xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn set_metrics_bounded(a in prop::collection::btree_set(0u32..500, 0..100),
-                           b in prop::collection::btree_set(0u32..500, 0..100)) {
-        let j = jaccard(&a, &b);
-        prop_assert!((0.0..=1.0).contains(&j));
-        prop_assert!((j - jaccard(&b, &a)).abs() < 1e-12, "jaccard symmetric");
-        let p = percent_overlap(&a, &b);
-        prop_assert!((0.0..=100.0).contains(&p));
-        // Self-overlap is total.
-        if !a.is_empty() {
-            prop_assert_eq!(percent_overlap(&a, &a), 100.0);
-            prop_assert_eq!(jaccard(&a, &a), 1.0);
-        }
     }
 }

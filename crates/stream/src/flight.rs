@@ -1,13 +1,13 @@
 //! Flight recorder: a bounded ring buffer of recent engine state
 //! transitions, dumped on demand when something goes wrong.
 //!
-//! A long-running monitor (`hpc-watch`, later `hpc-fleetd`) cannot keep a
+//! A long-running monitor (`hpc-watch`) cannot keep a
 //! full event log, but when it panics — or an operator sends `SIGUSR1` —
 //! the last few hundred transitions (alerts raised, failures finalized,
 //! quarantine flips, watermark stalls, shutdown signals) are exactly what
 //! the post-mortem needs. [`FlightRecorder`] retains a fixed number of
-//! [`FlightEntry`] records, overwriting the oldest; [`install_global`]
-//! publishes one recorder for signal handlers and the panic hook
+//! entries, overwriting the oldest; [`install_global`] publishes one
+//! recorder for signal handlers and the panic hook
 //! ([`install_panic_hook`]) to dump without threading it through every
 //! call site.
 //!
@@ -21,20 +21,20 @@ use std::time::Instant;
 
 /// One recorded transition.
 #[derive(Debug, Clone)]
-pub struct FlightEntry {
+struct FlightEntry {
     /// Monotonic sequence number over the recorder's lifetime (not reset
     /// by eviction, so gaps in a dump reveal overwritten history).
-    pub seq: u64,
+    seq: u64,
     /// Milliseconds since the recorder was created.
-    pub at_ms: u64,
+    at_ms: u64,
     /// Short machine-greppable category (`alert`, `failure`, `signal`,
     /// `quarantine`, `heartbeat`, …).
-    pub kind: &'static str,
+    kind: &'static str,
     /// Human-readable detail.
-    pub detail: String,
+    detail: String,
 }
 
-/// Bounded ring of recent [`FlightEntry`] records.
+/// Bounded ring of recent transitions.
 #[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
@@ -55,7 +55,7 @@ impl FlightRecorder {
     }
 
     /// Appends one transition, evicting the oldest entry when full.
-    pub fn record(&mut self, kind: &'static str, detail: impl Into<String>) {
+    fn record(&mut self, kind: &'static str, detail: impl Into<String>) {
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
         }
@@ -68,34 +68,19 @@ impl FlightRecorder {
         self.next_seq += 1;
     }
 
-    /// Entries currently retained, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &FlightEntry> {
-        self.entries.iter()
-    }
-
     /// Retained entry count.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether nothing has been recorded (or everything was evicted).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Retention capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Entries overwritten by the ring so far.
-    pub fn overwritten(&self) -> u64 {
+    fn overwritten(&self) -> u64 {
         self.next_seq - self.entries.len() as u64
     }
 
     /// Writes the retained transitions as text, oldest first, framed by
     /// header/footer lines so a dump is recognisable mid-stderr.
-    pub fn dump(&self, w: &mut dyn Write) -> io::Result<()> {
+    fn dump(&self, w: &mut dyn Write) -> io::Result<()> {
         writeln!(
             w,
             "--- flight recorder: {} of {} transitions retained ({} overwritten) ---",
@@ -167,11 +152,10 @@ mod tests {
             r.record("t", format!("event {i}"));
         }
         assert_eq!(r.len(), 3);
-        assert_eq!(r.capacity(), 3);
         assert_eq!(r.overwritten(), 2);
-        let seqs: Vec<u64> = r.entries().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = r.entries.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [2, 3, 4]);
-        assert!(r.entries().next().unwrap().detail.contains("event 2"));
+        assert!(r.entries[0].detail.contains("event 2"));
     }
 
     #[test]
@@ -197,6 +181,6 @@ mod tests {
         r.record("t", "a");
         r.record("t", "b");
         assert_eq!(r.len(), 1);
-        assert_eq!(r.entries().next().unwrap().detail, "b");
+        assert_eq!(r.entries[0].detail, "b");
     }
 }

@@ -1,11 +1,11 @@
 //! Periodic machine-readable engine snapshots ("heartbeats").
 //!
 //! A live monitor is only debuggable if its internal state is visible
-//! while it runs: `hpc-watch --heartbeat-jsonl <path>` appends one
-//! [`heartbeat_line`] every `--heartbeat-secs`, plus a last record with
-//! `"final": true` on the drain path, each flushed immediately so a
-//! reader (or a post-mortem) always sees the newest state. This is the
-//! introspection substrate a future `hpc-fleetd` serves over HTTP.
+//! while it runs: `hpc-watch --heartbeat-jsonl <path>` appends one record
+//! every `--heartbeat-secs`, plus a last record with `"final": true` on the
+//! drain path, each flushed immediately so a reader (or a post-mortem)
+//! always sees the newest state. `hpc-fleetd` serves the same engine
+//! state over HTTP (`/v1/systems/{id}`, `/window`).
 //!
 //! The schema is flat on purpose — `jq` one-liners and dashboard scrapers
 //! should not need path expressions:
@@ -63,7 +63,7 @@ impl FollowHealth {
 /// `seq` numbers records from 0 within one process run; `uptime_ms` is
 /// wall time since the monitor started; `last` marks the drain-path
 /// record written after [`crate::engine::StreamEngine::finish`].
-pub fn heartbeat_line(
+fn heartbeat_line(
     seq: u64,
     uptime_ms: u64,
     last: bool,
@@ -181,16 +181,6 @@ impl<W: Write> HeartbeatWriter<W> {
     pub fn seq(&self) -> u64 {
         self.seq
     }
-
-    /// Whether the final record has been written (the writer is sealed).
-    pub fn final_written(&self) -> bool {
-        self.final_written
-    }
-
-    /// The wrapped writer (for tests inspecting the byte stream).
-    pub fn get_ref(&self) -> &W {
-        &self.out
-    }
 }
 
 #[cfg(test)]
@@ -271,13 +261,13 @@ mod tests {
         assert!(hb.beat(2_000, false, &stats(), 1, None));
         // EOF drain writes the final record ...
         assert!(hb.beat(3_000, true, &stats(), 0, None));
-        assert!(hb.final_written());
+        assert!(hb.final_written);
         // ... then the signal drain tries again, and a periodic beat fires.
         assert!(!hb.beat(3_001, true, &stats(), 0, None));
         assert!(!hb.beat(3_002, false, &stats(), 0, None));
         assert_eq!(hb.seq(), 3);
 
-        let text = String::from_utf8(hb.get_ref().clone()).unwrap();
+        let text = String::from_utf8(hb.out.clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         let finals: Vec<bool> = lines
@@ -297,7 +287,7 @@ mod tests {
         let mut hb = HeartbeatWriter::new(Vec::new());
         assert!(hb.beat(0, true, &stats(), 0, None));
         assert!(!hb.beat(1, false, &stats(), 0, None));
-        let text = String::from_utf8(hb.get_ref().clone()).unwrap();
+        let text = String::from_utf8(hb.out.clone()).unwrap();
         assert_eq!(text.lines().count(), 1);
     }
 }

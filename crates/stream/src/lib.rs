@@ -30,8 +30,7 @@
 //! * [`drive`] — the one feed loop (follow / replay / routed stdin lines →
 //!   engine → drain) under `hpc-watch` and every `hpc-fleetd` shard.
 //! * [`heartbeat`] — periodic flat-JSON engine snapshots
-//!   (`hpc-watch --heartbeat-jsonl`), the live-introspection substrate a
-//!   future `hpc-fleetd` will serve over HTTP.
+//!   (`hpc-watch --heartbeat-jsonl`).
 //! * [`flight`] — bounded ring buffer of recent state transitions, dumped
 //!   to stderr on panic or `SIGUSR1` (DESIGN.md §7).
 //! * [`signal`] — the SIGINT/SIGTERM/SIGUSR1 flags `hpc-watch` and
@@ -54,9 +53,9 @@ pub mod sink;
 pub mod window;
 
 pub use engine::{StreamConfig, StreamEngine, StreamStats};
-pub use flight::{FlightEntry, FlightRecorder};
+pub use flight::FlightRecorder;
 pub use follow::{feed_time_aligned, FollowDir, FollowStats};
-pub use heartbeat::{heartbeat_line, FollowHealth, HeartbeatWriter, HEARTBEAT_VERSION};
+pub use heartbeat::{FollowHealth, HeartbeatWriter, HEARTBEAT_VERSION};
 pub use merger::StreamMerger;
 pub use sink::{AlertSink, JsonlSink, TextSink};
 pub use window::SlidingWindow;

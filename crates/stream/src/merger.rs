@@ -166,7 +166,7 @@ impl StreamMerger {
 
     /// The exclusive release bound: events strictly before it can no longer
     /// be preceded by anything still unseen.
-    pub fn release_point(&self) -> SimTime {
+    fn release_point(&self) -> SimTime {
         let mut max_seen = SimTime::EPOCH;
         let mut frontier_floor: Option<SimTime> = None;
         for si in 0..4 {

@@ -3,8 +3,10 @@
 //! The engine emits alerts and finalized failures as they settle; sinks
 //! decide what to do with them. Two stock implementations: a one-line text
 //! sink for an operator terminal, and a JSONL sink for downstream tooling
-//! (`jq`, dashboards). JSON is emitted by hand — the schema is five flat
-//! fields per record and stays greppable.
+//! (`jq`, dashboards). JSON is emitted by hand — records are flat (`type`,
+//! `time`, `time_ms`, `node`, `cname`, then `backed_by_external` for an
+//! alert or `terminal` / `predicted` / `lead_mins` for a failure) and stay
+//! greppable.
 
 use std::io::Write;
 

@@ -54,11 +54,6 @@ impl SlidingWindow {
         }
     }
 
-    /// The configured window length.
-    pub fn window(&self) -> SimDuration {
-        self.window
-    }
-
     /// Inserts one event, retaining it only if some online consumer can
     /// later ask about it. Events must arrive in release order.
     pub fn insert(&mut self, event: &LogEvent) {

@@ -9,11 +9,12 @@ use std::str::FromStr;
 use crate::recorder::{profile_table, summary_table};
 
 /// Cursor over the process arguments that owns the bad-command-line
-/// contract: the binary's usage line on stderr, exit 2, never a panic.
+/// contract: the binary's usage line on stderr, exit 2, never a panic —
+/// an argument that is not valid Unicode included.
 /// Each binary keeps its own usage text and its own `match` on the flags.
 pub struct Flags {
     usage: &'static str,
-    args: std::iter::Skip<std::env::Args>,
+    args: std::iter::Skip<std::env::ArgsOs>,
 }
 
 impl Flags {
@@ -21,7 +22,7 @@ impl Flags {
     pub fn new(usage: &'static str) -> Flags {
         Flags {
             usage,
-            args: std::env::args().skip(1),
+            args: std::env::args_os().skip(1),
         }
     }
 
@@ -59,7 +60,8 @@ impl Iterator for Flags {
     type Item = String;
 
     fn next(&mut self) -> Option<String> {
-        self.args.next()
+        let arg = self.args.next()?;
+        Some(arg.into_string().unwrap_or_else(|_| self.usage()))
     }
 }
 

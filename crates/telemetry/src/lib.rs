@@ -51,6 +51,6 @@ pub mod span;
 
 pub use cli::{exit_report, probe_writable, Flags};
 pub use metrics::{Bucket, Counter, Gauge, Histogram, HistogramSnapshot};
-pub use recorder::{profile_table, render_text, summary_table};
+pub use recorder::{profile_table, summary_table};
 pub use registry::{counter, gauge, histogram, reset, snapshot, Registry, Snapshot};
-pub use span::{set_trace, set_trace_writer, trace_enabled, tree_snapshot, Span, SpanNode};
+pub use span::{set_trace, set_trace_writer, tree_snapshot, Span, SpanNode};

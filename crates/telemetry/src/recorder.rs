@@ -1,7 +1,7 @@
 //! Renderings of a registry [`Snapshot`] for humans: [`summary_table`] is
 //! the per-stage table the binaries print on stderr, [`profile_table`] the
-//! indented span profile under it, [`render_text`] both plus counters and
-//! gauges. The machine-readable form is [`Snapshot::to_json`].
+//! indented span profile under it. The machine-readable form is
+//! [`Snapshot::to_json`].
 
 use crate::registry::Snapshot;
 use crate::span::fmt_us;
@@ -96,35 +96,6 @@ pub fn profile_table(snapshot: &Snapshot) -> String {
     align_table(["span", "calls", "wall", "self"], &rows)
 }
 
-/// Full human-readable report: stage table, span profile (when spans
-/// ran), then counters, then gauges.
-pub fn render_text(snapshot: &Snapshot) -> String {
-    let mut out = summary_table(snapshot);
-    let profile = profile_table(snapshot);
-    if !profile.is_empty() {
-        out.push('\n');
-        out.push_str(&profile);
-    }
-    let counters: Vec<(&String, &u64)> = snapshot
-        .counters
-        .iter()
-        .filter(|(name, _)| !name.ends_with(".calls"))
-        .collect();
-    if !counters.is_empty() {
-        out.push('\n');
-        for (name, value) in counters {
-            out.push_str(&format!("{name} = {value}\n"));
-        }
-    }
-    if !snapshot.gauges.is_empty() {
-        out.push('\n');
-        for (name, value) in &snapshot.gauges {
-            out.push_str(&format!("{name} = {value}\n"));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,17 +129,8 @@ mod tests {
     }
 
     #[test]
-    fn text_report_hides_span_call_counters() {
-        let t = render_text(&sample());
-        assert!(t.contains("ingest.lines = 120"), "{t}");
-        assert!(!t.contains("core.detect.calls"), "{t}");
-        assert!(t.contains("core.ingest.threads = 4"), "{t}");
-    }
-
-    #[test]
     fn recorders_write_through() {
         let snap = sample();
-        assert!(!render_text(&snap).is_empty());
         let parsed = Snapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(parsed.counter("ingest.lines"), Some(120));
     }

@@ -127,7 +127,7 @@ impl Registry {
     }
 
     /// Drops all metrics.
-    pub fn reset(&self) {
+    fn reset(&self) {
         self.metrics.lock().unwrap().clear();
     }
 }

@@ -161,7 +161,7 @@ static TRACE_MODE: AtomicU8 = AtomicU8::new(0);
 static TRACE_SINK: Mutex<Option<Box<dyn Write + Send>>> = Mutex::new(None);
 
 /// Whether span tracing is currently enabled.
-pub fn trace_enabled() -> bool {
+fn trace_enabled() -> bool {
     match TRACE_MODE.load(Ordering::Relaxed) {
         1 => false,
         2 => true,

@@ -1,8 +1,11 @@
 //! End-to-end tests of the CLI binaries: `hpc-simulate` writes a log tree,
 //! `hpc-diagnose` analyses it.
 
+use std::ffi::OsString;
 use std::path::PathBuf;
 use std::process::Command;
+#[cfg(unix)]
+use std::{ffi::OsStr, os::unix::ffi::OsStrExt};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hpc-cli-test-{tag}-{}", std::process::id()));
@@ -611,9 +614,16 @@ fn bad_command_lines_exit_2_with_usage() {
         ),
     ];
     for (bin, cases) in table {
+        let mut cases: Vec<Vec<OsString>> = (cases.iter())
+            .map(|args| args.iter().map(Into::into).collect())
+            .collect();
+        // Regression: an argument that is not valid Unicode panicked inside
+        // `std::env::args` (exit 101) before the binary saw it.
+        #[cfg(unix)]
+        cases.push(vec![OsStr::from_bytes(b"\xff").into()]);
         for args in cases {
             let out = Command::new(bin)
-                .args(*args)
+                .args(&args)
                 .stdin(std::process::Stdio::null())
                 .output()
                 .expect("run binary");
