@@ -3,13 +3,17 @@
 //! runs — off disk (`from_dir`, where the pool also overlaps reading with
 //! parsing). Not a precision benchmark (that's `hpc-sysbench`) — a
 //! release-mode guard against regressions that would make the pool pure
-//! overhead. The timing assertions only run in release builds on machines
-//! with at least two cores; a debug `cargo test --workspace` still executes
-//! the ingest paths but skips the comparison.
+//! overhead. The same archive after heavy chaos must also cost about what
+//! its clean twin costs *per line*: disorder is sorted chunk by chunk on the
+//! pool, not as one whole-stream sort behind it. The timing assertions only
+//! run in release builds on machines with at least two cores; a debug
+//! `cargo test --workspace` still executes the ingest paths but skips the
+//! comparison.
 
 use std::time::{Duration, Instant};
 
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
+use hpc_faultsim::chaos::{ChaosFeed, ChaosSpec, Intensity};
 use hpc_faultsim::Scenario;
 use hpc_platform::SystemId;
 
@@ -41,7 +45,7 @@ fn sequential_and_pooled(ingest: impl Fn(DiagnosisConfig)) -> (Duration, Duratio
     )
 }
 
-// One test, so the two timed comparisons never share the cores.
+// One test, so the timed comparisons never share the cores.
 #[test]
 fn pooled_ingest_not_slower_than_sequential() {
     // Telemetry-shaped (ERD-heavy) like a production archive: ~150k lines,
@@ -62,9 +66,28 @@ fn pooled_ingest_not_slower_than_sequential() {
         Diagnosis::from_dir(&dir, config).unwrap();
     });
     std::fs::remove_dir_all(&dir).unwrap();
+
+    // The hostile twin: every per-line pathology, no dropout (which removes
+    // lines rather than disturbing them), so the two differ in line count by
+    // the duplicates and garbage only and compare per line.
+    let spec = ChaosSpec {
+        dropout: 0.0,
+        ..ChaosSpec::mixed(Intensity::Heavy, 7)
+    };
+    let feed = ChaosFeed::corrupt(&out.archive, &spec);
+    feed.write_dir(&dir).unwrap();
+    Diagnosis::from_dir(&dir, DiagnosisConfig::default()).unwrap();
+    let chaos_pool = best_of(5, || {
+        Diagnosis::from_dir(&dir, DiagnosisConfig::default()).unwrap();
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
+    let per_line = |t: Duration, lines: u64| t.as_secs_f64() / lines as f64;
+    let chaos_cost =
+        per_line(chaos_pool, feed.ledger().lines_out) / per_line(dir_pool, feed.ledger().lines_in);
     eprintln!(
         "ingest smoke ({threads} threads): from_archive sequential {mem_seq:?}, pooled \
-         {mem_pool:?}; from_dir sequential {dir_seq:?}, pooled {dir_pool:?}"
+         {mem_pool:?}; from_dir sequential {dir_seq:?}, pooled {dir_pool:?}, heavy chaos \
+         {chaos_pool:?} ({chaos_cost:.2}x per line)"
     );
     if cfg!(debug_assertions) {
         eprintln!("debug build: skipping the timing assertions");
@@ -82,6 +105,11 @@ fn pooled_ingest_not_slower_than_sequential() {
         assert!(
             dir_pool <= dir_seq,
             "pooled from_dir ({dir_pool:?}) slower than sequential ({dir_seq:?})"
+        );
+        // A whole-stream sort behind the pool made this ~1.6x.
+        assert!(
+            chaos_cost <= 1.35,
+            "a heavy-chaos line costs {chaos_cost:.2}x a clean one through from_dir"
         );
     }
 }

@@ -19,6 +19,8 @@ use hpc_logs::event::{ConsoleDetail, LogEvent, NodeState, PanicReason, Payload, 
 use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::NodeId;
 
+use crate::store::EventClass;
+
 /// How a failure manifested.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TerminalKind {
@@ -43,6 +45,16 @@ pub struct DetectedFailure {
     /// How it manifested.
     pub terminal: TerminalKind,
 }
+
+/// The classes a terminal signature can come from: every event
+/// `terminal_of` answers for is of one of these, so detection over
+/// [`EventStore::classes_events`](crate::store::EventStore::classes_events)
+/// of them sees exactly what detection over all events sees.
+pub const TERMINAL_CLASSES: &[EventClass] = &[
+    EventClass::KernelPanic,
+    EventClass::UnexpectedShutdown,
+    EventClass::NodeStateChange,
+];
 
 /// Terminal signatures of one event, if any.
 fn terminal_of(event: &LogEvent) -> Option<(NodeId, TerminalKind)> {
@@ -153,7 +165,8 @@ impl IncrementalDetector {
     }
 }
 
-/// Detects failures in a chronological event stream.
+/// Detects failures in a chronological event stream — all events, or any
+/// chronological subset that keeps every [`TERMINAL_CLASSES`] event.
 ///
 /// Console terminals are preferred over the scheduler's `down` echo: within
 /// [`DEDUP_WINDOW`] of an incident's first signature, later signatures are
@@ -161,14 +174,16 @@ impl IncrementalDetector {
 /// a more specific terminal if one arrives inside the window (out-of-order
 /// manifestation does not occur in practice since crash detection lags the
 /// crash).
-pub fn detect_failures(events: &[LogEvent]) -> Vec<DetectedFailure> {
-    debug_assert!(
-        events.windows(2).all(|w| w[0].time <= w[1].time),
-        "detect_failures expects chronological input"
-    );
+pub fn detect_failures<'a>(events: impl IntoIterator<Item = &'a LogEvent>) -> Vec<DetectedFailure> {
     let mut detector = IncrementalDetector::new();
     let mut all = Vec::new();
+    let mut clock = SimTime::EPOCH;
     for event in events {
+        debug_assert!(
+            clock <= event.time,
+            "detect_failures expects chronological input"
+        );
+        clock = event.time;
         all.extend(detector.push(event));
     }
     detector.finish(&mut all);
@@ -210,6 +225,34 @@ mod tests {
                 node: NodeId(node),
                 detail: ConsoleDetail::GracefulShutdown,
             },
+        }
+    }
+
+    /// The pipeline detects over `TERMINAL_CLASSES` only, so the list must
+    /// cover every event `terminal_of` answers for — checked for an event of
+    /// every class and every scheduler node state — and name no class that
+    /// never yields one.
+    #[test]
+    fn terminal_classes_cover_every_terminal_signature() {
+        let mut events = crate::segment::codec::one_of_every_class();
+        let states = [
+            NodeState::Up,
+            NodeState::Suspect,
+            NodeState::AdminDown,
+            NodeState::Down,
+            NodeState::PoweredOff,
+        ];
+        events.extend(states.map(|state| state_ev(0, 1, state)));
+        let mut terminal = Vec::new();
+        for e in &events {
+            let class = EventClass::of(&e.payload);
+            if terminal_of(e).is_some() {
+                assert!(TERMINAL_CLASSES.contains(&class), "{class:?} missing");
+                terminal.push(class);
+            }
+        }
+        for class in TERMINAL_CLASSES {
+            assert!(terminal.contains(class), "{class:?} is never terminal");
         }
     }
 

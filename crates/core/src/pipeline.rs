@@ -5,9 +5,12 @@
 //! the machine ([`Diagnosis::ingest_threads`]): each worker takes the reader
 //! lock, pulls the next bounded block of whole lines, releases the lock and
 //! parses the block, so reading overlaps parsing and raw text in memory
-//! never exceeds one block per worker. The per-source results are k-way
-//! merged into one chronological sequence, failures are detected, and the
-//! [`EventStore`] indexes every analysis module queries are built.
+//! never exceeds one block per worker. A worker leaves its block's events
+//! time-sorted, so what the pool hands on is sorted runs; one galloping run
+//! merge ([`merge_by_time`]) makes them the chronological sequence. The
+//! [`EventStore`] indexes every analysis module queries are built next, and
+//! failure detection reads the few terminal-class events through them
+//! instead of scanning the sequence again.
 //! [`Diagnosis::from_archive`] runs the same pool over an in-memory archive.
 //!
 //! The pipeline deliberately starts from *text*: it knows nothing about the
@@ -20,14 +23,14 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use hpc_logs::archive::{merge_by_time, LogArchive};
-use hpc_logs::chunk::{chunk_lines_for, chunk_spans, parse_chunk, stitch, ChunkParse};
+use hpc_logs::chunk::{chunk_lines_for, chunk_spans, parse_chunk, stitch_runs, ChunkParse};
 use hpc_logs::event::{LogEvent, LogSource};
 use hpc_logs::fs::{Block, BlockReader};
 use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::system::SchedulerKind;
 use hpc_platform::{BladeId, CabinetId, NodeId};
 
-use crate::detection::{detect_failures, DetectedFailure};
+use crate::detection::{detect_failures, DetectedFailure, TERMINAL_CLASSES};
 use crate::segment::{self, Manifest, OpenError, StoreContents};
 use crate::store::EventStore;
 use crate::swo::{detect_swos, partition_failures, SwoConfig, SwoWindow};
@@ -169,8 +172,8 @@ impl Diagnosis {
     }
 
     /// The ingest shared by [`Diagnosis::from_dir`] and
-    /// [`Diagnosis::from_archive`]: pool-parse `blocks`, merge the
-    /// per-source streams, hand over to [`Diagnosis::from_events`].
+    /// [`Diagnosis::from_archive`]: pool-parse `blocks`, merge the sorted
+    /// runs of all sources, hand over to [`Diagnosis::from_events`].
     fn from_blocks<B: Send>(
         threads: usize,
         blocks: impl Iterator<Item = (usize, B)> + Send,
@@ -178,7 +181,7 @@ impl Diagnosis {
         config: DiagnosisConfig,
     ) -> Diagnosis {
         hpc_telemetry::gauge("core.ingest.threads").set(threads as f64);
-        let (per_source, total_lines, skipped_lines) = {
+        let (runs, total_lines, skipped_lines) = {
             let _parse = hpc_telemetry::span!("core.ingest.parse");
             run_ingest_pool(threads, blocks, parse)
         };
@@ -186,7 +189,7 @@ impl Diagnosis {
         hpc_telemetry::counter("ingest.skipped_lines").add(skipped_lines);
         let events = {
             let _merge = hpc_telemetry::span!("core.ingest.merge");
-            merge_by_time(per_source)
+            merge_by_time(runs)
         };
         hpc_telemetry::counter("ingest.events").add(events.len() as u64);
         Self::from_events(events, skipped_lines, config)
@@ -205,20 +208,17 @@ impl Diagnosis {
         skipped_lines: u64,
         config: DiagnosisConfig,
     ) -> Diagnosis {
+        // Index first: detection and the machine-size estimate then read
+        // what the indexes already hold, not the whole sequence twice more.
+        let mut store = EventStore::index(events);
         let all_failures = {
             let _detect = hpc_telemetry::span!("core.detect");
-            detect_failures(&events)
+            detect_failures(store.classes_events(TERMINAL_CLASSES))
         };
         hpc_telemetry::counter("core.detect.failures").add(all_failures.len() as u64);
-        let node_count = config.node_count.unwrap_or_else(|| {
-            // Estimate machine size from the highest node id mentioned.
-            events
-                .iter()
-                .filter_map(|e| e.subject_node())
-                .map(|n| n.0 + 1)
-                .max()
-                .unwrap_or(1)
-        });
+        let node_count = config
+            .node_count
+            .unwrap_or_else(|| store.node_count_estimate());
         let (failures, swos, swo_failures) = if config.exclude_swos {
             let _swo = hpc_telemetry::span!("core.swo.partition");
             let swos = detect_swos(&all_failures, node_count, &config.swo);
@@ -229,7 +229,7 @@ impl Diagnosis {
         } else {
             (all_failures, Vec::new(), Vec::new())
         };
-        let store = EventStore::build(events, &failures);
+        store.attach_failures(&failures);
         Diagnosis {
             config,
             failures,
@@ -346,11 +346,12 @@ impl Diagnosis {
 /// the lock, parse the block with `parse`. Pulling is the only serial
 /// section, so reading overlaps parsing and at most `threads` blocks are
 /// resident. Each source's chunk parses are then reassembled in file order
-/// by [`stitch`], which makes the output bit-identical to a single-threaded
-/// [`hpc_logs::LogParser`] even when block boundaries cut through
-/// multi-line oops/stack-trace records (see `crates/logs/src/chunk.rs`).
-/// Returns the per-source event streams (in [`LogSource::ALL`] order) and
-/// the total and skipped line counts.
+/// by [`stitch_runs`], which makes the merged output bit-identical to a
+/// single-threaded [`hpc_logs::LogParser`] even when block boundaries cut
+/// through multi-line oops/stack-trace records or reordered lines (see
+/// `crates/logs/src/chunk.rs`). Returns every source's time-sorted runs, in
+/// `(source, file order)` order — the tie order the merge keeps — and the
+/// total and skipped line counts.
 ///
 /// Telemetry: a `core.ingest.read` span per pull (lock wait apart, in the
 /// `core.ingest.read.wait_us` histogram) and, per block, a
@@ -398,23 +399,24 @@ fn run_ingest_pool<B: Send>(
     for (_, si, chunk) in parsed {
         chunks[si].push(chunk);
     }
-    let mut per_source = Vec::with_capacity(chunks.len());
+    let mut runs = Vec::new();
     let (mut total, mut skipped) = (0, 0);
     for (source, chunks) in LogSource::ALL.into_iter().zip(chunks) {
         let key = source.key();
         let _source = hpc_telemetry::span!(format!("core.ingest.parse.{key}"));
         let stream = {
             let _stitch = hpc_telemetry::span!(format!("core.ingest.stitch.{key}"));
-            stitch(chunks)
+            stitch_runs(chunks)
         };
+        let events: usize = stream.runs.iter().map(Vec::len).sum();
         hpc_telemetry::counter(&format!("ingest.{key}.lines")).add(stream.total_lines());
-        hpc_telemetry::counter(&format!("ingest.{key}.events")).add(stream.events.len() as u64);
+        hpc_telemetry::counter(&format!("ingest.{key}.events")).add(events as u64);
         hpc_telemetry::counter(&format!("ingest.{key}.skipped")).add(stream.skipped_lines);
         total += stream.total_lines();
         skipped += stream.skipped_lines;
-        per_source.push(stream.events);
+        runs.extend(stream.runs);
     }
-    (per_source, total, skipped)
+    (runs, total, skipped)
 }
 
 #[cfg(test)]

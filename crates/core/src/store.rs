@@ -447,6 +447,11 @@ impl<V> Postings<V> {
         self.times.is_empty()
     }
 
+    /// Heap bytes the two columns hold, by capacity.
+    fn heap_bytes(&self) -> usize {
+        self.times.capacity() * size_of::<SimTime>() + self.values.capacity() * size_of::<V>()
+    }
+
     /// Appends a posting. Times must be non-decreasing.
     fn push(&mut self, time: SimTime, value: V) {
         debug_assert!(
@@ -539,6 +544,13 @@ impl<K: Eq + Hash + Copy, V> EntityIndex<K, V> {
         self.map.entry(key).or_default().push(time, value);
     }
 
+    /// Heap bytes the index holds, by capacity: the table's slots plus
+    /// every posting list's columns.
+    fn heap_bytes(&self) -> usize {
+        self.map.capacity() * size_of::<(K, Postings<V>)>()
+            + self.map.values().map(Postings::heap_bytes).sum::<usize>()
+    }
+
     /// The posting list of `key`, if any.
     fn get(&self, key: &K) -> Option<&Postings<V>> {
         self.map.get(key)
@@ -622,6 +634,19 @@ impl EventStore {
     /// dense `u32` positions, and truncating would silently point them at
     /// the wrong events. Split the observation window instead.
     pub fn build(events: Vec<LogEvent>, failures: &[DetectedFailure]) -> EventStore {
+        let mut store = EventStore::index(events);
+        store.attach_failures(failures);
+        store
+    }
+
+    /// The event half of [`EventStore::build`]: every event index, no
+    /// failure index yet — so the pipeline can detect failures *through* the
+    /// class index and hand them to [`EventStore::attach_failures`] after.
+    /// Besides `core.store.events`, sets the memory-ledger gauges
+    /// `core.store.events_bytes` (the event array itself) and
+    /// `core.store.index_bytes` (heap the four event indexes hold, by
+    /// capacity).
+    pub(crate) fn index(events: Vec<LogEvent>) -> EventStore {
         let _span = hpc_telemetry::span!("core.store.index");
         let mut by_class: Vec<Postings<u32>> =
             (0..EventClass::COUNT).map(|_| Postings::new()).collect();
@@ -658,27 +683,45 @@ impl EventStore {
                 _ => {}
             }
         }
-        let mut node_failures: HashMap<NodeId, Vec<SimTime>> = HashMap::new();
-        for f in failures {
-            node_failures.entry(f.node).or_default().push(f.time);
-        }
-        // Failures are chronological overall, hence per node; keep the
-        // invariant explicit in case a caller hands unsorted ones.
-        for times in node_failures.values_mut() {
-            times.sort_unstable();
-        }
         hpc_telemetry::gauge("core.store.events").set(events.len() as f64);
+        hpc_telemetry::gauge("core.store.events_bytes")
+            .set((events.len() * size_of::<LogEvent>()) as f64);
+        let index_bytes = by_class.iter().map(Postings::heap_bytes).sum::<usize>()
+            + by_node.heap_bytes()
+            + blade_external.heap_bytes()
+            + cabinet_external.heap_bytes();
+        hpc_telemetry::gauge("core.store.index_bytes").set(index_bytes as f64);
         EventStore {
             events,
             by_class,
             by_node,
             blade_external,
             cabinet_external,
-            node_failures,
+            node_failures: HashMap::new(),
             queries: hpc_telemetry::counter("core.store.queries"),
             indexed: hpc_telemetry::counter("core.store.events.indexed"),
             scanned: hpc_telemetry::counter("core.store.events.scanned"),
         }
+    }
+
+    /// Replaces the per-node failure-time index with one over `failures`.
+    pub(crate) fn attach_failures(&mut self, failures: &[DetectedFailure]) {
+        self.node_failures.clear();
+        for f in failures {
+            self.node_failures.entry(f.node).or_default().push(f.time);
+        }
+        // Failures are chronological overall, hence per node; keep the
+        // invariant explicit in case a caller hands unsorted ones.
+        for times in self.node_failures.values_mut() {
+            times.sort_unstable();
+        }
+    }
+
+    /// Machine size as far as the logs show it: one past the highest node
+    /// id any event names (1 for none).
+    pub(crate) fn node_count_estimate(&self) -> u32 {
+        let past_highest = self.by_node.iter().map(|(node, _)| node.0 + 1).max();
+        past_highest.unwrap_or(1)
     }
 
     /// Accounts one indexed query that touched `touched` postings where a

@@ -3,10 +3,13 @@
 
 use proptest::prelude::*;
 
-use hpc_diagnosis::detection::{detect_failures, DEDUP_WINDOW};
+use hpc_diagnosis::detection::{detect_failures, DEDUP_WINDOW, TERMINAL_CLASSES};
 use hpc_diagnosis::swo::{detect_swos, partition_failures, SwoConfig};
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
-use hpc_logs::event::{ConsoleDetail, LogEvent, NodeState, PanicReason, Payload, SchedulerDetail};
+use hpc_logs::event::{
+    ConsoleDetail, ControllerDetail, ControllerScope, ErdDetail, LogEvent, NodeState, PanicReason,
+    Payload, SchedulerDetail,
+};
 use hpc_logs::time::SimTime;
 use hpc_platform::NodeId;
 
@@ -16,7 +19,7 @@ fn terminal_events() -> impl Strategy<Value = Vec<LogEvent>> {
         (
             0u64..50_000_000u64,
             0u32..64,
-            prop::sample::select(vec![0u8, 1, 2, 3, 4]),
+            prop::sample::select(vec![0u8, 1, 2, 3, 4, 5, 6, 7]),
         ),
         0..80,
     )
@@ -48,7 +51,23 @@ fn terminal_events() -> impl Strategy<Value = Vec<LogEvent>> {
                             state: NodeState::AdminDown,
                         },
                     },
-                    // Non-terminal chaff.
+                    // Non-terminal chaff: a terminal class in a state that
+                    // is not terminal, other sources' view of a dead node,
+                    // an intended shutdown.
+                    4 => Payload::Scheduler {
+                        detail: SchedulerDetail::NodeStateChange {
+                            node,
+                            state: NodeState::PoweredOff,
+                        },
+                    },
+                    5 => Payload::Controller {
+                        scope: ControllerScope::Blade(node.blade()),
+                        detail: ControllerDetail::NodeHeartbeatFault { node },
+                    },
+                    6 => Payload::Erd {
+                        scope: ControllerScope::Blade(node.blade()),
+                        detail: ErdDetail::NodeFailed { node },
+                    },
                     _ => Payload::Console {
                         node,
                         detail: ConsoleDetail::GracefulShutdown,
@@ -72,10 +91,7 @@ proptest! {
         // Never more failures than terminal events.
         let terminals = events
             .iter()
-            .filter(|e| !matches!(
-                e.payload,
-                Payload::Console { detail: ConsoleDetail::GracefulShutdown, .. }
-            ))
+            .filter(|e| !detect_failures([*e]).is_empty())
             .count();
         prop_assert!(failures.len() <= terminals);
         // Chronological output.
@@ -124,6 +140,22 @@ proptest! {
         for f in &regular {
             prop_assert!(!swos.iter().any(|w| w.contains(f.time)));
         }
+    }
+
+    /// What `Diagnosis::from_events` relies on: detection over the
+    /// terminal classes' postings sees what detection over every event sees.
+    #[test]
+    fn detection_through_the_class_index_equals_detection_over_all_events(
+        events in terminal_events(),
+    ) {
+        let want = detect_failures(&events);
+        let d = Diagnosis::from_events(events, 0, DiagnosisConfig {
+            exclude_swos: false,
+            ..DiagnosisConfig::default()
+        });
+        let indexed = detect_failures(d.store().classes_events(TERMINAL_CLASSES));
+        prop_assert_eq!(&indexed, &want);
+        prop_assert_eq!(&d.failures, &want);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! log files. Generators append structured events (rendered on the way in);
 //! the diagnosis pipeline reads lines back out and re-parses them.
 //!
-//! [`merge_by_time`] provides the k-way timestamp merge the pipeline uses to
-//! build one chronological event sequence from per-source parses — a
-//! `BinaryHeap`-based merge chosen over concat-and-sort because each source
-//! is already time-ordered (DESIGN.md §4.2; `hpc-sysbench` times it as
-//! `logs.archive.merge_ms`).
+//! [`merge_by_time`] is the one place events of different origins are put in
+//! chronological order: a stable k-way merge of time-sorted *runs* (a parsed
+//! chunk of a stateless source, or a whole stitched console stream) that
+//! moves each stretch of one run in bulk, so the heap is touched once per
+//! switch between runs instead of once per event (DESIGN.md §4.2;
+//! `hpc-sysbench` times it as `logs.archive.merge_ms`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -159,35 +160,58 @@ pub struct ParsedArchive {
     pub skipped_lines: u64,
 }
 
-/// K-way merge of per-source event vectors, each already sorted by time.
+/// Stable k-way merge of time-sorted runs into one chronological sequence.
 ///
-/// Stable across sources: at equal timestamps, events from earlier vectors
-/// come first, and order within a vector is preserved.
-pub fn merge_by_time(sources: Vec<Vec<LogEvent>>) -> Vec<LogEvent> {
-    let total: usize = sources.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    let mut iters: Vec<std::vec::IntoIter<LogEvent>> =
-        sources.into_iter().map(|v| v.into_iter()).collect();
-    // One entry per non-exhausted source: (next time, source index). The
-    // heap yields the earliest timestamp, tie-broken by source index, and a
-    // source re-enters only after its element is consumed — which keeps the
-    // merge stable within and across sources.
-    let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new();
-    for (si, it) in iters.iter().enumerate() {
-        if let Some(first) = it.as_slice().first() {
-            heap.push(Reverse((first.time, si)));
+/// At equal timestamps events of an earlier run come first and order within
+/// a run is preserved, i.e. the result is what concatenating the runs and
+/// stable-sorting by time would give. Callers hand runs over in `(source,
+/// file order)` order, which makes that tie order `(time, source, seq)`.
+///
+/// The smallest head is popped off a heap of `(head time, run)`; a galloping
+/// search (doubling step, then `partition_point`) finds the first event of
+/// that run that no longer precedes the next-smallest head, and the whole
+/// stretch moves at once. A run's buffer is freed as soon as it is empty.
+/// Counts `core.ingest.runs` (non-empty runs) and `core.ingest.merge.moves`.
+pub fn merge_by_time(runs: Vec<Vec<LogEvent>>) -> Vec<LogEvent> {
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let mut runs: Vec<std::vec::IntoIter<LogEvent>> =
+        runs.into_iter().map(Vec::into_iter).collect();
+    let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = (runs.iter().enumerate())
+        .filter_map(|(ri, run)| Some(Reverse((run.as_slice().first()?.time, ri))))
+        .collect();
+    hpc_telemetry::counter("core.ingest.runs").add(heap.len() as u64);
+    let mut moves = 0;
+    while let Some(Reverse((_, ri))) = heap.pop() {
+        let rest = runs[ri].as_slice();
+        let stretch = match heap.peek() {
+            // Ties go to the earlier run: up to and including the other
+            // head's time if this run comes first, strictly below it if not.
+            Some(&Reverse((t, other))) if ri < other => gallop(rest, |e| e.time <= t),
+            Some(&Reverse((t, _))) => gallop(rest, |e| e.time < t),
+            None => rest.len(),
+        };
+        out.extend(runs[ri].by_ref().take(stretch));
+        moves += 1;
+        match runs[ri].as_slice().first() {
+            Some(next) => heap.push(Reverse((next.time, ri))),
+            None => runs[ri] = Vec::new().into_iter(),
         }
     }
-    while let Some(Reverse((_, si))) = heap.pop() {
-        let ev = iters[si]
-            .next()
-            .expect("heap entry implies a remaining element");
-        out.push(ev);
-        if let Some(next) = iters[si].as_slice().first() {
-            heap.push(Reverse((next.time, si)));
-        }
-    }
+    hpc_telemetry::counter("core.ingest.merge.moves").add(moves);
     out
+}
+
+/// Length of the leading stretch of `run` (time-sorted) that `precedes`
+/// holds for, given that it holds for `run[0]`: O(log stretch), not
+/// O(log run), so short stretches stay cheap.
+fn gallop(run: &[LogEvent], precedes: impl Fn(&LogEvent) -> bool) -> usize {
+    let (mut last, mut step) = (0, 1);
+    while last + step < run.len() && precedes(&run[last + step]) {
+        last += step;
+        step *= 2;
+    }
+    let end = (last + step).min(run.len());
+    last + 1 + run[last + 1..end].partition_point(precedes)
 }
 
 #[cfg(test)]

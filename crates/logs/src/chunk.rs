@@ -28,10 +28,17 @@
 //! Everything else (malformed lines, frames with unknown symbols, the
 //! stateless controller/ERD/scheduler grammars) is decided locally because
 //! the sequential parser's verdict for those lines does not depend on its
-//! state. [`stitch`] then replays chunks in order against a carried pending
-//! map, so the emitted event sequence — including skipped-line counts and
-//! the order of equal-timestamp events before the final stable time sort —
-//! is identical to a sequential parse. The equivalence is pinned by the
+//! state. [`stitch_runs`] then replays console chunks in order against a
+//! carried pending map, so the emitted event sequence — including
+//! skipped-line counts and the order of equal-timestamp events before the
+//! console stream's stable time sort — is identical to a sequential parse.
+//!
+//! Time order is restored where the events already are: a stateless
+//! source's chunk is checked (and, only if a reordered or skewed line broke
+//! it, stable-sorted) by the worker that parsed it and handed on as a
+//! sorted *run*; the runs are never concatenated, and [`merge_by_time`]
+//! interleaves them — ties to the earlier run — into what one stable sort
+//! of the whole stream would give. The equivalence is pinned by the
 //! exhaustive split-point tests below and by
 //! `crates/logs/tests/proptest_chunked.rs`.
 
@@ -40,6 +47,7 @@ use std::ops::Range;
 
 use hpc_platform::NodeId;
 
+use crate::archive::merge_by_time;
 use crate::event::{LogEvent, LogSource, StackModule};
 use crate::parse::{
     classify_console, complete_pending, console_other_line, drain_pending, ConsoleLine, LogParser,
@@ -58,10 +66,14 @@ enum Deferred {
 /// The result of parsing one chunk of one stream in isolation.
 ///
 /// Opaque: produced by [`parse_chunk`] on any thread, consumed in file
-/// order by [`stitch`].
+/// order by [`stitch_runs`].
 pub struct ChunkParse {
-    /// Events completed locally, in emission order.
+    /// Events completed locally: in emission order for a console chunk,
+    /// time-sorted for a stateless source's (see `is_run`).
     events: Vec<LogEvent>,
+    /// A stateless source's chunk: `events` is a finished time-sorted run
+    /// and the boundary fields below are empty.
+    is_run: bool,
     /// `(node, position)` of each node's first non-continuation line, in
     /// line order; `position` indexes into `events` where a straddling
     /// report's completion must be spliced.
@@ -76,6 +88,25 @@ pub struct ChunkParse {
     skipped_lines: u64,
 }
 
+/// One stream reassembled from chunks as time-sorted runs, in file order.
+pub struct ChunkedRuns {
+    /// The stream's events: one run per chunk of a stateless source, one
+    /// run for a whole console stream. [`merge_by_time`] over them (ties to
+    /// the earlier run) is the stream as [`LogParser::parse_stream`] sorts it.
+    pub runs: Vec<Vec<LogEvent>>,
+    /// Lines successfully consumed (including trace continuation lines).
+    pub parsed_lines: u64,
+    /// Lines that matched no known format.
+    pub skipped_lines: u64,
+}
+
+impl ChunkedRuns {
+    /// Total text lines this stream was parsed from.
+    pub fn total_lines(&self) -> u64 {
+        self.parsed_lines + self.skipped_lines
+    }
+}
+
 /// One stream reassembled from chunks.
 #[derive(Debug, Clone)]
 pub struct ChunkedStream {
@@ -85,13 +116,6 @@ pub struct ChunkedStream {
     pub parsed_lines: u64,
     /// Lines that matched no known format.
     pub skipped_lines: u64,
-}
-
-impl ChunkedStream {
-    /// Total text lines this stream was parsed from.
-    pub fn total_lines(&self) -> u64 {
-        self.parsed_lines + self.skipped_lines
-    }
 }
 
 /// Line ranges covering `0..total` in chunks of `chunk_lines` (the last one
@@ -135,11 +159,19 @@ where
     for line in lines {
         parser.parse_line(source, line, &mut events);
     }
-    // Every chunk's events stay resident until `stitch`: give back the
+    // Disorder is sorted where it is parsed: a clean chunk passes the check;
+    // one a reordered or skewed line broke is sorted here, on the worker
+    // that holds it in cache, not as part of the whole stream later.
+    if !events.is_sorted_by_key(|e| e.time) {
+        events.sort_by_key(|e| e.time);
+        hpc_telemetry::counter("core.ingest.chunks_sorted").inc();
+    }
+    // Every chunk's events stay resident until the merge: give back the
     // slack that doubling growth left (up to half the vector).
     events.shrink_to_fit();
     ChunkParse {
         events,
+        is_run: true,
         resolutions: Vec::new(),
         deferred: HashMap::new(),
         pending: HashMap::new(),
@@ -216,6 +248,7 @@ where
     events.shrink_to_fit();
     ChunkParse {
         events,
+        is_run: false,
         resolutions,
         deferred,
         pending,
@@ -226,12 +259,38 @@ where
 
 /// Reassembles chunk parses (in file order) into the sequential result.
 ///
-/// Cheap relative to parsing: O(events + straddling lines), single pass.
+/// [`stitch_runs`] followed by the run merge; ingest keeps the runs apart
+/// until its one merge across all sources instead.
 pub fn stitch<I>(chunks: I) -> ChunkedStream
 where
     I: IntoIterator<Item = ChunkParse>,
 {
+    let stream = stitch_runs(chunks);
+    ChunkedStream {
+        events: merge_by_time(stream.runs),
+        parsed_lines: stream.parsed_lines,
+        skipped_lines: stream.skipped_lines,
+    }
+}
+
+/// Reassembles chunk parses (in file order) into time-sorted runs.
+///
+/// A stateless source's chunks are already runs and pass through untouched.
+/// Console chunks are replayed against the carried pending map — O(events +
+/// straddling lines), single pass — and the spliced stream is stable-sorted
+/// into one run.
+pub fn stitch_runs<I>(chunks: I) -> ChunkedRuns
+where
+    I: IntoIterator<Item = ChunkParse>,
+{
     let chunks: Vec<ChunkParse> = chunks.into_iter().collect();
+    if chunks.iter().all(|c| c.is_run) {
+        return ChunkedRuns {
+            parsed_lines: chunks.iter().map(|c| c.parsed_lines).sum(),
+            skipped_lines: chunks.iter().map(|c| c.skipped_lines).sum(),
+            runs: chunks.into_iter().map(|c| c.events).collect(),
+        };
+    }
     // Reports open across the current chunk boundary — exactly the
     // sequential parser's pending map at the equivalent line.
     let mut state: HashMap<NodeId, PendingTrace> = HashMap::new();
@@ -259,8 +318,7 @@ where
         }
         // Splice straddling-report completions at each node's resolving
         // position, preserving the sequential emission order; the events
-        // between two resolutions (all of them, for the stateless sources)
-        // move in bulk.
+        // between two resolutions move in bulk.
         let mut events = chunk.events.into_iter();
         let mut moved = 0;
         for (node, pos) in chunk.resolutions {
@@ -284,8 +342,8 @@ where
     }
     drain_pending(&mut state, &mut out);
     out.sort_by_key(|e| e.time);
-    ChunkedStream {
-        events: out,
+    ChunkedRuns {
+        runs: vec![out],
         parsed_lines: parsed,
         skipped_lines: skipped,
     }
@@ -482,7 +540,7 @@ mod tests {
         let empty: Vec<String> = Vec::new();
         let got = parse_stream_chunked(LogSource::Console, &empty, 8);
         assert!(got.events.is_empty());
-        assert_eq!(got.total_lines(), 0);
+        assert_eq!(got.parsed_lines + got.skipped_lines, 0);
         assert_eq!(chunk_spans(0, 4).count(), 0);
         let spans: Vec<_> = chunk_spans(10, 4).collect();
         assert_eq!(spans, vec![0..4, 4..8, 8..10]);

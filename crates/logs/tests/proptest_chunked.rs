@@ -10,12 +10,19 @@
 //! reproduce the sequential events, parsed-line and skipped-line counts
 //! exactly (the invariant `hpc-diagnosis` relies on to run the same parse
 //! on a work-stealing pool of any width).
+//!
+//! A second property covers the stateless grammars on the hostile path:
+//! ERD and scheduler streams whose lines are locally reordered, skewed,
+//! duplicated and salted with garbage. There a chunk is sorted by whoever
+//! parsed it and the chunks meet again in the run merge, which must give
+//! what one stable sort of the whole stream gives.
 
 use proptest::prelude::*;
 
 use hpc_logs::chunk::parse_stream_chunked;
 use hpc_logs::event::{
-    AppKind, ConsoleDetail, LogEvent, LogSource, OopsCause, Payload, StackModule,
+    AppKind, ConsoleDetail, ControllerScope, ErdDetail, JobEndReason, JobId, LogEvent, LogSource,
+    NodeState, OopsCause, Payload, SchedulerDetail, StackModule,
 };
 use hpc_logs::parse::LogParser;
 use hpc_logs::render::render;
@@ -104,8 +111,108 @@ fn interleave(queues: Vec<Vec<String>>, picks: &[usize]) -> Vec<String> {
     lines
 }
 
+/// ERD and scheduler events: `(source, event)` with the event's time a
+/// small number of milliseconds, so equal timestamps are common.
+fn stateless_event() -> impl Strategy<Value = (LogSource, LogEvent)> {
+    let erd = (0u32..8, 0u8..3).prop_map(|(node, kind)| {
+        let node = NodeId(node);
+        let detail = match kind {
+            0 => ErdDetail::HeartbeatStop,
+            1 => ErdDetail::L0Failed,
+            _ => ErdDetail::NodeFailed { node },
+        };
+        let scope = ControllerScope::Blade(node.blade());
+        (LogSource::Erd, Payload::Erd { scope, detail })
+    });
+    let scheduler = (0u32..8, 0u8..3).prop_map(|(node, kind)| {
+        let detail = match kind {
+            0 => SchedulerDetail::JobEnd {
+                job: JobId(u64::from(node)),
+                exit_code: 0,
+                reason: JobEndReason::Completed,
+            },
+            1 => SchedulerDetail::NodeStateChange {
+                node: NodeId(node),
+                state: NodeState::Down,
+            },
+            _ => SchedulerDetail::NodeStateChange {
+                node: NodeId(node),
+                state: NodeState::Up,
+            },
+        };
+        (LogSource::Scheduler, Payload::Scheduler { detail })
+    });
+    (0u64..400, prop_oneof![erd, scheduler]).prop_map(|(ms, (source, payload))| {
+        let time = SimTime::from_millis(ms);
+        (source, LogEvent { time, payload })
+    })
+}
+
+/// What a failing machine does to a time-ordered stream, one `(kind, at,
+/// by)` at a time: swap two nearby lines, repeat a line a little later,
+/// tear a line in half, drop in garbage.
+fn disorder(lines: &mut Vec<String>, ops: &[(u8, usize, usize)]) {
+    for &(kind, at, by) in ops {
+        let n = lines.len();
+        match kind {
+            0 if n >= 2 => lines.swap(at % n, (at + 1 + by % 4) % n),
+            1 if n >= 1 => {
+                let line = lines[at % n].clone();
+                lines.insert((at % n + 1 + by % 6).min(n), line);
+            }
+            2 if n >= 1 => {
+                let line = &lines[at % n];
+                let torn = line[..by % line.len().max(1)].to_string();
+                lines.insert(at % n, torn);
+            }
+            _ => lines.insert(at % (n + 1), "%%% corrupted line %%%".to_string()),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn disordered_stateless_streams_chunk_like_the_sequential_parser(
+        events in prop::collection::vec(stateless_event(), 0..48),
+        skews in prop::collection::vec((0usize..48, 1u64..30_000), 0..4),
+        ops in prop::collection::vec((0u8..4, 0usize..64, 0usize..64), 0..12),
+    ) {
+        for source in [LogSource::Erd, LogSource::Scheduler] {
+            let mut stream: Vec<LogEvent> = events
+                .iter()
+                .filter(|(s, _)| *s == source)
+                .map(|(_, e)| e.clone())
+                .collect();
+            stream.sort_by_key(|e| e.time);
+            // A skewed clock: the line stays where it is, its stamp moves.
+            for &(at, ms) in &skews {
+                if let Some(e) = stream.get_mut(at) {
+                    e.time = SimTime::from_millis(e.time.as_millis() + ms);
+                }
+            }
+            let mut lines: Vec<String> = stream
+                .iter()
+                .flat_map(|e| render(e, SchedulerKind::Slurm))
+                .collect();
+            disorder(&mut lines, &ops);
+
+            let (seq, skipped) =
+                LogParser::parse_stream(source, lines.iter().map(String::as_str));
+            let mut sizes = vec![1, 2, 3, 5, 8, 13, 64];
+            sizes.push(lines.len().max(1));
+            for chunk_lines in sizes {
+                let got = parse_stream_chunked(source, &lines, chunk_lines);
+                prop_assert_eq!(&got.events, &seq, "{:?} chunk_lines={}", source, chunk_lines);
+                prop_assert_eq!(
+                    (got.parsed_lines, got.skipped_lines),
+                    (lines.len() as u64 - skipped, skipped),
+                    "{:?} line counts at chunk_lines={}", source, chunk_lines
+                );
+            }
+        }
+    }
 
     #[test]
     fn chunked_parse_equals_sequential_at_every_chunk_size(

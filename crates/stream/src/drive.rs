@@ -11,6 +11,7 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::time::Duration;
 
 use hpc_logs::event::LogSource;
+use hpc_logs::fs::sanitise_lines;
 use hpc_logs::parse::guess_source;
 
 use crate::{FollowDir, StreamEngine};
@@ -38,19 +39,43 @@ pub fn source_of(line: &str) -> LogSource {
     guess_source(line).unwrap_or(LogSource::Console)
 }
 
+/// Hands `each` the lines of a merged feed (standard input, for both
+/// `--stdin` front ends) until end of input, a real I/O error, or `each`
+/// returns false. The feed is read as bytes: a line that is not valid UTF-8
+/// is sanitised like any other log bytes ([`sanitise_lines`]) and counted
+/// under `invalid_counter` — it never ends the feed (DESIGN.md §10: skip
+/// and count, never silently drop).
+pub fn lossy_lines(
+    mut input: impl BufRead,
+    invalid_counter: &str,
+    mut each: impl FnMut(String) -> bool,
+) {
+    let mut buf = Vec::new();
+    while input.read_until(b'\n', &mut buf).is_ok_and(|n| n > 0) {
+        let (mut line, invalid) = sanitise_lines(std::mem::take(&mut buf));
+        if invalid > 0 {
+            hpc_telemetry::counter(invalid_counter).add(invalid);
+        }
+        line.truncate(line.trim_end_matches(['\r', '\n']).len());
+        if !each(line) {
+            break;
+        }
+    }
+}
+
 /// Standard input as a [`Feed::Lines`] channel holding at most one
 /// observer batch. The reader thread is detached: a blocking read on stdin
 /// cannot be interrupted, so it ends at EOF, on a read error, or with the
-/// process.
+/// process. Invalid UTF-8 counts under `stream.follow.invalid_utf8`, like
+/// the directory follower's.
 pub fn stdin_lines() -> Receiver<String> {
     let (tx, rx) = mpsc::sync_channel(MAX_LINES_PER_OBSERVE);
     std::thread::spawn(move || {
-        for line in std::io::stdin().lock().lines() {
-            let Ok(line) = line else { break };
-            if tx.send(line).is_err() {
-                break;
-            }
-        }
+        lossy_lines(
+            std::io::stdin().lock(),
+            "stream.follow.invalid_utf8",
+            |line| tx.send(line).is_ok(),
+        );
     });
     rx
 }

@@ -26,7 +26,6 @@
 //! nested enter/exit trace of every instrumented stage, and
 //! `--telemetry-json` writes the full metric registry as JSON.
 
-use std::io::BufRead;
 use std::path::Path;
 use std::process::exit;
 
@@ -36,21 +35,22 @@ use hpc_node_failures::platform::system::SchedulerKind;
 use hpc_node_failures::diagnosis::jobs::JobLog;
 use hpc_node_failures::diagnosis::report;
 use hpc_node_failures::diagnosis::{Diagnosis, DiagnosisConfig};
-use hpc_node_failures::stream::drive::source_of;
+use hpc_node_failures::stream::drive::{lossy_lines, source_of};
 use hpc_node_failures::telemetry::{self, Flags};
 
 const USAGE: &str = "usage: hpc-diagnose (<log-dir> | --stdin | --from-store <dir>) \
      [--save-store <dir>] [--verbose] [--telemetry-json <path>]";
 
 /// Reads a pre-merged log stream from stdin into an archive, routing each
-/// line to its source stream by envelope sniffing.
+/// line to its source stream by envelope sniffing. Invalid UTF-8 is
+/// sanitised and counted where the directory reader counts it.
 fn archive_from_stdin() -> LogArchive {
     let mut archive = LogArchive::new(SchedulerKind::Slurm);
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
+    let counter = "core.ingest.dropped.invalid_utf8";
+    lossy_lines(std::io::stdin().lock(), counter, |line| {
         archive.push_raw_line(source_of(&line), line);
-    }
+        true
+    });
     archive
 }
 

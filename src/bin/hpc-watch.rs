@@ -293,6 +293,11 @@ fn summary(engine: &StreamEngine, follow: Option<&FollowDir>) {
              {} rotations, {} invalid-utf8 lines sanitised",
             fs.io_errors, fs.quarantines, fs.recoveries, fs.rotations, fs.invalid_utf8,
         );
+    } else {
+        let invalid = telemetry::counter("stream.follow.invalid_utf8").get();
+        if invalid > 0 {
+            eprintln!("hpc-watch: stdin degradation: {invalid} invalid-utf8 lines sanitised");
+        }
     }
     if let Some((blade, n)) = engine.window().hottest_blade() {
         eprintln!(

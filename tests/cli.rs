@@ -420,6 +420,108 @@ fn watch_fails_fast_on_unwritable_outputs() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A simulated archive as one timestamp-merged feed (ties keep file
+/// order), written twice under `dir`: as is, and with one non-UTF-8 line
+/// after line 1,000. Returns `(clean, hostile)`.
+fn merged_feeds(dir: &std::path::Path) -> (PathBuf, PathBuf) {
+    let sim = Command::new(env!("CARGO_BIN_EXE_hpc-simulate"))
+        .args([dir.to_str().unwrap(), "S1", "1", "2", "99"])
+        .output()
+        .expect("run hpc-simulate");
+    assert!(sim.status.success(), "simulate failed: {sim:?}");
+    let mut lines = Vec::new();
+    for file in [
+        "p0-directory/console",
+        "controller/controller.log",
+        "erd/event-20160101",
+        "scheduler/slurmctld.log",
+    ] {
+        let text = std::fs::read_to_string(dir.join(file)).expect(file);
+        lines.extend(text.lines().map(str::to_string));
+    }
+    // Every line opens with a 23-character timestamp; the sort is stable.
+    lines.sort_by(|a, b| a[..23].cmp(&b[..23]));
+    assert!(lines.len() > 2_000, "feed too short: {}", lines.len());
+    let mut clean = Vec::new();
+    let mut hostile = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if i == 1_000 {
+            hostile.extend_from_slice(b"\xff\xfe torn by a dying node\n");
+        }
+        for feed in [&mut clean, &mut hostile] {
+            feed.extend_from_slice(line.as_bytes());
+            feed.push(b'\n');
+        }
+    }
+    let paths = (dir.join("feed-clean"), dir.join("feed-hostile"));
+    std::fs::write(&paths.0, clean).unwrap();
+    std::fs::write(&paths.1, hostile).unwrap();
+    paths
+}
+
+/// One bad byte on stdin used to end ingest silently (`lines()` errors on
+/// a non-UTF-8 line and the loop broke on the first error): everything
+/// after line 1,000 was dropped, exit 0, no warning.
+#[test]
+fn diagnose_stdin_ingests_past_a_non_utf8_line() {
+    let dir = tmpdir("stdin-utf8-diagnose");
+    let (clean, hostile) = merged_feeds(&dir);
+    let run = |feed: &PathBuf| {
+        let out = Command::new(env!("CARGO_BIN_EXE_hpc-diagnose"))
+            .arg("--stdin")
+            .stdin(std::fs::File::open(feed).unwrap())
+            .output()
+            .expect("run hpc-diagnose");
+        assert!(out.status.success(), "diagnose failed: {out:?}");
+        (
+            String::from_utf8(out.stdout).unwrap(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (want, clean_err) = run(&clean);
+    let (got, hostile_err) = run(&hostile);
+    assert!(!want.contains("failures: 0\n"), "nothing to lose:\n{want}");
+    assert!(!clean_err.contains("degraded ingest"), "{clean_err}");
+    // The bad line is one more skipped line; nothing else may differ.
+    assert_eq!(got, want.replace("skipped lines: 0", "skipped lines: 1"));
+    assert!(
+        hostile_err.contains("degraded ingest: 1 invalid-UTF-8 lines sanitised"),
+        "{hostile_err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn watch_stdin_alerts_past_a_non_utf8_line() {
+    let dir = tmpdir("stdin-utf8-watch");
+    let (clean, hostile) = merged_feeds(&dir);
+    let run = |feed: &PathBuf, tag: &str| {
+        let alerts = dir.join(format!("alerts-{tag}.jsonl"));
+        let out = Command::new(env!("CARGO_BIN_EXE_hpc-watch"))
+            .args(["--stdin", "--quiet", "--alerts-jsonl"])
+            .arg(&alerts)
+            .stdin(std::fs::File::open(feed).unwrap())
+            .output()
+            .expect("run hpc-watch");
+        assert!(out.status.success(), "watch failed: {out:?}");
+        (
+            std::fs::read_to_string(&alerts).unwrap(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (want, clean_err) = run(&clean, "clean");
+    let (got, hostile_err) = run(&hostile, "hostile");
+    let late = want.lines().filter(|l| l.contains("2016-01-02T")).count();
+    assert!(late > 0, "no alert past the bad line to lose:\n{want}");
+    assert!(!clean_err.contains("invalid-utf8"), "{clean_err}");
+    assert_eq!(got, want);
+    assert!(
+        hostile_err.contains("stdin degradation: 1 invalid-utf8 lines sanitised"),
+        "{hostile_err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn simulate_fails_fast_on_unwritable_telemetry_json() {
     let dir = tmpdir("sim-unwritable");

@@ -81,6 +81,21 @@ fn pipeline_run_populates_all_stage_metrics() {
         snap.counter("core.store.events.indexed").unwrap()
             <= snap.counter("core.store.events.scanned").unwrap()
     );
+    // The memory ledger's first two rows: the event array and the heap the
+    // indexes over it hold.
+    assert_eq!(
+        snap.gauge("core.store.events_bytes"),
+        Some((std::mem::size_of_val(d.events())) as f64)
+    );
+    assert!(snap.gauge("core.store.index_bytes").unwrap() > 0.0);
+    // The pool handed the merge at least one sorted run per source, a clean
+    // archive gave no worker anything to sort, and the merge moved stretches
+    // of events, not single ones.
+    let runs = snap.counter("core.ingest.runs").unwrap();
+    let moves = snap.counter("core.ingest.merge.moves").unwrap();
+    assert!(runs >= 4, "{runs} runs");
+    assert_eq!(snap.counter("core.ingest.chunks_sorted"), None);
+    assert!(runs <= moves && moves < d.events().len() as u64 / 2);
 
     // Per-source lines sum to the total.
     let per_source: u64 = ["console", "controller", "erd", "scheduler"]
@@ -159,4 +174,14 @@ fn pipeline_run_populates_all_stage_metrics() {
         snap.counter("ingest.lines"),
         Some(2 * out.archive.total_lines())
     );
+    assert_eq!(snap.counter("core.ingest.chunks_sorted"), None);
+
+    // Reordered and skewed lines are what make a worker sort its chunk.
+    use hpc_node_failures::faultsim::chaos::{ChaosFeed, ChaosSpec, Intensity};
+    let hostile = ChaosFeed::corrupt(&out.archive, &ChaosSpec::mixed(Intensity::Heavy, 3));
+    hostile.write_dir(&dir).unwrap();
+    Diagnosis::from_dir(&dir, DiagnosisConfig::default()).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let sorted = telemetry::snapshot().counter("core.ingest.chunks_sorted");
+    assert!(sorted.is_some_and(|n| n > 0), "{sorted:?} chunks sorted");
 }
