@@ -37,10 +37,9 @@ use hpc_diagnosis::report;
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_faultsim::chaos::{ChaosFeed, ChaosSpec, Intensity, Pathology, RECORD_SLACK};
 use hpc_faultsim::Scenario;
-use hpc_logs::time::SimTime;
 use hpc_logs::{LogArchive, LogSource};
 use hpc_platform::SystemId;
-use hpc_stream::{feed_time_aligned, StreamConfig, StreamEngine};
+use hpc_stream::{StreamConfig, StreamEngine};
 use hpc_telemetry::json::JsonValue;
 use hpc_telemetry::Flags;
 
@@ -344,15 +343,18 @@ fn run_stream_cell(
     let ledger = *feed.ledger();
     cell.lines = ledger.lines_out;
     cell.corruptions = ledger.corruptions();
-    let mut lines: [Vec<String>; 4] = Default::default();
-    for (si, source) in LogSource::ALL.into_iter().enumerate() {
-        lines[si] = feed.lossy_lines(source).collect();
-    }
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         // SWO exclusion is a batch post-pass; the online engine reproduces
-        // raw detection, so the clean cell compares against that.
+        // raw detection, so the clean cell compares against that. Each
+        // source goes in whole, then the engine releases once: the
+        // per-source queues put the sources in order.
         let mut engine = StreamEngine::new(StreamConfig::default());
-        feed_time_aligned(&mut engine, &lines, &mut [SimTime::EPOCH; 4]);
+        for source in LogSource::ALL {
+            for line in feed.lossy_lines(source) {
+                engine.enqueue_line(source, &line);
+            }
+        }
+        engine.release();
         engine.finish();
         engine
     }));

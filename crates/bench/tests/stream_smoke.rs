@@ -10,23 +10,31 @@
 //! * the acceptance gauges `stream.watermark_lag` and
 //!   `stream.window.events` must be present in the telemetry registry
 //!   after a run.
+//!
+//! And catch-up memory must not grow with the backlog: a `FollowDir`
+//! draining 1×, 4× and 16× copies of one archive buffers at most a block
+//! plus a line per source.
 
 use hpc_faultsim::Scenario;
 use hpc_logs::event::LogSource;
-use hpc_logs::time::{SimDuration, SimTime};
+use hpc_logs::fs::source_path;
+use hpc_logs::time::SimDuration;
 use hpc_platform::SystemId;
-use hpc_stream::{feed_time_aligned, StreamConfig, StreamEngine};
+use hpc_stream::{FollowDir, StreamConfig, StreamEngine};
 
-/// Replays the four streams interleaved in global timestamp order — the
-/// arrival order of a live feed. Sequential whole-source feeding would put
-/// every stream but the first hopelessly behind the 10-minute watermark.
+/// Replays the four streams whole, one after another, then releases once:
+/// the merger's per-source queues put them in time order.
 fn replay(archive: &hpc_logs::LogArchive, window: SimDuration) -> StreamEngine {
     let mut engine = StreamEngine::new(StreamConfig {
         window,
         ..StreamConfig::default()
     });
-    let lines = LogSource::ALL.map(|s| archive.lines(s));
-    feed_time_aligned(&mut engine, &lines, &mut [SimTime::EPOCH; 4]);
+    for source in LogSource::ALL {
+        for line in archive.lines(source) {
+            engine.enqueue_line(source, line);
+        }
+    }
+    engine.release();
     engine.finish();
     engine
 }
@@ -82,4 +90,49 @@ fn month_long_replay_holds_o_window_memory() {
         "stream.window.events gauge missing"
     );
     assert!(snapshot.counter("stream.events").unwrap_or(0) >= s.events);
+}
+
+#[test]
+fn catch_up_buffers_do_not_grow_with_the_backlog() {
+    let archive = Scenario::new(SystemId::S1, 1, 3, 11).run().archive;
+    let longest = (LogSource::ALL.iter())
+        .flat_map(|&s| archive.lines(s))
+        .map(|l| l.len() + 1)
+        .max()
+        .unwrap();
+    // A block well under the larger files, so their backlogs span blocks.
+    let block = 16 << 10;
+    let bound = 4 * (block + longest);
+    let dir = std::env::temp_dir().join(format!("stream-smoke-backlog-{}", std::process::id()));
+    let mut peaks = Vec::new();
+    for copies in [1, 4, 16] {
+        let _ = std::fs::remove_dir_all(&dir);
+        for source in LogSource::ALL {
+            let path = dir.join(source_path(source, archive.scheduler()));
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            let text: String = archive
+                .lines(source)
+                .iter()
+                .map(|l| format!("{l}\n"))
+                .collect();
+            std::fs::write(path, text.repeat(copies)).unwrap();
+        }
+        let mut engine = StreamEngine::new(StreamConfig::default());
+        let mut follow = FollowDir::with_block_bytes(&dir, block);
+        let (mut peak, mut polls) = (0, 0);
+        while follow.poll_into(&mut engine) > 0 {
+            peak = peak.max(follow.buffered_bytes());
+            polls += 1;
+        }
+        assert_eq!(engine.stats().lines, copies as u64 * archive.total_lines());
+        assert!(
+            peak <= bound,
+            "{copies}x backlog buffered {peak} bytes, above {bound}"
+        );
+        peaks.push((copies, polls, peak));
+    }
+    eprintln!("stream smoke: catch-up (copies, polls, peak buffered bytes) {peaks:?}");
+    // The 16x backlog takes more polls, not more buffer.
+    assert!(peaks[2].1 > peaks[0].1);
+    let _ = std::fs::remove_dir_all(&dir);
 }

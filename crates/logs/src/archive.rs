@@ -6,15 +6,17 @@
 //! log files. Generators append structured events (rendered on the way in);
 //! the diagnosis pipeline reads lines back out and re-parses them.
 //!
-//! [`merge_by_time`] is the one place events of different origins are put in
-//! chronological order: a stable k-way merge of time-sorted *runs* (a parsed
-//! chunk of a stateless source, or a whole stitched console stream) that
+//! [`merge_before`] is the one place events of different origins are put in
+//! chronological order: a stable k-way merge of time-sorted *runs* that
 //! moves each stretch of one run in bulk, so the heap is touched once per
-//! switch between runs instead of once per event (DESIGN.md §4.2;
-//! `hpc-sysbench` times it as `logs.archive.merge_ms`).
+//! switch between runs instead of once per event (DESIGN.md §4.2). Batch
+//! ingest calls it unbounded, as [`merge_by_time`], over the parsed chunks
+//! of the stateless sources and the stitched console stream (`hpc-sysbench`
+//! times it as `logs.archive.merge_ms`); `hpc-stream`'s merger calls it
+//! bounded, over one queue per source, stopped at its release point.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use hpc_platform::system::SchedulerKind;
 
@@ -167,51 +169,82 @@ pub struct ParsedArchive {
 /// stable-sorting by time would give. Callers hand runs over in `(source,
 /// file order)` order, which makes that tie order `(time, source, seq)`.
 ///
-/// The smallest head is popped off a heap of `(head time, run)`; a galloping
-/// search (doubling step, then `partition_point`) finds the first event of
-/// that run that no longer precedes the next-smallest head, and the whole
-/// stretch moves at once. A run's buffer is freed as soon as it is empty.
-/// Counts `core.ingest.runs` (non-empty runs) and `core.ingest.merge.moves`.
+/// This is [`merge_before`] with no bound; `VecDeque::from(Vec)` takes the
+/// run's buffer as it is, so nothing is copied on the way in. Counts
+/// `core.ingest.runs` (non-empty runs) and `core.ingest.merge.moves`.
 pub fn merge_by_time(runs: Vec<Vec<LogEvent>>) -> Vec<LogEvent> {
     let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-    let mut runs: Vec<std::vec::IntoIter<LogEvent>> =
-        runs.into_iter().map(Vec::into_iter).collect();
+    let mut runs: Vec<VecDeque<LogEvent>> = runs.into_iter().map(VecDeque::from).collect();
+    let non_empty = runs.iter().filter(|run| !run.is_empty()).count();
+    hpc_telemetry::counter("core.ingest.runs").add(non_empty as u64);
+    let moves = merge_before(&mut runs, SimTime::from_millis(u64::MAX), &mut out);
+    hpc_telemetry::counter("core.ingest.merge.moves").add(moves);
+    out
+}
+
+/// The bounded run merge: moves every event earlier than `bound` out of
+/// `runs` (each time-sorted) into `out`, in [`merge_by_time`]'s order, and
+/// leaves the rest of each run in place for a later call. Merging up to `b`
+/// and then on to any later bound gives what one merge to the later bound
+/// gives. Returns the number of bulk moves.
+///
+/// The smallest head is popped off a heap of `(head time, run)`; a galloping
+/// search (doubling step, then binary search) finds the first event of that
+/// run that no longer precedes the next-smallest head, and the whole stretch
+/// moves at once, so the heap is touched once per switch between runs
+/// instead of once per event. A run's buffer is freed as soon as it is empty.
+pub fn merge_before(
+    runs: &mut [VecDeque<LogEvent>],
+    bound: SimTime,
+    out: &mut Vec<LogEvent>,
+) -> u64 {
     let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = (runs.iter().enumerate())
-        .filter_map(|(ri, run)| Some(Reverse((run.as_slice().first()?.time, ri))))
+        .filter_map(|(ri, run)| Some(Reverse((run.front()?.time, ri))))
+        .filter(|&Reverse((t, _))| t < bound)
         .collect();
-    hpc_telemetry::counter("core.ingest.runs").add(heap.len() as u64);
     let mut moves = 0;
     while let Some(Reverse((_, ri))) = heap.pop() {
-        let rest = runs[ri].as_slice();
+        let run = &mut runs[ri];
+        // Every head on the heap is below `bound`, so only the last run
+        // standing needs the bound itself.
         let stretch = match heap.peek() {
             // Ties go to the earlier run: up to and including the other
             // head's time if this run comes first, strictly below it if not.
-            Some(&Reverse((t, other))) if ri < other => gallop(rest, |e| e.time <= t),
-            Some(&Reverse((t, _))) => gallop(rest, |e| e.time < t),
-            None => rest.len(),
+            Some(&Reverse((t, other))) if ri < other => gallop(run, |e| e.time <= t),
+            Some(&Reverse((t, _))) => gallop(run, |e| e.time < t),
+            None => gallop(run, |e| e.time < bound),
         };
-        out.extend(runs[ri].by_ref().take(stretch));
+        // `pop_front` moves beat `drain(..stretch)`: most stretches are short.
+        out.extend((0..stretch).map_while(|_| run.pop_front()));
         moves += 1;
-        match runs[ri].as_slice().first() {
-            Some(next) => heap.push(Reverse((next.time, ri))),
-            None => runs[ri] = Vec::new().into_iter(),
+        match run.front() {
+            Some(next) if next.time < bound => heap.push(Reverse((next.time, ri))),
+            Some(_) => {}
+            None => *run = VecDeque::new(),
         }
     }
-    hpc_telemetry::counter("core.ingest.merge.moves").add(moves);
-    out
+    moves
 }
 
 /// Length of the leading stretch of `run` (time-sorted) that `precedes`
 /// holds for, given that it holds for `run[0]`: O(log stretch), not
 /// O(log run), so short stretches stay cheap.
-fn gallop(run: &[LogEvent], precedes: impl Fn(&LogEvent) -> bool) -> usize {
+fn gallop(run: &VecDeque<LogEvent>, precedes: impl Fn(&LogEvent) -> bool) -> usize {
     let (mut last, mut step) = (0, 1);
     while last + step < run.len() && precedes(&run[last + step]) {
         last += step;
         step *= 2;
     }
-    let end = (last + step).min(run.len());
-    last + 1 + run[last + 1..end].partition_point(precedes)
+    let (mut lo, mut hi) = (last + 1, (last + step).min(run.len()));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if precedes(&run[mid]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]

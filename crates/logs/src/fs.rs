@@ -23,10 +23,11 @@ use hpc_platform::system::SchedulerKind;
 use crate::archive::LogArchive;
 use crate::event::LogSource;
 
-/// Bytes a [`BlockReader`] asks for per block: per-block costs (a `read`, a
-/// UTF-8 validation, a pool hand-off) vanish against parsing ~10k lines,
-/// and a pool's worth of blocks stays a few MiB whatever the file size.
-const BLOCK_BYTES: usize = 1 << 20;
+/// Bytes a [`BlockReader`] (and `hpc-stream`'s follower) asks for per
+/// block: per-block costs (a `read`, a UTF-8 validation, a pool hand-off)
+/// vanish against parsing ~10k lines, and a pool's worth of blocks stays a
+/// few MiB whatever the file size.
+pub const BLOCK_BYTES: usize = 1 << 20;
 
 /// The sanitiser shared by every reader of log bytes (the block reader
 /// here, `hpc-stream`'s follower): turns a buffer of whole lines into text
@@ -115,19 +116,11 @@ impl Iterator for BlockReader {
 
     fn next(&mut self) -> Option<Block> {
         let mut buf = std::mem::take(&mut self.carry);
-        while !self.done {
-            let before = buf.len();
-            buf.reserve(self.block_bytes);
-            let mut chunk = (&mut self.file).take(self.block_bytes as u64);
-            match chunk.read_to_end(&mut buf) {
+        if !self.done {
+            match read_block(&mut self.file, &mut buf, self.block_bytes) {
+                Ok(Some(end)) => self.carry = buf.split_off(end),
                 // End of file: what is left is the unterminated last line.
-                Ok(0) => self.done = true,
-                Ok(_) => {
-                    if let Some(nl) = buf[before..].iter().rposition(|&b| b == b'\n') {
-                        self.carry = buf.split_off(before + nl + 1);
-                        break;
-                    }
-                }
+                Ok(None) => self.done = true,
                 Err(_) => {
                     hpc_telemetry::counter("core.ingest.dropped.io_error").inc();
                     self.done = true;
@@ -147,6 +140,31 @@ impl Iterator for BlockReader {
             hpc_telemetry::counter("core.ingest.dropped.invalid_utf8").add(invalid_lines);
         }
         Some(Block(text))
+    }
+}
+
+/// The bounded read under every reader of log files ([`BlockReader`] and
+/// `hpc-stream`'s follower): appends `src`'s bytes to `buf`, at most
+/// `block_bytes` at a time, until the bytes of one read hold a `\n`.
+/// `Some(end)` cuts there: `buf[..end]` is whole lines, `buf[end..]` the
+/// start of the next one. `None` means `src` ended first; everything read is
+/// in `buf`, and it is up to the caller whether an unterminated last line is
+/// a line. A line longer than a block grows the read until its `\n` comes.
+/// On an error `buf` may hold part of what was read.
+pub fn read_block(
+    src: &mut impl Read,
+    buf: &mut Vec<u8>,
+    block_bytes: usize,
+) -> io::Result<Option<usize>> {
+    loop {
+        let before = buf.len();
+        buf.reserve(block_bytes);
+        if src.by_ref().take(block_bytes as u64).read_to_end(buf)? == 0 {
+            return Ok(None);
+        }
+        if let Some(nl) = buf[before..].iter().rposition(|&b| b == b'\n') {
+            return Ok(Some(before + nl + 1));
+        }
     }
 }
 

@@ -1,16 +1,22 @@
-//! Property test: the galloping run merge is a stable sort.
+//! Property tests: the galloping run merge is a stable sort, and its
+//! bounded form is a prefix of it.
 //!
 //! Ingest hands `merge_by_time` every source's time-sorted runs in
 //! `(source, file order)` order and relies on the result being exactly what
 //! concatenating them in that order and stable-sorting by time gives — the
 //! `(time, source, seq)` order the stream merger and the segment store's
-//! position column share. Runs here overlap, are empty, hold one event, or
-//! sit on one timestamp for long stretches across runs and sources; every
-//! event is individually recognisable, so a swapped tie shows.
+//! position column share. The stream merger releases through
+//! `merge_before`, stopped at a bound and resumed later, and relies on that
+//! giving the same sequence piece by piece. Runs here overlap, are empty,
+//! hold one event, or sit on one timestamp for long stretches across runs
+//! and sources; every event is individually recognisable, so a swapped tie
+//! shows.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use hpc_logs::archive::merge_by_time;
+use hpc_logs::archive::{merge_before, merge_by_time};
 use hpc_logs::event::{ConsoleDetail, LogEvent, Payload};
 use hpc_logs::time::SimTime;
 use hpc_platform::NodeId;
@@ -66,5 +72,26 @@ proptest! {
         // per source first, then the merge across sources.
         let per_source: Vec<Vec<LogEvent>> = sources.into_iter().map(merge_by_time).collect();
         prop_assert_eq!(&merge_by_time(per_source), &want);
+    }
+
+    #[test]
+    fn bounded_merge_is_the_prefix_before_the_bound(
+        sources in sources(),
+        bound in prop_oneof![0u64..2_100, 0u64..5, 990u64..1_011],
+    ) {
+        let flat: Vec<Vec<LogEvent>> = sources.into_iter().flatten().collect();
+        let want = merge_by_time(flat.clone());
+        let bound = SimTime::from_millis(bound);
+        let mut runs: Vec<VecDeque<LogEvent>> = flat.into_iter().map(VecDeque::from).collect();
+        let mut got = Vec::new();
+        merge_before(&mut runs, bound, &mut got);
+        let before = want.partition_point(|e| e.time < bound);
+        prop_assert_eq!(&got[..], &want[..before]);
+        // What stays behind is still every run's sorted remainder, and the
+        // unbounded continuation yields exactly the rest.
+        prop_assert!(runs.iter().flatten().all(|e| e.time >= bound));
+        merge_before(&mut runs, SimTime::from_millis(u64::MAX), &mut got);
+        prop_assert_eq!(&got, &want);
+        prop_assert!(runs.iter().all(VecDeque::is_empty));
     }
 }

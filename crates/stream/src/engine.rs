@@ -236,16 +236,15 @@ impl StreamEngine {
     /// Feeds one raw log line from `source` and processes everything it
     /// settles. Returns `true` if the line was recognised.
     pub fn push_line(&mut self, source: LogSource, line: &str) -> bool {
-        let ok = self.merger.push_line(source, line);
-        self.pump();
+        let ok = self.enqueue_line(source, line);
+        self.release();
         ok
     }
 
-    /// Declares one source ended (its open trace reports flush, and it no
-    /// longer holds the release point back).
-    pub fn finish_source(&mut self, source: LogSource) {
-        self.merger.finish_source(source);
-        self.pump();
+    /// [`StreamEngine::push_line`] without the processing: a batch pushed
+    /// this way costs one [`StreamEngine::release`], not one per line.
+    pub fn enqueue_line(&mut self, source: LogSource, line: &str) -> bool {
+        self.merger.push_line(source, line)
     }
 
     /// Ends the stream: drains the merger, finalizes open incidents and
@@ -253,7 +252,7 @@ impl StreamEngine {
     /// `(time, node)` — the batch order.
     pub fn finish(&mut self) {
         self.merger.finish();
-        self.pump();
+        self.release();
         self.scratch_failures.clear();
         let mut done = std::mem::take(&mut self.scratch_failures);
         self.detector.finish(&mut done);
@@ -276,7 +275,7 @@ impl StreamEngine {
     }
 
     /// Processes everything the merger can release, in equal-time cohorts.
-    fn pump(&mut self) {
+    pub fn release(&mut self) {
         self.released.clear();
         let mut events = std::mem::take(&mut self.released);
         self.merger.poll(&mut events);

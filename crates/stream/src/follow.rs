@@ -1,31 +1,35 @@
 //! Polling directory tailer for `hpc-watch --follow`.
 //!
-//! Follows the four conventional log files of an archive directory
-//! (`p0-directory/console`, `controller/controller.log`, `erd/…`, the
-//! scheduler log) the way `tail -F` would: remember a byte offset per
-//! file, read whatever appeared since, and feed complete lines to the
-//! engine. A file that does not exist yet is simply retried on the next
-//! poll; a file that shrank (rotation) is re-read from the start. Partial
-//! trailing lines — a writer caught mid-`write` — stay buffered until
-//! their newline arrives. Each poll's batch is fed to the engine in
-//! global timestamp order, so catching up on an already-written archive
-//! stays within the merger's watermark instead of dropping three of the
-//! four sources as late.
+//! Follows the four log files of an archive directory the way `tail -F`
+//! would: a byte offset per file, complete lines fed to the engine, a
+//! partial trailing line kept until its newline arrives. A missing file is
+//! retried next poll; one that shrank or was replaced (a new
+//! `(dev, inode)`) is re-read from the start.
 //!
-//! Misbehaving sources are quarantined, not fatal (DESIGN.md §10): a
-//! transient open/seek/read error puts that one tail into exponential
-//! backoff (2, 4, … up to 64 polls) while the other sources keep
-//! flowing, and the first successful poll re-admits it with its read
-//! offset intact. Invalid UTF-8 is sanitised and counted. All of it is
-//! accounted in [`FollowStats`] and the `stream.follow.*` telemetry
-//! counters.
+//! Reads are bounded: a tail reads one block with the batch reader's
+//! [`read_block`] into its one reused buffer, and reads again only once
+//! the block's lines are all fed. A poll's bound `B` is the least
+//! last-line timestamp among the tails whose file holds more; every source
+//! feeds its lines up to the first one stamped after `B`, and the engine
+//! releases once. A source read ahead waits in its buffer, so catch-up
+//! stays within the merger's watermark and holds a block per source
+//! whatever the backlog. In steady state no read fills a block and every
+//! line read is fed.
+//!
+//! Misbehaving sources are quarantined, not fatal (DESIGN.md §10): an I/O
+//! error backs that one tail off (2, 4, … up to 64 polls) while the others
+//! keep flowing; the first good poll re-admits it, offset intact. Invalid
+//! UTF-8 is sanitised and counted. [`FollowStats`] and the
+//! `stream.follow.*` telemetry account for it all, `backlog_bytes` for what
+//! the files hold past the read offsets.
 
 use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 
 use hpc_logs::event::LogSource;
-use hpc_logs::fs::{detect_scheduler, sanitise_lines, source_path};
+use hpc_logs::fs::{detect_scheduler, read_block, sanitise_lines, source_path, BLOCK_BYTES};
 use hpc_logs::parse::split_timestamp;
 use hpc_logs::time::SimTime;
 
@@ -44,7 +48,8 @@ pub struct FollowStats {
     pub io_errors: u64,
     /// Lines containing invalid UTF-8, lossily sanitised before parsing.
     pub invalid_utf8: u64,
-    /// Rotations/truncations detected (file shrank; re-read from start).
+    /// Rotations/truncations detected (file shrank or was replaced;
+    /// re-read from start).
     pub rotations: u64,
     /// Error streaks that put a source into exponential backoff.
     pub quarantines: u64,
@@ -56,21 +61,31 @@ pub struct FollowStats {
 struct Tail {
     source: LogSource,
     path: PathBuf,
+    /// Bytes of the file consumed into `buf`, and the `(dev, inode)` of
+    /// the file they count in.
     offset: u64,
-    /// Bytes of an incomplete trailing line.
-    partial: Vec<u8>,
-    /// Consecutive I/O errors; nonzero means the tail is quarantined.
+    identity: Option<(u64, u64)>,
+    /// Whole lines up to `whole` (those before `fed` already fed), then the
+    /// start of a line still being written. Reused from read to read.
+    buf: Vec<u8>,
+    fed: usize,
+    whole: usize,
+    /// The last read stopped at the block limit; `reach` is the time of the
+    /// last stamped line read.
+    more: bool,
+    reach: SimTime,
+    /// File length past `offset` when the tail last looked.
+    backlog: u64,
+    /// Consecutive I/O errors (nonzero: quarantined), and the poll at which
+    /// a quarantined tail may retry.
     errors: u32,
-    /// Poll number at which a quarantined tail may retry.
     retry_at: u64,
 }
 
 /// A polling tailer over the four source files under an archive root.
 pub struct FollowDir {
     tails: Vec<Tail>,
-    /// Per source, the timestamp of the last line fed (see
-    /// [`feed_time_aligned`]); persists across polls.
-    clocks: [SimTime; 4],
+    block_bytes: usize,
     polls: u64,
     stats: FollowStats,
 }
@@ -80,6 +95,13 @@ impl FollowDir {
     /// sniffed from which scheduler log is non-empty (defaulting like the
     /// batch loader when neither is).
     pub fn new(root: &Path) -> FollowDir {
+        FollowDir::with_block_bytes(root, BLOCK_BYTES)
+    }
+
+    /// [`FollowDir::new`] with a forced block size (at least 1), so tests
+    /// can put block boundaries anywhere. Not a tunable.
+    #[doc(hidden)]
+    pub fn with_block_bytes(root: &Path, block_bytes: usize) -> FollowDir {
         let scheduler = detect_scheduler(root);
         FollowDir {
             tails: LogSource::ALL
@@ -88,12 +110,18 @@ impl FollowDir {
                     source,
                     path: root.join(source_path(source, scheduler)),
                     offset: 0,
-                    partial: Vec::new(),
+                    identity: None,
+                    buf: Vec::new(),
+                    fed: 0,
+                    whole: 0,
+                    more: false,
+                    reach: SimTime::EPOCH,
+                    backlog: 0,
                     errors: 0,
                     retry_at: 0,
                 })
                 .collect(),
-            clocks: [SimTime::EPOCH; 4],
+            block_bytes: block_bytes.max(1),
             polls: 0,
             stats: FollowStats::default(),
         }
@@ -103,6 +131,12 @@ impl FollowDir {
     /// telemetry counters).
     pub fn stats(&self) -> FollowStats {
         self.stats
+    }
+
+    /// Bytes the tails hold in their read buffers.
+    #[doc(hidden)]
+    pub fn buffered_bytes(&self) -> usize {
+        self.tails.iter().map(|t| t.buf.len()).sum()
     }
 
     /// Sources currently quarantined (in error backoff); mirrors the
@@ -134,78 +168,47 @@ impl FollowDir {
         }
     }
 
-    /// Reads everything newly appended to every source file and feeds the
-    /// batch to `engine` through [`feed_time_aligned`]. Returns how many
-    /// complete lines were fed.
+    /// One poll: every tail whose lines are all fed reads a block, each
+    /// source's lines up to the poll's bound go to `engine`, which releases
+    /// once. Returns the lines fed: 0 only when every tail not in
+    /// quarantine is at the end of its file with no whole line buffered.
     pub fn poll_into(&mut self, engine: &mut StreamEngine) -> u64 {
         self.polls += 1;
-        let polls = self.polls;
-        let mut batches: [Vec<String>; 4] = Default::default();
-        let mut fed = 0;
-        for (tail, batch) in self.tails.iter_mut().zip(batches.iter_mut()) {
-            if tail.errors > 0 && polls < tail.retry_at {
-                continue; // quarantined — backing off until retry_at
+        for tail in &mut self.tails {
+            let backing_off = tail.errors > 0 && self.polls < tail.retry_at;
+            if tail.fed == tail.whole && !backing_off {
+                tail.read(self.polls, self.block_bytes, &mut self.stats);
             }
-            fed += tail.poll_lines(batch, polls, &mut self.stats);
         }
+        // The least time a source with more to read has reached: nothing
+        // later is fed this poll, so a source that reads ahead waits.
+        let bound = (self.tails.iter())
+            .filter(|t| t.more && t.errors == 0)
+            .map(|t| t.reach)
+            .min();
+        let fed = self.tails.iter_mut().map(|t| t.feed(engine, bound)).sum();
+        engine.release();
         hpc_telemetry::gauge("stream.follow.quarantined").set(self.quarantined() as f64);
-        feed_time_aligned(engine, &batches, &mut self.clocks);
+        let backlog: u64 = self.tails.iter().map(|t| t.backlog).sum();
+        hpc_telemetry::gauge("stream.follow.backlog_bytes").set(backlog as f64);
         fed
     }
 }
 
-/// Feeds `batches` — one run of lines per source, in [`LogSource::ALL`]
-/// order — to `engine` in global timestamp order, ties in source order,
-/// each source's own order kept: the arrival order of a live merged feed.
-/// A line without a timestamp of its own takes its source's entry in
-/// `clocks`, the time of the last line fed from that source; start a fresh
-/// feed from [`SimTime::EPOCH`].
-///
-/// The alignment matters most when catching up on an already-written
-/// archive: feeding whole files one source at a time would advance the
-/// merger's high-water mark to the end of the first file and drop nearly
-/// every event of the remaining three behind the watermark. In steady
-/// state the batches are small and the merge is effectively free.
-pub fn feed_time_aligned<B: AsRef<[String]>>(
-    engine: &mut StreamEngine,
-    batches: &[B; 4],
-    clocks: &mut [SimTime; 4],
-) {
-    let mut idx = [0usize; 4];
-    loop {
-        let mut best: Option<(SimTime, usize)> = None;
-        for (si, batch) in batches.iter().enumerate() {
-            let Some(line) = batch.as_ref().get(idx[si]) else {
-                continue;
-            };
-            let t = split_timestamp(line).map_or(clocks[si], |(t, _)| t);
-            if best.is_none_or(|b| (t, si) < b) {
-                best = Some((t, si));
-            }
-        }
-        let Some((t, si)) = best else { break };
-        clocks[si] = t;
-        engine.push_line(LogSource::ALL[si], &batches[si].as_ref()[idx[si]]);
-        idx[si] += 1;
-    }
-}
-
 impl Tail {
-    /// Polls the file, absorbing transient I/O errors into quarantine
-    /// state: an error streak backs the tail off exponentially (2, 4, …
-    /// up to [`MAX_BACKOFF_POLLS`] polls between retries), and the first
-    /// success after a streak re-admits it. The read offset never advances
-    /// on an error, so no bytes are lost across a quarantine.
-    fn poll_lines(&mut self, batch: &mut Vec<String>, polls: u64, stats: &mut FollowStats) -> u64 {
-        match self.try_poll(batch, stats) {
-            Ok(fed) => {
+    /// Reads the next block. An error streak backs the tail off
+    /// exponentially (up to [`MAX_BACKOFF_POLLS`] polls between retries);
+    /// the first success re-admits it. The offset never advances on an
+    /// error, so no bytes are lost across a quarantine.
+    fn read(&mut self, polls: u64, block_bytes: usize, stats: &mut FollowStats) {
+        match self.try_read(block_bytes, stats) {
+            Ok(()) => {
                 if self.errors > 0 {
                     self.errors = 0;
                     self.retry_at = 0;
                     stats.recoveries += 1;
                     hpc_telemetry::counter("stream.follow.recoveries").inc();
                 }
-                fed
             }
             Err(_) => {
                 self.errors = self.errors.saturating_add(1);
@@ -217,61 +220,87 @@ impl Tail {
                 }
                 let backoff = (1u64 << self.errors.min(6)).min(MAX_BACKOFF_POLLS);
                 self.retry_at = polls + backoff;
-                0
             }
         }
     }
 
-    fn try_poll(&mut self, batch: &mut Vec<String>, stats: &mut FollowStats) -> io::Result<u64> {
+    fn try_read(&mut self, block_bytes: usize, stats: &mut FollowStats) -> io::Result<()> {
+        // Every line read so far is fed: keep only the unfinished one.
+        self.buf.drain(..self.whole);
+        (self.fed, self.whole) = (0, 0);
         let mut file = match File::open(&self.path) {
             Ok(f) => f,
             // Not created yet is normal (a source can lag hours behind);
             // anything else is a real error and starts a backoff streak.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                (self.more, self.backlog) = (false, 0);
+                return Ok(());
+            }
             Err(e) => return Err(e),
         };
         let meta = file.metadata()?;
         if meta.is_dir() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "log path is a directory",
-            ));
+            return Err(io::Error::other("log path is a directory"));
         }
         let len = meta.len();
-        if len < self.offset {
-            // Truncated/rotated: start over.
-            self.offset = 0;
-            self.partial.clear();
+        let identity = (meta.dev(), meta.ino());
+        if len < self.offset || self.identity.is_some_and(|known| known != identity) {
+            // Truncated, or another file renamed over the path: start over.
+            (self.offset, self.reach) = (0, SimTime::EPOCH);
+            self.buf.clear();
             stats.rotations += 1;
             hpc_telemetry::counter("stream.follow.rotations").inc();
         }
+        self.identity = Some(identity);
+        (self.more, self.backlog) = (false, len - self.offset);
         if len == self.offset {
-            return Ok(0);
+            return Ok(());
         }
         file.seek(SeekFrom::Start(self.offset))?;
-        let mut buf = Vec::with_capacity((len - self.offset) as usize);
-        let read = file.take(len - self.offset).read_to_end(&mut buf)?;
-        self.offset += read as u64;
-        // Whole lines are everything up to the last newline; what follows
-        // it is a line still being written and waits for the next poll.
-        let Some(last_nl) = buf.iter().rposition(|&b| b == b'\n') else {
-            self.partial.extend_from_slice(&buf);
-            return Ok(0);
+        let start = self.buf.len();
+        let block = self.backlog.min(block_bytes as u64) as usize;
+        let cut = read_block(&mut file.take(self.backlog), &mut self.buf, block);
+        let cut = cut.inspect_err(|_| self.buf.truncate(start))?;
+        self.offset += (self.buf.len() - start) as u64;
+        self.backlog = len - self.offset;
+        // Without a `\n` everything read is a line still being written.
+        let Some(end) = cut else {
+            return Ok(());
         };
-        let mut whole = std::mem::replace(&mut self.partial, buf.split_off(last_nl + 1));
-        if whole.is_empty() {
-            whole = buf;
-        } else {
-            whole.extend_from_slice(&buf);
+        let text = match std::str::from_utf8(&self.buf[..end]) {
+            Ok(text) => text,
+            Err(_) => {
+                let (text, invalid) = sanitise_lines(self.buf[..end].to_vec());
+                stats.invalid_utf8 += invalid;
+                hpc_telemetry::counter("stream.follow.invalid_utf8").add(invalid);
+                self.buf.splice(..end, text.bytes());
+                std::str::from_utf8(&self.buf[..text.len()]).expect("sanitised")
+            }
+        };
+        let last = text.rsplit_terminator('\n').find_map(split_timestamp);
+        self.reach = last.map_or(self.reach, |(t, _)| t);
+        (self.whole, self.more) = (text.len(), self.backlog > 0);
+        Ok(())
+    }
+
+    /// Feeds the buffered whole lines to `engine` without releasing: all of
+    /// them if there is no `bound` or this tail defines it, else those
+    /// before the first line stamped after `bound`. Returns how many.
+    fn feed(&mut self, engine: &mut StreamEngine, bound: Option<SimTime>) -> u64 {
+        let text = std::str::from_utf8(&self.buf[self.fed..self.whole]).expect("sanitised on read");
+        let bound = bound.filter(|&b| !(self.more && self.reach <= b));
+        let (mut lines, mut bytes) = (0, 0);
+        for line in text.split_inclusive('\n') {
+            let line_body = &line[..line.len() - 1];
+            if bound.is_some_and(|b| split_timestamp(line_body).is_some_and(|(t, _)| t > b)) {
+                break;
+            }
+            engine.enqueue_line(self.source, line_body);
+            lines += 1;
+            bytes += line.len();
         }
-        let (text, invalid) = sanitise_lines(whole);
-        if invalid > 0 {
-            stats.invalid_utf8 += invalid;
-            hpc_telemetry::counter("stream.follow.invalid_utf8").add(invalid);
-        }
-        let before = batch.len();
-        batch.extend(text.split_terminator('\n').map(str::to_string));
-        Ok((batch.len() - before) as u64)
+        self.fed += bytes;
+        lines
     }
 }
 
@@ -415,6 +444,31 @@ mod tests {
     }
 
     #[test]
+    fn a_longer_file_renamed_over_the_path_is_read_from_its_start() {
+        let root = temp_root("rename-over");
+        let console = root.join("p0-directory/console");
+        let mut engine = StreamEngine::new(StreamConfig::default());
+        let mut follow = FollowDir::new(&root);
+
+        let lines = [1u64, 2, 3, 4, 5].map(|mins| console_line(mins * 60_000));
+        let (head, _tail) = lines[1].split_at(lines[1].len() / 2);
+        std::fs::write(&console, format!("{}\n{head}", lines[0])).unwrap();
+        assert_eq!(follow.poll_into(&mut engine), 1);
+        // logrotate's `create` style: a new file, already longer than the
+        // old read offset, is renamed over the path. Its length alone does
+        // not give the rotation away; its inode does.
+        let fresh = root.join("p0-directory/console.new");
+        std::fs::write(&fresh, lines[1..].join("\n") + "\n").unwrap();
+        std::fs::rename(&fresh, &console).unwrap();
+        assert_eq!(follow.poll_into(&mut engine), 4);
+        assert_eq!(follow.stats().rotations, 1);
+        engine.finish();
+        assert_eq!(engine.stats().events, 5);
+        assert_eq!(engine.stats().skipped_lines, 0);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn io_errors_quarantine_then_recover() {
         let root = temp_root("quarantine");
         let console = root.join("p0-directory/console");
@@ -424,9 +478,11 @@ mod tests {
         std::fs::write(&console, "one\n").unwrap();
         assert_eq!(follow.poll_into(&mut engine), 1);
 
-        // Swap the file for a directory: open succeeds, reading fails —
-        // a deterministic stand-in for a transient I/O fault.
-        std::fs::remove_file(&console).unwrap();
+        // Move the file aside and put a directory in its place: open
+        // succeeds, reading fails — a deterministic stand-in for a
+        // transient I/O fault.
+        let aside = root.join("p0-directory/console.aside");
+        std::fs::rename(&console, &aside).unwrap();
         std::fs::create_dir(&console).unwrap();
         assert_eq!(follow.poll_into(&mut engine), 0);
         let s = follow.stats();
@@ -436,10 +492,12 @@ mod tests {
         assert_eq!(follow.poll_into(&mut engine), 0);
         assert_eq!(follow.stats().io_errors, 1, "no retry during backoff");
 
-        // Heal the source with more data. Once the backoff expires the
-        // tail is re-admitted and resumes from its pre-error offset.
+        // Heal the source: the same file comes back with more data. Once
+        // the backoff expires the tail is re-admitted and resumes from its
+        // pre-error offset.
         std::fs::remove_dir(&console).unwrap();
-        std::fs::write(&console, "one\ntwo\n").unwrap();
+        std::fs::write(&aside, "one\ntwo\n").unwrap();
+        std::fs::rename(&aside, &console).unwrap();
         let mut fed = 0;
         for _ in 0..MAX_BACKOFF_POLLS + 2 {
             fed += follow.poll_into(&mut engine);

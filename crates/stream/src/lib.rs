@@ -16,8 +16,9 @@
 //!
 //! * [`merger`] — incremental multi-source merge: feeds raw lines to the
 //!   four stateful `hpc-logs` parsers (multi-line trace continuation
-//!   included), admits out-of-order lines within a configurable watermark,
-//!   and releases one time-ordered event stream that reproduces the batch
+//!   included), keeps one time-sorted queue per source, admits
+//!   out-of-order lines within a configurable watermark, and releases
+//!   through the batch run merge, so the event stream reproduces the batch
 //!   pipeline's merge order exactly.
 //! * [`window`] — sliding-window state: per-node indicator ring buffers,
 //!   per-blade/cabinet external-event hotness, eviction past the window so
@@ -26,7 +27,8 @@
 //!   and the `PredictorConfig` predictor rehosted on the stream, with
 //!   per-alert lead-time bookkeeping.
 //! * [`sink`] — pluggable alert sinks (stderr text, JSONL).
-//! * [`follow`] — polling directory tailer for `hpc-watch --follow`.
+//! * [`follow`] — polling directory tailer for `hpc-watch --follow`:
+//!   bounded block reads, cut per poll at a common time bound.
 //! * [`drive`] — the one feed loop (follow / replay / routed stdin lines →
 //!   engine → drain) under `hpc-watch` and every `hpc-fleetd` shard.
 //! * [`heartbeat`] — periodic flat-JSON engine snapshots
@@ -54,7 +56,7 @@ pub mod window;
 
 pub use engine::{StreamConfig, StreamEngine, StreamStats};
 pub use flight::FlightRecorder;
-pub use follow::{feed_time_aligned, FollowDir, FollowStats};
+pub use follow::{FollowDir, FollowStats};
 pub use heartbeat::{FollowHealth, HeartbeatWriter, HEARTBEAT_VERSION};
 pub use merger::StreamMerger;
 pub use sink::{AlertSink, JsonlSink, TextSink};

@@ -4,9 +4,11 @@
 //! roughly time-ordered within a source, arbitrarily skewed across
 //! sources. The batch pipeline gets away with "parse everything, sort,
 //! k-way merge"; a monitor cannot wait for the end of the stream. The
-//! [`StreamMerger`] instead buffers parsed events in a min-heap and
-//! *releases* them — in the exact order the batch merge would produce —
-//! once no source can still deliver an earlier event.
+//! [`StreamMerger`] instead keeps one time-sorted queue of parsed events
+//! per source and *releases* them — in the exact order the batch merge
+//! would produce — once no source can still deliver an earlier event. The
+//! release is the batch run merge itself, in its bounded form
+//! ([`merge_before`]) stopped at the release point.
 //!
 //! The release point at any instant is the minimum of:
 //!
@@ -24,44 +26,16 @@
 //!
 //! Release order is `(time, source, arrival-within-source)` — precisely the
 //! batch order of `parse_stream` (stable per-source time sort) followed by
-//! `merge_by_time` (source-index tie-break).
+//! `merge_by_time` (source-index tie-break). A source's queue keeps it by
+//! appending an event no older than its back and inserting an older one
+//! after every queued event of equal or earlier time.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
+use hpc_logs::archive::merge_before;
 use hpc_logs::event::{LogEvent, LogSource};
 use hpc_logs::parse::{split_timestamp, LogParser};
 use hpc_logs::time::{SimDuration, SimTime};
-
-fn source_index(source: LogSource) -> usize {
-    LogSource::ALL
-        .iter()
-        .position(|&s| s == source)
-        .expect("source in ALL")
-}
-
-/// Heap entry ordered by the batch merge key.
-struct OrdEvent {
-    key: (SimTime, usize, u64),
-    event: LogEvent,
-}
-
-impl PartialEq for OrdEvent {
-    fn eq(&self, other: &OrdEvent) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for OrdEvent {}
-impl PartialOrd for OrdEvent {
-    fn partial_cmp(&self, other: &OrdEvent) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdEvent {
-    fn cmp(&self, other: &OrdEvent) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
-}
 
 /// Counters the merger maintains (all cumulative).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,13 +53,13 @@ pub struct MergerStats {
 /// The incremental merge: four stateful parsers, one ordered output.
 pub struct StreamMerger {
     parsers: [LogParser; 4],
-    /// Per-source arrival sequence, for the stable tie-break.
-    seq: [u64; 4],
+    /// Per source, the parsed events awaiting release: time-sorted, equal
+    /// times in arrival order.
+    queues: [VecDeque<LogEvent>; 4],
     /// Per-source clock: greatest line timestamp seen.
     frontier: [Option<SimTime>; 4],
     finished: [bool; 4],
     watermark: SimDuration,
-    heap: BinaryHeap<Reverse<OrdEvent>>,
     /// Exclusive upper bound of everything released so far.
     released_through: SimTime,
     stats: MergerStats,
@@ -97,11 +71,10 @@ impl StreamMerger {
     pub fn new(watermark: SimDuration) -> StreamMerger {
         StreamMerger {
             parsers: Default::default(),
-            seq: [0; 4],
+            queues: Default::default(),
             frontier: [None; 4],
             finished: [false; 4],
             watermark,
-            heap: BinaryHeap::new(),
             released_through: SimTime::EPOCH,
             stats: MergerStats::default(),
             scratch: Vec::new(),
@@ -111,7 +84,7 @@ impl StreamMerger {
     /// Feeds one raw line from `source`. Returns `true` if the line was
     /// recognised (trace continuation lines count).
     pub fn push_line(&mut self, source: LogSource, line: &str) -> bool {
-        let si = source_index(source);
+        let si = source as usize; // declaration order is `LogSource::ALL`'s
         debug_assert!(!self.finished[si], "line after finish_source");
         self.stats.lines += 1;
         if let Some((t, _)) = split_timestamp(line) {
@@ -129,24 +102,26 @@ impl StreamMerger {
     }
 
     fn enqueue_scratch(&mut self, si: usize) {
-        // Split borrows: drain scratch locally so &mut self stays free.
-        let mut events = std::mem::take(&mut self.scratch);
-        for event in events.drain(..) {
+        let queue = &mut self.queues[si];
+        for event in self.scratch.drain(..) {
             if event.time < self.released_through {
                 self.stats.late_events += 1;
                 continue;
             }
-            let key = (event.time, si, self.seq[si]);
-            self.seq[si] += 1;
-            self.heap.push(Reverse(OrdEvent { key, event }));
+            match queue.back() {
+                Some(back) if back.time > event.time => {
+                    let at = queue.partition_point(|e| e.time <= event.time);
+                    queue.insert(at, event);
+                }
+                _ => queue.push_back(event),
+            }
         }
-        self.scratch = events;
     }
 
     /// Marks one source as ended: its open multi-line reports flush and it
     /// no longer holds the frontier floor back.
     pub fn finish_source(&mut self, source: LogSource) {
-        let si = source_index(source);
+        let si = source as usize;
         if self.finished[si] {
             return;
         }
@@ -200,15 +175,9 @@ impl StreamMerger {
     pub fn poll(&mut self, out: &mut Vec<LogEvent>) -> usize {
         let rp = self.release_point();
         self.released_through = rp;
-        let mut n = 0;
-        while let Some(Reverse(head)) = self.heap.peek() {
-            if head.key.0 >= rp {
-                break;
-            }
-            let Reverse(oe) = self.heap.pop().expect("peeked");
-            out.push(oe.event);
-            n += 1;
-        }
+        let before = out.len();
+        merge_before(&mut self.queues, rp, out);
+        let n = out.len() - before;
         self.stats.released += n as u64;
         n
     }
@@ -220,7 +189,7 @@ impl StreamMerger {
 
     /// Events buffered awaiting release.
     pub fn buffered(&self) -> usize {
-        self.heap.len()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     /// Open multi-line console reports across all parsers.
@@ -402,6 +371,47 @@ mod tests {
         }
         m.finish();
         let mut streamed = Vec::new();
+        m.poll(&mut streamed);
+        assert_eq!(streamed, batch);
+        assert_eq!(m.stats().late_events, 0);
+        assert_eq!(m.buffered(), 0);
+    }
+
+    #[test]
+    fn out_of_order_source_releases_in_the_batch_sort_order() {
+        // Console out of order — equal times, local swaps, a duplicate (node
+        // 2 at 1s again) — and the scheduler in order on the same seconds.
+        // Node ids tell every event apart, so a misplaced tie shows.
+        let secs = [3, 1, 1, 2, 5, 4, 4, 2, 1];
+        let nodes = [1, 2, 3, 4, 5, 6, 7, 8, 2];
+        let console = secs
+            .iter()
+            .zip(nodes)
+            .map(|(s, n)| console_ev(s * 1_000, n));
+        let sched = [(1, 9), (2, 10), (4, 11)].map(|(s, n)| sched_ev(s * 1_000, n));
+        let rendered = |events: Vec<LogEvent>| -> Vec<String> {
+            let render = |e: &LogEvent| render(e, SchedulerKind::Slurm);
+            events.iter().flat_map(render).collect()
+        };
+        let inputs = [
+            (LogSource::Console, rendered(console.collect())),
+            (LogSource::Scheduler, rendered(sched.to_vec())),
+        ];
+        let parse = |(source, lines): &(LogSource, Vec<String>)| {
+            LogParser::parse_stream(*source, lines.iter().map(String::as_str)).0
+        };
+        let batch = hpc_logs::archive::merge_by_time(inputs.iter().map(parse).collect());
+
+        let mut m = StreamMerger::new(SimDuration::from_mins(10));
+        let mut streamed = Vec::new();
+        for (source, lines) in &inputs {
+            for line in lines {
+                m.push_line(*source, line);
+            }
+            // Nothing settles while two sources are silent.
+            assert_eq!(m.poll(&mut streamed), 0);
+        }
+        m.finish();
         m.poll(&mut streamed);
         assert_eq!(streamed, batch);
         assert_eq!(m.stats().late_events, 0);

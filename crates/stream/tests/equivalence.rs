@@ -1,16 +1,16 @@
 //! Streaming-vs-batch equivalence: replaying a finished two-week S1
 //! archive through [`StreamEngine`] yields the same detected-failure set
 //! and the same alert set as the batch [`Diagnosis`] pipeline, for
-//! external gating both off and on.
+//! external gating both off and on, under the default 10-minute watermark.
 //!
 //! Two arrival patterns are exercised:
 //!
-//! * **time-aligned** — lines arrive globally ordered by timestamp, the
-//!   way a live multiplexed feed would deliver them, under the default
-//!   10-minute watermark;
+//! * **time-merged** — one line at a time in global timestamp order, each
+//!   pushed and released on its own, the way `hpc-watch --stdin` takes a
+//!   `sort -m` of the four files;
 //! * **source-sequential** — each stream arrives whole, one after another
-//!   (maximum cross-source skew), under a watermark wider than the whole
-//!   archive, forcing the merger to buffer and re-order everything.
+//!   (maximum cross-source skew), and the engine releases once: the
+//!   merger's per-source queues do all the re-ordering.
 //!
 //! Both must drop nothing (`late_events == 0`) and reproduce the batch
 //! results exactly.
@@ -20,7 +20,8 @@ use std::sync::OnceLock;
 use hpc_diagnosis::prediction::{raise_alerts, PredictorConfig};
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_faultsim::Scenario;
-use hpc_logs::time::{SimDuration, SimTime};
+use hpc_logs::parse::split_timestamp;
+use hpc_logs::time::SimTime;
 use hpc_logs::{LogArchive, LogSource};
 use hpc_platform::SystemId;
 use hpc_stream::{StreamConfig, StreamEngine};
@@ -48,24 +49,33 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Feeds lines in global timestamp order with per-source FIFO preserved —
-/// the arrival order of a live merged feed.
-fn feed_time_aligned(engine: &mut StreamEngine, archive: &LogArchive) {
-    let lines = LogSource::ALL.map(|s| archive.lines(s));
-    hpc_stream::feed_time_aligned(engine, &lines, &mut [SimTime::EPOCH; 4]);
-    for source in LogSource::ALL {
-        engine.finish_source(source);
+/// Feeds lines one at a time in global timestamp order, ties in source
+/// order, per-source order kept (a line without a timestamp keeps its
+/// predecessor's) — the arrival order of a live merged feed.
+fn feed_time_merged(engine: &mut StreamEngine, archive: &LogArchive) {
+    let mut keyed = Vec::new();
+    for (si, source) in LogSource::ALL.into_iter().enumerate() {
+        let mut clock = SimTime::EPOCH;
+        for line in archive.lines(source) {
+            clock = split_timestamp(line).map_or(clock, |(t, _)| t);
+            keyed.push((clock, si, source, line));
+        }
+    }
+    keyed.sort_by_key(|&(t, si, _, _)| (t, si));
+    for (_, _, source, line) in keyed {
+        engine.push_line(source, line);
     }
 }
 
-/// Feeds each stream whole, one source after another — worst-case skew.
+/// Feeds each stream whole, one source after another — worst-case skew —
+/// then releases once.
 fn feed_source_sequential(engine: &mut StreamEngine, archive: &LogArchive) {
     for source in LogSource::ALL {
         for line in archive.lines(source) {
-            engine.push_line(source, line);
+            engine.enqueue_line(source, line);
         }
-        engine.finish_source(source);
     }
+    engine.release();
 }
 
 fn assert_equivalent(engine: &StreamEngine, batch: &Diagnosis, predictor: &PredictorConfig) {
@@ -106,28 +116,22 @@ fn run(feed: impl Fn(&mut StreamEngine, &LogArchive), config: StreamConfig) {
 }
 
 #[test]
-fn time_aligned_replay_matches_batch() {
-    run(feed_time_aligned, StreamConfig::default());
+fn time_merged_replay_matches_batch() {
+    run(feed_time_merged, StreamConfig::default());
 }
 
 #[test]
-fn source_sequential_replay_matches_batch_under_wide_watermark() {
-    run(
-        feed_source_sequential,
-        StreamConfig {
-            watermark: SimDuration::from_days(15),
-            ..StreamConfig::default()
-        },
-    );
+fn source_sequential_replay_matches_batch() {
+    run(feed_source_sequential, StreamConfig::default());
 }
 
 #[test]
 fn window_memory_stays_bounded_during_replay() {
-    // The time-aligned replay must keep the retained window well below the
-    // total relevant-event population: eviction actually fires.
+    // The replay must keep the retained window well below the total
+    // relevant-event population: eviction actually fires.
     let fx = fixture();
     let mut engine = StreamEngine::new(StreamConfig::default());
-    feed_time_aligned(&mut engine, &fx.archive);
+    feed_source_sequential(&mut engine, &fx.archive);
     engine.finish();
     let stats = engine.stats();
     assert!(stats.window_evicted > 0, "eviction never fired");
