@@ -10,9 +10,12 @@
 //! With `--out DIR`, each experiment's output is additionally written to
 //! `DIR/<id>.txt`, and the telemetry registry accumulated across the runs
 //! (per-stage wall times, ingest counts) to `DIR/telemetry.json` — the
-//! machine-readable perf record that accompanies the figures.
+//! machine-readable perf record that accompanies the figures. An output
+//! that cannot be written is one line on stderr and exit 1: the telemetry
+//! file is probed before any experiment runs, an `<id>.txt` when it is
+//! written.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use hpc_bench::{find, Experiment, EXPERIMENTS};
 use hpc_telemetry::Flags;
@@ -53,11 +56,16 @@ fn main() {
         };
         ids.iter().map(known).collect()
     };
+    let cannot_write = |path: &Path, err: std::io::Error| -> ! {
+        eprintln!("cannot write {}: {err}", path.display());
+        std::process::exit(1);
+    };
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
             eprintln!("cannot create {}: {e}", dir.display());
             std::process::exit(1);
         });
+        hpc_telemetry::probe_writable(&dir.join("telemetry.json").to_string_lossy());
     }
 
     for e in selected {
@@ -70,17 +78,17 @@ fn main() {
             println!();
         }
         if let Some(dir) = &out_dir {
-            if let Err(err) = std::fs::write(dir.join(format!("{}.txt", e.id)), text) {
-                eprintln!("cannot write {}.txt: {err}", e.id);
+            let path = dir.join(format!("{}.txt", e.id));
+            if let Err(err) = std::fs::write(&path, text) {
+                cannot_write(&path, err);
             }
         }
     }
     if let Some(dir) = &out_dir {
         let path = dir.join("telemetry.json");
-        if let Err(e) = std::fs::write(&path, hpc_telemetry::snapshot().to_json()) {
-            eprintln!("cannot write telemetry.json: {e}");
-        } else {
-            eprintln!("telemetry JSON written to {}", path.display());
+        if let Err(err) = std::fs::write(&path, hpc_telemetry::snapshot().to_json()) {
+            cannot_write(&path, err);
         }
+        eprintln!("telemetry JSON written to {}", path.display());
     }
 }

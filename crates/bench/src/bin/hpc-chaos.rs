@@ -379,7 +379,7 @@ fn run_stream_cell(
                     cell.violations
                         .push("clean replay failures != batch detection".into());
                 }
-                let batch_alerts = raise_alerts(batch, &engine.config().predictor);
+                let batch_alerts = raise_alerts(batch, engine.config().require_external);
                 if engine.alerts() != batch_alerts.as_slice() {
                     cell.violations
                         .push("clean replay alerts != batch alerts".into());

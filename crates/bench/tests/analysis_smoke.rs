@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 use hpc_diagnosis::external::{nhf_correspondence, nvf_correspondence};
 use hpc_diagnosis::jobs::JobLog;
 use hpc_diagnosis::report;
+use hpc_diagnosis::windows::FAILURE_HORIZON;
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_faultsim::Scenario;
 use hpc_logs::event::{ControllerDetail, Payload};
@@ -56,7 +57,7 @@ fn best_of(runs: usize, mut f: impl FnMut() -> usize) -> (Duration, usize) {
 fn indexed_correspondence_not_slower_than_scan() {
     let out = Scenario::new(SystemId::S1, 2, 14, 11).run();
     let d = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());
-    let horizon = d.config.failure_horizon;
+    let horizon = FAILURE_HORIZON;
 
     let store_path = || {
         let a = nvf_correspondence(&d);

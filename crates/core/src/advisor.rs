@@ -15,8 +15,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use hpc_logs::event::{JobId, Payload};
 use hpc_platform::{BladeId, NodeId};
 
@@ -26,7 +24,7 @@ use crate::pipeline::Diagnosis;
 use crate::root_cause::{classify_all, CauseClass, InferredCause};
 
 /// A recommended operator action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Block the job's APID at the NHC and notify the submitting user: it
     /// has taken down multiple nodes.
@@ -65,7 +63,7 @@ pub enum Action {
 }
 
 /// An action plus its one-line rationale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Advisory {
     /// What to do.
     pub action: Action,

@@ -13,8 +13,6 @@
 //! terminal signatures of one incident (a panic followed by the scheduler's
 //! `down` notice) are deduplicated into a single failure.
 
-use serde::{Deserialize, Serialize};
-
 use hpc_logs::event::{ConsoleDetail, LogEvent, NodeState, PanicReason, Payload, SchedulerDetail};
 use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::NodeId;
@@ -22,7 +20,7 @@ use hpc_platform::NodeId;
 use crate::store::EventClass;
 
 /// How a failure manifested.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TerminalKind {
     /// Kernel panic with its reason string.
     Panic(PanicReason),
@@ -36,7 +34,7 @@ pub enum TerminalKind {
 }
 
 /// One detected node failure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectedFailure {
     /// The failed node.
     pub node: NodeId,

@@ -24,6 +24,7 @@ use hpc_stats::descriptive::Summary;
 
 use crate::pipeline::Diagnosis;
 use crate::store::EventClass;
+use crate::windows::FAILURE_HORIZON;
 
 /// Correspondence between a fault type and subsequent failures (Fig. 5).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,9 +61,7 @@ fn fault_correspondence(
     for e in d.store().classes_events(classes) {
         if let Some(node) = subject(e) {
             out.total += 1;
-            if d.store()
-                .fails_within(node, e.time, d.config.failure_horizon)
-            {
+            if d.store().fails_within(node, e.time, FAILURE_HORIZON) {
                 out.followed_by_failure += 1;
             }
         }
@@ -143,10 +142,7 @@ pub fn nhf_breakdown_weekly(d: &Diagnosis) -> Vec<NhfWeek> {
         else {
             continue;
         };
-        let outcome = if d
-            .store()
-            .fails_within(*node, e.time, d.config.failure_horizon)
-        {
+        let outcome = if d.store().fails_within(*node, e.time, FAILURE_HORIZON) {
             NhfOutcome::Failure
         } else if power_off_follows(d, *node, e.time) {
             NhfOutcome::PoweredOff

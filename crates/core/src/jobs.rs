@@ -13,8 +13,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use hpc_logs::event::{AppKind, JobEndReason, JobId, LogEvent, Payload, SchedulerDetail};
 use hpc_logs::time::{SimDuration, SimTime, MILLIS_PER_DAY};
 use hpc_platform::NodeId;
@@ -22,7 +20,7 @@ use hpc_platform::NodeId;
 use crate::pipeline::Diagnosis;
 
 /// One job's lifecycle as recovered from the scheduler log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Job id.
     pub id: JobId,

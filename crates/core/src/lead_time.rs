@@ -17,10 +17,12 @@
 //! indicators, so the remaining 72–90% cannot be enhanced.
 
 use hpc_logs::event::{ConsoleDetail, ControllerDetail, ErdDetail, LogEvent, Payload};
-use hpc_logs::time::{SimDuration, SimTime, MILLIS_PER_WEEK};
+use hpc_logs::time::{SimDuration, MILLIS_PER_WEEK};
 
 use crate::detection::DetectedFailure;
 use crate::pipeline::Diagnosis;
+use crate::prediction::raise_alerts;
+use crate::windows::{FAILURE_HORIZON, LOOKBACK};
 
 /// Whether a console event is fault-indicative (a precursor worth flagging,
 /// not a terminal signature and not benign chatter).
@@ -97,7 +99,7 @@ pub fn lead_times(d: &Diagnosis) -> Vec<LeadTimeRecord> {
     d.failures
         .iter()
         .map(|f| {
-            let int_from = f.time.saturating_sub(d.config.lookback);
+            let int_from = f.time.saturating_sub(LOOKBACK);
             let internal = d
                 .node_events_between(f.node, int_from, f.time)
                 .find(|e| is_indicative_internal(e))
@@ -253,60 +255,27 @@ fn fp_pct(flags: usize, tp: usize) -> f64 {
     }
 }
 
-/// Evaluates both predictors over the whole window.
+/// Evaluates both predictors over the whole window, as two readings of
+/// the internal-only online predictor ([`raise_alerts`]).
 ///
-/// A *flag* is an indicative internal event; at most one flag per node per
-/// hour is counted (real predictors debounce). A flag is a true positive if
-/// the node fails within the failure horizon.
+/// Every alert it raises is an internal *flag*: an indicative internal
+/// event, at most one per node per [`crate::windows::DEBOUNCE`]. A flag
+/// the predictor found backed by an external correlate is also a combined
+/// flag. A flag is a true positive if its node fails within
+/// [`FAILURE_HORIZON`] at or after it (no −2 min slack, unlike the
+/// fault→failure correspondence).
 pub fn false_positive_analysis(d: &Diagnosis) -> FalsePositiveComparison {
     let mut out = FalsePositiveComparison::default();
-    let mut last_flag: std::collections::HashMap<hpc_platform::NodeId, SimTime> =
-        Default::default();
-    // Only the indicative console classes can flag; the per-event predicate
-    // still applies (corrected MCEs / correctable memory errors are in the
-    // Mce / MemoryError posting lists but are not indicative).
-    for e in d
-        .store()
-        .classes_events(crate::store::EventClass::INDICATIVE_INTERNAL)
-    {
-        if !is_indicative_internal(e) {
-            continue;
-        }
-        let node = e.subject_node().expect("console events have a node");
-        if let Some(prev) = last_flag.get(&node) {
-            if e.time.since(*prev) < SimDuration::from_hours(1) {
-                continue;
-            }
-        }
-        last_flag.insert(node, e.time);
-
-        // Unlike the fault→failure correspondence, a predictor flag has no
-        // −2 min slack: only failures at or after the flag count.
+    for alert in raise_alerts(d, false) {
         let fails = d
             .store()
-            .first_failure_in(node, e.time, e.time + d.config.failure_horizon)
+            .first_failure_in(alert.node, alert.time, alert.time + FAILURE_HORIZON)
             .is_some();
         out.internal_flags += 1;
-        if fails {
-            out.internal_tp += 1;
-        }
-
-        // Combined predictor: require an external correlate in the window
-        // before the flag.
-        let pseudo_failure = DetectedFailure {
-            node,
-            time: e.time,
-            terminal: crate::detection::TerminalKind::SchedulerDown,
-        };
-        let ext_from = e.time.saturating_sub(d.config.external_window);
-        let has_external = d
-            .blade_external_between(node.blade(), ext_from, e.time + SimDuration::from_millis(1))
-            .any(|x| is_external_indicator(x, &pseudo_failure));
-        if has_external {
+        out.internal_tp += usize::from(fails);
+        if alert.backed_by_external {
             out.combined_flags += 1;
-            if fails {
-                out.combined_tp += 1;
-            }
+            out.combined_tp += usize::from(fails);
         }
     }
     out

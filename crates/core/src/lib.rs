@@ -38,6 +38,7 @@ pub mod spatial;
 pub mod stack_trace;
 pub mod store;
 pub mod swo;
+pub mod windows;
 
 pub use detection::{DetectedFailure, TerminalKind};
 pub use pipeline::{Diagnosis, DiagnosisConfig};

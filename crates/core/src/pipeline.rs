@@ -33,45 +33,33 @@ use hpc_platform::{BladeId, CabinetId, NodeId};
 use crate::detection::{detect_failures, DetectedFailure, TERMINAL_CLASSES};
 use crate::segment::{self, Manifest, OpenError, StoreContents};
 use crate::store::EventStore;
-use crate::swo::{detect_swos, partition_failures, SwoConfig, SwoWindow};
+use crate::swo::{detect_swos, partition_failures, SwoWindow};
+use crate::windows::EXTERNAL_WINDOW;
 
-/// Tunables of the pipeline. Defaults follow the windows discussed in the
-/// paper's methodology; the bench crate sweeps them as ablations.
+/// What a caller may set about a diagnosis. The windows nobody sets are
+/// constants in [`crate::windows`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiagnosisConfig {
     /// Run the ingest pool at machine width (false = the same code with
     /// one worker, on the calling thread).
     pub parallel_ingest: bool,
-    /// How far back from a terminal event root-cause classification looks
-    /// for internal precursors.
-    pub lookback: SimDuration,
     /// How far back external correlation searches the controller/ERD
-    /// streams for early indicators (DESIGN.md ablation #3).
+    /// streams for early indicators: the lead-time and false-positive
+    /// analyses and the batch predictor's backing all read it
+    /// (`experiments ablation-window` sweeps it).
     pub external_window: SimDuration,
-    /// How far forward a fault is matched to a subsequent failure when
-    /// computing fault→failure correspondence (Figs. 5/6).
-    pub failure_horizon: SimDuration,
     /// Recognise system-wide outages and exclude their failures from the
     /// node-failure population (§III: "Our study addresses single and
     /// multiple node failures, unlike SWOs").
     pub exclude_swos: bool,
-    /// SWO recognition thresholds.
-    pub swo: SwoConfig,
-    /// Node count of the machine under diagnosis, used to scale the SWO
-    /// threshold. `None` estimates it from the highest node id seen.
-    pub node_count: Option<u32>,
 }
 
 impl Default for DiagnosisConfig {
     fn default() -> DiagnosisConfig {
         DiagnosisConfig {
             parallel_ingest: true,
-            lookback: SimDuration::from_mins(30),
-            external_window: SimDuration::from_hours(2),
-            failure_horizon: SimDuration::from_hours(6),
+            external_window: EXTERNAL_WINDOW,
             exclude_swos: true,
-            swo: SwoConfig::default(),
-            node_count: None,
         }
     }
 }
@@ -216,12 +204,9 @@ impl Diagnosis {
             detect_failures(store.classes_events(TERMINAL_CLASSES))
         };
         hpc_telemetry::counter("core.detect.failures").add(all_failures.len() as u64);
-        let node_count = config
-            .node_count
-            .unwrap_or_else(|| store.node_count_estimate());
         let (failures, swos, swo_failures) = if config.exclude_swos {
             let _swo = hpc_telemetry::span!("core.swo.partition");
-            let swos = detect_swos(&all_failures, node_count, &config.swo);
+            let swos = detect_swos(&all_failures, store.node_count_estimate());
             let (regular, swallowed) = partition_failures(&all_failures, &swos);
             hpc_telemetry::counter("core.swo.windows").add(swos.len() as u64);
             hpc_telemetry::counter("core.swo.excluded_failures").add(swallowed.len() as u64);
@@ -685,23 +670,6 @@ mod tests {
     fn no_lines_skipped_on_clean_archive() {
         let (d, _) = diagnose(6, true);
         assert_eq!(d.skipped_lines, 0);
-    }
-
-    #[test]
-    fn node_count_estimation_vs_explicit() {
-        // Machine size for SWO thresholds: explicit config wins; otherwise
-        // estimated from the highest node id mentioned.
-        let out = Scenario::new(SystemId::S1, 1, 2, 9).run();
-        let auto = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());
-        let explicit = Diagnosis::from_archive(
-            &out.archive,
-            DiagnosisConfig {
-                node_count: Some(192),
-                ..DiagnosisConfig::default()
-            },
-        );
-        // Same failures either way on a baseline scenario.
-        assert_eq!(auto.failures, explicit.failures);
     }
 
     #[test]

@@ -11,57 +11,16 @@
 //! The evaluation is strictly *causal*: an alert at time *t* may only use
 //! events at or before *t*.
 
-use serde::{Deserialize, Serialize};
-
 use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::NodeId;
 
 use crate::detection::{DetectedFailure, TerminalKind};
 use crate::lead_time::{is_external_indicator, is_indicative_internal};
 use crate::pipeline::Diagnosis;
-
-/// Predictor tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PredictorConfig {
-    /// Gate alerts on a correlated external indicator within
-    /// `external_window` before the internal symptom (the paper's
-    /// enhancement; fewer but better alerts).
-    pub require_external: bool,
-    /// How far back external correlation searches.
-    pub external_window: SimDuration,
-    /// How long an alert remains valid: a failure within this horizon
-    /// counts as predicted.
-    pub horizon: SimDuration,
-    /// Minimum spacing between alerts per node (debounce). The boundary is
-    /// inclusive: a symptom landing *exactly* `debounce` after the previous
-    /// alert is allowed to fire (`>=` semantics, pinned by the
-    /// `debounce_boundary_is_inclusive` regression test).
-    pub debounce: SimDuration,
-}
-
-impl Default for PredictorConfig {
-    fn default() -> PredictorConfig {
-        PredictorConfig {
-            require_external: false,
-            external_window: SimDuration::from_hours(2),
-            horizon: SimDuration::from_hours(6),
-            debounce: SimDuration::from_hours(1),
-        }
-    }
-}
-
-impl PredictorConfig {
-    /// The externally-correlated variant of this configuration.
-    pub fn with_external(self) -> PredictorConfig {
-        PredictorConfig {
-            require_external: true,
-            ..self
-        }
-    }
-}
+use crate::windows::{DEBOUNCE, FAILURE_HORIZON};
 
 /// One raised alert.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Alert {
     /// Node the alert concerns.
     pub node: NodeId,
@@ -115,10 +74,11 @@ fn ratio(n: usize, d: usize) -> f64 {
     }
 }
 
-/// Runs the predictor over a diagnosis and evaluates it against the
-/// detected failures.
-pub fn evaluate(d: &Diagnosis, config: &PredictorConfig) -> Evaluation {
-    let alerts = raise_alerts(d, config);
+/// Runs the predictor (externally gated when `require_external`) over a
+/// diagnosis and evaluates it against the detected failures: an alert
+/// predicts a failure of its node within [`FAILURE_HORIZON`].
+pub fn evaluate(d: &Diagnosis, require_external: bool) -> Evaluation {
+    let alerts = raise_alerts(d, require_external);
 
     let mut tp = 0;
     let mut fp = 0;
@@ -127,7 +87,7 @@ pub fn evaluate(d: &Diagnosis, config: &PredictorConfig) -> Evaluation {
         // have no −2 min slack (strictly causal, unlike fails_within).
         let hit = d
             .store()
-            .first_failure_in(a.node, a.time, a.time + config.horizon)
+            .first_failure_in(a.node, a.time, a.time + FAILURE_HORIZON)
             .is_some();
         if hit {
             tp += 1;
@@ -143,7 +103,7 @@ pub fn evaluate(d: &Diagnosis, config: &PredictorConfig) -> Evaluation {
         let earliest_alert = alerts
             .iter()
             .filter(|a| {
-                a.node == f.node && a.time <= f.time && f.time.since(a.time) <= config.horizon
+                a.node == f.node && a.time <= f.time && f.time.since(a.time) <= FAILURE_HORIZON
             })
             .map(|a| a.time)
             .min();
@@ -223,22 +183,27 @@ fn alert_trigger(event: &hpc_logs::LogEvent) -> Option<AlertTrigger> {
 /// triggers.
 #[derive(Debug, Clone)]
 pub struct AlertRaiser {
-    config: PredictorConfig,
+    require_external: bool,
     last_alert: std::collections::HashMap<NodeId, SimTime>,
 }
 
 impl AlertRaiser {
-    /// New raiser with no alert history.
-    pub fn new(config: PredictorConfig) -> AlertRaiser {
+    /// New raiser with no alert history. With `require_external` an
+    /// internal symptom alerts only with external backing, and a strong
+    /// external indicator alerts by itself (the paper's enhancement: fewer
+    /// but earlier and better alerts); without it external streams only
+    /// label alerts as backed.
+    pub fn new(require_external: bool) -> AlertRaiser {
         AlertRaiser {
-            config,
+            require_external,
             last_alert: Default::default(),
         }
     }
 
     /// Offers the next chronological event. `backed` answers whether the
-    /// node's blade has an external correlate within
-    /// `[t - external_window, t]`; it is called only for internal triggers.
+    /// node's blade has an external correlate within the external window
+    /// up to and including the event's time; it is called only for
+    /// internal triggers.
     pub fn offer(
         &mut self,
         event: &hpc_logs::LogEvent,
@@ -246,7 +211,7 @@ impl AlertRaiser {
     ) -> Option<Alert> {
         let (node, backed_by_external) = match alert_trigger(event)? {
             AlertTrigger::StrongExternal(node) => {
-                if !self.config.require_external {
+                if !self.require_external {
                     // The internal-only baseline ignores external streams.
                     return None;
                 }
@@ -254,15 +219,15 @@ impl AlertRaiser {
             }
             AlertTrigger::Internal(node) => {
                 let backed = backed(node);
-                if self.config.require_external && !backed {
+                if self.require_external && !backed {
                     return None;
                 }
                 (node, backed)
             }
         };
         if let Some(prev) = self.last_alert.get(&node) {
-            // Inclusive boundary: exactly `debounce` later fires again.
-            if event.time.since(*prev) < self.config.debounce {
+            // Inclusive boundary: exactly `DEBOUNCE` later fires again.
+            if event.time.since(*prev) < DEBOUNCE {
                 return None;
             }
         }
@@ -281,9 +246,10 @@ impl AlertRaiser {
 /// a *strong external indicator* by itself (this is where the ≈5× lead-time
 /// enhancement of Obs. 5 comes from — the alert predates any internal
 /// symptom), or an internal symptom that has external backing in the
-/// window.
-pub fn raise_alerts(d: &Diagnosis, config: &PredictorConfig) -> Vec<Alert> {
-    let mut raiser = AlertRaiser::new(*config);
+/// window. The window is the diagnosis' `external_window`, so the
+/// predictor moves with the lead-time and false-positive analyses.
+pub fn raise_alerts(d: &Diagnosis, require_external: bool) -> Vec<Alert> {
+    let mut raiser = AlertRaiser::new(require_external);
     let mut alerts = Vec::new();
     // Only the trigger classes can alert ([`alert_trigger`] returns `None`
     // for everything else, and `offer` has no side effects on non-trigger
@@ -299,7 +265,7 @@ pub fn raise_alerts(d: &Diagnosis, config: &PredictorConfig) -> Vec<Alert> {
                 time: e.time,
                 terminal: TerminalKind::SchedulerDown,
             };
-            let ext_from = e.time.saturating_sub(config.external_window);
+            let ext_from = e.time.saturating_sub(d.config.external_window);
             d.blade_external_between(node.blade(), ext_from, e.time + SimDuration::from_millis(1))
                 .any(|x| is_external_indicator(x, &probe))
         });
@@ -319,16 +285,10 @@ pub struct PredictorComparison {
 }
 
 /// Runs both predictor variants.
-pub fn compare(d: &Diagnosis, base: &PredictorConfig) -> PredictorComparison {
+pub fn compare(d: &Diagnosis) -> PredictorComparison {
     PredictorComparison {
-        internal_only: evaluate(
-            d,
-            &PredictorConfig {
-                require_external: false,
-                ..*base
-            },
-        ),
-        with_external: evaluate(d, &base.with_external()),
+        internal_only: evaluate(d, false),
+        with_external: evaluate(d, true),
     }
 }
 
@@ -347,15 +307,14 @@ mod tests {
     #[test]
     fn alerts_are_causal_and_debounced() {
         let d = diag(1);
-        let cfg = PredictorConfig::default();
-        let alerts = raise_alerts(&d, &cfg);
+        let alerts = raise_alerts(&d, false);
         assert!(!alerts.is_empty());
         assert!(alerts.windows(2).all(|w| w[0].time <= w[1].time));
         // Debounce per node.
         let mut per_node: std::collections::HashMap<NodeId, SimTime> = Default::default();
         for a in &alerts {
             if let Some(prev) = per_node.get(&a.node) {
-                assert!(a.time.since(*prev) >= cfg.debounce);
+                assert!(a.time.since(*prev) >= DEBOUNCE);
             }
             per_node.insert(a.node, a.time);
         }
@@ -364,7 +323,7 @@ mod tests {
     #[test]
     fn external_gating_trades_recall_for_precision() {
         let d = diag(2);
-        let cmp = compare(&d, &PredictorConfig::default());
+        let cmp = compare(&d);
         let int = &cmp.internal_only;
         let ext = &cmp.with_external;
         assert!(int.alerts.len() > ext.alerts.len());
@@ -385,17 +344,16 @@ mod tests {
     #[test]
     fn lead_times_are_positive_and_bounded_by_horizon() {
         let d = diag(3);
-        let cfg = PredictorConfig::default();
-        let ev = evaluate(&d, &cfg);
+        let ev = evaluate(&d, false);
         assert!(ev.predicted_failures > 0);
         assert!(ev.mean_lead_mins > 0.0);
-        assert!(ev.mean_lead_mins <= cfg.horizon.as_mins_f64());
+        assert!(ev.mean_lead_mins <= FAILURE_HORIZON.as_mins_f64());
     }
 
     #[test]
     fn counts_are_consistent() {
         let d = diag(4);
-        let ev = evaluate(&d, &PredictorConfig::default());
+        let ev = evaluate(&d, false);
         assert_eq!(ev.true_positives + ev.false_positives, ev.alerts.len());
         assert_eq!(ev.predicted_failures + ev.missed_failures, d.failures.len());
     }
@@ -403,7 +361,7 @@ mod tests {
     #[test]
     fn empty_diagnosis_evaluates_to_zeroes() {
         let d = Diagnosis::from_events(Vec::new(), 0, DiagnosisConfig::default());
-        let ev = evaluate(&d, &PredictorConfig::default());
+        let ev = evaluate(&d, false);
         assert!(ev.alerts.is_empty());
         assert_eq!(ev.precision(), 0.0);
         assert_eq!(ev.recall(), 0.0);
@@ -422,17 +380,16 @@ mod tests {
 
     #[test]
     fn debounce_boundary_is_inclusive() {
-        // Regression pin: a symptom landing *exactly* `debounce` after the
+        // Regression pin: a symptom landing *exactly* `DEBOUNCE` after the
         // previous alert must be allowed to fire (>= semantics).
-        let cfg = PredictorConfig::default();
-        let deb = cfg.debounce.as_millis();
+        let deb = DEBOUNCE.as_millis();
         let at = |gap_ms: u64| {
             let d = Diagnosis::from_events(
                 vec![stall_ev(0, 5), stall_ev(gap_ms, 5)],
                 0,
                 DiagnosisConfig::default(),
             );
-            raise_alerts(&d, &cfg).len()
+            raise_alerts(&d, false).len()
         };
         assert_eq!(at(deb), 2, "exactly-debounce symptom must alert");
         assert_eq!(at(deb - 1), 1, "one ms inside the debounce is suppressed");
@@ -443,7 +400,7 @@ mod tests {
     fn zero_denominator_corners_yield_zero_not_nan() {
         // Alerts but zero failures: precision is 0/alerts, recall is 0/0.
         let d = Diagnosis::from_events(vec![stall_ev(0, 1)], 0, DiagnosisConfig::default());
-        let ev = evaluate(&d, &PredictorConfig::default());
+        let ev = evaluate(&d, false);
         assert_eq!(ev.alerts.len(), 1);
         assert!(d.failures.is_empty());
         assert_eq!(ev.precision(), 0.0);
@@ -463,7 +420,7 @@ mod tests {
             },
         };
         let d = Diagnosis::from_events(vec![panic], 0, DiagnosisConfig::default());
-        let ev = evaluate(&d, &PredictorConfig::default());
+        let ev = evaluate(&d, false);
         assert!(ev.alerts.is_empty());
         assert_eq!(d.failures.len(), 1);
         assert_eq!(ev.precision(), 0.0);
@@ -476,12 +433,8 @@ mod tests {
     fn alert_raiser_matches_batch_raise_alerts() {
         for require_external in [false, true] {
             let d = diag(7);
-            let cfg = PredictorConfig {
-                require_external,
-                ..PredictorConfig::default()
-            };
-            let batch = raise_alerts(&d, &cfg);
-            let mut raiser = AlertRaiser::new(cfg);
+            let batch = raise_alerts(&d, require_external);
+            let mut raiser = AlertRaiser::new(require_external);
             let mut streamed = Vec::new();
             for e in d.events() {
                 streamed.extend(raiser.offer(e, |node| {
@@ -490,7 +443,7 @@ mod tests {
                         time: e.time,
                         terminal: TerminalKind::SchedulerDown,
                     };
-                    let ext_from = e.time.saturating_sub(cfg.external_window);
+                    let ext_from = e.time.saturating_sub(d.config.external_window);
                     d.blade_external_between(
                         node.blade(),
                         ext_from,

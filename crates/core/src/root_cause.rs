@@ -17,8 +17,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use hpc_logs::event::{
     ConsoleDetail, ControllerDetail, LogEvent, NhcTest, PanicReason, Payload, SchedulerDetail,
     StackModule,
@@ -28,9 +26,10 @@ use hpc_platform::NodeId;
 
 use crate::detection::{DetectedFailure, TerminalKind};
 use crate::pipeline::Diagnosis;
+use crate::windows::LOOKBACK;
 
 /// Coarse cause class (the paper's S3 breakdown: HW 37% / SW 32% / App 31%).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CauseClass {
     /// Hardware.
     Hardware,
@@ -55,7 +54,7 @@ impl CauseClass {
 }
 
 /// Fine-grained inferred cause.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum InferredCause {
     /// Fatal MCE from healthy-looking hardware.
     HardwareMce,
@@ -143,7 +142,7 @@ impl InferredCause {
 }
 
 /// Fig. 16's five reporting buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Fig16Bucket {
     /// Anomalous application exits failing NHC tests.
     AppExit,
@@ -181,7 +180,7 @@ impl Fig16Bucket {
 
 /// Classifies one detected failure from the node's log context.
 pub fn classify(d: &Diagnosis, failure: &DetectedFailure) -> InferredCause {
-    let from = failure.time.saturating_sub(d.config.lookback);
+    let from = failure.time.saturating_sub(LOOKBACK);
     let to = failure.time + SimDuration::from_millis(1);
     let window: Vec<&LogEvent> = d.node_events_between(failure.node, from, to).collect();
 

@@ -1,8 +1,7 @@
 //! Binary columnar codec for segment files.
 //!
-//! The vendored `serde` is a no-op facade (nothing in-tree serializes
-//! through it), so segments use a small hand-written codec instead:
-//! LEB128 varints for integers, zigzag for the one signed field
+//! Segments use a small hand-written codec with no serialization
+//! framework behind it: LEB128 varints for integers, zigzag for the one signed field
 //! (`JobEnd.exit_code`), IEEE-754 bit patterns for sensor readings, and
 //! single-byte ordinals for the closed vocabulary enums. Within one
 //! segment every event shares an [`EventClass`], so payloads are encoded

@@ -18,6 +18,7 @@ use hpc_logs::time::SimDuration;
 
 use crate::pipeline::Diagnosis;
 use crate::root_cause::{classify_all, InferredCause};
+use crate::windows::LOOKBACK;
 
 /// Where a stack trace points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -103,7 +104,7 @@ pub struct ModuleRow {
 pub fn module_table(d: &Diagnosis) -> Vec<ModuleRow> {
     let mut rows: BTreeMap<StackModule, ModuleRow> = BTreeMap::new();
     for (failure, cause) in classify_all(d) {
-        let from = failure.time.saturating_sub(d.config.lookback);
+        let from = failure.time.saturating_sub(LOOKBACK);
         let to = failure.time + SimDuration::from_millis(1);
         for e in d.node_events_between(failure.node, from, to) {
             let Payload::Console { detail, .. } = &e.payload else {

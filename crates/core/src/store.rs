@@ -236,27 +236,14 @@ impl EventClass {
         EventClass::NodePowerOff,
     ];
 
-    /// Classes that can satisfy
-    /// [`is_indicative_internal`](crate::lead_time::is_indicative_internal).
-    /// The predicate is value-dependent for [`EventClass::Mce`] (only
-    /// uncorrected) and [`EventClass::MemoryError`] (only uncorrectable),
-    /// so it must still be applied per event after narrowing to these
-    /// classes.
-    pub const INDICATIVE_INTERNAL: &'static [EventClass] = &[
-        EventClass::Mce,
-        EventClass::MemoryError,
-        EventClass::SegFault,
-        EventClass::OomKill,
-        EventClass::KernelOops,
-        EventClass::LustreError,
-        EventClass::CpuStall,
-        EventClass::PageAllocFailure,
-        EventClass::NhcWarning,
-    ];
-
     /// Classes that can trigger an online alert
     /// ([`AlertRaiser::offer`](crate::prediction::AlertRaiser::offer)): the
-    /// indicative internal classes plus the strong external indicators.
+    /// classes that can satisfy
+    /// [`is_indicative_internal`](crate::lead_time::is_indicative_internal)
+    /// plus the strong external indicators. The internal predicate is
+    /// value-dependent for [`EventClass::Mce`] (only uncorrected) and
+    /// [`EventClass::MemoryError`] (only uncorrectable), so it still applies
+    /// per event after narrowing to these classes.
     pub const ALERT_TRIGGERS: &'static [EventClass] = &[
         EventClass::Mce,
         EventClass::MemoryError,
@@ -918,6 +905,33 @@ mod tests {
                 detail: ControllerDetail::NodeVoltageFault { node },
             },
         }
+    }
+
+    /// The only source of the machine size the SWO threshold scales with.
+    #[test]
+    fn node_count_estimate_is_one_past_the_highest_named_node() {
+        let job_end = LogEvent {
+            time: SimTime::from_millis(5),
+            payload: Payload::Scheduler {
+                detail: hpc_logs::event::SchedulerDetail::JobEnd {
+                    job: hpc_logs::event::JobId(1),
+                    exit_code: 0,
+                    reason: hpc_logs::event::JobEndReason::Completed,
+                },
+            },
+        };
+        assert_eq!(EventStore::index(Vec::new()).node_count_estimate(), 1);
+        assert_eq!(
+            EventStore::index(vec![job_end.clone()]).node_count_estimate(),
+            1
+        );
+        let named = vec![
+            ev(10, 7, ConsoleDetail::CpuStall { cpu: 0 }),
+            nvf(20, 41),
+            job_end,
+            ev(30, 3, ConsoleDetail::CpuStall { cpu: 0 }),
+        ];
+        assert_eq!(EventStore::index(named).node_count_estimate(), 42);
     }
 
     /// The segment planner drops whole segments on this table, so it must

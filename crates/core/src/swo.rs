@@ -13,34 +13,20 @@
 //! failing within one short window (e.g. a filesystem collapse) — so that
 //! per-figure node-failure statistics can exclude it.
 
-use serde::{Deserialize, Serialize};
-
 use hpc_logs::event::{ConsoleDetail, LogEvent, Payload};
 use hpc_logs::time::{SimDuration, SimTime};
 
 use crate::detection::DetectedFailure;
 
-/// SWO recognition thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SwoConfig {
-    /// Fraction of the machine's nodes failing within the window that
-    /// constitutes an SWO.
-    pub node_fraction: f64,
-    /// The window length.
-    pub window: SimDuration,
-}
+/// Fraction of the machine's nodes that must fail within one chain of
+/// [`SWO_CHAIN_GAP`]-spaced failures for the chain to be an SWO.
+const SWO_NODE_FRACTION: f64 = 0.10;
 
-impl Default for SwoConfig {
-    fn default() -> SwoConfig {
-        SwoConfig {
-            node_fraction: 0.10,
-            window: SimDuration::from_mins(15),
-        }
-    }
-}
+/// Largest gap between consecutive failures of one SWO chain.
+const SWO_CHAIN_GAP: SimDuration = SimDuration::from_mins(15);
 
 /// One recognised system-wide outage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwoWindow {
     /// First failure of the outage.
     pub start: SimTime,
@@ -58,19 +44,15 @@ impl SwoWindow {
 }
 
 /// Recognises anomalous SWO windows among detected failures: maximal runs
-/// of failures, each within `config.window` of the previous, covering at
-/// least `config.node_fraction` of the machine.
-pub fn detect_swos(
-    failures: &[DetectedFailure],
-    node_count: u32,
-    config: &SwoConfig,
-) -> Vec<SwoWindow> {
-    let threshold = ((node_count as f64 * config.node_fraction).ceil() as usize).max(2);
+/// of failures, each within 15 min of the previous, covering at least 10 %
+/// of the `node_count`-node machine (`SWO_CHAIN_GAP`, `SWO_NODE_FRACTION`).
+pub fn detect_swos(failures: &[DetectedFailure], node_count: u32) -> Vec<SwoWindow> {
+    let threshold = ((node_count as f64 * SWO_NODE_FRACTION).ceil() as usize).max(2);
     let mut out = Vec::new();
     let mut run_start = 0;
     for i in 0..failures.len() {
         // Extend or cut the chain: consecutive failures ≤ window apart.
-        if i > 0 && failures[i].time.since(failures[i - 1].time) > config.window {
+        if i > 0 && failures[i].time.since(failures[i - 1].time) > SWO_CHAIN_GAP {
             emit_if_swo(&failures[run_start..i], threshold, &mut out);
             run_start = i;
         }
@@ -139,7 +121,7 @@ mod tests {
     fn sparse_failures_are_not_swos() {
         // 5 failures over hours on a 100-node machine.
         let failures: Vec<_> = (0..5).map(|i| failure(i * 3_600_000, i as u32)).collect();
-        let swos = detect_swos(&failures, 100, &SwoConfig::default());
+        let swos = detect_swos(&failures, 100);
         assert!(swos.is_empty());
     }
 
@@ -149,7 +131,7 @@ mod tests {
         let failures: Vec<_> = (0..30)
             .map(|i| failure(1_000_000 + i * 5_000, i as u32))
             .collect();
-        let swos = detect_swos(&failures, 100, &SwoConfig::default());
+        let swos = detect_swos(&failures, 100);
         assert_eq!(swos.len(), 1);
         assert_eq!(swos[0].failures, 30);
         let (regular, swallowed) = partition_failures(&failures, &swos);
@@ -165,7 +147,7 @@ mod tests {
         // A lone failure hours before and after.
         failures.insert(0, failure(0, 99));
         failures.push(failure(100_000_000, 98));
-        let swos = detect_swos(&failures, 100, &SwoConfig::default());
+        let swos = detect_swos(&failures, 100);
         assert_eq!(swos.len(), 1);
         let (regular, swallowed) = partition_failures(&failures, &swos);
         assert_eq!(regular.len(), 2);
@@ -177,8 +159,8 @@ mod tests {
         // 12 co-failing nodes: SWO on a 100-node machine (12%), not on a
         // 5600-node one.
         let failures: Vec<_> = (0..12).map(|i| failure(i * 1_000, i as u32)).collect();
-        assert_eq!(detect_swos(&failures, 100, &SwoConfig::default()).len(), 1);
-        assert!(detect_swos(&failures, 5600, &SwoConfig::default()).is_empty());
+        assert_eq!(detect_swos(&failures, 100).len(), 1);
+        assert!(detect_swos(&failures, 5600).is_empty());
     }
 
     #[test]
@@ -187,6 +169,6 @@ mod tests {
         let failures: Vec<_> = (0..30)
             .map(|i| failure(i * 1_000, (i % 5) as u32))
             .collect();
-        assert!(detect_swos(&failures, 100, &SwoConfig::default()).is_empty());
+        assert!(detect_swos(&failures, 100).is_empty());
     }
 }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hpc_diagnosis::prediction::{evaluate, PredictorConfig};
+use hpc_diagnosis::prediction::evaluate;
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_faultsim::Scenario;
 use hpc_logs::event::{LogEvent, LogSource};
@@ -72,12 +72,8 @@ proptest! {
         let d = Diagnosis::from_events(events, d0.skipped_lines, d0.config);
         prop_assert_eq!(&d.failures, &d0.failures);
         for require_external in [false, true] {
-            let cfg = PredictorConfig {
-                require_external,
-                ..PredictorConfig::default()
-            };
-            let ev0 = evaluate(d0, &cfg);
-            let ev = evaluate(&d, &cfg);
+            let ev0 = evaluate(d0, require_external);
+            let ev = evaluate(&d, require_external);
             // The alert *set* is interleaving-invariant, not just the
             // stats: debouncing and external gating key off event times,
             // never off tie order.

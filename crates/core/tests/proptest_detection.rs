@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use hpc_diagnosis::detection::{detect_failures, DEDUP_WINDOW, TERMINAL_CLASSES};
-use hpc_diagnosis::swo::{detect_swos, partition_failures, SwoConfig};
+use hpc_diagnosis::swo::{detect_swos, partition_failures};
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_logs::event::{
     ConsoleDetail, ControllerDetail, ControllerScope, ErdDetail, LogEvent, NodeState, PanicReason,
@@ -124,13 +124,10 @@ proptest! {
     }
 
     #[test]
-    fn swo_partition_is_a_partition(events in terminal_events(), frac in 0.05f64..0.5) {
+    fn swo_partition_is_a_partition(events in terminal_events(), node_count in 40u32..640) {
+        // At the fixed 10 % the threshold sweeps 4..64 co-failing nodes.
         let failures = detect_failures(&events);
-        let cfg = SwoConfig {
-            node_fraction: frac,
-            ..SwoConfig::default()
-        };
-        let swos = detect_swos(&failures, 64, &cfg);
+        let swos = detect_swos(&failures, node_count);
         let (regular, swallowed) = partition_failures(&failures, &swos);
         prop_assert_eq!(regular.len() + swallowed.len(), failures.len());
         // Everything swallowed is inside some window; nothing regular is.

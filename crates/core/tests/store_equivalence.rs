@@ -20,6 +20,7 @@ use hpc_diagnosis::lead_time::{
     FalsePositiveComparison, LeadTimeRecord,
 };
 use hpc_diagnosis::root_cause::PatternCensus;
+use hpc_diagnosis::windows::{FAILURE_HORIZON, LOOKBACK};
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_logs::event::{
     Apid, AppKind, ConsoleDetail, ControllerDetail, ControllerScope, JobEndReason, JobId, LogEvent,
@@ -118,7 +119,7 @@ fn event_soup_on(nodes: u32) -> impl Strategy<Value = Vec<LogEvent>> {
 /// The fault→failure correspondence window, by failure scan.
 fn naive_fails_within(d: &Diagnosis, node: NodeId, t: SimTime) -> bool {
     let from = t.saturating_sub(SimDuration::from_mins(2));
-    let to = t + d.config.failure_horizon;
+    let to = t + FAILURE_HORIZON;
     d.failures
         .iter()
         .any(|f| f.node == node && f.time >= from && f.time <= to)
@@ -207,7 +208,7 @@ fn naive_lead_times(d: &Diagnosis) -> Vec<LeadTimeRecord> {
     d.failures
         .iter()
         .map(|f| {
-            let int_from = f.time.saturating_sub(d.config.lookback);
+            let int_from = f.time.saturating_sub(LOOKBACK);
             let internal = d
                 .events()
                 .iter()
@@ -245,9 +246,10 @@ fn naive_false_positive_analysis(d: &Diagnosis) -> FalsePositiveComparison {
             }
         }
         last_flag.insert(node, e.time);
-        let fails = d.failures.iter().any(|f| {
-            f.node == node && f.time >= e.time && f.time <= e.time + d.config.failure_horizon
-        });
+        let fails = d
+            .failures
+            .iter()
+            .any(|f| f.node == node && f.time >= e.time && f.time <= e.time + FAILURE_HORIZON);
         out.internal_flags += 1;
         if fails {
             out.internal_tp += 1;
@@ -354,8 +356,21 @@ proptest! {
         // Lead times, internal and external (Fig. 13).
         prop_assert_eq!(lead_times(&d), naive_lead_times(&d));
 
-        // False-positive comparison (Fig. 14).
+        // False-positive comparison (Fig. 14). It reads the predictor, whose
+        // backing window is the diagnosis' external_window: pin it at the
+        // ends of the ablation sweep too.
         prop_assert_eq!(false_positive_analysis(&d), naive_false_positive_analysis(&d));
+        for hours in [1, 24] {
+            let swept = Diagnosis::from_events(d.events().to_vec(), 0, DiagnosisConfig {
+                external_window: SimDuration::from_hours(hours),
+                ..DiagnosisConfig::default()
+            });
+            prop_assert_eq!(
+                false_positive_analysis(&swept),
+                naive_false_positive_analysis(&swept),
+                "external_window {} h", hours
+            );
+        }
 
         // Job statistics: class-merged reconstruction and the
         // overallocation→failure join (Fig. 17).

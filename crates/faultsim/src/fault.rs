@@ -7,14 +7,12 @@
 //! 37% / software 32% / application 31% on S3; Fig. 16's per-cause shares;
 //! §III "Unknown Causes").
 
-use serde::{Deserialize, Serialize};
-
 use hpc_logs::event::JobId;
 use hpc_logs::time::SimTime;
 use hpc_platform::NodeId;
 
 /// Coarse root-cause class used in the paper's headline breakdowns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RootCauseClass {
     /// Hardware faults (MCEs, CPU corruption, voltage, degraded memory).
     Hardware,
@@ -40,7 +38,7 @@ impl RootCauseClass {
 }
 
 /// Fine-grained true cause of an injected failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TrueRootCause {
     /// Fatal machine-check exception (page/cache/DIMM escalation).
     HardwareMce,
@@ -105,7 +103,7 @@ impl TrueRootCause {
 }
 
 /// Ground truth for one injected node failure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureRecord {
     /// The failed node.
     pub node: NodeId,
@@ -136,7 +134,7 @@ impl FailureRecord {
 
 /// Outcome of a node heartbeat fault that did *not* come from a failure
 /// chain (Fig. 6's non-failing NHF slices).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenignNhfOutcome {
     /// The node was deliberately powered off.
     PoweredOff,
@@ -146,7 +144,7 @@ pub enum BenignNhfOutcome {
 
 /// One injected system-wide outage (§III: excluded from node-failure
 /// analysis by the pipeline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwoRecord {
     /// When the outage started.
     pub time: SimTime,
@@ -158,7 +156,7 @@ pub struct SwoRecord {
 }
 
 /// Full ground truth of one simulated window.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GroundTruth {
     /// Every injected *node* failure, in time order (SWO victims are
     /// recorded in `swos`, not here — mirroring the paper's exclusion).

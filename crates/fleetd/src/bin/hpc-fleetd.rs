@@ -247,7 +247,6 @@ fn main() {
         ServerConfig {
             workers: opts.workers,
             queue: opts.queue,
-            ..ServerConfig::default()
         },
         Arc::clone(&shutdown),
     ) {

@@ -42,6 +42,13 @@ use crate::snapshot::SnapshotSlot;
 /// closes it — bounds how long a drain can take.
 const MAX_REQUESTS_PER_CONNECTION: usize = 1024;
 
+/// Per-connection socket read timeout: how long a stalled peer can hold a
+/// worker.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Per-connection socket write timeout, also for the acceptor's 503.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Server tuning; the defaults suit a diagnosis sidecar.
 pub struct ServerConfig {
     /// Worker threads handling connections.
@@ -49,10 +56,6 @@ pub struct ServerConfig {
     /// Accepted-but-unhandled connections the queue holds before the
     /// acceptor starts shedding load with 503s.
     pub queue: usize,
-    /// Per-connection socket read timeout.
-    pub read_timeout: Duration,
-    /// Per-connection socket write timeout.
-    pub write_timeout: Duration,
 }
 
 impl Default for ServerConfig {
@@ -60,8 +63,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 4,
             queue: 64,
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -161,18 +162,16 @@ pub fn serve(
         let rx = Arc::clone(&rx);
         let fleet = Arc::clone(&fleet);
         let shutdown = Arc::clone(&shutdown);
-        let (rt, wt) = (config.read_timeout, config.write_timeout);
         workers.push(
             std::thread::Builder::new()
                 .name(format!("fleetd-worker-{i}"))
-                .spawn(move || worker_loop(rx, fleet, rt, wt, shutdown))?,
+                .spawn(move || worker_loop(rx, fleet, shutdown))?,
         );
     }
 
-    let write_timeout = config.write_timeout;
     let acceptor = std::thread::Builder::new()
         .name("fleetd-acceptor".to_string())
-        .spawn(move || acceptor_loop(listener, tx, write_timeout, shutdown))?;
+        .spawn(move || acceptor_loop(listener, tx, shutdown))?;
 
     Ok(ServerHandle {
         addr,
@@ -181,12 +180,7 @@ pub fn serve(
     })
 }
 
-fn acceptor_loop(
-    listener: TcpListener,
-    tx: SyncSender<TcpStream>,
-    write_timeout: Duration,
-    shutdown: Arc<AtomicBool>,
-) {
+fn acceptor_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shutdown: Arc<AtomicBool>) {
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -197,7 +191,7 @@ fn acceptor_loop(
                         // Deliberate backpressure: shed load here, at the
                         // edge, instead of queueing without bound.
                         hpc_telemetry::counter("fleetd.http.rejected").inc();
-                        let _ = stream.set_write_timeout(Some(write_timeout));
+                        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
                         let resp = Response::error(503, "server busy");
                         let mut s = stream;
                         let _ = s.write_all(&resp.write_to(false));
@@ -215,13 +209,7 @@ fn acceptor_loop(
     // and then see Disconnected.
 }
 
-fn worker_loop(
-    rx: Arc<Mutex<Receiver<TcpStream>>>,
-    fleet: Arc<Fleet>,
-    read_timeout: Duration,
-    write_timeout: Duration,
-    shutdown: Arc<AtomicBool>,
-) {
+fn worker_loop(rx: Arc<Mutex<Receiver<TcpStream>>>, fleet: Arc<Fleet>, shutdown: Arc<AtomicBool>) {
     loop {
         // Hold the lock only while dequeueing, never while serving.
         let stream = {
@@ -229,7 +217,7 @@ fn worker_loop(
             rx.recv_timeout(Duration::from_millis(100))
         };
         match stream {
-            Ok(stream) => handle_connection(stream, &fleet, read_timeout, write_timeout, &shutdown),
+            Ok(stream) => handle_connection(stream, &fleet, &shutdown),
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 if shutdown.load(Ordering::SeqCst) {
                     // Keep draining until the queue is closed *and* empty;
@@ -244,15 +232,9 @@ fn worker_loop(
 
 /// Serves one connection: pipelined keep-alive requests until close,
 /// error, request budget, or shutdown.
-fn handle_connection(
-    mut stream: TcpStream,
-    fleet: &Fleet,
-    read_timeout: Duration,
-    write_timeout: Duration,
-    shutdown: &AtomicBool,
-) {
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let _ = stream.set_write_timeout(Some(write_timeout));
+fn handle_connection(mut stream: TcpStream, fleet: &Fleet, shutdown: &AtomicBool) {
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
 
     let mut buf: Vec<u8> = Vec::with_capacity(1024);

@@ -53,7 +53,7 @@ pub struct ShardConfig {
     pub name: String,
     /// Line source.
     pub feed: Feed,
-    /// Engine configuration (watermark, window, predictor).
+    /// Engine configuration (watermark, window, external gating).
     pub stream: StreamConfig,
     /// Idle poll interval for follow/lines feeds.
     pub poll: Duration,

@@ -489,7 +489,6 @@ fn overload_sheds_load_with_503_retry_after() {
         ServerConfig {
             workers: 1,
             queue: 1,
-            ..ServerConfig::default()
         },
     );
     srv.wait_all_finished();

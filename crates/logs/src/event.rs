@@ -18,8 +18,6 @@
 //! text lines, and [`crate::parse`] recovers them from text — the diagnosis
 //! pipeline only ever sees the text.
 
-use serde::{Deserialize, Serialize};
-
 use hpc_platform::components::Component;
 use hpc_platform::interconnect::LinkErrorKind;
 use hpc_platform::sensors::{Deviation, SensorKind};
@@ -28,7 +26,7 @@ use hpc_platform::{BladeId, CabinetId, NodeId};
 use crate::time::SimTime;
 
 /// Identifier of a scheduler job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u64);
 
 impl std::fmt::Display for JobId {
@@ -39,7 +37,7 @@ impl std::fmt::Display for JobId {
 
 /// ALPS application id; the paper recommends "tracking buggy application IDs
 /// (APIDs)" (Obs. 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Apid(pub u64);
 
 impl std::fmt::Display for Apid {
@@ -50,7 +48,7 @@ impl std::fmt::Display for Apid {
 
 /// Scheduler-visible node health state (§III-B: NHC "when in suspect mode,
 /// may turn the node to admindown").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeState {
     /// Healthy, schedulable.
     Up,
@@ -99,7 +97,7 @@ impl NodeState {
 /// Flavour of a machine-check exception; the paper: "MCE log triggers
 /// (page/cache/DIMM; caused when the error count exceeds a predefined
 /// threshold)".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MceKind {
     /// Page-level memory error.
     Page,
@@ -131,7 +129,7 @@ impl MceKind {
 }
 
 /// First line of a kernel oops, determining its class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OopsCause {
     /// `BUG: unable to handle kernel paging request` (Table V case 4).
     PagingRequest,
@@ -171,7 +169,7 @@ impl OopsCause {
 /// Kernel modules observed at the top of stack backtraces (Table IV). The
 /// paper's root-cause analysis keys on these: "presence of dvsipc related
 /// modules indicate an affected file system triggered by the application".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StackModule {
     /// `sleep_on_page` — job-triggered I/O wait (Table IV).
     SleepOnPage,
@@ -243,7 +241,7 @@ impl StackModule {
 }
 
 /// Lustre error classes surfaced in console logs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LustreErrorKind {
     /// RPC timeout against an OST/MDT.
     Timeout,
@@ -284,7 +282,7 @@ impl LustreErrorKind {
 }
 
 /// Reason string attached to a kernel panic (terminal failure event).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PanicReason {
     /// Fatal machine-check exception.
     FatalMce,
@@ -338,7 +336,7 @@ impl PanicReason {
 
 /// Application families run by jobs; failures correlate on *job id*, the
 /// app kind adds realism (MPI vs Matlab submission-parameter advice, §III-E).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AppKind {
     /// Large MPI simulation.
     MpiSimulation,
@@ -384,7 +382,7 @@ impl AppKind {
 }
 
 /// Why a job ended (Fig. 12's exit-status census buckets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobEndReason {
     /// Completed successfully (exit 0).
     Completed,
@@ -440,7 +438,7 @@ impl JobEndReason {
 }
 
 /// Node-health-checker tests (§III-B, Obs. 6: "abnormal application exits").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NhcTest {
     /// Heartbeat / reachability.
     Heartbeat,
@@ -480,7 +478,7 @@ impl NhcTest {
 }
 
 /// A blade- or cabinet-controller scope for external events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ControllerScope {
     /// Blade controller (BC / L0).
     Blade(BladeId),
@@ -507,7 +505,7 @@ impl ControllerScope {
 }
 
 /// Console (node-internal) event payloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConsoleDetail {
     /// Machine-check exception.
     Mce {
@@ -605,7 +603,7 @@ pub enum ConsoleDetail {
 }
 
 /// Controller (BC/CC) event payloads — column 1 of Table III.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControllerDetail {
     /// Node heartbeat fault (NHF): node skipped a heartbeat / failed a
     /// health probe.
@@ -658,7 +656,7 @@ pub enum ControllerDetail {
 }
 
 /// ERD (event-router) payloads — the system-wide environmental stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ErdDetail {
     /// `ec_sedc_warning`: a sensor reading outside its envelope.
     SedcWarning {
@@ -720,7 +718,7 @@ pub enum ErdDetail {
 }
 
 /// Scheduler payloads (Slurm/Torque + NHC + ALPS).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SchedulerDetail {
     /// Job started on a node list.
     JobStart {
@@ -785,7 +783,7 @@ pub enum SchedulerDetail {
 }
 
 /// A source-tagged event payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// Node-internal console/messages event.
     Console {
@@ -816,7 +814,7 @@ pub enum Payload {
 }
 
 /// Which of the four log streams an event belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LogSource {
     /// Node console/messages logs.
     Console,
@@ -850,7 +848,7 @@ impl LogSource {
 }
 
 /// Severity of an event, mirroring syslog levels used in reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Informational.
     Info,
@@ -863,7 +861,7 @@ pub enum Severity {
 }
 
 /// One timestamped structured log event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogEvent {
     /// When it happened.
     pub time: SimTime,

@@ -13,8 +13,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Milliseconds in a second.
 pub const MILLIS_PER_SEC: u64 = 1_000;
 /// Milliseconds in a minute.
@@ -30,15 +28,11 @@ pub const MILLIS_PER_WEEK: u64 = 7 * MILLIS_PER_DAY;
 const EPOCH_DAYS_FROM_UNIX: i64 = 16_801;
 
 /// A point in simulated time: milliseconds since 2016-01-01T00:00:00.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time in milliseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimDuration {

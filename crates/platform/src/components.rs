@@ -5,10 +5,8 @@
 //! disks (S5), GPU errors hit GPUs (S5), and link errors hit the NIC/HSN
 //! port.
 
-use serde::{Deserialize, Serialize};
-
 /// A hardware component class within a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Component {
     /// CPU socket (MCEs: cache errors, corruptions).
     Cpu,

@@ -22,8 +22,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// Nodes per blade on Cray XC/XE machines (§III: "In most Cray systems, 4
 /// nodes reside in a single blade").
 pub const NODES_PER_BLADE: u32 = 4;
@@ -45,9 +43,7 @@ pub const BLADES_PER_CABINET: u32 = BLADES_PER_CHASSIS * CHASSIS_PER_CABINET;
 macro_rules! dense_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name(pub u32);
 
         impl $name {
@@ -211,7 +207,7 @@ impl CabinetId {
 /// assert_eq!(node.cname().to_string(), "c0-0c1s4n2");
 /// assert_eq!(node.blade(), c.blade_id().unwrap());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Cname {
     /// Cabinet column in the machine room.
     pub column: u32,

@@ -7,10 +7,8 @@
 //! realistic link-error events: errors carry a class (CRC, lane degrade,
 //! failover).
 
-use serde::{Deserialize, Serialize};
-
 /// The interconnect family of a system (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterconnectKind {
     /// Cray Aries in a Dragonfly topology (S1, S3, S4).
     AriesDragonfly,
@@ -38,7 +36,7 @@ impl std::fmt::Display for InterconnectKind {
 }
 
 /// Classes of interconnect error events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkErrorKind {
     /// CRC error on a lane — common, usually recovered transparently.
     Crc,

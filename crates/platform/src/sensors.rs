@@ -13,10 +13,8 @@
 //! (which samples readings) and the diagnosis pipeline (which classifies
 //! parsed warnings).
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of environmental sensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SensorKind {
     /// CPU / board temperature in °C (Fig. 11 plots per-node CPU temps).
     Temperature,
@@ -92,7 +90,7 @@ impl std::fmt::Display for SensorKind {
 }
 
 /// Operating envelope of a sensor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorRange {
     /// Minimum allowed reading; below this a `below minimum` SEDC warning is
     /// logged (the paper notes most warnings are *below-minimum* ones).
@@ -121,7 +119,7 @@ impl SensorRange {
 }
 
 /// Outcome of classifying one sensor reading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Deviation {
     /// Within the allowed envelope.
     Nominal,

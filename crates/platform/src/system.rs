@@ -11,12 +11,10 @@
 //! (The paper's Table I lists S2 with "Lustre" under scheduler and "Torque"
 //! under filesystem — an obvious typographical swap that we normalise here.)
 
-use serde::{Deserialize, Serialize};
-
 use crate::interconnect::InterconnectKind;
 
 /// Identifier of one of the five studied systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SystemId {
     /// 5600-node Cray XC30, Aries Dragonfly, Slurm.
     S1,
@@ -64,7 +62,7 @@ impl std::fmt::Display for SystemId {
 }
 
 /// Job scheduler running on a system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// Slurm workload manager (S1, S3, S5).
     Slurm,
@@ -83,7 +81,7 @@ impl SchedulerKind {
 }
 
 /// Parallel file system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FileSystemKind {
     /// Lustre parallel filesystem (all Cray systems).
     Lustre,
@@ -102,7 +100,7 @@ impl FileSystemKind {
 }
 
 /// Processor generation (affects MCE flavour strings only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessorKind {
     /// Intel Ivy Bridge (S1, S2).
     IvyBridge,
@@ -124,7 +122,7 @@ impl ProcessorKind {
 }
 
 /// Accelerator / auxiliary hardware present on the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Accelerator {
     /// No accelerators (S1, S2).
     None,
@@ -146,10 +144,9 @@ impl Accelerator {
 }
 
 /// Complete Table I row for one system, plus derived simulation parameters.
-///
-/// Only `Serialize` is derived: profiles carry `&'static str` display fields
-/// and are reconstructed from [`SystemId`] rather than deserialised.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Profiles carry `&'static str` display fields and are reconstructed from
+/// [`SystemId`], never read back from disk.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemProfile {
     /// Which system this is.
     pub id: SystemId,

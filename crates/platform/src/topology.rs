@@ -11,8 +11,6 @@
 //! primitives: *membership* (which blade/cabinet does this node live in) and
 //! *distance* (how far apart are two nodes physically). Both live here.
 
-use serde::Serialize;
-
 use crate::id::{BladeId, NodeId, NODES_PER_BLADE, NODES_PER_CABINET};
 use crate::system::{SystemId, SystemProfile};
 
@@ -27,7 +25,7 @@ use crate::system::{SystemId, SystemProfile};
 /// // Nodes in different cabinets are spatially distant (Obs. 8).
 /// assert!(t.spatially_distant(NodeId(0), NodeId(200)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     profile: SystemProfile,
     nodes: u32,

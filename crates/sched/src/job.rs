@@ -8,14 +8,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use hpc_logs::event::{Apid, AppKind, JobEndReason, JobId};
 use hpc_logs::time::SimTime;
 use hpc_platform::NodeId;
 
 /// One scheduled job with its full lifecycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Scheduler job id.
     pub id: JobId,
@@ -84,7 +82,7 @@ impl Job {
 /// each node's jobs as positions in that order, and each id's position.
 /// Nothing hands out `&mut Job`, and the only in-place amendment
 /// (`Job::fail_at`) moves `end`, which neither lookup reads.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobTimeline {
     jobs: Vec<Job>,
     /// Indexed by node id: ascending positions in `jobs` of the jobs

@@ -17,7 +17,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use hpc_diagnosis::detection::{DetectedFailure, IncrementalDetector, DEDUP_WINDOW};
-use hpc_diagnosis::prediction::{Alert, AlertRaiser, PredictorConfig};
+use hpc_diagnosis::prediction::{Alert, AlertRaiser};
+use hpc_diagnosis::windows::{EXTERNAL_WINDOW, FAILURE_HORIZON};
 use hpc_logs::event::{LogEvent, LogSource};
 use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::NodeId;
@@ -34,12 +35,13 @@ pub struct StreamConfig {
     /// newest observed line by up to this much before its stragglers are
     /// dropped as late.
     pub watermark: SimDuration,
-    /// Sliding-window retention. Clamped up to the predictor's
-    /// `external_window` at engine construction — a shorter window would
-    /// silently turn backed alerts into unbacked ones.
+    /// Sliding-window retention. Clamped up to [`EXTERNAL_WINDOW`] at
+    /// engine construction — a shorter window would silently turn backed
+    /// alerts into unbacked ones.
     pub window: SimDuration,
-    /// Predictor configuration (gating, windows, debounce).
-    pub predictor: PredictorConfig,
+    /// Gate alerts on a correlated external indicator
+    /// ([`AlertRaiser::new`]).
+    pub require_external: bool,
 }
 
 impl Default for StreamConfig {
@@ -47,7 +49,7 @@ impl Default for StreamConfig {
         StreamConfig {
             watermark: SimDuration::from_mins(10),
             window: SimDuration::from_hours(6),
-            predictor: PredictorConfig::default(),
+            require_external: false,
         }
     }
 }
@@ -78,17 +80,13 @@ impl LeadTracker {
     }
 
     /// The achieved lead of `failure`: its node's earliest outstanding
-    /// alert within the horizon, if any.
-    fn on_failure(
-        &mut self,
-        failure: &DetectedFailure,
-        horizon: SimDuration,
-    ) -> Option<SimDuration> {
+    /// alert within [`FAILURE_HORIZON`], if any.
+    fn on_failure(&mut self, failure: &DetectedFailure) -> Option<SimDuration> {
         let deque = self.outstanding.get_mut(&failure.node)?;
         // Front-to-back = oldest first; the first in-horizon hit is the
         // earliest alert, matching the batch evaluator's `min()`.
         let hit = deque.iter_mut().find(|o| {
-            o.alert.time <= failure.time && failure.time.since(o.alert.time) <= horizon
+            o.alert.time <= failure.time && failure.time.since(o.alert.time) <= FAILURE_HORIZON
         })?;
         hit.matched = true;
         Some(failure.time.since(hit.alert.time))
@@ -186,16 +184,16 @@ pub struct StreamEngine {
 }
 
 impl StreamEngine {
-    /// New engine. The sliding window is clamped to at least the
-    /// predictor's `external_window`.
+    /// New engine. The sliding window is clamped to at least
+    /// [`EXTERNAL_WINDOW`].
     pub fn new(config: StreamConfig) -> StreamEngine {
         let mut config = config;
-        config.window = config.window.max(config.predictor.external_window);
+        config.window = config.window.max(EXTERNAL_WINDOW);
         StreamEngine {
             merger: StreamMerger::new(config.watermark),
             window: SlidingWindow::new(config.window),
             detector: IncrementalDetector::new(),
-            raiser: AlertRaiser::new(config.predictor),
+            raiser: AlertRaiser::new(config.require_external),
             lead: LeadTracker::default(),
             sinks: Vec::new(),
             alerts: Vec::new(),
@@ -297,10 +295,9 @@ impl StreamEngine {
                     self.finalize_failure(f);
                 }
                 let window = &self.window;
-                let lookback = self.config.predictor.external_window;
                 let alert = self
                     .raiser
-                    .offer(e, |node| window.backed_by_external(node, e.time, lookback));
+                    .offer(e, |node| window.backed_by_external(node, e.time));
                 if let Some(a) = alert {
                     self.emit_alert(a);
                 }
@@ -313,7 +310,7 @@ impl StreamEngine {
             }
             self.scratch_failures = done;
             self.window.advance(t);
-            let expired = self.lead.expire(t, self.config.predictor.horizon);
+            let expired = self.lead.expire(t, FAILURE_HORIZON);
             self.stats.expired_alerts += expired;
             self.c_expired.add(expired);
             i = j;
@@ -362,9 +359,7 @@ impl StreamEngine {
     }
 
     fn finalize_failure(&mut self, failure: DetectedFailure) {
-        let lead = self
-            .lead
-            .on_failure(&failure, self.config.predictor.horizon);
+        let lead = self.lead.on_failure(&failure);
         self.stats.failures += 1;
         self.c_failures.inc();
         match lead {
@@ -453,10 +448,7 @@ mod tests {
             ..StreamConfig::default()
         };
         let engine = StreamEngine::new(config);
-        assert_eq!(
-            engine.config().window,
-            engine.config().predictor.external_window
-        );
+        assert_eq!(engine.config().window, EXTERNAL_WINDOW);
     }
 
     #[test]
@@ -477,7 +469,7 @@ mod tests {
     #[test]
     fn external_gating_drops_unbacked_and_keeps_backed_alerts() {
         let config = StreamConfig {
-            predictor: PredictorConfig::default().with_external(),
+            require_external: true,
             ..StreamConfig::default()
         };
         let mut engine = StreamEngine::new(config);
@@ -500,7 +492,7 @@ mod tests {
         // correlate carrying the same timestamp as the symptom, whatever
         // the merge order. The cohort-first window insert preserves that.
         let config = StreamConfig {
-            predictor: PredictorConfig::default().with_external(),
+            require_external: true,
             ..StreamConfig::default()
         };
         let mut engine = StreamEngine::new(config);

@@ -24,7 +24,7 @@
 //!   per-blade/cabinet external-event hotness, eviction past the window so
 //!   memory is O(window), not O(history).
 //! * [`engine`] — [`engine::StreamEngine`]: incremental failure detection
-//!   and the `PredictorConfig` predictor rehosted on the stream, with
+//!   and the batch predictor (`AlertRaiser`) rehosted on the stream, with
 //!   per-alert lead-time bookkeeping.
 //! * [`sink`] — pluggable alert sinks (stderr text, JSONL).
 //! * [`follow`] — polling directory tailer for `hpc-watch --follow`:

@@ -23,6 +23,7 @@
 
 use hpc_diagnosis::detection::{DetectedFailure, TerminalKind};
 use hpc_diagnosis::lead_time::{is_external_indicator, is_indicative_internal};
+use hpc_diagnosis::windows::EXTERNAL_WINDOW;
 use hpc_diagnosis::{EntityIndex, Postings};
 use hpc_logs::event::{ControllerScope, LogEvent, Payload};
 use hpc_logs::time::{SimDuration, SimTime};
@@ -85,16 +86,16 @@ impl SlidingWindow {
     }
 
     /// Whether `node`'s blade logged an external indicator within
-    /// `[at − lookback, at]` — the sliding-window equivalent of the batch
-    /// `blade_external_between(blade, at − lookback, at + 1ms)` +
+    /// `[at − EXTERNAL_WINDOW, at]` — the sliding-window equivalent of the
+    /// batch `blade_external_between(blade, at − window, at + 1ms)` +
     /// [`is_external_indicator`] query, down to sharing the posting-list
-    /// range search. Requires `lookback` ≤ the window length (enforced by
-    /// the engine's config clamp), else evicted events would silently
-    /// widen the answer to "no".
-    pub fn backed_by_external(&self, node: NodeId, at: SimTime, lookback: SimDuration) -> bool {
+    /// range search. Requires [`EXTERNAL_WINDOW`] ≤ the window length
+    /// (enforced by the engine's config clamp), else evicted events would
+    /// silently widen the answer to "no".
+    pub fn backed_by_external(&self, node: NodeId, at: SimTime) -> bool {
         debug_assert!(
-            lookback <= self.window,
-            "lookback {lookback:?} exceeds window {:?}",
+            EXTERNAL_WINDOW <= self.window,
+            "external window exceeds retention {:?}",
             self.window
         );
         let probe = DetectedFailure {
@@ -102,7 +103,7 @@ impl SlidingWindow {
             time: at,
             terminal: TerminalKind::SchedulerDown,
         };
-        let from = at.saturating_sub(lookback);
+        let from = at.saturating_sub(EXTERNAL_WINDOW);
         self.blade_external
             .range(&node.blade(), from, at + SimDuration::from_millis(1))
             .any(|e| is_external_indicator(e, &probe))
@@ -188,20 +189,20 @@ mod tests {
     #[test]
     fn backed_by_external_matches_lookback_bounds() {
         let mut w = SlidingWindow::new(SimDuration::from_hours(6));
-        let lb = SimDuration::from_hours(2);
+        let lb = EXTERNAL_WINDOW;
         w.insert(&nvf(1_000, 4));
         let node = NodeId(4);
         // In range (inclusive of `at` and of `at - lookback`).
-        assert!(w.backed_by_external(node, SimTime::from_millis(1_000), lb));
-        assert!(w.backed_by_external(node, SimTime::from_millis(1_000) + lb, lb));
+        assert!(w.backed_by_external(node, SimTime::from_millis(1_000)));
+        assert!(w.backed_by_external(node, SimTime::from_millis(1_000) + lb));
         // Out of range: before the correlate, or past the lookback.
-        assert!(!w.backed_by_external(node, SimTime::from_millis(999), lb));
-        assert!(!w.backed_by_external(node, SimTime::from_millis(1_001) + lb, lb));
+        assert!(!w.backed_by_external(node, SimTime::from_millis(999)));
+        assert!(!w.backed_by_external(node, SimTime::from_millis(1_001) + lb));
         // A different blade sees nothing. Nodes 0..=3 share blade 0 with
         // nobody relevant — pick a node on another blade.
         let other = NodeId(64);
         assert_ne!(other.blade(), node.blade());
-        assert!(!w.backed_by_external(other, SimTime::from_millis(1_000), lb));
+        assert!(!w.backed_by_external(other, SimTime::from_millis(1_000)));
     }
 
     #[test]

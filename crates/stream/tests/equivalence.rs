@@ -17,7 +17,7 @@
 
 use std::sync::OnceLock;
 
-use hpc_diagnosis::prediction::{raise_alerts, PredictorConfig};
+use hpc_diagnosis::prediction::raise_alerts;
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_faultsim::Scenario;
 use hpc_logs::parse::split_timestamp;
@@ -78,7 +78,7 @@ fn feed_source_sequential(engine: &mut StreamEngine, archive: &LogArchive) {
     engine.release();
 }
 
-fn assert_equivalent(engine: &StreamEngine, batch: &Diagnosis, predictor: &PredictorConfig) {
+fn assert_equivalent(engine: &StreamEngine, batch: &Diagnosis, require_external: bool) {
     let stats = engine.stats();
     assert_eq!(stats.late_events, 0, "no event may be dropped as late");
     assert_eq!(
@@ -86,13 +86,12 @@ fn assert_equivalent(engine: &StreamEngine, batch: &Diagnosis, predictor: &Predi
         batch.failures.as_slice(),
         "streamed failures must equal batch detection"
     );
-    let batch_alerts = raise_alerts(batch, predictor);
+    let batch_alerts = raise_alerts(batch, require_external);
     assert_eq!(
         engine.alerts(),
         batch_alerts.as_slice(),
         "streamed alerts must equal batch raise_alerts \
-         (require_external={})",
-        predictor.require_external
+         (require_external={require_external})"
     );
     assert!(stats.events > 0 && stats.failures > 0 && stats.alerts > 0);
 }
@@ -101,17 +100,13 @@ fn run(feed: impl Fn(&mut StreamEngine, &LogArchive), config: StreamConfig) {
     let fx = fixture();
     for require_external in [false, true] {
         let config = StreamConfig {
-            predictor: PredictorConfig {
-                require_external,
-                ..config.predictor
-            },
+            require_external,
             ..config
         };
         let mut engine = StreamEngine::new(config);
         feed(&mut engine, &fx.archive);
         engine.finish();
-        let predictor = engine.config().predictor;
-        assert_equivalent(&engine, &fx.batch, &predictor);
+        assert_equivalent(&engine, &fx.batch, require_external);
     }
 }
 

@@ -8,7 +8,7 @@
 
 use hpc_node_failures::diagnosis::advisor::{advise, render_advisories};
 use hpc_node_failures::diagnosis::jobs::JobLog;
-use hpc_node_failures::diagnosis::prediction::{compare, PredictorConfig};
+use hpc_node_failures::diagnosis::prediction::compare;
 use hpc_node_failures::diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_node_failures::faultsim::Scenario;
 use hpc_node_failures::platform::SystemId;
@@ -17,7 +17,7 @@ fn main() {
     let out = Scenario::new(SystemId::S1, 2, 28, 2024).run();
     let d = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());
 
-    let cmp = compare(&d, &PredictorConfig::default());
+    let cmp = compare(&d);
     println!("predictor            | alerts | precision | recall | mean lead");
     println!("---------------------+--------+-----------+--------+----------");
     for (name, ev) in [

@@ -88,7 +88,7 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--stdin" => opts.stdin = true,
             "--follow" => opts.follow = Some(PathBuf::from(args.value())),
-            "--require-external" => opts.config.predictor.require_external = true,
+            "--require-external" => opts.config.require_external = true,
             "--watermark-mins" => opts.config.watermark = SimDuration::from_mins(args.parsed()),
             "--window-mins" => opts.config.window = SimDuration::from_mins(args.parsed()),
             "--poll-ms" => opts.poll = Duration::from_millis(args.parsed()),
