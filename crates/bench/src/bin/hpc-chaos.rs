@@ -18,7 +18,8 @@
 //!   and events gained never exceed `duplicated lines × RECORD_SLACK`;
 //! * **clean is exact**: the zero-corruption batch cell reproduces the
 //!   golden report byte-identically (and matches the in-memory pipeline),
-//!   the zero-corruption stream cell reproduces batch detection, and the
+//!   the zero-corruption stream cell reproduces batch detection, alerts
+//!   and score (predicted, missed, false positives), and the
 //!   store cell round-trips the diagnosis through a persisted segment
 //!   store (`Diagnosis::save_store` → `from_store`) byte-identically —
 //!   then proves a bit-flipped segment fails the reopen cleanly;
@@ -32,7 +33,7 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use hpc_diagnosis::jobs::JobLog;
-use hpc_diagnosis::prediction::raise_alerts;
+use hpc_diagnosis::prediction::evaluate;
 use hpc_diagnosis::report;
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_faultsim::chaos::{ChaosFeed, ChaosSpec, Intensity, Pathology, RECORD_SLACK};
@@ -316,7 +317,8 @@ fn run_store_cell(clean: &Diagnosis, total_lines: u64, fixture: &str, in_memory:
 }
 
 /// Runs one stream cell. For the clean cell (`batch_reference` set) the
-/// engine must reproduce batch detection exactly with nothing late.
+/// engine must reproduce batch detection, alerts and score exactly with
+/// nothing late.
 fn run_stream_cell(
     archive: &LogArchive,
     spec: &ChaosSpec,
@@ -379,10 +381,26 @@ fn run_stream_cell(
                     cell.violations
                         .push("clean replay failures != batch detection".into());
                 }
-                let batch_alerts = raise_alerts(batch, engine.config().require_external);
-                if engine.alerts() != batch_alerts.as_slice() {
+                let ev = evaluate(batch, engine.config().require_external);
+                if engine.alerts() != ev.alerts.as_slice() {
                     cell.violations
                         .push("clean replay alerts != batch alerts".into());
+                }
+                let live = (
+                    stats.predicted_failures,
+                    stats.missed_failures,
+                    stats.expired_alerts,
+                );
+                let scored = (
+                    ev.predicted_failures as u64,
+                    ev.missed_failures as u64,
+                    ev.false_positives as u64,
+                );
+                if live != scored {
+                    cell.violations.push(format!(
+                        "clean replay (predicted, missed, expired) {live:?} != \
+                         batch (predicted, missed, false positives) {scored:?}"
+                    ));
                 }
                 if cell.failures == 0 {
                     cell.violations.push("clean cell found no failures".into());

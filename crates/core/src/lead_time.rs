@@ -18,11 +18,12 @@
 
 use hpc_logs::event::{ConsoleDetail, ControllerDetail, ErdDetail, LogEvent, Payload};
 use hpc_logs::time::{SimDuration, MILLIS_PER_WEEK};
+use hpc_platform::NodeId;
 
 use crate::detection::DetectedFailure;
 use crate::pipeline::Diagnosis;
-use crate::prediction::raise_alerts;
-use crate::windows::{FAILURE_HORIZON, LOOKBACK};
+use crate::prediction::evaluate;
+use crate::windows::LOOKBACK;
 
 /// Whether a console event is fault-indicative (a precursor worth flagging,
 /// not a terminal signature and not benign chatter).
@@ -46,23 +47,23 @@ pub fn is_indicative_internal(event: &LogEvent) -> bool {
     }
 }
 
-/// Whether an event is an *external indicator* for `failure`'s node: a
-/// node-scoped controller/ERD fault, or a blade-scoped health fault on the
-/// failed node's blade.
-pub fn is_external_indicator(event: &LogEvent, failure: &DetectedFailure) -> bool {
+/// Whether an event is an *external indicator* for `node`: a node-scoped
+/// controller/ERD fault against it, or a blade-scoped health fault on its
+/// blade.
+pub fn is_external_indicator(event: &LogEvent, node: NodeId) -> bool {
     match &event.payload {
         Payload::Controller { scope, detail } => match detail {
-            ControllerDetail::NodeHeartbeatFault { node }
-            | ControllerDetail::NodeVoltageFault { node }
-            | ControllerDetail::L0SysdMce { node } => *node == failure.node,
+            ControllerDetail::NodeHeartbeatFault { node: n }
+            | ControllerDetail::NodeVoltageFault { node: n }
+            | ControllerDetail::L0SysdMce { node: n } => *n == node,
             ControllerDetail::BcHeartbeatFault
             | ControllerDetail::ModuleHealthFault
-            | ControllerDetail::EcbFault { .. } => scope.blade() == Some(failure.node.blade()),
+            | ControllerDetail::EcbFault { .. } => scope.blade() == Some(node.blade()),
             _ => false,
         },
         Payload::Erd { detail, .. } => match detail {
-            ErdDetail::HwError { node, .. } => *node == failure.node,
-            ErdDetail::L0Failed => event.subject_blade() == Some(failure.node.blade()),
+            ErdDetail::HwError { node: n, .. } => *n == node,
+            ErdDetail::L0Failed => event.subject_blade() == Some(node.blade()),
             _ => false,
         },
         _ => false,
@@ -107,7 +108,7 @@ pub fn lead_times(d: &Diagnosis) -> Vec<LeadTimeRecord> {
             let ext_from = f.time.saturating_sub(d.config.external_window);
             let external = d
                 .blade_external_between(f.node.blade(), ext_from, f.time)
-                .find(|e| is_external_indicator(e, f))
+                .find(|e| is_external_indicator(e, f.node))
                 .map(|e| f.time.since(e.time));
             LeadTimeRecord {
                 failure: *f,
@@ -256,26 +257,23 @@ fn fp_pct(flags: usize, tp: usize) -> f64 {
 }
 
 /// Evaluates both predictors over the whole window, as two readings of
-/// the internal-only online predictor ([`raise_alerts`]).
+/// the internal-only online predictor scored by [`evaluate`].
 ///
 /// Every alert it raises is an internal *flag*: an indicative internal
 /// event, at most one per node per [`crate::windows::DEBOUNCE`]. A flag
 /// the predictor found backed by an external correlate is also a combined
-/// flag. A flag is a true positive if its node fails within
-/// [`FAILURE_HORIZON`] at or after it (no −2 min slack, unlike the
-/// fault→failure correspondence).
+/// flag. A flag is a true positive if the scorer settled it as a hit: its
+/// node fails within [`crate::windows::FAILURE_HORIZON`] at or after it
+/// (no −2 min slack, unlike the fault→failure correspondence).
 pub fn false_positive_analysis(d: &Diagnosis) -> FalsePositiveComparison {
+    let ev = evaluate(d, false);
     let mut out = FalsePositiveComparison::default();
-    for alert in raise_alerts(d, false) {
-        let fails = d
-            .store()
-            .first_failure_in(alert.node, alert.time, alert.time + FAILURE_HORIZON)
-            .is_some();
+    for (alert, &hit) in ev.alerts.iter().zip(&ev.hit) {
         out.internal_flags += 1;
-        out.internal_tp += usize::from(fails);
+        out.internal_tp += usize::from(hit);
         if alert.backed_by_external {
             out.combined_flags += 1;
-            out.combined_tp += usize::from(fails);
+            out.combined_tp += usize::from(hit);
         }
     }
     out

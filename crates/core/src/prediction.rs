@@ -11,10 +11,12 @@
 //! The evaluation is strictly *causal*: an alert at time *t* may only use
 //! events at or before *t*.
 
+use std::collections::{HashMap, VecDeque};
+
 use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::NodeId;
 
-use crate::detection::{DetectedFailure, TerminalKind};
+use crate::detection::{DetectedFailure, DEDUP_WINDOW};
 use crate::lead_time::{is_external_indicator, is_indicative_internal};
 use crate::pipeline::Diagnosis;
 use crate::windows::{DEBOUNCE, FAILURE_HORIZON};
@@ -35,6 +37,9 @@ pub struct Alert {
 pub struct Evaluation {
     /// All alerts raised, chronological.
     pub alerts: Vec<Alert>,
+    /// Per alert, in `alerts` order: whether a failure of its node followed
+    /// within the horizon (a hit) or not (a false positive).
+    pub hit: Vec<bool>,
     /// Alerts followed by a failure of that node within the horizon.
     pub true_positives: usize,
     /// Alerts with no such failure.
@@ -74,53 +79,109 @@ fn ratio(n: usize, d: usize) -> f64 {
     }
 }
 
+/// The one scorer of the predictor, shared by the batch evaluator
+/// ([`evaluate`]) and the streaming engine (`hpc-stream`): it alone decides
+/// whether an alert was a hit and what lead time a failure got.
+///
+/// Fed alerts and finalized failures in time order, it keeps each alert
+/// until the clock is more than [`FAILURE_HORIZON`] + [`DEDUP_WINDOW`] past
+/// it (the slack covers failures finalized late by dedup). A failure makes
+/// every kept alert of its node with `alert ≤ failure ≤ alert + horizon` a
+/// hit, and its lead runs from the earliest of them. An alert that leaves
+/// without ever being hit is a false positive.
+#[derive(Debug, Default)]
+pub struct Scorer {
+    /// Kept alerts per node, oldest first, with whether a failure hit them.
+    kept: HashMap<NodeId, VecDeque<(SimTime, bool)>>,
+    /// The same alerts in arrival order, the order they leave in.
+    order: VecDeque<(SimTime, NodeId)>,
+}
+
+impl Scorer {
+    /// Takes the next alert; alerts arrive in time order.
+    pub fn alert(&mut self, alert: &Alert) {
+        self.kept
+            .entry(alert.node)
+            .or_default()
+            .push_back((alert.time, false));
+        self.order.push_back((alert.time, alert.node));
+    }
+
+    /// Scores a finalized failure: its lead from the earliest kept alert of
+    /// its node within the horizon before it, or `None` if it was missed.
+    pub fn failure(&mut self, failure: &DetectedFailure) -> Option<SimDuration> {
+        let mut earliest = None;
+        for (time, hit) in self.kept.get_mut(&failure.node)? {
+            if *time <= failure.time && failure.time.since(*time) <= FAILURE_HORIZON {
+                *hit = true;
+                earliest.get_or_insert(*time);
+            }
+        }
+        earliest.map(|t| failure.time.since(t))
+    }
+
+    /// Settles the alerts the clock `now` has left behind, oldest first,
+    /// handing `settled` whether each was a hit.
+    pub fn expire(&mut self, now: SimTime, mut settled: impl FnMut(bool)) {
+        while let Some(&(time, node)) = self.order.front() {
+            if now.since(time) <= FAILURE_HORIZON + DEDUP_WINDOW {
+                break;
+            }
+            self.order.pop_front();
+            settled(self.settle(node));
+        }
+    }
+
+    /// Settles every kept alert (end of stream), oldest first.
+    pub fn finish(&mut self, mut settled: impl FnMut(bool)) {
+        while let Some((_, node)) = self.order.pop_front() {
+            settled(self.settle(node));
+        }
+    }
+
+    /// Alerts kept and not yet settled.
+    pub fn outstanding(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Drops `node`'s oldest kept alert (the front of `order`). A node's
+    /// queue outlives its alerts: there are at most as many as nodes.
+    fn settle(&mut self, node: NodeId) -> bool {
+        let oldest = self.kept.get_mut(&node).and_then(VecDeque::pop_front);
+        oldest.expect("every ordered alert is kept").1
+    }
+}
+
 /// Runs the predictor (externally gated when `require_external`) over a
-/// diagnosis and evaluates it against the detected failures: an alert
-/// predicts a failure of its node within [`FAILURE_HORIZON`].
+/// diagnosis and scores it against the detected failures with [`Scorer`],
+/// alerts and failures merged by time (alerts first on a tie).
 pub fn evaluate(d: &Diagnosis, require_external: bool) -> Evaluation {
     let alerts = raise_alerts(d, require_external);
-
-    let mut tp = 0;
-    let mut fp = 0;
-    for a in &alerts {
-        // Binary search on the store's per-node failure-time index; alerts
-        // have no −2 min slack (strictly causal, unlike fails_within).
-        let hit = d
-            .store()
-            .first_failure_in(a.node, a.time, a.time + FAILURE_HORIZON)
-            .is_some();
-        if hit {
-            tp += 1;
-        } else {
-            fp += 1;
-        }
-    }
-
+    let mut scorer = Scorer::default();
+    let mut hit = Vec::with_capacity(alerts.len());
+    let mut pending = alerts.iter().peekable();
     let mut predicted = 0;
-    let mut missed = 0;
     let mut lead_sum_mins = 0.0;
     for f in &d.failures {
-        let earliest_alert = alerts
-            .iter()
-            .filter(|a| {
-                a.node == f.node && a.time <= f.time && f.time.since(a.time) <= FAILURE_HORIZON
-            })
-            .map(|a| a.time)
-            .min();
-        match earliest_alert {
-            Some(t) => {
-                predicted += 1;
-                lead_sum_mins += f.time.since(t).as_mins_f64();
-            }
-            None => missed += 1,
+        while let Some(a) = pending.next_if(|a| a.time <= f.time) {
+            scorer.alert(a);
+        }
+        scorer.expire(f.time, |h| hit.push(h));
+        if let Some(lead) = scorer.failure(f) {
+            predicted += 1;
+            lead_sum_mins += lead.as_mins_f64();
         }
     }
+    pending.for_each(|a| scorer.alert(a));
+    scorer.finish(|h| hit.push(h));
+    let true_positives = hit.iter().filter(|&&h| h).count();
     Evaluation {
+        false_positives: alerts.len() - true_positives,
         alerts,
-        true_positives: tp,
-        false_positives: fp,
+        hit,
+        true_positives,
         predicted_failures: predicted,
-        missed_failures: missed,
+        missed_failures: d.failures.len() - predicted,
         mean_lead_mins: if predicted > 0 {
             lead_sum_mins / predicted as f64
         } else {
@@ -184,7 +245,7 @@ fn alert_trigger(event: &hpc_logs::LogEvent) -> Option<AlertTrigger> {
 #[derive(Debug, Clone)]
 pub struct AlertRaiser {
     require_external: bool,
-    last_alert: std::collections::HashMap<NodeId, SimTime>,
+    last_alert: HashMap<NodeId, SimTime>,
 }
 
 impl AlertRaiser {
@@ -260,14 +321,9 @@ pub fn raise_alerts(d: &Diagnosis, require_external: bool) -> Vec<Alert> {
         .classes_events(crate::store::EventClass::ALERT_TRIGGERS)
     {
         let alert = raiser.offer(e, |node| {
-            let probe = DetectedFailure {
-                node,
-                time: e.time,
-                terminal: TerminalKind::SchedulerDown,
-            };
             let ext_from = e.time.saturating_sub(d.config.external_window);
             d.blade_external_between(node.blade(), ext_from, e.time + SimDuration::from_millis(1))
-                .any(|x| is_external_indicator(x, &probe))
+                .any(|x| is_external_indicator(x, node))
         });
         alerts.extend(alert);
     }
@@ -438,18 +494,13 @@ mod tests {
             let mut streamed = Vec::new();
             for e in d.events() {
                 streamed.extend(raiser.offer(e, |node| {
-                    let probe = DetectedFailure {
-                        node,
-                        time: e.time,
-                        terminal: TerminalKind::SchedulerDown,
-                    };
                     let ext_from = e.time.saturating_sub(d.config.external_window);
                     d.blade_external_between(
                         node.blade(),
                         ext_from,
                         e.time + SimDuration::from_millis(1),
                     )
-                    .any(|x| is_external_indicator(x, &probe))
+                    .any(|x| is_external_indicator(x, node))
                 }));
             }
             assert_eq!(streamed, batch, "require_external={require_external}");

@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use hpc_diagnosis::detection::{DetectedFailure, TerminalKind};
 use hpc_diagnosis::external::{nhf_correspondence, nvf_correspondence, FaultCorrespondence};
 use hpc_diagnosis::jobs::{
     overallocation_analysis, shared_job_groups, JobLog, OverallocationJob, SharedJobGroup,
@@ -19,6 +18,7 @@ use hpc_diagnosis::lead_time::{
     false_positive_analysis, is_external_indicator, is_indicative_internal, lead_times,
     FalsePositiveComparison, LeadTimeRecord,
 };
+use hpc_diagnosis::prediction::{evaluate, raise_alerts, Evaluation};
 use hpc_diagnosis::root_cause::PatternCensus;
 use hpc_diagnosis::windows::{FAILURE_HORIZON, LOOKBACK};
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
@@ -221,7 +221,7 @@ fn naive_lead_times(d: &Diagnosis) -> Vec<LeadTimeRecord> {
                 .map(|e| f.time.since(e.time));
             let ext_from = f.time.saturating_sub(d.config.external_window);
             let external = naive_blade_external(d, f.node.blade(), ext_from, f.time)
-                .find(|e| is_external_indicator(e, f))
+                .find(|e| is_external_indicator(e, f.node))
                 .map(|e| f.time.since(e.time));
             LeadTimeRecord {
                 failure: *f,
@@ -254,11 +254,6 @@ fn naive_false_positive_analysis(d: &Diagnosis) -> FalsePositiveComparison {
         if fails {
             out.internal_tp += 1;
         }
-        let pseudo_failure = DetectedFailure {
-            node,
-            time: e.time,
-            terminal: TerminalKind::SchedulerDown,
-        };
         let ext_from = e.time.saturating_sub(d.config.external_window);
         let has_external = naive_blade_external(
             d,
@@ -266,7 +261,7 @@ fn naive_false_positive_analysis(d: &Diagnosis) -> FalsePositiveComparison {
             ext_from,
             e.time + SimDuration::from_millis(1),
         )
-        .any(|x| is_external_indicator(x, &pseudo_failure));
+        .any(|x| is_external_indicator(x, node));
         if has_external {
             out.combined_flags += 1;
             if fails {
@@ -275,6 +270,61 @@ fn naive_false_positive_analysis(d: &Diagnosis) -> FalsePositiveComparison {
         }
     }
     out
+}
+
+/// The predictor's score the way it was first written: a failure-index
+/// lookup per alert, then a scan of every alert per failure.
+fn naive_evaluate(d: &Diagnosis, require_external: bool) -> Evaluation {
+    let alerts = raise_alerts(d, require_external);
+
+    let mut hit = Vec::with_capacity(alerts.len());
+    let mut tp = 0;
+    let mut fp = 0;
+    for a in &alerts {
+        let h = d
+            .store()
+            .first_failure_in(a.node, a.time, a.time + FAILURE_HORIZON)
+            .is_some();
+        hit.push(h);
+        if h {
+            tp += 1;
+        } else {
+            fp += 1;
+        }
+    }
+
+    let mut predicted = 0;
+    let mut missed = 0;
+    let mut lead_sum_mins = 0.0;
+    for f in &d.failures {
+        let earliest_alert = alerts
+            .iter()
+            .filter(|a| {
+                a.node == f.node && a.time <= f.time && f.time.since(a.time) <= FAILURE_HORIZON
+            })
+            .map(|a| a.time)
+            .min();
+        match earliest_alert {
+            Some(t) => {
+                predicted += 1;
+                lead_sum_mins += f.time.since(t).as_mins_f64();
+            }
+            None => missed += 1,
+        }
+    }
+    Evaluation {
+        alerts,
+        hit,
+        true_positives: tp,
+        false_positives: fp,
+        predicted_failures: predicted,
+        missed_failures: missed,
+        mean_lead_mins: if predicted > 0 {
+            lead_sum_mins / predicted as f64
+        } else {
+            0.0
+        },
+    }
 }
 
 fn naive_overallocation(d: &Diagnosis, jobs: &JobLog) -> Vec<OverallocationJob> {
@@ -356,15 +406,30 @@ proptest! {
         // Lead times, internal and external (Fig. 13).
         prop_assert_eq!(lead_times(&d), naive_lead_times(&d));
 
-        // False-positive comparison (Fig. 14). It reads the predictor, whose
-        // backing window is the diagnosis' external_window: pin it at the
+        // The predictor's score at both gate settings, and the
+        // false-positive comparison read from it (Fig. 14). The predictor's
+        // backing window is the diagnosis' external_window: pin both at the
         // ends of the ablation sweep too.
+        for require_external in [false, true] {
+            prop_assert_eq!(
+                evaluate(&d, require_external),
+                naive_evaluate(&d, require_external),
+                "require_external={}", require_external
+            );
+        }
         prop_assert_eq!(false_positive_analysis(&d), naive_false_positive_analysis(&d));
         for hours in [1, 24] {
             let swept = Diagnosis::from_events(d.events().to_vec(), 0, DiagnosisConfig {
                 external_window: SimDuration::from_hours(hours),
                 ..DiagnosisConfig::default()
             });
+            for require_external in [false, true] {
+                prop_assert_eq!(
+                    evaluate(&swept, require_external),
+                    naive_evaluate(&swept, require_external),
+                    "external_window {} h, require_external={}", hours, require_external
+                );
+            }
             prop_assert_eq!(
                 false_positive_analysis(&swept),
                 naive_false_positive_analysis(&swept),

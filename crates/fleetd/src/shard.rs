@@ -17,25 +17,19 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use hpc_diagnosis::detection::DetectedFailure;
-use hpc_diagnosis::prediction::Alert;
 use hpc_diagnosis::segment::Store;
 use hpc_logs::event::LogSource;
 use hpc_logs::render::render_into;
-use hpc_logs::time::{SimDuration, SimTime};
-use hpc_platform::NodeId;
+use hpc_logs::time::SimTime;
 use hpc_stream::drive::drive;
 pub use hpc_stream::drive::Feed;
-use hpc_stream::{AlertSink, FollowDir, StreamConfig, StreamEngine, StreamStats};
+use hpc_stream::{FollowDir, StreamConfig, StreamEngine, StreamStats};
 
 use crate::snapshot::{SnapshotSlot, SystemSnapshot};
-
-/// Achieved lead times the shard retains for `/failures` annotation.
-const MAX_LEADS: usize = 4096;
 
 /// Optional cold-start backfill from a segment store directory.
 pub struct BackfillSpec {
@@ -75,28 +69,6 @@ impl ShardHandle {
     pub fn join(self) {
         let _ = self.join.join();
     }
-}
-
-/// Records achieved lead times as failures finalize, so snapshots can
-/// annotate `/failures` records exactly like `--alerts-jsonl` does.
-struct LeadSink {
-    leads: Arc<Mutex<Vec<(NodeId, SimTime, SimDuration)>>>,
-}
-
-impl AlertSink for LeadSink {
-    fn alert(&mut self, _alert: &Alert) {}
-
-    fn failure(&mut self, failure: &DetectedFailure, lead: Option<SimDuration>) {
-        if let Some(lead) = lead {
-            let mut leads = self.leads.lock().unwrap();
-            if leads.len() >= MAX_LEADS {
-                leads.drain(..MAX_LEADS / 2);
-            }
-            leads.push((failure.node, failure.time, lead));
-        }
-    }
-
-    fn flush(&mut self) {}
 }
 
 /// Spawns the shard thread. Backfill stores are opened and validated
@@ -144,11 +116,7 @@ fn run_shard(
     slot: Arc<SnapshotSlot>,
     shutdown: Arc<AtomicBool>,
 ) {
-    let leads = Arc::new(Mutex::new(Vec::new()));
     let mut engine = StreamEngine::new(config.stream);
-    engine.add_sink(Box::new(LeadSink {
-        leads: Arc::clone(&leads),
-    }));
 
     // The driver's observer: a snapshot is published exactly when this
     // digest of the observable state (engine stats, outstanding alerts,
@@ -169,14 +137,13 @@ fn run_shard(
         }
         last_key = key;
         generation += 1;
-        let leads = leads.lock().unwrap().clone();
         slot.publish(SystemSnapshot::capture(
             &config.name,
             generation,
             finished,
             engine,
             follow.map(FollowDir::health),
-            &leads,
+            engine.leads(),
         ));
     };
 

@@ -15,6 +15,7 @@
 //! the generation is the `ETag` a client echoes back in `If-None-Match`
 //! to get a body-less `304 Not Modified`.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hpc_diagnosis::detection::{DetectedFailure, TerminalKind};
@@ -113,7 +114,8 @@ impl SystemSnapshot {
         }
     }
 
-    /// Captures the observable state of `engine` as generation `generation`.
+    /// Captures the observable state of `engine` as generation `generation`,
+    /// annotating failures with their `(node, time, lead)` entry in `leads`.
     pub fn capture(
         system: &str,
         generation: u64,
@@ -123,6 +125,8 @@ impl SystemSnapshot {
         leads: &[(NodeId, SimTime, SimDuration)],
     ) -> SystemSnapshot {
         let w = engine.window();
+        let lead_of: HashMap<(NodeId, SimTime), SimDuration> =
+            leads.iter().map(|&(n, t, l)| ((n, t), l)).collect();
         let alerts = engine
             .alerts()
             .iter()
@@ -145,10 +149,7 @@ impl SystemSnapshot {
                 node: f.node,
                 time: f.time,
                 terminal: f.terminal,
-                lead: leads
-                    .iter()
-                    .find(|(n, t, _)| *n == f.node && *t == f.time)
-                    .map(|(_, _, l)| *l),
+                lead: lead_of.get(&(f.node, f.time)).copied(),
             })
             .collect();
         SystemSnapshot {

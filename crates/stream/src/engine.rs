@@ -2,10 +2,11 @@
 //!
 //! [`StreamEngine`] composes the watermarked [`crate::merger::StreamMerger`]
 //! with the bounded [`crate::window::SlidingWindow`], the incremental
-//! failure detector and the causal [`AlertRaiser`], and drives pluggable
-//! [`AlertSink`]s. Feeding it a finished archive and calling
-//! [`StreamEngine::finish`] reproduces the batch pipeline's detected
-//! failures and alert set exactly (`tests/equivalence.rs`).
+//! failure detector, the causal [`AlertRaiser`] and the batch evaluator's
+//! own [`Scorer`], and drives pluggable [`AlertSink`]s. Feeding it a
+//! finished archive and calling [`StreamEngine::finish`] reproduces the
+//! batch pipeline's detected failures, alert set and score exactly
+//! (`tests/equivalence.rs`).
 //!
 //! Events are processed in *equal-time cohorts*: all events of one
 //! timestamp enter the sliding window before any of them is offered to the
@@ -13,12 +14,11 @@
 //! bound `t + 1ms` includes same-timestamp external correlates regardless
 //! of merge order within the tick.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use hpc_diagnosis::detection::{DetectedFailure, IncrementalDetector, DEDUP_WINDOW};
-use hpc_diagnosis::prediction::{Alert, AlertRaiser};
-use hpc_diagnosis::windows::{EXTERNAL_WINDOW, FAILURE_HORIZON};
+use hpc_diagnosis::detection::{DetectedFailure, IncrementalDetector};
+use hpc_diagnosis::prediction::{Alert, AlertRaiser, Scorer};
+use hpc_diagnosis::windows::EXTERNAL_WINDOW;
 use hpc_logs::event::{LogEvent, LogSource};
 use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::NodeId;
@@ -54,70 +54,6 @@ impl Default for StreamConfig {
     }
 }
 
-/// An alert awaiting its failure (or expiry), for lead-time bookkeeping.
-#[derive(Debug, Clone, Copy)]
-struct Outstanding {
-    alert: Alert,
-    matched: bool,
-}
-
-/// Per-node outstanding-alert ledger: matches finalized failures to their
-/// earliest live alert and expires alerts that never saw one.
-#[derive(Debug, Default)]
-struct LeadTracker {
-    outstanding: HashMap<NodeId, VecDeque<Outstanding>>,
-}
-
-impl LeadTracker {
-    fn offer(&mut self, alert: Alert) {
-        self.outstanding
-            .entry(alert.node)
-            .or_default()
-            .push_back(Outstanding {
-                alert,
-                matched: false,
-            });
-    }
-
-    /// The achieved lead of `failure`: its node's earliest outstanding
-    /// alert within [`FAILURE_HORIZON`], if any.
-    fn on_failure(&mut self, failure: &DetectedFailure) -> Option<SimDuration> {
-        let deque = self.outstanding.get_mut(&failure.node)?;
-        // Front-to-back = oldest first; the first in-horizon hit is the
-        // earliest alert, matching the batch evaluator's `min()`.
-        let hit = deque.iter_mut().find(|o| {
-            o.alert.time <= failure.time && failure.time.since(o.alert.time) <= FAILURE_HORIZON
-        })?;
-        hit.matched = true;
-        Some(failure.time.since(hit.alert.time))
-    }
-
-    /// Drops alerts that can no longer predict anything. The slack past the
-    /// horizon covers dedup-delayed failure finalization. Returns how many
-    /// expired unmatched (live false positives).
-    fn expire(&mut self, now: SimTime, horizon: SimDuration) -> u64 {
-        let cutoff = horizon + DEDUP_WINDOW;
-        let mut unmatched = 0;
-        self.outstanding.retain(|_, deque| {
-            while deque
-                .front()
-                .is_some_and(|o| now.since(o.alert.time) > cutoff)
-            {
-                let o = deque.pop_front().expect("front checked");
-                if !o.matched {
-                    unmatched += 1;
-                }
-            }
-            !deque.is_empty()
-        });
-        unmatched
-    }
-
-    fn len(&self) -> usize {
-        self.outstanding.values().map(|d| d.len()).sum()
-    }
-}
-
 /// Point-in-time summary of the engine, for status lines and run reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
@@ -137,7 +73,8 @@ pub struct StreamStats {
     pub predicted_failures: u64,
     /// Failures without one.
     pub missed_failures: u64,
-    /// Alerts expired with no failure (live false positives).
+    /// Alerts whose horizon passed with no failure of their node (live
+    /// false positives, equal to the batch evaluator's).
     pub expired_alerts: u64,
     /// Events currently buffered in the merger awaiting release.
     pub merger_buffered: usize,
@@ -158,10 +95,11 @@ pub struct StreamEngine {
     window: SlidingWindow,
     detector: IncrementalDetector,
     raiser: AlertRaiser,
-    lead: LeadTracker,
+    scorer: Scorer,
     sinks: Vec<Box<dyn AlertSink + Send>>,
     alerts: Vec<Alert>,
     failures: Vec<DetectedFailure>,
+    leads: Vec<(NodeId, SimTime, SimDuration)>,
     released: Vec<LogEvent>,
     scratch_failures: Vec<DetectedFailure>,
     synced: MergerStats,
@@ -194,10 +132,11 @@ impl StreamEngine {
             window: SlidingWindow::new(config.window),
             detector: IncrementalDetector::new(),
             raiser: AlertRaiser::new(config.require_external),
-            lead: LeadTracker::default(),
+            scorer: Scorer::default(),
             sinks: Vec::new(),
             alerts: Vec::new(),
             failures: Vec::new(),
+            leads: Vec::new(),
             released: Vec::new(),
             scratch_failures: Vec::new(),
             synced: MergerStats::default(),
@@ -246,7 +185,7 @@ impl StreamEngine {
     }
 
     /// Ends the stream: drains the merger, finalizes open incidents and
-    /// expires outstanding alerts. The failure list is then sorted by
+    /// settles outstanding alerts. The failure list is then sorted by
     /// `(time, node)` — the batch order.
     pub fn finish(&mut self) {
         self.merger.finish();
@@ -258,11 +197,10 @@ impl StreamEngine {
             self.finalize_failure(f);
         }
         self.scratch_failures = done;
-        // Every outstanding alert is now either matched or a false
+        // Every failure is in: each outstanding alert is a hit or a false
         // positive.
-        let expired = self
-            .lead
-            .expire(SimTime::from_millis(u64::MAX), SimDuration::ZERO);
+        let mut expired = 0;
+        self.scorer.finish(|hit| expired += u64::from(!hit));
         self.stats.expired_alerts += expired;
         self.c_expired.add(expired);
         self.failures.sort_by_key(|f| (f.time, f.node));
@@ -310,7 +248,8 @@ impl StreamEngine {
             }
             self.scratch_failures = done;
             self.window.advance(t);
-            let expired = self.lead.expire(t, FAILURE_HORIZON);
+            let mut expired = 0;
+            self.scorer.expire(t, |hit| expired += u64::from(!hit));
             self.stats.expired_alerts += expired;
             self.c_expired.add(expired);
             i = j;
@@ -354,12 +293,12 @@ impl StreamEngine {
         for sink in &mut self.sinks {
             sink.alert(&alert);
         }
-        self.lead.offer(alert);
+        self.scorer.alert(&alert);
         self.alerts.push(alert);
     }
 
     fn finalize_failure(&mut self, failure: DetectedFailure) {
-        let lead = self.lead.on_failure(&failure);
+        let lead = self.scorer.failure(&failure);
         self.stats.failures += 1;
         self.c_failures.inc();
         match lead {
@@ -367,6 +306,7 @@ impl StreamEngine {
                 self.stats.predicted_failures += 1;
                 self.c_predicted.inc();
                 self.h_lead_mins.record(l.as_mins_f64() as u64);
+                self.leads.push((failure.node, failure.time, l));
             }
             None => {
                 self.stats.missed_failures += 1;
@@ -391,9 +331,15 @@ impl StreamEngine {
         &self.failures
     }
 
-    /// Outstanding (not yet matched or expired) alerts.
+    /// `(node, time, lead)` of every predicted failure, in finalization
+    /// order.
+    pub fn leads(&self) -> &[(NodeId, SimTime, SimDuration)] {
+        &self.leads
+    }
+
+    /// Alerts not yet settled as a hit or a false positive.
     pub fn outstanding_alerts(&self) -> usize {
-        self.lead.len()
+        self.scorer.outstanding()
     }
 
     /// Current counters and gauges.
@@ -410,7 +356,10 @@ impl StreamEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpc_logs::event::{ConsoleDetail, ControllerDetail, ControllerScope, Payload};
+    use hpc_diagnosis::prediction::evaluate;
+    use hpc_diagnosis::windows::FAILURE_HORIZON;
+    use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
+    use hpc_logs::event::{ConsoleDetail, ControllerDetail, ControllerScope, PanicReason, Payload};
     use hpc_logs::render::render;
     use hpc_platform::system::SchedulerKind;
 
@@ -426,6 +375,18 @@ mod tests {
             payload: Payload::Console {
                 node: NodeId(node),
                 detail: ConsoleDetail::CpuStall { cpu: 0 },
+            },
+        }
+    }
+
+    fn panic(ms: u64, node: u32) -> LogEvent {
+        LogEvent {
+            time: SimTime::from_millis(ms),
+            payload: Payload::Console {
+                node: NodeId(node),
+                detail: ConsoleDetail::KernelPanic {
+                    reason: PanicReason::FatalMce,
+                },
             },
         }
     }
@@ -530,5 +491,55 @@ mod tests {
         assert!(stats.lines >= 2);
         assert_eq!(stats.late_events, 0);
         assert_eq!(stats.window_peak, 2);
+    }
+
+    #[test]
+    fn every_alert_the_failure_follows_within_the_horizon_is_a_hit() {
+        // Two alerts on one node 2 h apart, then a panic 3 h after the
+        // first: both alerts predicted it, and the lead runs from the first.
+        let hour = SimDuration::from_hours(1).as_millis();
+        let mut engine = StreamEngine::new(StreamConfig::default());
+        for e in [stall(0, 3), stall(2 * hour, 3), panic(3 * hour, 3)] {
+            feed(&mut engine, &e);
+        }
+        engine.finish();
+        let stats = engine.stats();
+        assert_eq!(stats.alerts, 2);
+        assert_eq!(stats.expired_alerts, 0);
+        assert_eq!(stats.predicted_failures, 1);
+        assert_eq!(
+            engine.leads(),
+            &[(
+                NodeId(3),
+                SimTime::from_millis(3 * hour),
+                SimDuration::from_hours(3)
+            )]
+        );
+        assert_eq!(engine.outstanding_alerts(), 0);
+    }
+
+    #[test]
+    fn horizon_end_is_inclusive_in_batch_and_live() {
+        // A failure exactly FAILURE_HORIZON after the alert is a hit; one
+        // millisecond later it is not — in the batch evaluator and live.
+        let horizon = FAILURE_HORIZON.as_millis();
+        for (gap, hit) in [(horizon, true), (horizon + 1, false)] {
+            let events = vec![stall(60_000, 3), panic(60_000 + gap, 3)];
+            let mut engine = StreamEngine::new(StreamConfig::default());
+            for e in &events {
+                feed(&mut engine, e);
+            }
+            engine.finish();
+            let batch = evaluate(
+                &Diagnosis::from_events(events, 0, DiagnosisConfig::default()),
+                false,
+            );
+            assert_eq!(batch.hit, [hit], "gap {gap} ms");
+            assert_eq!(batch.predicted_failures, usize::from(hit));
+            let stats = engine.stats();
+            assert_eq!(stats.failures, 1);
+            assert_eq!(stats.predicted_failures, u64::from(hit), "gap {gap} ms");
+            assert_eq!(stats.expired_alerts, u64::from(!hit), "gap {gap} ms");
+        }
     }
 }

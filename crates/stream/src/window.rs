@@ -9,7 +9,7 @@
 //!
 //! * per-node timestamps of *fault-indicative internal* symptoms,
 //! * per-blade external (controller/ERD) events, cloned whole so
-//!   [`is_external_indicator`] can be applied against a probe,
+//!   [`is_external_indicator`] can be applied to them,
 //! * per-cabinet external timestamps (hotness only),
 //!
 //! and evicts everything older than the configured window on
@@ -21,7 +21,6 @@
 //! code. Memory is proportional to event density × window length,
 //! independent of stream lifetime.
 
-use hpc_diagnosis::detection::{DetectedFailure, TerminalKind};
 use hpc_diagnosis::lead_time::{is_external_indicator, is_indicative_internal};
 use hpc_diagnosis::windows::EXTERNAL_WINDOW;
 use hpc_diagnosis::{EntityIndex, Postings};
@@ -98,15 +97,10 @@ impl SlidingWindow {
             "external window exceeds retention {:?}",
             self.window
         );
-        let probe = DetectedFailure {
-            node,
-            time: at,
-            terminal: TerminalKind::SchedulerDown,
-        };
         let from = at.saturating_sub(EXTERNAL_WINDOW);
         self.blade_external
             .range(&node.blade(), from, at + SimDuration::from_millis(1))
-            .any(|e| is_external_indicator(e, &probe))
+            .any(|e| is_external_indicator(e, node))
     }
 
     /// Evicts everything older than `now − window`.

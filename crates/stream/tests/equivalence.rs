@@ -1,7 +1,9 @@
 //! Streaming-vs-batch equivalence: replaying a finished two-week S1
-//! archive through [`StreamEngine`] yields the same detected-failure set
-//! and the same alert set as the batch [`Diagnosis`] pipeline, for
-//! external gating both off and on, under the default 10-minute watermark.
+//! archive through [`StreamEngine`] yields the same detected-failure set,
+//! the same alert set and the same score (predicted and missed failures,
+//! hits and false positives) as the batch [`Diagnosis`] pipeline and its
+//! evaluator, for external gating both off and on, under the default
+//! 10-minute watermark.
 //!
 //! Two arrival patterns are exercised:
 //!
@@ -17,7 +19,7 @@
 
 use std::sync::OnceLock;
 
-use hpc_diagnosis::prediction::raise_alerts;
+use hpc_diagnosis::prediction::evaluate;
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_faultsim::Scenario;
 use hpc_logs::parse::split_timestamp;
@@ -86,13 +88,30 @@ fn assert_equivalent(engine: &StreamEngine, batch: &Diagnosis, require_external:
         batch.failures.as_slice(),
         "streamed failures must equal batch detection"
     );
-    let batch_alerts = raise_alerts(batch, require_external);
+    let ev = evaluate(batch, require_external);
     assert_eq!(
         engine.alerts(),
-        batch_alerts.as_slice(),
+        ev.alerts.as_slice(),
         "streamed alerts must equal batch raise_alerts \
          (require_external={require_external})"
     );
+    // Live score equals batch score: one scorer settles every alert.
+    assert_eq!(
+        (
+            stats.predicted_failures,
+            stats.missed_failures,
+            stats.alerts - stats.expired_alerts,
+            stats.expired_alerts
+        ),
+        (
+            ev.predicted_failures as u64,
+            ev.missed_failures as u64,
+            ev.true_positives as u64,
+            ev.false_positives as u64
+        ),
+        "(predicted, missed, hits, false positives), require_external={require_external}"
+    );
+    assert_eq!(engine.outstanding_alerts(), 0, "finish settles every alert");
     assert!(stats.events > 0 && stats.failures > 0 && stats.alerts > 0);
 }
 
