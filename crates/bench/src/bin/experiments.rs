@@ -36,6 +36,9 @@ fn main() {
     let Some(first) = ids.first() else {
         flags.usage()
     };
+    if ids.len() > 1 && ids.iter().any(|id| id == "all" || id == "list") {
+        flags.refuse("`all` and `list` take no other experiment id");
+    }
     if first == "list" {
         eprintln!("{USAGE}\n\navailable experiments:");
         for e in EXPERIMENTS {

@@ -70,8 +70,9 @@ fn parse_args() -> Options {
             _ => args.usage(),
         }
     }
-    if opts.cabinets == 0 {
-        // A system has at least one cabinet; the topology cannot be empty.
+    if opts.cabinets == 0 || opts.days == 0 {
+        // A system has at least one cabinet, and a zero-day archive holds
+        // no failures for any cell to score.
         args.usage();
     }
     opts

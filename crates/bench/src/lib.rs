@@ -18,6 +18,7 @@ pub mod figs_jobs;
 pub mod figs_lead;
 pub mod figs_time;
 pub mod tables;
+pub mod truth;
 pub mod validation;
 
 /// One registered experiment.

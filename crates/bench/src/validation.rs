@@ -8,34 +8,15 @@
 use std::fmt::Write;
 
 use hpc_diagnosis::lead_time::{false_positive_analysis, lead_times, summarize};
-use hpc_diagnosis::root_cause::{classify_all, InferredCause};
+use hpc_diagnosis::root_cause::last_oops;
 use hpc_diagnosis::stack_trace::{origin_by_vote, origin_first_frames, TraceOrigin};
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_faultsim::{Scenario, TrueRootCause};
-use hpc_logs::event::{ConsoleDetail, Payload};
 use hpc_logs::time::SimDuration;
 use hpc_platform::SystemId;
 
 use crate::common::header;
-
-fn expected(cause: TrueRootCause) -> InferredCause {
-    match cause {
-        TrueRootCause::HardwareMce => InferredCause::HardwareMce,
-        TrueRootCause::CpuCorruption => InferredCause::CpuCorruption,
-        TrueRootCause::MemoryFailSlow => InferredCause::MemoryFailSlow,
-        TrueRootCause::NodeVoltage => InferredCause::VoltageFault,
-        TrueRootCause::InterconnectFailure => InferredCause::InterconnectFailure,
-        TrueRootCause::LustreBug => InferredCause::LustreBug,
-        TrueRootCause::KernelBug => InferredCause::KernelBug,
-        TrueRootCause::DriverFirmwareBug => InferredCause::DriverFirmware,
-        TrueRootCause::AppMemoryExhaustion => InferredCause::MemoryExhaustion,
-        TrueRootCause::AppAbnormalExit => InferredCause::AppAbnormalExit,
-        TrueRootCause::AppFsBug => InferredCause::AppFsBug,
-        TrueRootCause::UnknownBios => InferredCause::UnknownBios,
-        TrueRootCause::UnknownL0Mce => InferredCause::UnknownL0,
-        TrueRootCause::OperatorShutdown => InferredCause::Unknown,
-    }
-}
+use crate::truth::Accuracy;
 
 /// Cross-validation of the whole pipeline against ground truth.
 pub fn validation() -> String {
@@ -53,38 +34,17 @@ pub fn validation() -> String {
     ] {
         let out = Scenario::new(system, 2, 28, seed).run();
         let d = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());
-        let classified = classify_all(&d);
-
-        let mut detected = 0;
-        let mut exact = 0;
-        let mut class_ok = 0;
-        for truth in &out.truth.failures {
-            let Some((_, inferred)) = classified.iter().find(|(f, _)| {
-                f.node == truth.node && f.time.abs_diff(truth.time) <= SimDuration::from_mins(10)
-            }) else {
-                continue;
-            };
-            detected += 1;
-            if *inferred == expected(truth.cause) {
-                exact += 1;
-            }
-            if inferred.class().name() == truth.cause.class().name() {
-                class_ok += 1;
-            }
-        }
-        let injected = out.truth.failures.len();
-        let recall = 100.0 * detected as f64 / injected.max(1) as f64;
-        let precision = 100.0 * detected as f64 / d.failures.len().max(1) as f64;
+        let acc = Accuracy::of(&out.truth.failures, &d);
         let _ = writeln!(
             s,
             "  {:>6} | {:>8} | {:>8} | {:>5.1}% | {:>8.1}% | {:>10.1}% | {:>10.1}%",
             system.name(),
-            injected,
-            d.failures.len(),
-            recall,
-            precision,
-            100.0 * exact as f64 / detected.max(1) as f64,
-            100.0 * class_ok as f64 / detected.max(1) as f64
+            acc.injected,
+            acc.detected,
+            100.0 * acc.recall(),
+            100.0 * acc.precision(),
+            100.0 * acc.exact_rate(),
+            100.0 * acc.class_rate()
         );
     }
     s
@@ -149,24 +109,14 @@ pub fn ablation_trace() -> String {
             TrueRootCause::LustreBug => TraceOrigin::FileSystem,
             _ => continue,
         };
-        // Find the last oops trace preceding this failure.
-        let from = truth.time.saturating_sub(SimDuration::from_mins(30));
-        let mut trace: Option<Vec<_>> = None;
-        for e in d.node_events_between(truth.node, from, truth.time + SimDuration::from_millis(1)) {
-            if let Payload::Console {
-                detail: ConsoleDetail::KernelOops { modules, .. },
-                ..
-            } = &e.payload
-            {
-                trace = Some(modules.clone());
-            }
-        }
-        let Some(modules) = trace else { continue };
+        let Some(modules) = last_oops(&d, truth.node, truth.time) else {
+            continue;
+        };
         total += 1;
-        if origin_first_frames(&modules) == want {
+        if origin_first_frames(modules) == want {
             ff_ok += 1;
         }
-        if origin_by_vote(&modules) == want {
+        if origin_by_vote(modules) == want {
             vote_ok += 1;
         }
     }

@@ -33,6 +33,8 @@ fn chaos_rejects_bad_command_lines_with_usage() {
             &["--cabinets", "4294967297"],
             // Regression: zero cabinets panicked inside the topology RNG.
             &["--cabinets", "0"],
+            // Zero days ran every cell on an empty archive and failed them all.
+            &["--days", "0"],
         ],
     );
 }
@@ -47,6 +49,9 @@ fn experiments_rejects_bad_command_lines_with_usage() {
             &["table1", "--out"],
             // An unknown id is refused before any experiment runs.
             &["table1", "fig99"],
+            // `all` and `list` stand alone; an extra id was silently ignored.
+            &["all", "fig3"],
+            &["list", "fig3"],
         ],
     );
 }

@@ -163,8 +163,12 @@ pub fn nhf_breakdown_weekly(d: &Diagnosis) -> Vec<NhfWeek> {
     weeks.into_values().collect()
 }
 
+/// How long after a heartbeat fault a controller power-off still explains
+/// it (Fig. 6's "powered off" slice).
+const POWER_OFF_WINDOW: SimDuration = SimDuration::from_hours(1);
+
 fn power_off_follows(d: &Diagnosis, node: NodeId, t: SimTime) -> bool {
-    d.node_events_between(node, t, t + SimDuration::from_hours(1))
+    d.node_events_between(node, t, t + POWER_OFF_WINDOW)
         .any(|e| {
             matches!(
                 e.payload,

@@ -232,10 +232,14 @@ pub struct OverallocationJob {
     pub failed_overallocated: usize,
 }
 
+/// How long after an overallocated job's end a failure of one of its
+/// overallocated nodes still counts against it (Fig. 17): the scheduler may
+/// log the job's end before the node's terminal signature.
+const OVERALLOCATION_SLACK: SimDuration = SimDuration::from_mins(10);
+
 /// Computes the Fig. 17 analysis: for each job with overallocation
 /// warnings, how many of the overallocated nodes failed while it ran.
 pub fn overallocation_analysis(d: &Diagnosis, jobs: &JobLog) -> Vec<OverallocationJob> {
-    let slack = SimDuration::from_mins(10);
     jobs.jobs()
         .filter(|j| !j.overallocated_nodes.is_empty())
         .map(|j| {
@@ -245,7 +249,7 @@ pub fn overallocation_analysis(d: &Diagnosis, jobs: &JobLog) -> Vec<Overallocati
                 .iter()
                 .filter(|n| {
                     d.store()
-                        .first_failure_in(**n, j.start, end + slack)
+                        .first_failure_in(**n, j.start, end + OVERALLOCATION_SLACK)
                         .is_some()
                 })
                 .count();
@@ -398,28 +402,6 @@ mod tests {
             assert!(r.overallocated <= r.allocated);
             assert!(r.failed_overallocated <= r.overallocated);
         }
-    }
-
-    #[test]
-    fn shared_job_groups_exist_for_app_bursts() {
-        let (d, jobs, out) = run(3, 21);
-        let groups = shared_job_groups(&d, &jobs, 2);
-        assert!(!groups.is_empty(), "no shared-job failure groups");
-        // Cross-check one group against ground truth: those failures
-        // really were injected with that job.
-        let mut confirmed = 0;
-        for g in &groups {
-            for (node, time) in g.nodes.iter().zip(&g.times) {
-                if out.truth.failures.iter().any(|f| {
-                    f.node == *node
-                        && f.job == Some(g.job)
-                        && f.time.abs_diff(*time) <= SimDuration::from_mins(10)
-                }) {
-                    confirmed += 1;
-                }
-            }
-        }
-        assert!(confirmed >= 2, "group membership not confirmed by truth");
     }
 
     #[test]

@@ -34,6 +34,10 @@ pub struct CaseStudy {
     pub inference: &'static str,
 }
 
+/// Two CPU-corruption failures further apart than this make Table V case 2
+/// "temporally dispersed".
+const DISPERSION_GAP: SimDuration = SimDuration::from_hours(2);
+
 /// Searches the diagnosis for instances of the five Table V archetypes.
 /// Archetypes with no instance in this window are omitted.
 pub fn case_studies(d: &Diagnosis, jobs: &JobLog) -> Vec<CaseStudy> {
@@ -76,7 +80,7 @@ fn case_studies_from(
     if cpu.len() >= 2 {
         let dispersed = cpu
             .windows(2)
-            .any(|w| w[1].time.since(w[0].time) > SimDuration::from_hours(2));
+            .any(|w| w[1].time.since(w[0].time) > DISPERSION_GAP);
         if dispersed {
             out.push(CaseStudy {
                 title: "dispersed failures with H/W error → MCE → kernel oops pattern",

@@ -21,7 +21,7 @@ use hpc_logs::event::{
     ConsoleDetail, ControllerDetail, LogEvent, NhcTest, PanicReason, Payload, SchedulerDetail,
     StackModule,
 };
-use hpc_logs::time::SimDuration;
+use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::NodeId;
 
 use crate::detection::{DetectedFailure, TerminalKind};
@@ -178,12 +178,30 @@ impl Fig16Bucket {
     }
 }
 
+/// The node's events in its precursor window `[t − LOOKBACK, t + 1 ms)`:
+/// the context a failure at `t` is classified from, its terminal included.
+pub(crate) fn precursor_window(
+    d: &Diagnosis,
+    node: NodeId,
+    t: SimTime,
+) -> impl Iterator<Item = &LogEvent> {
+    d.node_events_between(
+        node,
+        t.saturating_sub(LOOKBACK),
+        t + SimDuration::from_millis(1),
+    )
+}
+
+/// The module frames of the last kernel oops in the precursor window of a
+/// failure of `node` at `t`: the trace the classifier reads its stack-trace
+/// origin from.
+pub fn last_oops(d: &Diagnosis, node: NodeId, t: SimTime) -> Option<&[StackModule]> {
+    last_oops_modules(&precursor_window(d, node, t).collect::<Vec<_>>())
+}
+
 /// Classifies one detected failure from the node's log context.
 pub fn classify(d: &Diagnosis, failure: &DetectedFailure) -> InferredCause {
-    let from = failure.time.saturating_sub(LOOKBACK);
-    let to = failure.time + SimDuration::from_millis(1);
-    let window: Vec<&LogEvent> = d.node_events_between(failure.node, from, to).collect();
-
+    let window: Vec<_> = precursor_window(d, failure.node, failure.time).collect();
     match failure.terminal {
         TerminalKind::Panic(reason) => classify_panic(reason, &window),
         TerminalKind::AdminDown => classify_admindown(&window),
@@ -461,58 +479,8 @@ impl PatternCensus {
 mod tests {
     use super::*;
     use crate::pipeline::DiagnosisConfig;
-    use hpc_faultsim::{Scenario, TrueRootCause};
-    use hpc_logs::time::SimDuration;
+    use hpc_faultsim::Scenario;
     use hpc_platform::SystemId;
-
-    fn expected(cause: TrueRootCause) -> InferredCause {
-        match cause {
-            TrueRootCause::HardwareMce => InferredCause::HardwareMce,
-            TrueRootCause::CpuCorruption => InferredCause::CpuCorruption,
-            TrueRootCause::MemoryFailSlow => InferredCause::MemoryFailSlow,
-            TrueRootCause::NodeVoltage => InferredCause::VoltageFault,
-            TrueRootCause::InterconnectFailure => InferredCause::InterconnectFailure,
-            TrueRootCause::LustreBug => InferredCause::LustreBug,
-            TrueRootCause::KernelBug => InferredCause::KernelBug,
-            TrueRootCause::DriverFirmwareBug => InferredCause::DriverFirmware,
-            TrueRootCause::AppMemoryExhaustion => InferredCause::MemoryExhaustion,
-            TrueRootCause::AppAbnormalExit => InferredCause::AppAbnormalExit,
-            TrueRootCause::AppFsBug => InferredCause::AppFsBug,
-            TrueRootCause::UnknownBios => InferredCause::UnknownBios,
-            TrueRootCause::UnknownL0Mce => InferredCause::UnknownL0,
-            TrueRootCause::OperatorShutdown => InferredCause::Unknown,
-        }
-    }
-
-    #[test]
-    fn classification_matches_ground_truth() {
-        let out = Scenario::new(SystemId::S1, 2, 14, 21).run();
-        let d = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());
-        let classified = classify_all(&d);
-        let mut exact = 0;
-        let mut class_ok = 0;
-        let mut matched = 0;
-        for truth in &out.truth.failures {
-            let Some((_, inferred)) = classified.iter().find(|(f, _)| {
-                f.node == truth.node && f.time.abs_diff(truth.time) <= SimDuration::from_mins(10)
-            }) else {
-                continue;
-            };
-            matched += 1;
-            let want = expected(truth.cause);
-            if *inferred == want {
-                exact += 1;
-            }
-            if inferred.class().name() == truth.cause.class().name() {
-                class_ok += 1;
-            }
-        }
-        assert!(matched > 30, "only {matched} failures matched");
-        let exact_rate = exact as f64 / matched as f64;
-        let class_rate = class_ok as f64 / matched as f64;
-        assert!(exact_rate > 0.85, "exact agreement {exact_rate}");
-        assert!(class_rate > 0.90, "class agreement {class_rate}");
-    }
 
     #[test]
     fn breakdown_percentages_sum_to_100() {

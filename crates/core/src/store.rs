@@ -609,6 +609,11 @@ pub struct EventStore {
     scanned: Arc<Counter>,
 }
 
+/// How long before a fault event a failure of its node still corresponds
+/// to it ([`EventStore::fails_within`]): a failure's terminal signature may
+/// land just before the fault event that announces it.
+const FAULT_SLACK: SimDuration = SimDuration::from_mins(2);
+
 impl EventStore {
     /// Builds every index in one pass over `events` (which must be
     /// chronological, as produced by the merge) and one pass over
@@ -866,17 +871,11 @@ impl EventStore {
         times.get(lo).copied().filter(|&t| t <= to)
     }
 
-    /// Does `node` fail within `[t − 2 min, t + horizon]` (both ends
-    /// inclusive)? The two-minute slack tolerates a failure's terminal
-    /// signature landing just before the fault event that announces it —
-    /// the fault→failure correspondence notion of Figs. 5/6.
+    /// Does `node` fail within `[t − FAULT_SLACK, t + horizon]` (both ends
+    /// inclusive)? The fault→failure correspondence notion of Figs. 5/6.
     pub fn fails_within(&self, node: NodeId, t: SimTime, horizon: SimDuration) -> bool {
-        self.first_failure_in(
-            node,
-            t.saturating_sub(SimDuration::from_mins(2)),
-            t + horizon,
-        )
-        .is_some()
+        let from = t.saturating_sub(FAULT_SLACK);
+        self.first_failure_in(node, from, t + horizon).is_some()
     }
 }
 
@@ -1045,22 +1044,22 @@ mod tests {
     }
 
     /// Pins the fault→failure correspondence boundary semantics: a failure
-    /// counts if it lands in `[t − 2 min, t + horizon]`, both ends
+    /// counts if it lands in `[t − FAULT_SLACK, t + horizon]`, both ends
     /// inclusive.
     #[test]
     fn fails_within_boundaries_are_inclusive() {
-        let two_min = SimDuration::from_mins(2);
         let horizon = SimDuration::from_hours(6);
         // Far enough in that `f − horizon − 1 ms` does not saturate to 0.
         let f_ms = 100_000_000u64;
         let s = EventStore::build(Vec::new(), &[failure(f_ms, 7)]);
         let f = SimTime::from_millis(f_ms);
         let node = NodeId(7);
-        // Fault exactly two minutes *after* the failure: still corresponds
-        // (the −2 min slack, inclusive).
-        assert!(s.fails_within(node, f + two_min, horizon));
+        // Fault exactly FAULT_SLACK *after* the failure: still corresponds
+        // (inclusive).
+        assert!(s.fails_within(node, f + FAULT_SLACK, horizon));
         // One millisecond later: out.
-        assert!(!s.fails_within(node, f + two_min + SimDuration::from_millis(1), horizon));
+        let just_over = FAULT_SLACK + SimDuration::from_millis(1);
+        assert!(!s.fails_within(node, f + just_over, horizon));
         // Fault exactly `horizon` before the failure: corresponds
         // (inclusive upper bound).
         assert!(s.fails_within(node, f.saturating_sub(horizon), horizon));
