@@ -26,10 +26,11 @@
 //! ```
 //!
 //! Endpoints: `/v1/systems`, `/v1/systems/{id}`, `/{id}/window`,
-//! `/{id}/alerts`, `/{id}/failures`, `/{id}/report` (cached, ETag/304),
-//! `/{id}/query` (with `--query-store`), `/metrics`. SIGINT/SIGTERM drain gracefully: the acceptor stops,
-//! in-flight responses complete, shards finish their engines, the final
-//! telemetry prints, exit 0.
+//! `/{id}/alerts`, `/{id}/failures`, `/{id}/report` (each of these five
+//! rendered once per generation, ETag/304), `/{id}/query` (with
+//! `--query-store`), `/metrics`. SIGINT/SIGTERM drain gracefully: the
+//! acceptor stops, in-flight responses complete, shards finish their
+//! engines, the final telemetry prints, exit 0.
 
 use std::net::TcpListener;
 use std::path::PathBuf;

@@ -13,7 +13,8 @@
 //! `Content-Length`/`Transfer-Encoding` header is a parse error (411/400)
 //! rather than a body we would have to drain.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
+use std::sync::Arc;
 
 use hpc_telemetry::json::JsonValue;
 
@@ -190,6 +191,12 @@ fn keep_alive(http11: bool, headers: &[(String, String)]) -> bool {
     }
 }
 
+/// `Content-Type` of every JSON body.
+pub(crate) const JSON: &str = "application/json";
+
+/// `Content-Type` of the plain-text report.
+pub(crate) const TEXT: &str = "text/plain; charset=utf-8";
+
 /// One response ready for serialisation.
 #[derive(Debug)]
 pub struct Response {
@@ -199,28 +206,20 @@ pub struct Response {
     pub content_type: &'static str,
     /// Extra headers (e.g. `ETag`, `Retry-After`).
     pub extra_headers: Vec<(String, String)>,
-    /// Response body; suppressed on `HEAD` and 304 (length still sent).
-    pub body: Vec<u8>,
+    /// Response body; a snapshot route shares its snapshot's cached bytes.
+    /// Suppressed on `HEAD` and 304, whose `Content-Length` is still the
+    /// body's.
+    pub body: Arc<[u8]>,
 }
 
 impl Response {
     /// A JSON response.
-    pub fn json(status: u16, body: String) -> Response {
+    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Response {
         Response {
             status,
-            content_type: "application/json",
+            content_type: JSON,
             extra_headers: Vec::new(),
-            body: body.into_bytes(),
-        }
-    }
-
-    /// A plain-text response.
-    pub fn text(status: u16, body: String) -> Response {
-        Response {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            extra_headers: Vec::new(),
-            body: body.into_bytes(),
+            body: body.into().into(),
         }
     }
 
@@ -241,23 +240,25 @@ impl Response {
 
     /// Serialises status line, headers and (unless suppressed) the body.
     pub fn write_to(&self, head_only: bool) -> Vec<u8> {
-        let mut head = String::with_capacity(256);
+        let body: &[u8] = if head_only || self.status == 304 {
+            &[]
+        } else {
+            &self.body
+        };
+        let mut out = Vec::with_capacity(256 + body.len());
         let _ = write!(
-            head,
-            "HTTP/1.1 {} {}\r\n",
+            out,
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
             self.status,
-            status_text(self.status)
+            status_text(self.status),
+            self.content_type,
+            self.body.len()
         );
-        let _ = write!(head, "Content-Type: {}\r\n", self.content_type);
-        let _ = write!(head, "Content-Length: {}\r\n", self.body.len());
         for (k, v) in &self.extra_headers {
-            let _ = write!(head, "{k}: {v}\r\n");
+            let _ = write!(out, "{k}: {v}\r\n");
         }
-        head.push_str("\r\n");
-        let mut out = head.into_bytes();
-        if !head_only && self.status != 304 {
-            out.extend_from_slice(&self.body);
-        }
+        out.extend_from_slice(b"\r\n");
+        out.extend_from_slice(body);
         out
     }
 }
@@ -453,9 +454,9 @@ mod tests {
         let text = String::from_utf8(busy.write_to(false)).unwrap();
         assert!(text.contains("Retry-After: 1\r\n"));
         // Clients (and the system benchmark) compare these bodies bytewise.
-        assert_eq!(m.body, b"{\"error\":\"method not allowed\"}");
-        assert_eq!(busy.body, b"{\"error\":\"server busy\"}");
+        assert_eq!(&*m.body, b"{\"error\":\"method not allowed\"}");
+        assert_eq!(&*busy.body, b"{\"error\":\"server busy\"}");
         let missing = Response::error(404, "no such resource");
-        assert_eq!(missing.body, b"{\"error\":\"no such resource\"}");
+        assert_eq!(&*missing.body, b"{\"error\":\"no such resource\"}");
     }
 }

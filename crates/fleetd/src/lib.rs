@@ -12,8 +12,10 @@
 //!   (`Store::load_range` backfill).
 //! - [`snapshot`] — the lock-light hand-off: shards publish immutable
 //!   `Arc<SystemSnapshot>`s into a [`snapshot::SnapshotSlot`]; HTTP
-//!   readers clone the `Arc` and never block ingest. Generations drive
-//!   the cached `/report` and its `ETag`/`If-None-Match` 304 path.
+//!   readers clone the `Arc` and never block ingest. Each body a snapshot
+//!   serves (summary, window, alerts, failures, report) is rendered once
+//!   per snapshot and shared; the generation is every body's `ETag`, and
+//!   a matching `If-None-Match` gets a 304.
 //! - [`http`] + [`server`] — a hand-rolled `std::net` threaded HTTP/1.1
 //!   server (the build environment is offline; no tokio, no hyper):
 //!   bounded worker pool, per-connection timeouts, pipelined keep-alive,

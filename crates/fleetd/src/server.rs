@@ -12,9 +12,10 @@
 //!
 //! Every connection gets read/write timeouts, so a stalled peer ties up
 //! one worker for at most one timeout, never forever. Responses are
-//! fully materialised before the first byte is written (they are small
-//! by construction — the largest is a cached report), so the write
-//! buffer is bounded and a slow consumer can only slow its own socket.
+//! fully materialised before the first byte is written (they are bounded
+//! by construction — a snapshot keeps at most `MAX_RECORDS` alerts and
+//! failures), so the write buffer is bounded and a slow consumer can only
+//! slow its own socket.
 //!
 //! Graceful drain: when the shutdown flag flips, the acceptor stops
 //! accepting and closes the queue; workers finish the connections they
@@ -33,10 +34,9 @@ use std::time::{Duration, Instant};
 
 use hpc_diagnosis::query::{self, RunError};
 use hpc_diagnosis::segment::{OpenError, Store};
-use hpc_telemetry::json::JsonValue;
 
 use crate::http::{parse_request, Method, Parse, Request, Response, MAX_HEAD_BYTES};
-use crate::snapshot::SnapshotSlot;
+use crate::snapshot::{Body, SnapshotSlot};
 
 /// Most requests served over one keep-alive connection before the server
 /// closes it — bounds how long a drain can take.
@@ -300,28 +300,27 @@ fn handle_connection(mut stream: TcpStream, fleet: &Fleet, shutdown: &AtomicBool
 }
 
 /// Maps one request to its response. Pure: no I/O beyond snapshot reads.
+///
+/// Every snapshot route answers from the snapshot's body cache under one
+/// conditional rule: the generation is the `ETag`, and a matching
+/// `If-None-Match` gets a 304 whose `Content-Length` is the cached body's.
 pub fn route(req: &Request, fleet: &Fleet) -> Response {
     let path = req.path.as_str();
     if path == "/metrics" {
         return Response::json(200, hpc_telemetry::snapshot().to_json());
     }
     if path == "/v1/systems" || path == "/v1/systems/" {
-        let systems: Vec<JsonValue> = fleet
-            .systems
-            .iter()
-            .map(|(_, slot)| slot.read().summary_json())
-            .collect();
-        return Response::json(
-            200,
-            JsonValue::Object(vec![
-                ("systems".to_string(), JsonValue::Array(systems)),
-                (
-                    "count".to_string(),
-                    JsonValue::Number(fleet.systems.len() as f64),
-                ),
-            ])
-            .to_string(),
-        );
+        // `{"systems":[<summary>,...],"count":N}`, spliced from the cached
+        // summaries: the bytes `JsonValue` would write for the same tree.
+        let mut listing = b"{\"systems\":[".to_vec();
+        for (i, (_, slot)) in fleet.systems.iter().enumerate() {
+            if i > 0 {
+                listing.push(b',');
+            }
+            listing.extend_from_slice(&slot.read().body(Body::Summary));
+        }
+        listing.extend_from_slice(format!("],\"count\":{}}}", fleet.systems.len()).as_bytes());
+        return Response::json(200, listing);
     }
     let Some(rest) = path.strip_prefix("/v1/systems/") else {
         return Response::error(404, "no such resource");
@@ -333,32 +332,63 @@ pub fn route(req: &Request, fleet: &Fleet) -> Response {
     let Some(slot) = fleet.slot(id) else {
         return Response::error(404, "no such system");
     };
-    let snap = slot.read();
-    match verb {
-        "" => Response::json(200, snap.summary_json().to_string()),
-        "window" => Response::json(200, snap.window_json().to_string()),
-        "alerts" => Response::json(200, snap.alerts_json().to_string()),
-        "failures" => Response::json(200, snap.failures_json().to_string()),
-        "query" => match fleet.query_store(id) {
-            Some(qs) => {
-                hpc_telemetry::counter("fleetd.query.requests").inc();
-                answer_query(req, qs)
+    let body = match verb {
+        "" => Body::Summary,
+        "window" => Body::Window,
+        "alerts" => Body::Alerts,
+        "failures" => Body::Failures,
+        "report" => Body::Report,
+        "query" => {
+            return match fleet.query_store(id) {
+                Some(qs) => {
+                    hpc_telemetry::counter("fleetd.query.requests").inc();
+                    answer_query(req, qs)
+                }
+                None => Response::error(404, "no query store configured for this system"),
             }
-            None => Response::error(404, "no query store configured for this system"),
-        },
-        "report" => {
-            let etag = snap.etag();
-            if req.header("if-none-match").is_some_and(|v| v == etag) {
-                hpc_telemetry::counter("fleetd.report.not_modified").inc();
-                let mut r = Response::text(304, String::new());
-                r.extra_headers.push(("ETag".to_string(), etag));
-                return r;
-            }
-            let mut r = Response::text(200, snap.report().to_string());
-            r.extra_headers.push(("ETag".to_string(), etag));
-            r
         }
-        _ => Response::error(404, "no such resource"),
+        _ => return Response::error(404, "no such resource"),
+    };
+    let snap = slot.read();
+    let etag = snap.etag();
+    let status = match req.header("if-none-match") {
+        Some(tags) if etag_listed(tags, &etag) => {
+            hpc_telemetry::counter("fleetd.http.not_modified").inc();
+            304
+        }
+        _ => 200,
+    };
+    Response {
+        status,
+        content_type: body.content_type(),
+        extra_headers: vec![("ETag".to_string(), etag)],
+        body: snap.body(body),
+    }
+}
+
+/// Whether an `If-None-Match` field value lists `etag` (RFC 9110
+/// §13.1.2): `*`, or a comma-separated list of entity tags compared
+/// weakly, so `W/"S1-g7"` matches `"S1-g7"`. A malformed member ends the
+/// list unmatched, which only ever costs the client a full 200.
+fn etag_listed(field: &str, etag: &str) -> bool {
+    if field.trim() == "*" {
+        return true;
+    }
+    let mut rest = field;
+    loop {
+        rest = rest.trim_start_matches([' ', '\t', ',']);
+        if rest.is_empty() {
+            return false;
+        }
+        let tag = rest.strip_prefix("W/").unwrap_or(rest);
+        let Some(end) = tag.strip_prefix('"').and_then(|t| t.find('"')) else {
+            return false;
+        };
+        let (opaque, after) = tag.split_at(end + 2);
+        if opaque == etag {
+            return true;
+        }
+        rest = after;
     }
 }
 
@@ -394,6 +424,7 @@ mod tests {
     use hpc_logs::time::SimTime;
     use hpc_platform::system::SchedulerKind;
     use hpc_platform::NodeId;
+    use hpc_telemetry::json::JsonValue;
 
     fn req(path: &str) -> Request {
         let (path, query) = match path.split_once('?') {
@@ -431,31 +462,111 @@ mod tests {
         assert_eq!(route(&req("/nope"), &f).status, 404);
     }
 
-    #[test]
-    fn report_etag_round_trips_to_304() {
-        let f = fleet();
-        let first = route(&req("/v1/systems/S1/report"), &f);
-        assert_eq!(first.status, 200);
-        let etag = first
-            .extra_headers
+    fn etag_of(resp: &Response) -> String {
+        resp.extra_headers
             .iter()
             .find(|(k, _)| k == "ETag")
             .map(|(_, v)| v.clone())
-            .expect("report carries an ETag");
+            .expect("snapshot routes carry an ETag")
+    }
 
-        let mut conditional = req("/v1/systems/S1/report");
-        conditional
-            .headers
-            .push(("if-none-match".to_string(), etag.clone()));
-        let second = route(&conditional, &f);
-        assert_eq!(second.status, 304);
+    fn conditional(path: &str, if_none_match: &str) -> Request {
+        let mut r = req(path);
+        r.headers
+            .push(("if-none-match".to_string(), if_none_match.to_string()));
+        r
+    }
 
-        // A different generation misses the cache.
-        let mut stale = req("/v1/systems/S1/report");
-        stale
-            .headers
-            .push(("if-none-match".to_string(), "\"S1-g999\"".to_string()));
-        assert_eq!(route(&stale, &f).status, 200);
+    #[test]
+    fn every_snapshot_route_round_trips_its_etag_to_304() {
+        let f = fleet();
+        for path in [
+            "/v1/systems/S1",
+            "/v1/systems/S1/window",
+            "/v1/systems/S1/alerts",
+            "/v1/systems/S1/failures",
+            "/v1/systems/S1/report",
+        ] {
+            let first = route(&req(path), &f);
+            assert_eq!(first.status, 200, "{path}");
+            let etag = etag_of(&first);
+            assert_eq!(etag, "\"S1-g0\"", "{path}");
+
+            for tags in [
+                etag.clone(),
+                format!("W/{etag}"),
+                format!("\"S1-g9\", {etag}"),
+                "*".to_string(),
+            ] {
+                let again = route(&conditional(path, &tags), &f);
+                assert_eq!(again.status, 304, "{path} with {tags}");
+                assert_eq!(etag_of(&again), etag);
+                // The 304 carries the cached 200 body's length, not 0, and
+                // writes no body.
+                assert!(Arc::ptr_eq(&again.body, &first.body), "{path}");
+                let length = format!("Content-Length: {}\r\n", first.body.len());
+                let wire = String::from_utf8(again.write_to(false)).unwrap();
+                assert!(wire.contains(&length), "{path}: {wire}");
+                assert!(wire.ends_with("\r\n\r\n"), "{path}: 304 has no body");
+            }
+
+            // A different generation misses the cache.
+            let stale = route(&conditional(path, "\"S1-g999\", W/\"S2-g0\""), &f);
+            assert_eq!(stale.status, 200, "{path}");
+            assert_eq!(stale.body, first.body);
+        }
+    }
+
+    #[test]
+    fn if_none_match_compares_weakly_over_a_list_or_star() {
+        let etag = "\"S1-g7\"";
+        for listed in [
+            "\"S1-g7\"",
+            "W/\"S1-g7\"",
+            "\"S1-g6\", \"S1-g7\"",
+            "\"S1-g6\",W/\"S1-g7\"",
+            " ,\"a,b\" ,\t\"S1-g7\" ",
+            "*",
+            " * ",
+        ] {
+            assert!(etag_listed(listed, etag), "{listed:?}");
+        }
+        for unlisted in [
+            "\"S1-g6\"",
+            "\"S1-g6\", W/\"S1-g8\"",
+            "\"S1-g70\"",
+            "S1-g7",
+            "\"S1-g7",
+            "w/\"S1-g7\"",
+            "\"\"",
+            "",
+            "*, \"S1-g6\"",
+        ] {
+            assert!(!etag_listed(unlisted, etag), "{unlisted:?}");
+        }
+    }
+
+    #[test]
+    fn systems_listing_splices_the_cached_summaries() {
+        let f = fleet();
+        let listing = route(&req("/v1/systems"), &f);
+        let summaries: Vec<JsonValue> = f
+            .systems
+            .iter()
+            .map(|(_, slot)| {
+                hpc_telemetry::json::parse(
+                    std::str::from_utf8(&slot.read().body(Body::Summary)).unwrap(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let tree = JsonValue::Object(vec![
+            ("systems".to_string(), JsonValue::Array(summaries)),
+            ("count".to_string(), JsonValue::Number(2.0)),
+        ]);
+        assert_eq!(&*listing.body, tree.to_string().as_bytes());
+        let empty = route(&req("/v1/systems"), &Fleet::new(Vec::new()));
+        assert_eq!(&*empty.body, b"{\"systems\":[],\"count\":0}");
     }
 
     fn query_fleet(dir: &std::path::Path) -> Fleet {
@@ -501,7 +612,7 @@ mod tests {
         // Count with a class filter comes straight from the catalogue.
         let resp = route(&req("/v1/systems/S1/query?verb=count&class=disk_error"), &f);
         assert_eq!(resp.status, 200);
-        let body = hpc_telemetry::json::parse(&String::from_utf8(resp.body).unwrap()).unwrap();
+        let body = hpc_telemetry::json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(body.get("count").unwrap().as_number(), Some(4.0));
 
         // Histogram and tail also answer.
@@ -509,7 +620,7 @@ mod tests {
         assert_eq!(hist.status, 200);
         let tail = route(&req("/v1/systems/S1/query?verb=tail&n=3"), &f);
         assert_eq!(tail.status, 200);
-        let body = hpc_telemetry::json::parse(&String::from_utf8(tail.body).unwrap()).unwrap();
+        let body = hpc_telemetry::json::parse(std::str::from_utf8(&tail.body).unwrap()).unwrap();
         assert_eq!(
             body.get("events")
                 .and_then(JsonValue::as_array)
@@ -560,7 +671,7 @@ mod tests {
             };
             let resp = route(&request, &f);
             assert_eq!(resp.status, 400, "{value:?}");
-            let body = hpc_telemetry::json::parse(&String::from_utf8(resp.body).unwrap())
+            let body = hpc_telemetry::json::parse(std::str::from_utf8(&resp.body).unwrap())
                 .unwrap_or_else(|e| panic!("{value:?}: body is not JSON: {e}"));
             assert_eq!(
                 body.get("error").and_then(JsonValue::as_str),
@@ -594,7 +705,7 @@ mod tests {
         let store = &f.query_store("S1").unwrap().store;
         let http = |url: &str| {
             let resp = route(&req(&format!("/v1/systems/S1/query?{url}")), &f);
-            (resp.status, String::from_utf8(resp.body).unwrap())
+            (resp.status, String::from_utf8(resp.body.to_vec()).unwrap())
         };
 
         let answered: [(&[&str], &str); 6] = [
@@ -664,21 +775,5 @@ mod tests {
             assert_eq!(http(url), (400, body.to_string()), "{url}");
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn systems_listing_counts_both_shards() {
-        let f = fleet();
-        let resp = route(&req("/v1/systems"), &f);
-        let body = String::from_utf8(resp.body).unwrap();
-        let v = hpc_telemetry::json::parse(&body).unwrap();
-        assert_eq!(v.get("count").unwrap().as_number(), Some(2.0));
-        assert_eq!(
-            v.get("systems")
-                .and_then(JsonValue::as_array)
-                .unwrap()
-                .len(),
-            2
-        );
     }
 }

@@ -9,11 +9,13 @@
 //! nothing: it holds an old snapshot, not a lock.
 //!
 //! Snapshots carry a monotonically increasing `generation`, bumped only
-//! when the observable state actually changed. The generation drives the
-//! `/report` cache: the report text is rendered lazily, at most once per
-//! snapshot (guarded by a `OnceLock` inside the immutable snapshot), and
-//! the generation is the `ETag` a client echoes back in `If-None-Match`
-//! to get a body-less `304 Not Modified`.
+//! when the observable state actually changed. Every body a snapshot
+//! serves — the summary, `/window`, `/alerts`, `/failures` and `/report` —
+//! is a pure function of it, so each is rendered lazily, at most once per
+//! snapshot (one `OnceLock` per `Body` inside the immutable snapshot),
+//! and handed out as shared bytes: a repeat read costs a refcount. The
+//! generation is the `ETag` of every one of those bodies, which a client
+//! echoes back in `If-None-Match` to get a body-less `304 Not Modified`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -24,6 +26,8 @@ use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::NodeId;
 use hpc_stream::{FollowHealth, StreamEngine, StreamStats};
 use hpc_telemetry::json::JsonValue;
+
+use crate::http::{JSON, TEXT};
 
 /// Most recent alerts/failures retained per snapshot. The totals in
 /// [`StreamStats`] are exact; the record lists are a bounded tail so a
@@ -71,12 +75,46 @@ pub struct WindowSummary {
     pub hottest_cabinet: Option<(String, usize)>,
 }
 
+/// The bodies a snapshot serves, each rendered at most once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Body {
+    /// `/v1/systems/{id}`, and its entry in the `/v1/systems` listing.
+    Summary,
+    /// `/v1/systems/{id}/window`.
+    Window,
+    /// `/v1/systems/{id}/alerts`.
+    Alerts,
+    /// `/v1/systems/{id}/failures`.
+    Failures,
+    /// `/v1/systems/{id}/report`, plain text.
+    Report,
+}
+
+impl Body {
+    /// Every body, in cache-slot order.
+    const ALL: [Body; 5] = [
+        Body::Summary,
+        Body::Window,
+        Body::Alerts,
+        Body::Failures,
+        Body::Report,
+    ];
+
+    /// `Content-Type` of the rendered body.
+    pub(crate) fn content_type(self) -> &'static str {
+        match self {
+            Body::Report => TEXT,
+            _ => JSON,
+        }
+    }
+}
+
 /// Immutable state of one system shard at one generation.
 #[derive(Debug)]
 pub struct SystemSnapshot {
     /// System name as configured (`S1`, …).
     pub system: String,
-    /// Monotonic change counter; also the `/report` ETag.
+    /// Monotonic change counter; also the ETag of every body.
     pub generation: u64,
     /// Whether the shard's feed has drained (replay complete / EOF).
     pub finished: bool,
@@ -92,8 +130,8 @@ pub struct SystemSnapshot {
     pub window: WindowSummary,
     /// Tailer health incl. the quarantined source set (follow mode only).
     pub follow: Option<FollowHealth>,
-    /// Report text, rendered at most once per snapshot.
-    report: OnceLock<String>,
+    /// Each [`Body`], rendered at most once per snapshot.
+    bodies: [OnceLock<Arc<str>>; Body::ALL.len()],
 }
 
 impl SystemSnapshot {
@@ -110,7 +148,7 @@ impl SystemSnapshot {
             failures: Vec::new(),
             window: WindowSummary::default(),
             follow: None,
-            report: OnceLock::new(),
+            bodies: Default::default(),
         }
     }
 
@@ -169,28 +207,45 @@ impl SystemSnapshot {
                 hottest_cabinet: w.hottest_cabinet().map(|(c, n)| (c.cname().to_string(), n)),
             },
             follow,
-            report: OnceLock::new(),
+            bodies: Default::default(),
         }
     }
 
-    /// The strong ETag of this snapshot's cached report.
+    /// The strong ETag of every body of this snapshot.
     pub fn etag(&self) -> String {
         format!("\"{}-g{}\"", self.system, self.generation)
     }
 
     /// The plain-text report, rendered once per snapshot and cached.
-    /// Concurrent readers race benignly: `OnceLock` keeps the first
-    /// rendering, so the per-generation cost is one render no matter how
-    /// many clients ask.
     pub fn report(&self) -> &str {
-        self.report.get_or_init(|| {
-            hpc_telemetry::counter("fleetd.report.renders").inc();
-            render_report(self)
+        self.rendered(Body::Report)
+    }
+
+    /// `body`'s bytes, shared: rendered on the first call, a refcount on
+    /// every later one.
+    pub(crate) fn body(&self, body: Body) -> Arc<[u8]> {
+        Arc::clone(self.rendered(body)).into()
+    }
+
+    /// `OnceLock` runs the renderer once while concurrent first readers
+    /// wait for it, so the per-generation cost is one render per body no
+    /// matter how many clients ask.
+    fn rendered(&self, body: Body) -> &Arc<str> {
+        self.bodies[body as usize].get_or_init(|| {
+            hpc_telemetry::counter("fleetd.snapshot.renders").inc();
+            let text = match body {
+                Body::Summary => self.summary_json().to_string(),
+                Body::Window => self.window_json().to_string(),
+                Body::Alerts => self.alerts_json().to_string(),
+                Body::Failures => self.failures_json().to_string(),
+                Body::Report => render_report(self),
+            };
+            text.into()
         })
     }
 
     /// Headline JSON for the `/v1/systems` listing.
-    pub fn summary_json(&self) -> JsonValue {
+    fn summary_json(&self) -> JsonValue {
         let n = |v: u64| JsonValue::Number(v as f64);
         JsonValue::Object(vec![
             ("system".to_string(), JsonValue::String(self.system.clone())),
@@ -212,7 +267,7 @@ impl SystemSnapshot {
     }
 
     /// Full window/merge state for `/v1/systems/{id}/window`.
-    pub fn window_json(&self) -> JsonValue {
+    fn window_json(&self) -> JsonValue {
         let n = |v: u64| JsonValue::Number(v as f64);
         let hot = |h: &Option<(String, usize)>| match h {
             Some((name, count)) => JsonValue::Object(vec![
@@ -249,7 +304,7 @@ impl SystemSnapshot {
 
     /// Alert list for `/v1/systems/{id}/alerts`, field-compatible with
     /// the `hpc-watch --alerts-jsonl` records.
-    pub fn alerts_json(&self) -> JsonValue {
+    fn alerts_json(&self) -> JsonValue {
         let n = |v: u64| JsonValue::Number(v as f64);
         let records = self
             .alerts
@@ -283,7 +338,7 @@ impl SystemSnapshot {
 
     /// Failure list for `/v1/systems/{id}/failures`, field-compatible
     /// with the `hpc-watch --alerts-jsonl` records.
-    pub fn failures_json(&self) -> JsonValue {
+    fn failures_json(&self) -> JsonValue {
         let n = |v: u64| JsonValue::Number(v as f64);
         let records = self
             .failures
@@ -451,15 +506,93 @@ mod tests {
         assert_eq!(before.generation, 0);
     }
 
+    /// A snapshot with every optional section present: alerts both
+    /// backed and not, failures with and without a lead, both hottest
+    /// locations and a follow section.
+    fn populated() -> SystemSnapshot {
+        let mut s = SystemSnapshot::empty("S3");
+        s.generation = 12;
+        s.finished = true;
+        s.stats.lines = 40_000;
+        s.stats.events = 31_250;
+        s.stats.alerts = 3;
+        s.stats.failures = 2;
+        s.stats.predicted_failures = 1;
+        s.stats.watermark_lag = SimDuration::from_millis(61_500);
+        s.outstanding_alerts = 1;
+        s.alerts = vec![
+            AlertRecord {
+                node: NodeId(5),
+                time: SimTime::from_millis(3_600_123),
+                backed_by_external: true,
+            },
+            AlertRecord {
+                node: NodeId(130),
+                time: SimTime::from_millis(7_200_000),
+                backed_by_external: false,
+            },
+        ];
+        s.failures = vec![
+            FailureRecord {
+                node: NodeId(5),
+                time: SimTime::from_millis(4_000_500),
+                terminal: TerminalKind::AdminDown,
+                lead: Some(SimDuration::from_millis(400_377)),
+            },
+            FailureRecord {
+                node: NodeId(77),
+                time: SimTime::from_millis(9_000_000),
+                terminal: TerminalKind::UnexpectedShutdown,
+                lead: None,
+            },
+        ];
+        s.window = WindowSummary {
+            retained: 420,
+            peak: 900,
+            evicted: 7,
+            symptomatic_nodes: 3,
+            hottest_blade: Some(("c0-0c0s1".to_string(), 12)),
+            hottest_cabinet: Some(("c0-0".to_string(), 30)),
+        };
+        s.follow = Some(FollowHealth {
+            stats: Default::default(),
+            quarantined_sources: vec![hpc_logs::event::LogSource::Erd],
+        });
+        s
+    }
+
     #[test]
-    fn report_renders_once_per_snapshot_and_etag_tracks_generation() {
-        let mut s = SystemSnapshot::empty("S2");
-        s.generation = 7;
-        assert_eq!(s.etag(), "\"S2-g7\"");
-        let a = s.report().as_ptr();
-        let b = s.report().as_ptr();
-        assert_eq!(a, b, "second call must hit the cache");
-        assert!(s.report().contains("generation 7"));
+    fn every_body_renders_once_and_equals_its_renderer() {
+        for s in [SystemSnapshot::empty("S2"), populated()] {
+            for body in Body::ALL {
+                let expected = match body {
+                    Body::Summary => s.summary_json().to_string(),
+                    Body::Window => s.window_json().to_string(),
+                    Body::Alerts => s.alerts_json().to_string(),
+                    Body::Failures => s.failures_json().to_string(),
+                    Body::Report => render_report(&s),
+                };
+                let first = s.body(body);
+                assert!(
+                    Arc::ptr_eq(&first, &s.body(body)),
+                    "{body:?}: second call must hit the cache"
+                );
+                assert_eq!(
+                    std::str::from_utf8(&first).unwrap(),
+                    expected,
+                    "{} {body:?}",
+                    s.system
+                );
+            }
+            assert_eq!(s.report().as_ptr(), s.body(Body::Report).as_ptr());
+        }
+    }
+
+    #[test]
+    fn etag_tracks_generation_and_report_reuses_core_findings() {
+        let s = populated();
+        assert_eq!(s.etag(), "\"S3-g12\"");
+        assert!(s.report().contains("generation 12"));
         assert!(s.report().contains("Findings"), "core findings reused");
     }
 }

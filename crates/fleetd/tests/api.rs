@@ -3,7 +3,7 @@
 //! The acceptance contract for fleetd: serving two systems concurrently,
 //! the live `/window` and `/alerts` responses must equal the state an
 //! `hpc-watch`-equivalent local engine computes over the same replayed
-//! feed; the cached `/report` must 304 on an unchanged generation; and
+//! feed; every cached snapshot body must 304 on an unchanged generation; and
 //! concurrent clients hammering `/v1/...` during live ingest must see no
 //! 5xx other than deliberate 503 backpressure, with every JSON body
 //! parsing.
@@ -251,37 +251,43 @@ fn two_systems_match_the_equivalent_watch_state() {
 }
 
 #[test]
-fn cached_report_serves_304_on_unchanged_generation() {
+fn every_snapshot_route_serves_304_on_unchanged_generation() {
     let d1 = tmpdir("etag");
     generate_feed(&d1, SystemId::S3, 7);
     let srv = Server::start(vec![replay_config("S3", &d1)], ServerConfig::default());
     srv.wait_all_finished();
 
-    let (status, head, body) = get(srv.addr, "/v1/systems/S3/report", "");
+    let (status, _, body) = get(srv.addr, "/v1/systems/S3/report", "");
     assert_eq!(status, 200);
-    let etag = header(&head, "ETag").expect("ETag on /report").to_string();
     let text = String::from_utf8(body).unwrap();
     assert!(text.contains("live diagnosis"), "{text}");
     assert!(text.contains("Findings"), "core findings section reused");
 
-    // Same generation: 304 with no body.
-    let (status, head, body) = get(
-        srv.addr,
+    for path in [
+        "/v1/systems/S3",
+        "/v1/systems/S3/window",
+        "/v1/systems/S3/alerts",
+        "/v1/systems/S3/failures",
         "/v1/systems/S3/report",
-        &format!("If-None-Match: {etag}\r\n"),
-    );
-    assert_eq!(status, 304, "unchanged generation must 304");
-    assert_eq!(header(&head, "ETag"), Some(etag.as_str()));
-    assert!(body.is_empty(), "304 carries no body");
+    ] {
+        let (status, head, body) = get(srv.addr, path, "");
+        assert_eq!(status, 200, "{path}");
+        let etag = header(&head, "ETag").expect("ETag").to_string();
+        let length = header(&head, "Content-Length").map(str::to_string);
+        assert_eq!(length, Some(body.len().to_string()), "{path}");
 
-    // A stale ETag still gets the full report.
-    let (status, _, body) = get(
-        srv.addr,
-        "/v1/systems/S3/report",
-        "If-None-Match: \"S3-g0\"\r\n",
-    );
-    assert_eq!(status, 200);
-    assert!(!body.is_empty());
+        // Same generation: 304, no body, and the 200's Content-Length.
+        let (status, head, body) = get(srv.addr, path, &format!("If-None-Match: {etag}\r\n"));
+        assert_eq!(status, 304, "{path}: unchanged generation must 304");
+        assert_eq!(header(&head, "ETag"), Some(etag.as_str()));
+        assert_eq!(header(&head, "Content-Length"), length.as_deref(), "{path}");
+        assert!(body.is_empty(), "{path}: 304 carries no body");
+
+        // A stale ETag still gets the full body.
+        let (status, _, body) = get(srv.addr, path, "If-None-Match: \"S3-g0\"\r\n");
+        assert_eq!(status, 200, "{path}");
+        assert_eq!(Some(body.len().to_string()), length, "{path}");
+    }
 
     srv.stop();
     let _ = std::fs::remove_dir_all(&d1);

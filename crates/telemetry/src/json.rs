@@ -6,6 +6,8 @@
 //! `f64` (every telemetry value fits well within the 2^53 exact-integer
 //! range).
 
+use std::fmt::{self, Write};
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -67,101 +69,112 @@ impl JsonValue {
     /// Pretty-printed serialisation (two-space indent).
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        let _ = self.write(&mut out, Some(2), 0);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    /// Serialises into `out` with no intermediate allocation: every piece
+    /// goes straight to the writer, so `to_string` builds one `String` and
+    /// `Display` writes into the caller's formatter.
+    fn write<W: Write>(&self, out: &mut W, indent: Option<usize>, depth: usize) -> fmt::Result {
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Null => out.write_str("null"),
+            JsonValue::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             JsonValue::Number(n) => write_number(out, *n),
             JsonValue::String(s) => write_string(out, s),
             JsonValue::Array(items) => {
                 if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                    return out.write_str("[]");
                 }
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    newline_indent(out, indent, depth + 1);
-                    item.write(out, indent, depth + 1);
+                    newline_indent(out, indent, depth + 1)?;
+                    item.write(out, indent, depth + 1)?;
                 }
-                newline_indent(out, indent, depth);
-                out.push(']');
+                newline_indent(out, indent, depth)?;
+                out.write_char(']')
             }
             JsonValue::Object(members) => {
                 if members.is_empty() {
-                    out.push_str("{}");
-                    return;
+                    return out.write_str("{}");
                 }
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in members.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    newline_indent(out, indent, depth + 1);
-                    write_string(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
+                    newline_indent(out, indent, depth + 1)?;
+                    write_string(out, k)?;
+                    out.write_str(if indent.is_some() { ": " } else { ":" })?;
+                    v.write(out, indent, depth + 1)?;
                 }
-                newline_indent(out, indent, depth);
-                out.push('}');
+                newline_indent(out, indent, depth)?;
+                out.write_char('}')
             }
         }
     }
 }
 
 /// Compact single-line serialisation (`value.to_string()`).
-impl std::fmt::Display for JsonValue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        f.write_str(&out)
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, None, 0)
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(w) = indent {
-        out.push('\n');
-        for _ in 0..w * depth {
-            out.push(' ');
-        }
+fn newline_indent<W: Write>(out: &mut W, indent: Option<usize>, depth: usize) -> fmt::Result {
+    const SPACES: &str = "                                ";
+    let Some(w) = indent else {
+        return Ok(());
+    };
+    out.write_char('\n')?;
+    let mut left = w * depth;
+    while left > 0 {
+        let n = left.min(SPACES.len());
+        out.write_str(&SPACES[..n])?;
+        left -= n;
     }
+    Ok(())
 }
 
-fn write_number(out: &mut String, n: f64) {
+fn write_number<W: Write>(out: &mut W, n: f64) -> fmt::Result {
     if !n.is_finite() {
         // JSON has no NaN/Inf; null is the conventional fallback.
-        out.push_str("null");
+        out.write_str("null")
     } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        out.push_str(&format!("{}", n as i64));
+        write!(out, "{}", n as i64)
     } else {
-        out.push_str(&format!("{n}"));
+        write!(out, "{n}")
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes `s` quoted, copying each run of characters that need no escape
+/// in one piece. Only ASCII bytes are ever escaped, so every cut lands on
+/// a character boundary.
+fn write_string<W: Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.write_str(&s[run..i])?;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// Parses a JSON document. Errors carry a byte offset and a short reason.
@@ -362,6 +375,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_compound_values() {
@@ -438,6 +452,203 @@ mod tests {
         let took = started.elapsed();
         assert_eq!(v.get("k").and_then(|k| k.as_str()), Some(&*(body + "\n")));
         assert!(took < std::time::Duration::from_secs(10), "took {took:?}");
+    }
+
+    /// The writer as it stood before it streamed into `fmt::Write`: one
+    /// `format!` per number and one push per string character. Frozen as
+    /// the byte-for-byte reference for the streaming writer; do not edit.
+    mod frozen {
+        use super::JsonValue;
+
+        pub fn compact(v: &JsonValue) -> String {
+            let mut out = String::new();
+            write(v, &mut out, None, 0);
+            out
+        }
+
+        pub fn pretty(v: &JsonValue) -> String {
+            let mut out = String::new();
+            write(v, &mut out, Some(2), 0);
+            out.push('\n');
+            out
+        }
+
+        fn write(v: &JsonValue, out: &mut String, indent: Option<usize>, depth: usize) {
+            match v {
+                JsonValue::Null => out.push_str("null"),
+                JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                JsonValue::Number(n) => write_number(out, *n),
+                JsonValue::String(s) => write_string(out, s),
+                JsonValue::Array(items) => {
+                    if items.is_empty() {
+                        out.push_str("[]");
+                        return;
+                    }
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        newline_indent(out, indent, depth + 1);
+                        write(item, out, indent, depth + 1);
+                    }
+                    newline_indent(out, indent, depth);
+                    out.push(']');
+                }
+                JsonValue::Object(members) => {
+                    if members.is_empty() {
+                        out.push_str("{}");
+                        return;
+                    }
+                    out.push('{');
+                    for (i, (k, v)) in members.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        newline_indent(out, indent, depth + 1);
+                        write_string(out, k);
+                        out.push(':');
+                        if indent.is_some() {
+                            out.push(' ');
+                        }
+                        write(v, out, indent, depth + 1);
+                    }
+                    newline_indent(out, indent, depth);
+                    out.push('}');
+                }
+            }
+        }
+
+        fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
+            if let Some(w) = indent {
+                out.push('\n');
+                for _ in 0..w * depth {
+                    out.push(' ');
+                }
+            }
+        }
+
+        fn write_number(out: &mut String, n: f64) {
+            if !n.is_finite() {
+                out.push_str("null");
+            } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
+                out.push_str(&format!("{}", n as i64));
+            } else {
+                out.push_str(&format!("{n}"));
+            }
+        }
+
+        fn write_string(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    /// Random `JsonValue` trees whose leaves hit every writer branch:
+    /// integers and fractions, ±0, both sides of the 9.0e15 integer cut,
+    /// NaN and ±inf; strings mixing every control character, `"`, `\\`,
+    /// DEL and 2-, 3- and 4-byte characters next to each other.
+    struct Trees;
+
+    impl Trees {
+        const NUMBERS: [f64; 16] = [
+            0.0,
+            -0.0,
+            1.0,
+            -42.0,
+            0.5,
+            -2.25,
+            1e-7,
+            123456.789,
+            8.999_999_999_999_998e15,
+            9.0e15,
+            -9.0e15,
+            9.000_000_000_000_002e15,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        const PIECES: [&'static str; 9] = ["a", "key", "\"", "\\", "\u{7f}", "é", "€", "😀", " "];
+
+        fn number(rng: &mut TestRng) -> f64 {
+            match rng.below(3) {
+                0 => Trees::NUMBERS[rng.below(16) as usize],
+                1 => rng.below(1 << 40) as f64 - (1u64 << 39) as f64,
+                _ => (rng.unit_f64() - 0.5) * 10f64.powi(rng.below(40) as i32 - 20),
+            }
+        }
+
+        fn string(rng: &mut TestRng) -> String {
+            (0..rng.below(12))
+                .map(|_| match rng.below(3) {
+                    0 => char::from_u32(rng.below(0x20) as u32).unwrap().to_string(),
+                    _ => Trees::PIECES[rng.below(9) as usize].to_string(),
+                })
+                .collect()
+        }
+
+        fn value(rng: &mut TestRng, depth: u32) -> JsonValue {
+            let kinds = if depth == 0 { 4 } else { 6 };
+            match rng.below(kinds) {
+                0 => JsonValue::Null,
+                1 => JsonValue::Bool(rng.below(2) == 1),
+                2 => JsonValue::Number(Trees::number(rng)),
+                3 => JsonValue::String(Trees::string(rng)),
+                4 => JsonValue::Array(
+                    (0..rng.below(5))
+                        .map(|_| Trees::value(rng, depth - 1))
+                        .collect(),
+                ),
+                _ => JsonValue::Object(
+                    (0..rng.below(5))
+                        .map(|_| (Trees::string(rng), Trees::value(rng, depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    impl Strategy for Trees {
+        type Value = JsonValue;
+        fn sample(&self, rng: &mut TestRng) -> JsonValue {
+            Trees::value(rng, 4)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        #[test]
+        fn streaming_writer_matches_the_frozen_writer(v in Trees) {
+            prop_assert_eq!(v.to_string(), frozen::compact(&v));
+            prop_assert_eq!(format!("{v}"), frozen::compact(&v));
+            prop_assert_eq!(v.pretty(), frozen::pretty(&v));
+        }
+    }
+
+    #[test]
+    fn every_control_character_and_deep_indent_match_the_frozen_writer() {
+        let all: String = (0u8..0x80).map(char::from).chain("é€😀".chars()).collect();
+        let v = JsonValue::Object(vec![(all.clone(), JsonValue::String(all))]);
+        assert_eq!(v.to_string(), frozen::compact(&v));
+        assert_eq!(v.pretty(), frozen::pretty(&v));
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+        // Indents wider than one chunk of spaces (depth 40 = 80 columns).
+        let deep = (0..40).fold(JsonValue::Number(1.5), |inner, _| {
+            JsonValue::Array(vec![JsonValue::Null, inner])
+        });
+        assert_eq!(deep.pretty(), frozen::pretty(&deep));
     }
 
     #[test]
