@@ -359,9 +359,10 @@ pub fn plan<'a>(store: &'a Store, filter: &QueryFilter) -> StorePlan<'a> {
 /// `/v1/systems/{id}/query` endpoint and [`Store::load_range`]: class
 /// predicates select segments straight from the manifest catalogue,
 /// time predicates prune on catalogue time ranges before any byte of a
-/// body is read and then binary-search the decoded time column, and the
-/// remaining (entity) predicates are applied to a stream of events that
-/// is never materialised as a whole.
+/// body is read and then binary-search the decoded time column, a node
+/// predicate reads only that node's rows through each segment's node
+/// index, and the predicates are applied again to a stream of events
+/// that is never materialised as a whole.
 pub struct StorePlan<'a> {
     store: &'a Store,
     filter: QueryFilter,
@@ -474,21 +475,31 @@ impl<'a> StorePlan<'a> {
     /// The last `n` matching events, oldest of the `n` first, via a
     /// bounded ring — the stream is scanned once and never materialised.
     ///
-    /// When every in-window row matches (no entity predicate), a row that
-    /// is not among its own segment's last `n` has `n` later rows in that
-    /// segment alone and cannot be among the global last `n`: the scan is
-    /// told `n` and reads no further back.
+    /// When every row the scan yields matches — no entity predicate, or
+    /// `node` alone, whose scan yields exactly the node's rows from each
+    /// segment's node index — a row that is not among its own segment's
+    /// last `n` has `n` later matching rows in that segment alone and
+    /// cannot be among the global last `n`: the scan is told `n` and reads
+    /// no further back. `blade` and `cabinet` are tested per event, so
+    /// either one keeps the whole window.
     pub fn tail(
         &self,
         n: usize,
         scheduler: SchedulerKind,
     ) -> Result<Vec<(SimTime, EventClass, String)>, OpenError> {
-        let mut it = self.stream((!self.has_entity_predicate()).then_some(n))?;
+        let mut it = self.stream(self.tail_last(n))?;
         let ring = keep_last(it.by_ref(), n);
         match it.take_error() {
             Some(e) => Err(e),
             None => Ok(render_tail_rows(ring, scheduler)),
         }
+    }
+
+    /// The `last` a tail of `n` passes to the scan: `None` under a
+    /// `blade` or `cabinet` predicate.
+    fn tail_last(&self, n: usize) -> Option<usize> {
+        let residual = self.filter.blade.is_some() || self.filter.cabinet.is_some();
+        (!residual).then_some(n)
     }
 
     /// Detected failures narrowed by the filter, straight from the
@@ -1018,5 +1029,79 @@ mod tests {
             let back = hpc_telemetry::json::parse(&text).unwrap();
             assert_eq!(back, v);
         }
+    }
+
+    /// On a warm node index a node tail decodes, in each segment, the
+    /// last `min(n, the node's rows)` and nothing else; a cabinet
+    /// predicate keeps every row of the node.
+    #[test]
+    fn warm_node_tail_decodes_at_most_n_rows_per_segment() {
+        use crate::segment::{write_store, StoreContents};
+        let stall = |ms: u64, node: u32| LogEvent {
+            time: SimTime::from_millis(ms),
+            payload: Payload::Console {
+                node: NodeId(node),
+                detail: ConsoleDetail::CpuStall { cpu: 1 },
+            },
+        };
+        // Three blocks of disk errors on five nodes, one of stalls on four.
+        let mut events = Vec::new();
+        for i in 0..700u64 {
+            events.push(ev(i * 10, (i % 5) as u32));
+            if i % 3 == 0 {
+                events.push(stall(i * 10 + 1, (i % 4) as u32 * 2));
+            }
+        }
+        let dir = std::env::temp_dir().join(format!("hpc-query-tail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        write_store(
+            &dir,
+            &StoreContents {
+                events: &events,
+                failures: &[],
+                swos: &[],
+                swo_failures: &[],
+                skipped_lines: 0,
+                total_lines: events.len() as u64,
+                scheduler: SchedulerKind::Slurm,
+                source: "test",
+            },
+        )
+        .unwrap();
+        let store = Store::open(&dir).unwrap();
+        let decoded = |plan: &StorePlan<'_>, last| {
+            let mut it = plan.stream(last).unwrap();
+            it.by_ref().for_each(drop);
+            assert!(it.take_error().is_none());
+            it.stats().rows_decoded
+        };
+        for node in 0..7 {
+            let node = NodeId(node);
+            let filter = QueryFilter {
+                node: Some(node),
+                ..Default::default()
+            };
+            let by_node = plan(&store, &filter);
+            decoded(&by_node, None); // builds the indexes
+            let own = |class| {
+                let of_class = |e: &&LogEvent| EventClass::of(&e.payload) == class;
+                let e = events.iter().filter(of_class);
+                e.filter(|e| e.subject_node() == Some(node)).count() as u64
+            };
+            let rows = [own(EventClass::DiskError), own(EventClass::CpuStall)];
+            for n in [0, 1, 5, 200] {
+                let want: u64 = rows.iter().map(|r| (*r).min(n as u64)).sum();
+                let last = by_node.tail_last(n);
+                assert_eq!(decoded(&by_node, last), want, "{node:?} n={n}");
+            }
+            let cabinet = QueryFilter {
+                cabinet: Some(node.cabinet()),
+                ..filter.clone()
+            };
+            let in_cabinet = plan(&store, &cabinet);
+            assert_eq!(in_cabinet.tail_last(5), None);
+            assert_eq!(decoded(&in_cabinet, None), rows.iter().sum());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -63,6 +63,7 @@ use std::fs;
 use std::io::{self, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use hpc_logs::event::{LogEvent, Payload};
 use hpc_logs::time::SimTime;
@@ -841,8 +842,9 @@ fn check_blocks(
 ///
 /// Every reader takes a block range and starts at the first block's byte
 /// offset; `0..blocks` is the front-to-back read [`Store::load`] does, a
-/// narrower range is what the planner's cursors do. There is no other way
-/// to read a column.
+/// narrower range is what the planner's cursors do. The one other read is
+/// the node index's: it records each payload's offset during a
+/// front-to-back read and later decodes single payloads there.
 #[derive(Debug)]
 pub(crate) struct Segment {
     path: PathBuf,
@@ -856,6 +858,9 @@ pub(crate) struct Segment {
     block_rows: usize,
     /// One entry per `block_rows` rows, never empty.
     blocks: Vec<Block>,
+    /// The rows of each subject node, built by the first node query that
+    /// selects this segment (`scan.rs`).
+    node_index: OnceLock<scan::NodeIndex>,
 }
 
 impl Segment {
@@ -913,6 +918,7 @@ impl Segment {
             cols: env.body.start..env.body.start + cols_len,
             block_rows: block_rows as usize,
             blocks,
+            node_index: OnceLock::new(),
             image,
             path,
         })
@@ -1637,6 +1643,56 @@ mod tests {
             );
         }
         assert!(met_by_a_read >= 3, "{met_by_a_read}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A node query reads the whole segment it indexes: a payload that
+    /// does not decode, in a block outside the query's window and under a
+    /// resealed checksum, makes the store corrupt on every node query (a
+    /// failed build caches nothing), and never panics.
+    #[test]
+    fn a_node_query_validates_the_whole_segment_it_indexes() {
+        use crate::query::{self, QueryFilter};
+        let events = multi_block_events();
+        let dir = tmpdir("node-index-corrupt");
+        write_store(&dir, &contents(&events, &[])).unwrap();
+        let victim = dir.join("seg-cpu_stall.col");
+        let image = fs::read(&victim).unwrap();
+        let (mut cols, block_dir, f) = split_segment(&image);
+        let blocks = decode_block_dir(&block_dir).unwrap();
+        // Row 0 names dictionary entry 127 of 16.
+        cols[blocks[0].payload_off as usize] = 0x7f;
+        fs::write(&victim, join_segment(image[8], &cols, Some(&block_dir), f)).unwrap();
+
+        let store = Store::open(&dir).unwrap();
+        let from = Some(SimTime::from_millis(80_000));
+        assert!(
+            blocks[2].first_time <= 80_000,
+            "the window starts in block 2"
+        );
+        let window = QueryFilter {
+            from,
+            ..Default::default()
+        };
+        let tail = query::plan(&store, &window).tail(300, SchedulerKind::Slurm);
+        assert!(tail.is_ok(), "block 0 is outside the window: {tail:?}");
+
+        let node = QueryFilter {
+            node: Some(NodeId(3)),
+            from,
+            ..Default::default()
+        };
+        for attempt in 0..2 {
+            match query::plan(&store, &node).count() {
+                Err(OpenError::Corrupt(_, why)) => assert!(why.contains("row 0"), "{why}"),
+                other => panic!("attempt {attempt}: expected a corrupt store, got {other:?}"),
+            }
+        }
+        let stalls = store
+            .segments
+            .iter()
+            .find(|s| s.class == EventClass::CpuStall);
+        assert!(stalls.unwrap().node_index.get().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -10,7 +10,14 @@
 //! 3. **Subject** — under a node predicate, a segment is dropped if its
 //!    class cannot name a subject node
 //!    ([`EventClass::carries_subject_node`]) or its sorted node dictionary
-//!    — the short first column of the body — lacks the node.
+//!    — the short first column of the body — lacks the node. A kept
+//!    segment answers from its node index (`NodeIndex`): the node's rows
+//!    are binary-searched by time to `[from, to]`, cut to the last `n`
+//!    when the caller keeps only `n`, and each payload is decoded at its
+//!    recorded offset — only the node's rows are decoded. The index is
+//!    built by the first node scan that selects the segment, in one
+//!    validated pass over the whole segment, and kept while the store is
+//!    open. Tiers 4 and 5 are the scan without a node predicate.
 //! 4. **Block** — the block directory is binary-searched for the blocks
 //!    that can hold `[from, to]`; time, position and payload columns are
 //!    read from the first such block on, never the prefix before it. A
@@ -27,9 +34,12 @@
 //!
 //! Decode effort is observable: `core.segment.segments_pruned`,
 //! `core.segment.segments_decoded` and `core.segment.rows_decoded`
-//! count what a scan skipped and touched, and the same numbers are
-//! available per-scan via [`Scan::stats`] (tests pin pruning behaviour
-//! on them without racing on the global registry).
+//! count what a scan skipped and touched (an index build's rows
+//! included), and the same numbers are available per-scan via
+//! [`Scan::stats`] (tests pin pruning behaviour on them without racing on
+//! the global registry). `core.segment.node_index.builds` and
+//! `.rows` count index builds, and the gauge
+//! `core.segment.node_index_bytes` is the heap the live indexes hold.
 //!
 //! A [`Scan`] is an `Iterator<Item = LogEvent>`. Construction fails on
 //! undecodable columns; a payload error mid-stream ends the iteration
@@ -37,11 +47,13 @@
 //! corruption to be fatal check it after draining.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hpc_logs::event::LogEvent;
+use hpc_logs::event::{LogEvent, Payload};
 use hpc_logs::time::SimTime;
 use hpc_platform::NodeId;
 
+use super::codec::{self, Dec};
 use super::{OpenError, Payloads, Segment, SegmentMeta, Store, MANIFEST_FILE};
 use crate::store::EventClass;
 
@@ -54,13 +66,115 @@ pub struct ScanStats {
     /// Segments whose columns were decoded.
     pub segments_decoded: u64,
     /// Payload rows decoded (including the rows between a block's start
-    /// and the first in-range row, which are decoded and dropped).
+    /// and the first in-range row, which are decoded and dropped, and
+    /// every row of a segment whose node index this scan built).
     pub rows_decoded: u64,
 }
 
 fn flush_segment_counters(stats: &ScanStats) {
     hpc_telemetry::counter("core.segment.segments_pruned").add(stats.segments_pruned);
     hpc_telemetry::counter("core.segment.segments_decoded").add(stats.segments_decoded);
+}
+
+/// One row of a [`NodeIndex`]: 16 bytes.
+#[derive(Debug, Clone, Copy)]
+struct IndexedRow {
+    time: SimTime,
+    position: u32,
+    /// Where the row's payload starts in the segment's column bytes.
+    payload_off: u32,
+}
+
+/// Heap held by every live [`NodeIndex`]; `core.segment.node_index_bytes`.
+static NODE_INDEX_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// One segment's rows grouped by subject node: the rows whose
+/// [`LogEvent::subject_node`] is dictionary entry `i` are
+/// `rows[offsets[i]..offsets[i + 1]]`, in row order.
+#[derive(Debug)]
+pub(super) struct NodeIndex {
+    offsets: Vec<usize>,
+    rows: Vec<IndexedRow>,
+}
+
+impl NodeIndex {
+    /// Reads `seg` front to back through its column readers — every block
+    /// boundary checked against the directory, every payload decoded, no
+    /// trailing bytes: the checks [`Store::load`] makes of a segment.
+    fn build(seg: &Segment, dict: &[NodeId]) -> Result<NodeIndex, OpenError> {
+        let all = 0..seg.blocks.len();
+        let times = seg.times(all.clone())?;
+        let positions = seg.positions(all)?;
+        let mut payloads = seg.payloads(0);
+        let cols_len = seg.cols().len();
+        let mut tagged = Vec::new();
+        for (row, (time, position)) in times.into_iter().zip(positions).enumerate() {
+            let at = cols_len - payloads.dec.remaining();
+            let payload = payloads.next(dict)?;
+            let Some(node) = (LogEvent { time, payload }).subject_node() else {
+                continue;
+            };
+            let slot = dict.binary_search(&node).map_err(|_| {
+                seg.corrupt(format!("row {row}: subject node is not in the dictionary"))
+            })?;
+            let payload_off = u32::try_from(at).map_err(|_| {
+                seg.corrupt(format!("row {row}: payload offset {at} exceeds 32 bits"))
+            })?;
+            tagged.push((
+                slot,
+                IndexedRow {
+                    time,
+                    position,
+                    payload_off,
+                },
+            ));
+        }
+        if payloads.dec.remaining() != 0 {
+            return Err(seg.corrupt(format!(
+                "{} trailing bytes after last row",
+                payloads.dec.remaining()
+            )));
+        }
+        // Stable: each node's rows stay in row order.
+        tagged.sort_by_key(|(slot, _)| *slot);
+        let index = NodeIndex {
+            offsets: (0..=dict.len())
+                .map(|i| tagged.partition_point(|(slot, _)| *slot < i))
+                .collect(),
+            rows: tagged.into_iter().map(|(_, row)| row).collect(),
+        };
+        hpc_telemetry::counter("core.segment.node_index.builds").inc();
+        hpc_telemetry::counter("core.segment.node_index.rows").add(index.rows.len() as u64);
+        let held = NODE_INDEX_BYTES.fetch_add(index.heap_bytes(), Ordering::Relaxed);
+        hpc_telemetry::gauge("core.segment.node_index_bytes")
+            .set((held + index.heap_bytes()) as f64);
+        Ok(index)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<usize>()
+            + self.rows.capacity() * std::mem::size_of::<IndexedRow>()
+    }
+
+    /// The rows of dictionary entry `slot` with times in `[from, to]`, or
+    /// only the last `last` of them.
+    fn rows(&self, slot: usize, from: SimTime, to: SimTime, last: Option<usize>) -> &[IndexedRow] {
+        let rows = &self.rows[self.offsets[slot]..self.offsets[slot + 1]];
+        let hi = rows.partition_point(|r| r.time <= to);
+        let mut lo = rows[..hi].partition_point(|r| r.time < from);
+        if let Some(n) = last {
+            lo = lo.max(hi.saturating_sub(n));
+        }
+        &rows[lo..hi]
+    }
+}
+
+impl Drop for NodeIndex {
+    fn drop(&mut self) {
+        let held = NODE_INDEX_BYTES.fetch_sub(self.heap_bytes(), Ordering::Relaxed);
+        hpc_telemetry::gauge("core.segment.node_index_bytes")
+            .set(held.saturating_sub(self.heap_bytes()) as f64);
+    }
 }
 
 /// The in-range rows of one segment, found through the block directory.
@@ -121,20 +235,53 @@ impl Segment {
             first: lo - skipped * self.block_rows,
         }))
     }
+
+    /// The node index, built on first use; `rows_decoded` counts a
+    /// build's rows. A failed build caches nothing, so the next call
+    /// fails the same way.
+    fn node_index(&self, dict: &[NodeId], rows_decoded: &mut u64) -> Result<&NodeIndex, OpenError> {
+        if let Some(index) = self.node_index.get() {
+            return Ok(index);
+        }
+        let index = NodeIndex::build(self, dict)?;
+        *rows_decoded += self.rows as u64;
+        // A build racing on another thread may have won; both are equal.
+        let _ = self.node_index.set(index);
+        Ok(self.node_index.get().expect("the index was just set"))
+    }
+
+    /// The payload of an indexed row, decoded at its recorded offset.
+    fn payload_at(&self, row: &IndexedRow, dict: &[NodeId]) -> Result<Payload, OpenError> {
+        let mut dec = Dec::new(&self.cols()[row.payload_off as usize..]);
+        codec::decode_payload(self.class, &mut dec, dict)
+            .map_err(|e| self.corrupt(format!("position {}: {e}", row.position)))
+    }
+}
+
+/// Where a cursor's rows come from.
+enum Rows<'a> {
+    /// A run of consecutive rows, read column-sequentially from a block.
+    Window {
+        /// Times and positions from the first row of the block `payloads`
+        /// started in; `times` ends with the last in-range row, and rows
+        /// beyond it are never decoded.
+        times: Vec<SimTime>,
+        positions: Vec<u32>,
+        /// The payload column, strictly sequential.
+        payloads: Payloads<'a>,
+        /// Next in-range row to yield, as an index into `times`.
+        next: usize,
+    },
+    /// One node's rows from the node index, each payload decoded at its
+    /// own offset.
+    Node(std::slice::Iter<'a, IndexedRow>),
 }
 
 /// One segment's in-range rows, decoded on demand in row order.
 struct Cursor<'a> {
+    seg: &'a Segment,
     dict: Vec<NodeId>,
-    /// Times and positions from the first row of the block `payloads`
-    /// started in; `times` ends with the last in-range row, and rows
-    /// beyond it are never decoded.
-    times: Vec<SimTime>,
-    positions: Vec<u32>,
-    /// The payload column, strictly sequential.
-    payloads: Payloads<'a>,
-    /// Next in-range row to yield, as an index into `times`.
-    next: usize,
+    rows: Rows<'a>,
     /// The next in-range row, pre-decoded for the merge.
     peeked: Option<(u32, LogEvent)>,
 }
@@ -142,27 +289,43 @@ struct Cursor<'a> {
 impl<'a> Cursor<'a> {
     /// Positions the columns on `window`'s first in-range row and primes
     /// it for the merge.
-    fn open(
+    fn window(
         seg: &'a Segment,
         dict: Vec<NodeId>,
         window: Window,
         rows_decoded: &mut u64,
     ) -> Result<Cursor<'a>, OpenError> {
         let blocks = window.times.len().div_ceil(seg.block_rows);
-        let mut cursor = Cursor {
-            dict,
-            positions: seg.positions(window.block..window.block + blocks)?,
-            times: window.times,
-            payloads: seg.payloads(window.block),
-            next: window.first,
-            peeked: None,
-        };
+        let positions = seg.positions(window.block..window.block + blocks)?;
+        let mut payloads = seg.payloads(window.block);
         // Rows between the block's start and the first in-range row have
         // no offset of their own: they are decoded and dropped.
         for _ in 0..window.first {
-            cursor.payloads.next(&cursor.dict)?;
+            payloads.next(&dict)?;
         }
         *rows_decoded += window.first as u64;
+        let rows = Rows::Window {
+            times: window.times,
+            positions,
+            payloads,
+            next: window.first,
+        };
+        Cursor::primed(seg, dict, rows, rows_decoded)
+    }
+
+    /// Primes a cursor over `rows` for the merge.
+    fn primed(
+        seg: &'a Segment,
+        dict: Vec<NodeId>,
+        rows: Rows<'a>,
+        rows_decoded: &mut u64,
+    ) -> Result<Cursor<'a>, OpenError> {
+        let mut cursor = Cursor {
+            seg,
+            dict,
+            rows,
+            peeked: None,
+        };
         cursor.peeked = cursor.advance(rows_decoded)?;
         Ok(cursor)
     }
@@ -170,20 +333,31 @@ impl<'a> Cursor<'a> {
     /// Decodes the next in-range row; `None` once the range is exhausted.
     /// Rows after the range are left undecoded.
     fn advance(&mut self, rows_decoded: &mut u64) -> Result<Option<(u32, LogEvent)>, OpenError> {
-        let row = self.next;
-        if row >= self.times.len() {
-            return Ok(None);
-        }
-        let payload = self.payloads.next(&self.dict)?;
+        let (position, time, payload) = match &mut self.rows {
+            Rows::Window {
+                times,
+                positions,
+                payloads,
+                next,
+            } => {
+                let row = *next;
+                if row >= times.len() {
+                    return Ok(None);
+                }
+                let payload = payloads.next(&self.dict)?;
+                *next += 1;
+                (positions[row], times[row], payload)
+            }
+            Rows::Node(rows) => {
+                let Some(row) = rows.next() else {
+                    return Ok(None);
+                };
+                let payload = self.seg.payload_at(row, &self.dict)?;
+                (row.position, row.time, payload)
+            }
+        };
         *rows_decoded += 1;
-        self.next += 1;
-        Ok(Some((
-            self.positions[row],
-            LogEvent {
-                time: self.times[row],
-                payload,
-            },
-        )))
+        Ok(Some((position, LogEvent { time, payload })))
     }
 }
 
@@ -277,11 +451,11 @@ impl Store {
         self.scan_filter(classes, None, from, to, None)
     }
 
-    /// [`Store::scan`] for the planner: `node` drops every segment that
-    /// cannot hold an event with that subject node (the subject tier; the
-    /// caller still tests each event), and `last: Some(n)` says the caller
-    /// keeps only the last `n` events of the stream, so no cursor starts
-    /// before its own last `n` in-range rows.
+    /// [`Store::scan`] for the planner: `node` keeps only events with that
+    /// subject node — segments that cannot hold one are pruned, the others
+    /// yield the node's rows from their node index — and `last: Some(n)`
+    /// says the caller keeps only the last `n` events of the stream, so no
+    /// cursor starts before its own last `n` rows.
     pub(crate) fn scan_filter(
         &self,
         classes: &[EventClass],
@@ -300,13 +474,24 @@ impl Store {
                 continue;
             }
             let dict = seg.dict()?;
-            if node.is_some_and(|n| dict.binary_search(&n).is_err()) {
+            let Some(node) = node else {
+                stats.segments_decoded += 1;
+                if let Some(window) = seg.window(from, to, last)? {
+                    cursors.push(Cursor::window(seg, dict, window, &mut stats.rows_decoded)?);
+                }
+                continue;
+            };
+            let Ok(slot) = dict.binary_search(&node) else {
                 stats.segments_pruned += 1;
                 continue;
-            }
+            };
             stats.segments_decoded += 1;
-            if let Some(window) = seg.window(from, to, last)? {
-                cursors.push(Cursor::open(seg, dict, window, &mut stats.rows_decoded)?);
+            let rows = seg
+                .node_index(&dict, &mut stats.rows_decoded)?
+                .rows(slot, from, to, last);
+            if !rows.is_empty() {
+                let rows = Rows::Node(rows.iter());
+                cursors.push(Cursor::primed(seg, dict, rows, &mut stats.rows_decoded)?);
             }
         }
         flush_segment_counters(&stats);

@@ -106,7 +106,8 @@ fn event_soup() -> impl Strategy<Value = Vec<LogEvent>> {
 /// prune on: class subsets (including `Mce`, which the soup never
 /// emits, so class pruning hits empty segment sets), entity predicates
 /// that force full residual streaming, and time windows that straddle,
-/// miss, or invert segment boundaries.
+/// miss, or invert segment boundaries. One draw in eight is a node alone
+/// and one a node with a window, the shapes `tail --node` asks.
 fn filter_soup() -> impl Strategy<Value = QueryFilter> {
     use hpc_diagnosis::EventClass;
     // The vendored mini-proptest has no `option::of`/`subsequence`;
@@ -123,25 +124,44 @@ fn filter_soup() -> impl Strategy<Value = QueryFilter> {
         EventClass::Mce, // the soup never emits Mce: empty class pruning
     ];
     (
-        0u32..512,            // class subset bitmask
+        (
+            0u32..512, // class subset bitmask
+            0u32..8,   // shape: 0 node only, 1 node and window, else as drawn
+        ),
         0u32..128,            // node; >= 64 means None
         0u32..128,            // blade seed; >= 64 means None
         0u32..128,            // cabinet seed; >= 64 means None
         0u64..440_000_000u64, // from; >= 220M means None
         0u64..440_000_000u64, // to; >= 220M means None
     )
-        .prop_map(|(mask, node, blade, cabinet, from, to)| QueryFilter {
-            classes: CLASSES
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask >> i & 1 == 1)
-                .map(|(_, c)| *c)
-                .collect(),
-            node: (node < 64).then_some(NodeId(node)),
-            blade: (blade < 64).then(|| NodeId(blade).blade()),
-            cabinet: (cabinet < 64).then(|| NodeId(cabinet).cabinet()),
-            from: (from < 220_000_000).then(|| SimTime::from_millis(from)),
-            to: (to < 220_000_000).then(|| SimTime::from_millis(to)),
+        .prop_map(|((mask, shape), node, blade, cabinet, from, to)| {
+            let from = (from < 220_000_000).then(|| SimTime::from_millis(from));
+            let to = (to < 220_000_000).then(|| SimTime::from_millis(to));
+            let node_only = QueryFilter {
+                node: Some(NodeId(node % 64)),
+                ..QueryFilter::default()
+            };
+            match shape {
+                0 => node_only,
+                1 => QueryFilter {
+                    from,
+                    to,
+                    ..node_only
+                },
+                _ => QueryFilter {
+                    classes: CLASSES
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, _)| mask >> i & 1 == 1)
+                        .map(|(_, c)| *c)
+                        .collect(),
+                    node: (node < 64).then_some(NodeId(node)),
+                    blade: (blade < 64).then(|| NodeId(blade).blade()),
+                    cabinet: (cabinet < 64).then(|| NodeId(cabinet).cabinet()),
+                    from,
+                    to,
+                },
+            }
         })
 }
 
@@ -222,6 +242,39 @@ fn assert_queries_agree(mem: &EventStore, re: &EventStore, events: &[LogEvent]) 
     }
 }
 
+/// Rows a node scan reads from the node index: events of the filter's
+/// classes in its window whose subject is its node. `None` without a node.
+fn node_rows(events: &[LogEvent], filter: &QueryFilter) -> Option<u64> {
+    let by_node = QueryFilter {
+        classes: filter.classes.clone(),
+        node: Some(filter.node?),
+        from: filter.from,
+        to: filter.to,
+        ..QueryFilter::default()
+    };
+    Some(events.iter().filter(|e| by_node.matches(e)).count() as u64)
+}
+
+/// Under a node predicate, the scan after the one that built every index
+/// it needs decodes exactly the node's in-window rows of the filter's
+/// classes; `blade` and `cabinet` are tested after the decode.
+fn assert_warm_node_scan_decodes_only_its_rows(
+    plan: &query::StorePlan<'_>,
+    node_rows: Option<u64>,
+) {
+    let Some(node_rows) = node_rows else {
+        return;
+    };
+    let drain = || {
+        let mut scan = plan.events().expect("events");
+        scan.by_ref().for_each(drop);
+        assert!(scan.take_error().is_none());
+        scan.stats()
+    };
+    drain(); // builds whatever index is not built yet
+    assert_eq!(drain().rows_decoded, node_rows);
+}
+
 /// For every filter, `plan(...).events()` must yield exactly
 /// `Store::load` followed by `filter.matches`, in order, and every planner
 /// verb must agree with the in-memory `EventStore` verb over the same
@@ -261,13 +314,17 @@ fn assert_plans_match_full_load(dir: &std::path::Path, filters: &[QueryFilter]) 
             "{filter:?}"
         );
 
-        // Pruning must never decode more rows than the store holds, and
-        // pruned + decoded must account for every selected segment.
-        assert!(stats.rows_decoded <= full.manifest.events);
+        // Pruning must never decode more rows than the store holds (plus,
+        // under a node predicate, the node's rows again after a segment's
+        // index build), and pruned + decoded must account for every
+        // selected segment.
+        let node_rows = node_rows(&full.events, filter);
+        assert!(stats.rows_decoded <= full.manifest.events + node_rows.unwrap_or(0));
         assert!(
             (stats.segments_decoded + stats.segments_pruned) as usize
                 <= full.manifest.segments.len()
         );
+        assert_warm_node_scan_decodes_only_its_rows(&plan, node_rows);
 
         for key in keys {
             assert_eq!(
@@ -415,13 +472,19 @@ proptest! {
         prop_assert_eq!(&streamed, &brute);
         prop_assert_eq!(count, brute.len() as u64);
 
-        // Pruning must never decode more rows than the store holds, and
-        // pruned + decoded must account for every selected segment.
-        prop_assert!(stats.rows_decoded <= full.manifest.events);
+        // Pruning must never decode more rows than the store holds (plus,
+        // under a node predicate, the node's rows again after a segment's
+        // index build), and pruned + decoded must account for every
+        // selected segment.
+        let node_rows = node_rows(&full.events, &filter);
+        prop_assert!(stats.rows_decoded <= full.manifest.events + node_rows.unwrap_or(0));
         prop_assert!(
             (stats.segments_decoded + stats.segments_pruned) as usize
                 <= full.manifest.segments.len()
         );
+
+        let warm = segment::Store::open(&dir).expect("reopen");
+        assert_warm_node_scan_decodes_only_its_rows(&query::plan(&warm, &filter), node_rows);
 
         let mem = EventStore::build(full.events, &full.failures);
         for (key, hist) in keys.iter().zip(&hists) {
@@ -811,5 +874,193 @@ fn schema_1_fixture_answers_like_a_fresh_store() {
     assert_eq!(&old.events, d.events());
     assert_eq!(old.failures, new.failures);
     assert_eq!(old.swos, new.swos);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Ten nodes in three cabinets: 1,100 cpu-stall rows (five blocks, in
+/// runs of three equal times) and 300 oom-kills on twelve nodes, plus job
+/// starts naming nodes in a class without a subject.
+fn node_scoped_events() -> Vec<LogEvent> {
+    const NODES: [u32; 12] = [0, 1, 2, 3, 5, 196, 197, 390, 391, 392, 8, 9];
+    let console = |ms: u64, node: u32, detail| LogEvent {
+        time: SimTime::from_millis(ms),
+        payload: Payload::Console {
+            node: NodeId(node),
+            detail,
+        },
+    };
+    let mut events = Vec::new();
+    for i in 0..1_100u64 {
+        // The last node of the ten is rare: one row in fifty.
+        let node = if i % 50 == 0 { 9 } else { i % 9 };
+        let stall = ConsoleDetail::CpuStall { cpu: 0 };
+        events.push(console(i / 3 * 1_000, NODES[node as usize], stall));
+        if i % 11 < 3 {
+            let oom = ConsoleDetail::OomKill {
+                victim: AppKind::Python,
+                pid: i as u32,
+            };
+            events.push(console(i / 3 * 1_000 + 1, NODES[i as usize % 12], oom));
+        }
+        if i % 100 == 0 {
+            events.push(LogEvent {
+                time: SimTime::from_millis(i / 3 * 1_000 + 2),
+                payload: Payload::Scheduler {
+                    detail: SchedulerDetail::JobStart {
+                        job: JobId(i),
+                        apid: Apid(i + 1),
+                        user: 1000,
+                        app: AppKind::MpiSimulation,
+                        nodes: vec![NodeId(NODES[0]), NodeId(NODES[10])],
+                        mem_per_node_mib: 1024,
+                    },
+                },
+            });
+        }
+    }
+    events.sort_by_key(|e| e.time);
+    events
+}
+
+/// Under a node predicate each selected segment builds its node index
+/// once, on the first scan, and that scan counts the build's rows; every
+/// later `count` and `histogram` decodes exactly the node's in-window
+/// rows. Node alone, with a window, with a class and with a cabinet (in
+/// and out of it) all answer like the in-memory verbs, `tail` shorter and
+/// longer than a node's rows included.
+#[test]
+fn node_queries_decode_only_the_nodes_rows_across_blocks() {
+    use hpc_diagnosis::EventClass;
+    let d = Diagnosis::from_events(node_scoped_events(), 0, DiagnosisConfig::default());
+    let dir = tmpdir("node-index");
+    save(&d, &dir);
+    let store = segment::Store::open(&dir).expect("open");
+    let rows = |class| {
+        let segments = &store.manifest().segments;
+        segments
+            .iter()
+            .find(|s| s.class == class)
+            .expect("segment")
+            .events
+    };
+    let (stall_rows, oom_rows) = (rows(EventClass::CpuStall), rows(EventClass::OomKill));
+    assert!(stall_rows > 4 * 256, "five blocks of one class");
+    let builds_before = hpc_telemetry::counter("core.segment.node_index.builds").get();
+
+    // Node 0 is in both node-scoped segments: the first scan builds both
+    // indexes and reads every row of each once, then the node's rows.
+    let node0 = QueryFilter {
+        node: Some(NodeId(0)),
+        ..QueryFilter::default()
+    };
+    let own = |filter: &QueryFilter| d.events().iter().filter(|e| filter.matches(e)).count();
+    let plan = query::plan(&store, &node0);
+    let mut cold = plan.events().expect("events");
+    assert_eq!(cold.by_ref().count(), own(&node0));
+    assert!(cold.take_error().is_none());
+    assert_eq!(cold.stats().segments_decoded, 2);
+    assert_eq!(
+        cold.stats().rows_decoded,
+        stall_rows + oom_rows + own(&node0) as u64
+    );
+    assert!(hpc_telemetry::counter("core.segment.node_index.builds").get() >= builds_before + 2);
+
+    let mut filters = Vec::new();
+    for node in [0, 1, 2, 3, 5, 196, 197, 390, 391, 392, 8, 9, 4] {
+        let node = NodeId(node);
+        let only = QueryFilter {
+            node: Some(node),
+            ..QueryFilter::default()
+        };
+        let windowed = QueryFilter {
+            from: Some(SimTime::from_millis(100_000)),
+            to: Some(SimTime::from_millis(300_000)),
+            ..only.clone()
+        };
+        let stalls = QueryFilter {
+            classes: vec![EventClass::CpuStall],
+            to: Some(SimTime::from_millis(200_000)),
+            ..only.clone()
+        };
+        let in_cabinet = QueryFilter {
+            cabinet: Some(node.cabinet()),
+            ..windowed.clone()
+        };
+        let out_of_cabinet = QueryFilter {
+            cabinet: Some(hpc_platform::CabinetId(node.cabinet().0 + 1)),
+            ..only.clone()
+        };
+        // Count and histogram ride `events()`; warm, it decodes only the
+        // node's rows of the selected classes in the window.
+        for filter in [&only, &windowed, &stalls, &in_cabinet] {
+            let plan = query::plan(&store, filter);
+            let mut warm = plan.events().expect("events");
+            let streamed = warm.by_ref().count();
+            assert!(warm.take_error().is_none());
+            assert_eq!(streamed, own(filter), "{filter:?}");
+            let node_rows = if filter.cabinet.is_some() {
+                own(&QueryFilter {
+                    cabinet: None,
+                    ..filter.clone()
+                })
+            } else {
+                streamed
+            };
+            assert_eq!(warm.stats().rows_decoded, node_rows as u64, "{filter:?}");
+        }
+        filters.extend([only, windowed, stalls, in_cabinet, out_of_cabinet]);
+    }
+    assert_plans_match_full_load(&dir, &filters);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// fleetd shares one store across its workers: four threads released
+/// together onto one freshly opened store, racing to build its indexes,
+/// get the answers a serial run gets.
+#[test]
+fn concurrent_node_queries_on_one_store_answer_like_a_serial_run() {
+    let d = Diagnosis::from_events(node_scoped_events(), 0, DiagnosisConfig::default());
+    let dir = tmpdir("node-threads");
+    save(&d, &dir);
+    let answers = |store: &segment::Store, thread: u32| {
+        let mut out = Vec::new();
+        for i in 0..12 {
+            // Each thread starts at another node.
+            let node = [0, 1, 2, 3, 5, 196, 197, 390, 391, 392, 8, 9][(i + thread as usize) % 12];
+            for pairs in [
+                &[("verb", "tail"), ("n", "20")][..],
+                &[("verb", "count"), ("from", "100000")],
+                &[("verb", "histogram"), ("by", "class")],
+            ] {
+                let mut request = query::Request::default();
+                request.set("node", &format!("nid{node:05}")).expect("node");
+                for (key, value) in pairs {
+                    request.set(key, value).expect("request");
+                }
+                let plan = query::plan(store, &request.filter);
+                let answer = request.run(&plan, SchedulerKind::Slurm).expect("answer");
+                out.push((node, answer.text()));
+            }
+        }
+        out.sort();
+        out
+    };
+    let serial = answers(&segment::Store::open(&dir).expect("open"), 0);
+    let shared = segment::Store::open(&dir).expect("open");
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                let (shared, start) = (&shared, &start);
+                s.spawn(move || {
+                    start.wait();
+                    answers(shared, t)
+                })
+            })
+            .collect();
+        for t in threads {
+            assert_eq!(t.join().expect("no panic"), serial);
+        }
+    });
     std::fs::remove_dir_all(&dir).ok();
 }
