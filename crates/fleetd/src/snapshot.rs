@@ -20,10 +20,11 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use hpc_diagnosis::detection::{DetectedFailure, TerminalKind};
+use hpc_diagnosis::detection::DetectedFailure;
 use hpc_diagnosis::prediction::Alert;
 use hpc_logs::time::{SimDuration, SimTime};
 use hpc_platform::NodeId;
+use hpc_stream::sink::{alert_json, failure_json, failure_text};
 use hpc_stream::{FollowHealth, StreamEngine, StreamStats};
 use hpc_telemetry::json::JsonValue;
 
@@ -34,39 +35,10 @@ use crate::http::{JSON, TEXT};
 /// months-long shard cannot grow a snapshot without bound.
 pub const MAX_RECORDS: usize = 1024;
 
-/// One captured alert, mirroring the `hpc-watch --alerts-jsonl` record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AlertRecord {
-    /// Node the alert concerns.
-    pub node: NodeId,
-    /// When it was raised.
-    pub time: SimTime,
-    /// Whether an external correlate backed it.
-    pub backed_by_external: bool,
-}
-
-/// One finalized failure, mirroring the `hpc-watch --alerts-jsonl` record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailureRecord {
-    /// Node that failed.
-    pub node: NodeId,
-    /// When it failed.
-    pub time: SimTime,
-    /// Terminal event classification.
-    pub terminal: TerminalKind,
-    /// Achieved lead time when an outstanding alert predicted it.
-    pub lead: Option<SimDuration>,
-}
-
-/// Sliding-window hotness summary — everything `/window` serves.
+/// Sliding-window hotness. The window's counters (retained, peak,
+/// evicted) are already in [`StreamStats`], which `/window` reads too.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowSummary {
-    /// Events currently retained.
-    pub retained: usize,
-    /// High-water mark of retained events.
-    pub peak: usize,
-    /// Events evicted so far.
-    pub evicted: u64,
     /// Distinct nodes with at least one symptom in the window.
     pub symptomatic_nodes: usize,
     /// Blade with the most windowed events, as (cname, count).
@@ -123,9 +95,10 @@ pub struct SystemSnapshot {
     /// Alerts raised but not yet resolved into failures.
     pub outstanding_alerts: usize,
     /// Most recent alerts (bounded tail; totals live in `stats`).
-    pub alerts: Vec<AlertRecord>,
-    /// Most recent finalized failures (bounded tail).
-    pub failures: Vec<FailureRecord>,
+    pub alerts: Vec<Alert>,
+    /// Most recent finalized failures with their lead when an alert
+    /// predicted them (bounded tail).
+    pub failures: Vec<(DetectedFailure, Option<SimDuration>)>,
     /// Sliding-window hotness.
     pub window: WindowSummary,
     /// Tailer health incl. the quarantined source set (follow mode only).
@@ -165,30 +138,9 @@ impl SystemSnapshot {
         let w = engine.window();
         let lead_of: HashMap<(NodeId, SimTime), SimDuration> =
             leads.iter().map(|&(n, t, l)| ((n, t), l)).collect();
-        let alerts = engine
-            .alerts()
+        let failures = tail(engine.failures())
             .iter()
-            .rev()
-            .take(MAX_RECORDS)
-            .rev()
-            .map(|a: &Alert| AlertRecord {
-                node: a.node,
-                time: a.time,
-                backed_by_external: a.backed_by_external,
-            })
-            .collect();
-        let failures = engine
-            .failures()
-            .iter()
-            .rev()
-            .take(MAX_RECORDS)
-            .rev()
-            .map(|f: &DetectedFailure| FailureRecord {
-                node: f.node,
-                time: f.time,
-                terminal: f.terminal,
-                lead: lead_of.get(&(f.node, f.time)).copied(),
-            })
+            .map(|f| (*f, lead_of.get(&(f.node, f.time)).copied()))
             .collect();
         SystemSnapshot {
             system: system.to_string(),
@@ -196,12 +148,9 @@ impl SystemSnapshot {
             finished,
             stats: engine.stats(),
             outstanding_alerts: engine.outstanding_alerts(),
-            alerts,
+            alerts: tail(engine.alerts()).to_vec(),
             failures,
             window: WindowSummary {
-                retained: w.retained_events(),
-                peak: w.peak_retained(),
-                evicted: w.evicted(),
                 symptomatic_nodes: w.symptomatic_nodes(),
                 hottest_blade: w.hottest_blade().map(|(b, n)| (b.cname().to_string(), n)),
                 hottest_cabinet: w.hottest_cabinet().map(|(c, n)| (c.cname().to_string(), n)),
@@ -279,9 +228,12 @@ impl SystemSnapshot {
         JsonValue::Object(vec![
             ("system".to_string(), JsonValue::String(self.system.clone())),
             ("generation".to_string(), n(self.generation)),
-            ("window_events".to_string(), n(self.window.retained as u64)),
-            ("window_peak".to_string(), n(self.window.peak as u64)),
-            ("window_evicted".to_string(), n(self.window.evicted)),
+            (
+                "window_events".to_string(),
+                n(self.stats.window_events as u64),
+            ),
+            ("window_peak".to_string(), n(self.stats.window_peak as u64)),
+            ("window_evicted".to_string(), n(self.stats.window_evicted)),
             (
                 "symptomatic_nodes".to_string(),
                 n(self.window.symptomatic_nodes as u64),
@@ -302,30 +254,12 @@ impl SystemSnapshot {
         ])
     }
 
-    /// Alert list for `/v1/systems/{id}/alerts`, field-compatible with
-    /// the `hpc-watch --alerts-jsonl` records.
+    /// Alert list for `/v1/systems/{id}/alerts`: each record is
+    /// [`alert_json`], the same bytes as its `hpc-watch --alerts-jsonl`
+    /// line.
     fn alerts_json(&self) -> JsonValue {
         let n = |v: u64| JsonValue::Number(v as f64);
-        let records = self
-            .alerts
-            .iter()
-            .map(|a| {
-                JsonValue::Object(vec![
-                    ("type".to_string(), JsonValue::String("alert".to_string())),
-                    ("time".to_string(), JsonValue::String(a.time.to_string())),
-                    ("time_ms".to_string(), n(a.time.as_millis())),
-                    ("node".to_string(), n(a.node.0 as u64)),
-                    (
-                        "cname".to_string(),
-                        JsonValue::String(a.node.cname().to_string()),
-                    ),
-                    (
-                        "backed_by_external".to_string(),
-                        JsonValue::Bool(a.backed_by_external),
-                    ),
-                ])
-            })
-            .collect();
+        let records = self.alerts.iter().map(alert_json).collect();
         JsonValue::Object(vec![
             ("system".to_string(), JsonValue::String(self.system.clone())),
             ("generation".to_string(), n(self.generation)),
@@ -336,37 +270,15 @@ impl SystemSnapshot {
         ])
     }
 
-    /// Failure list for `/v1/systems/{id}/failures`, field-compatible
-    /// with the `hpc-watch --alerts-jsonl` records.
+    /// Failure list for `/v1/systems/{id}/failures`: each record is
+    /// [`failure_json`], the same bytes as its `hpc-watch --alerts-jsonl`
+    /// line.
     fn failures_json(&self) -> JsonValue {
         let n = |v: u64| JsonValue::Number(v as f64);
         let records = self
             .failures
             .iter()
-            .map(|f| {
-                JsonValue::Object(vec![
-                    ("type".to_string(), JsonValue::String("failure".to_string())),
-                    ("time".to_string(), JsonValue::String(f.time.to_string())),
-                    ("time_ms".to_string(), n(f.time.as_millis())),
-                    ("node".to_string(), n(f.node.0 as u64)),
-                    (
-                        "cname".to_string(),
-                        JsonValue::String(f.node.cname().to_string()),
-                    ),
-                    (
-                        "terminal".to_string(),
-                        JsonValue::String(format!("{:?}", f.terminal)),
-                    ),
-                    ("predicted".to_string(), JsonValue::Bool(f.lead.is_some())),
-                    (
-                        "lead_mins".to_string(),
-                        match f.lead {
-                            Some(l) => JsonValue::Number(l.as_mins_f64()),
-                            None => JsonValue::Null,
-                        },
-                    ),
-                ])
-            })
+            .map(|(f, lead)| failure_json(f, *lead))
             .collect();
         JsonValue::Object(vec![
             ("system".to_string(), JsonValue::String(self.system.clone())),
@@ -411,7 +323,10 @@ fn render_report(s: &SystemSnapshot) -> String {
     let _ = writeln!(
         out,
         "retained {} (peak {}, evicted {})  symptomatic nodes {}",
-        s.window.retained, s.window.peak, s.window.evicted, s.window.symptomatic_nodes
+        s.stats.window_events,
+        s.stats.window_peak,
+        s.stats.window_evicted,
+        s.window.symptomatic_nodes
     );
     if let Some((b, n)) = &s.window.hottest_blade {
         let _ = writeln!(out, "hottest blade   {b} ({n} events)");
@@ -436,23 +351,18 @@ fn render_report(s: &SystemSnapshot) -> String {
     if !s.failures.is_empty() {
         let _ = writeln!(out);
         let _ = writeln!(out, "-- recent failures --");
-        for f in s.failures.iter().rev().take(10) {
-            let predicted = match f.lead {
-                Some(l) => format!("predicted, lead {l}"),
-                None => "unpredicted".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "{} {} {:?} ({predicted})",
-                f.time,
-                f.node.cname(),
-                f.terminal
-            );
+        for (f, lead) in s.failures.iter().rev().take(10) {
+            let _ = writeln!(out, "{} {}", f.time, failure_text(f, *lead));
         }
     }
     let _ = writeln!(out);
     out.push_str(&hpc_diagnosis::report::render_findings());
     out
+}
+
+/// The last [`MAX_RECORDS`] of `all`.
+fn tail<T>(all: &[T]) -> &[T] {
+    &all[all.len().saturating_sub(MAX_RECORDS)..]
 }
 
 /// The swap-on-publish hand-off cell between one shard and all readers.
@@ -489,6 +399,7 @@ impl SnapshotSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpc_diagnosis::detection::TerminalKind;
 
     #[test]
     fn slot_swaps_and_readers_keep_old_arcs() {
@@ -520,36 +431,40 @@ mod tests {
         s.stats.predicted_failures = 1;
         s.stats.watermark_lag = SimDuration::from_millis(61_500);
         s.outstanding_alerts = 1;
+        s.stats.window_events = 420;
+        s.stats.window_peak = 900;
+        s.stats.window_evicted = 7;
         s.alerts = vec![
-            AlertRecord {
+            Alert {
                 node: NodeId(5),
                 time: SimTime::from_millis(3_600_123),
                 backed_by_external: true,
             },
-            AlertRecord {
+            Alert {
                 node: NodeId(130),
                 time: SimTime::from_millis(7_200_000),
                 backed_by_external: false,
             },
         ];
         s.failures = vec![
-            FailureRecord {
-                node: NodeId(5),
-                time: SimTime::from_millis(4_000_500),
-                terminal: TerminalKind::AdminDown,
-                lead: Some(SimDuration::from_millis(400_377)),
-            },
-            FailureRecord {
-                node: NodeId(77),
-                time: SimTime::from_millis(9_000_000),
-                terminal: TerminalKind::UnexpectedShutdown,
-                lead: None,
-            },
+            (
+                DetectedFailure {
+                    node: NodeId(5),
+                    time: SimTime::from_millis(4_000_500),
+                    terminal: TerminalKind::AdminDown,
+                },
+                Some(SimDuration::from_millis(400_377)),
+            ),
+            (
+                DetectedFailure {
+                    node: NodeId(77),
+                    time: SimTime::from_millis(9_000_000),
+                    terminal: TerminalKind::UnexpectedShutdown,
+                },
+                None,
+            ),
         ];
         s.window = WindowSummary {
-            retained: 420,
-            peak: 900,
-            evicted: 7,
             symptomatic_nodes: 3,
             hottest_blade: Some(("c0-0c0s1".to_string(), 12)),
             hottest_cabinet: Some(("c0-0".to_string(), 30)),

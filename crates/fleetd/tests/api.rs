@@ -1,19 +1,21 @@
 //! End-to-end API tests: a real `TcpListener`, real sockets, ≥2 systems.
 //!
 //! The acceptance contract for fleetd: serving two systems concurrently,
-//! the live `/window` and `/alerts` responses must equal the state an
+//! the live `/window` response must equal the state an
 //! `hpc-watch`-equivalent local engine computes over the same replayed
-//! feed; every cached snapshot body must 304 on an unchanged generation; and
-//! concurrent clients hammering `/v1/...` during live ingest must see no
-//! 5xx other than deliberate 503 backpressure, with every JSON body
-//! parsing.
+//! feed, and every `/alerts`, `/failures` and `/report` record must be the
+//! bytes that engine's JSONL and text sinks wrote for it; every cached
+//! snapshot body must 304 on an unchanged generation; and concurrent
+//! clients hammering `/v1/...` during live ingest must see no 5xx other
+//! than deliberate 503 backpressure, with every JSON body parsing.
 
+use std::collections::HashMap;
 use std::ffi::OsString;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 #[cfg(unix)]
 use std::{ffi::OsStr, os::unix::ffi::OsStrExt};
@@ -23,7 +25,7 @@ use hpc_fleet::shard::{Feed, ShardConfig};
 use hpc_fleet::{serve, Fleet, QueryStore, ServerConfig};
 use hpc_logs::fs::save_archive;
 use hpc_platform::system::SystemId;
-use hpc_stream::{FollowDir, StreamConfig, StreamEngine};
+use hpc_stream::{FollowDir, JsonlSink, StreamConfig, StreamEngine, TextSink};
 use hpc_telemetry::json::{self, JsonValue};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -75,14 +77,39 @@ fn header<'a>(head: &'a str, name: &str) -> Option<&'a str> {
     })
 }
 
+/// A writer whose bytes the test reads back after the engine is done.
+#[derive(Clone, Default)]
+struct Shared(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Shared {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Shared {
+    fn text(&self) -> String {
+        String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+    }
+}
+
 /// Replays `dir` through a local engine exactly the way a replay shard
-/// does, returning the drained engine — the `hpc-watch` equivalent.
-fn local_replay(dir: &Path) -> StreamEngine {
+/// does — the `hpc-watch` equivalent — returning the drained engine and
+/// what its JSONL and text sinks wrote.
+fn local_replay(dir: &Path) -> (StreamEngine, String, String) {
+    let (jsonl, text) = (Shared::default(), Shared::default());
     let mut engine = StreamEngine::new(StreamConfig::default());
+    engine.add_sink(Box::new(JsonlSink::new(jsonl.clone())));
+    engine.add_sink(Box::new(TextSink::new(text.clone())));
     let mut follow = FollowDir::new(dir);
     while follow.poll_into(&mut engine) > 0 {}
     engine.finish();
-    engine
+    (engine, jsonl.text(), text.text())
 }
 
 struct Server {
@@ -175,8 +202,9 @@ fn two_systems_match_the_equivalent_watch_state() {
     assert_eq!(v.get("count").unwrap().as_number(), Some(2.0));
 
     for (name, dir) in [("S1", &d1), ("S2", &d2)] {
-        let engine = local_replay(dir);
+        let (engine, jsonl, text) = local_replay(dir);
         let stats = engine.stats();
+        let compact = |r: &JsonValue| r.to_string();
 
         // /window equals the local engine's window state.
         let (status, _, body) = get(srv.addr, &format!("/v1/systems/{name}/window"), "");
@@ -194,7 +222,7 @@ fn two_systems_match_the_equivalent_watch_state() {
             engine.window().symptomatic_nodes() as u64
         );
 
-        // /alerts equals the local engine's alert history, record by record.
+        // /alerts is the tail of the JSONL alert lines, byte for byte.
         let (status, _, body) = get(srv.addr, &format!("/v1/systems/{name}/alerts"), "");
         assert_eq!(status, 200);
         let a = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
@@ -207,25 +235,18 @@ fn two_systems_match_the_equivalent_watch_state() {
             Some(engine.outstanding_alerts() as f64)
         );
         let records = a.get("alerts").and_then(JsonValue::as_array).unwrap();
-        let local = engine.alerts();
-        let tail = &local[local.len().saturating_sub(1024)..];
-        assert_eq!(records.len(), tail.len());
-        for (record, alert) in records.iter().zip(tail) {
-            assert_eq!(
-                record.get("time_ms").unwrap().as_number(),
-                Some(alert.time.as_millis() as f64)
-            );
-            assert_eq!(
-                record.get("cname").and_then(JsonValue::as_str),
-                Some(alert.node.cname().to_string().as_str())
-            );
-            assert_eq!(
-                record.get("backed_by_external"),
-                Some(&JsonValue::Bool(alert.backed_by_external))
-            );
-        }
+        let lines: Vec<&str> = jsonl
+            .lines()
+            .filter(|l| l.starts_with("{\"type\":\"alert\""))
+            .collect();
+        assert_eq!(lines.len(), engine.alerts().len());
+        let tail = &lines[lines.len().saturating_sub(1024)..];
+        assert_eq!(records.iter().map(compact).collect::<Vec<_>>(), tail);
 
-        // /failures totals equal the local engine's.
+        // /failures: totals equal the local engine's, and each record is
+        // the JSONL line of the same failure, byte for byte. The sinks see
+        // failures in finalization order, the snapshot in the drained
+        // engine's (time, node) order, so lines are matched by that key.
         let (status, _, body) = get(srv.addr, &format!("/v1/systems/{name}/failures"), "");
         assert_eq!(status, 200);
         let f = json::parse(std::str::from_utf8(&body).unwrap()).unwrap();
@@ -236,6 +257,19 @@ fn two_systems_match_the_equivalent_watch_state() {
         let records = f.get("failures").and_then(JsonValue::as_array).unwrap();
         let local = engine.failures();
         assert_eq!(records.len(), local.len().min(1024));
+        let key = |r: &JsonValue| {
+            let num = |k: &str| r.get(k).and_then(JsonValue::as_number).unwrap() as u64;
+            (num("time_ms"), num("node"))
+        };
+        let by_key: HashMap<(u64, u64), &str> = jsonl
+            .lines()
+            .filter(|l| l.starts_with("{\"type\":\"failure\""))
+            .map(|l| (key(&json::parse(l).unwrap()), l))
+            .collect();
+        assert_eq!(by_key.len(), local.len());
+        for record in records {
+            assert_eq!(compact(record), by_key[&key(record)]);
+        }
         let predicted: u64 = records
             .iter()
             .filter(|r| r.get("predicted") == Some(&JsonValue::Bool(true)))
@@ -243,6 +277,38 @@ fn two_systems_match_the_equivalent_watch_state() {
         if local.len() <= 1024 {
             assert_eq!(predicted, stats.predicted_failures);
         }
+
+        // /report's recent failures are the text sink's FAILURE lines with
+        // the word FAILURE taken out, newest first.
+        let by_failure: HashMap<(String, String), String> = text
+            .lines()
+            .filter_map(|l| {
+                let mut words = l.split(' ');
+                let (time, kind, cname) = (words.next()?, words.next()?, words.next()?);
+                (kind == "FAILURE").then(|| {
+                    let key = (time.to_string(), cname.to_string());
+                    (key, l.replacen(" FAILURE ", " ", 1))
+                })
+            })
+            .collect();
+        assert_eq!(by_failure.len(), local.len());
+        let expected: Vec<&str> = local
+            .iter()
+            .rev()
+            .take(10)
+            .map(|f| by_failure[&(f.time.to_string(), f.node.cname().to_string())].as_str())
+            .collect();
+        let (status, _, body) = get(srv.addr, &format!("/v1/systems/{name}/report"), "");
+        assert_eq!(status, 200);
+        let report = String::from_utf8(body).unwrap();
+        let recent: Vec<&str> = report
+            .lines()
+            .skip_while(|l| *l != "-- recent failures --")
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .collect();
+        assert!(!expected.is_empty(), "{name}: the replay must fail a node");
+        assert_eq!(recent, expected, "{name}");
     }
 
     srv.stop();

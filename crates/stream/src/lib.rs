@@ -26,7 +26,8 @@
 //! * [`engine`] — [`engine::StreamEngine`]: incremental failure detection
 //!   and the batch predictor (`AlertRaiser`) rehosted on the stream, with
 //!   per-alert lead-time bookkeeping.
-//! * [`sink`] — pluggable alert sinks (stderr text, JSONL).
+//! * [`sink`] — pluggable alert sinks (stderr text, JSONL) and the one
+//!   JSON and one text form of each settled alert and failure.
 //! * [`follow`] — polling directory tailer for `hpc-watch --follow`:
 //!   bounded block reads, cut per poll at a common time bound.
 //! * [`drive`] — the one feed loop (follow / replay / routed stdin lines →

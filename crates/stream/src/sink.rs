@@ -1,18 +1,23 @@
-//! Pluggable alert sinks.
+//! Pluggable alert sinks, and the one form of each record they write.
 //!
 //! The engine emits alerts and finalized failures as they settle; sinks
-//! decide what to do with them. Two stock implementations: a one-line text
-//! sink for an operator terminal, and a JSONL sink for downstream tooling
-//! (`jq`, dashboards). JSON is emitted by hand — records are flat (`type`,
-//! `time`, `time_ms`, `node`, `cname`, then `backed_by_external` for an
-//! alert or `terminal` / `predicted` / `lead_mins` for a failure) and stay
-//! greppable.
+//! decide what to do with them. Each record has exactly one JSON form
+//! ([`alert_json`], [`failure_json`]) and one text form ([`alert_text`],
+//! [`failure_text`]). The two stock sinks — a one-line text sink for an
+//! operator terminal and a JSONL sink for downstream tooling (`jq`,
+//! dashboards) — write through them, and so do `hpc-watch`'s flight
+//! recorder and `hpc-fleetd`'s `/alerts`, `/failures` and `/report`. The
+//! JSON records are flat (`type`, `time`, `time_ms`, `node`, `cname`, then
+//! `backed_by_external` for an alert or `terminal` / `predicted` /
+//! `lead_mins` for a failure) and stay greppable.
 
 use std::io::Write;
 
 use hpc_diagnosis::detection::DetectedFailure;
 use hpc_diagnosis::prediction::Alert;
-use hpc_logs::time::SimDuration;
+use hpc_logs::time::{SimDuration, SimTime};
+use hpc_platform::NodeId;
+use hpc_telemetry::json::JsonValue;
 
 /// Receiver of online diagnosis output.
 pub trait AlertSink {
@@ -25,6 +30,70 @@ pub trait AlertSink {
 
     /// Flushes buffered output (called on shutdown).
     fn flush(&mut self);
+}
+
+/// The JSON record of `alert`: one `--alerts-jsonl` line, one `/alerts`
+/// entry.
+pub fn alert_json(alert: &Alert) -> JsonValue {
+    let tail = [(
+        "backed_by_external",
+        JsonValue::Bool(alert.backed_by_external),
+    )];
+    record("alert", alert.time, alert.node, tail)
+}
+
+/// The JSON record of `failure`, predicted with `lead` or missed (`None`):
+/// one `--alerts-jsonl` line, one `/failures` entry.
+pub fn failure_json(failure: &DetectedFailure, lead: Option<SimDuration>) -> JsonValue {
+    let terminal = JsonValue::String(format!("{:?}", failure.terminal));
+    let lead_mins = lead.map_or(JsonValue::Null, |l| JsonValue::Number(l.as_mins_f64()));
+    let tail = [
+        ("terminal", terminal),
+        ("predicted", JsonValue::Bool(lead.is_some())),
+        ("lead_mins", lead_mins),
+    ];
+    record("failure", failure.time, failure.node, tail)
+}
+
+/// The fields every record starts with, then `tail`.
+fn record<const N: usize>(
+    kind: &str,
+    time: SimTime,
+    node: NodeId,
+    tail: [(&str, JsonValue); N],
+) -> JsonValue {
+    let head = [
+        ("type", JsonValue::String(kind.to_string())),
+        ("time", JsonValue::String(time.to_string())),
+        ("time_ms", JsonValue::Number(time.as_millis() as f64)),
+        ("node", JsonValue::Number(node.0 as f64)),
+        ("cname", JsonValue::String(node.cname().to_string())),
+    ];
+    JsonValue::Object(
+        head.into_iter()
+            .chain(tail)
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// The words of the text `ALERT` line that follow its time.
+pub fn alert_text(alert: &Alert) -> String {
+    let backing = if alert.backed_by_external {
+        "externally-backed"
+    } else {
+        "internal-only"
+    };
+    format!("{} ({backing})", alert.node.cname())
+}
+
+/// The words of the text `FAILURE` line that follow its time.
+pub fn failure_text(failure: &DetectedFailure, lead: Option<SimDuration>) -> String {
+    let (cname, terminal) = (failure.node.cname(), failure.terminal);
+    match lead {
+        Some(l) => format!("{cname} {terminal:?} (predicted, lead {l})"),
+        None => format!("{cname} {terminal:?} (unpredicted)"),
+    }
 }
 
 /// Human-oriented one-line-per-record sink.
@@ -41,31 +110,12 @@ impl<W: Write> TextSink<W> {
 
 impl<W: Write> AlertSink for TextSink<W> {
     fn alert(&mut self, alert: &Alert) {
-        let backing = if alert.backed_by_external {
-            "externally-backed"
-        } else {
-            "internal-only"
-        };
-        let _ = writeln!(
-            self.out,
-            "{} ALERT   {} ({backing})",
-            alert.time,
-            alert.node.cname()
-        );
+        let _ = writeln!(self.out, "{} ALERT   {}", alert.time, alert_text(alert));
     }
 
     fn failure(&mut self, failure: &DetectedFailure, lead: Option<SimDuration>) {
-        let predicted = match lead {
-            Some(l) => format!("predicted, lead {l}"),
-            None => "unpredicted".to_string(),
-        };
-        let _ = writeln!(
-            self.out,
-            "{} FAILURE {} {:?} ({predicted})",
-            failure.time,
-            failure.node.cname(),
-            failure.terminal
-        );
+        let text = failure_text(failure, lead);
+        let _ = writeln!(self.out, "{} FAILURE {text}", failure.time);
     }
 
     fn flush(&mut self) {
@@ -87,32 +137,11 @@ impl<W: Write> JsonlSink<W> {
 
 impl<W: Write> AlertSink for JsonlSink<W> {
     fn alert(&mut self, alert: &Alert) {
-        let _ = writeln!(
-            self.out,
-            "{{\"type\":\"alert\",\"time\":\"{}\",\"time_ms\":{},\"node\":{},\"cname\":\"{}\",\"backed_by_external\":{}}}",
-            alert.time,
-            alert.time.as_millis(),
-            alert.node.0,
-            alert.node.cname(),
-            alert.backed_by_external
-        );
+        let _ = writeln!(self.out, "{}", alert_json(alert));
     }
 
     fn failure(&mut self, failure: &DetectedFailure, lead: Option<SimDuration>) {
-        let lead_mins = match lead {
-            Some(l) => format!("{:.3}", l.as_mins_f64()),
-            None => "null".to_string(),
-        };
-        let _ = writeln!(
-            self.out,
-            "{{\"type\":\"failure\",\"time\":\"{}\",\"time_ms\":{},\"node\":{},\"cname\":\"{}\",\"terminal\":\"{:?}\",\"predicted\":{},\"lead_mins\":{lead_mins}}}",
-            failure.time,
-            failure.time.as_millis(),
-            failure.node.0,
-            failure.node.cname(),
-            failure.terminal,
-            lead.is_some()
-        );
+        let _ = writeln!(self.out, "{}", failure_json(failure, lead));
     }
 
     fn flush(&mut self) {
@@ -156,16 +185,27 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert!(lines.iter().all(|l| l.starts_with('{') && l.ends_with('}')));
-        assert!(lines[0].contains("\"type\":\"alert\""));
-        assert!(lines[0].contains("\"time_ms\":61000"));
-        assert!(lines[0].contains("\"backed_by_external\":true"));
-        assert!(lines[1].contains("\"predicted\":true"));
-        assert!(lines[1].contains("\"lead_mins\":59.000"));
-        assert!(lines[2].contains("\"predicted\":false"));
-        assert!(lines[2].contains("\"lead_mins\":null"));
-        // The cname is the operator-facing identifier.
-        assert!(lines[0].contains(&format!("\"cname\":\"{}\"", NodeId(7).cname())));
+        // Keys in their documented order; the cname is the operator-facing
+        // identifier.
+        let head = |kind: &str, t: SimTime| {
+            format!(
+                "{{\"type\":\"{kind}\",\"time\":\"{t}\",\"time_ms\":{},\"node\":7,\"cname\":\"{}\"",
+                t.as_millis(),
+                NodeId(7).cname()
+            )
+        };
+        let (a, f) = (sample_alert().time, sample_failure().time);
+        assert_eq!(lines[0], head("alert", a) + ",\"backed_by_external\":true}");
+        assert_eq!(
+            lines[1],
+            head("failure", f)
+                + ",\"terminal\":\"SchedulerDown\",\"predicted\":true,\"lead_mins\":59}"
+        );
+        assert_eq!(
+            lines[2],
+            head("failure", f)
+                + ",\"terminal\":\"SchedulerDown\",\"predicted\":false,\"lead_mins\":null}"
+        );
     }
 
     #[test]
@@ -178,9 +218,19 @@ mod tests {
             sink.flush();
         }
         let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("ALERT"));
-        assert!(text.contains("FAILURE"));
-        assert!(text.contains("unpredicted"));
+        let cname = NodeId(7).cname();
+        assert_eq!(
+            text,
+            format!(
+                "{} ALERT   {cname} (externally-backed)\n{} FAILURE {cname} SchedulerDown (unpredicted)\n",
+                sample_alert().time,
+                sample_failure().time
+            )
+        );
+        let lead = SimDuration::from_mins(59);
+        assert_eq!(
+            failure_text(&sample_failure(), Some(lead)),
+            format!("{cname} SchedulerDown (predicted, lead {lead})")
+        );
     }
 }

@@ -40,12 +40,15 @@ use std::process::exit;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use hpc_node_failures::diagnosis::detection::DetectedFailure;
+use hpc_node_failures::diagnosis::prediction::Alert;
 use hpc_node_failures::logs::time::SimDuration;
 use hpc_node_failures::stream::drive::{drive, stdin_lines, Feed};
 use hpc_node_failures::stream::flight::{self, FlightRecorder};
+use hpc_node_failures::stream::sink::{alert_text, failure_text};
 use hpc_node_failures::stream::{
-    signal, FollowDir, HeartbeatWriter, JsonlSink, StreamConfig, StreamEngine, StreamStats,
-    TextSink,
+    signal, AlertSink, FollowDir, HeartbeatWriter, JsonlSink, StreamConfig, StreamEngine,
+    StreamStats, TextSink,
 };
 use hpc_node_failures::telemetry::{self, Flags};
 
@@ -157,16 +160,31 @@ impl Heartbeat {
     }
 }
 
-/// The driver's observer: feeds the flight recorder with state
-/// *transitions* (new alerts/failures, late-event and quarantine changes)
-/// by diffing engine state against the last call, keeps the heartbeat
-/// schedule, and writes the exit artefacts on the final call.
+/// Records every settled alert and failure in the flight recorder, in the
+/// words of its stderr line.
+struct FlightSink;
+
+impl AlertSink for FlightSink {
+    fn alert(&mut self, alert: &Alert) {
+        flight::record_global("alert", format!("{} {}", alert.time, alert_text(alert)));
+    }
+
+    fn failure(&mut self, failure: &DetectedFailure, lead: Option<SimDuration>) {
+        let text = failure_text(failure, lead);
+        flight::record_global("failure", format!("{} {text}", failure.time));
+    }
+
+    fn flush(&mut self) {}
+}
+
+/// The driver's observer: feeds the flight recorder with the late-event
+/// and quarantine *transitions* by diffing engine state against the last
+/// call (alerts and failures reach it through [`FlightSink`]), keeps the
+/// heartbeat schedule, and writes the exit artefacts on the final call.
 struct Monitor {
     heartbeat: Option<Heartbeat>,
     flight_file: Option<String>,
     last: StreamStats,
-    seen_alerts: usize,
-    seen_failures: usize,
     last_quarantined: usize,
 }
 
@@ -176,8 +194,6 @@ impl Monitor {
             heartbeat,
             flight_file,
             last: StreamStats::default(),
-            seen_alerts: 0,
-            seen_failures: 0,
             last_quarantined: 0,
         }
     }
@@ -187,34 +203,6 @@ impl Monitor {
             flight::record_global("eof", "stdin closed: drained");
         }
         let stats = engine.stats();
-        for alert in &engine.alerts()[self.seen_alerts..] {
-            flight::record_global(
-                "alert",
-                format!(
-                    "{} node {} ({})",
-                    alert.time,
-                    alert.node.cname(),
-                    if alert.backed_by_external {
-                        "externally-backed"
-                    } else {
-                        "internal-only"
-                    }
-                ),
-            );
-        }
-        self.seen_alerts = engine.alerts().len();
-        for failure in &engine.failures()[self.seen_failures..] {
-            flight::record_global(
-                "failure",
-                format!(
-                    "{} node {} {:?}",
-                    failure.time,
-                    failure.node.cname(),
-                    failure.terminal
-                ),
-            );
-        }
-        self.seen_failures = engine.failures().len();
         if stats.late_events > self.last.late_events {
             flight::record_global(
                 "late",
@@ -318,6 +306,7 @@ fn main() {
     flight::install_panic_hook();
 
     let mut engine = StreamEngine::new(opts.config);
+    engine.add_sink(Box::new(FlightSink));
     if !opts.quiet {
         engine.add_sink(Box::new(TextSink::new(std::io::stderr())));
     }
