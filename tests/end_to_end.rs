@@ -3,8 +3,10 @@
 //! ground truth lives in `crates/bench/tests/accuracy.rs`.
 
 use hpc_node_failures::diagnosis::root_cause::{classify_all, CauseClass};
-use hpc_node_failures::diagnosis::{Diagnosis, DiagnosisConfig};
+use hpc_node_failures::diagnosis::swo::SwoWindow;
+use hpc_node_failures::diagnosis::{DetectedFailure, Diagnosis, DiagnosisConfig};
 use hpc_node_failures::faultsim::Scenario;
+use hpc_node_failures::logs::{LogArchive, LogEvent, SimDuration};
 use hpc_node_failures::platform::SystemId;
 
 #[test]
@@ -20,6 +22,55 @@ fn diagnosis_is_deterministic_end_to_end() {
     };
     assert_eq!(run(7), run(7));
     assert_ne!(run(7).1, run(8).1);
+}
+
+#[test]
+fn shifting_every_timestamp_shifts_the_diagnosis_by_the_same_amount() {
+    // A metamorphic relation: the diagnosis depends on time only through
+    // differences, so moving the whole archive moves every failure and
+    // SWO by exactly the shift and changes nothing else. Both sides are
+    // re-rendered from the parsed events, so a render round-trip
+    // difference cannot enter the comparison.
+    let out = Scenario::new(SystemId::S1, 2, 5, 42).run();
+    let events = out.archive.parse_merged().events;
+    // 3 h 17 min 23.456 s: not a whole number of seconds, minutes or days.
+    let shift = SimDuration::from_millis(((3 * 60 + 17) * 60 + 23) * 1000 + 456);
+    let diagnose = |shift: SimDuration| {
+        let mut archive = LogArchive::new(out.archive.scheduler());
+        for e in &events {
+            archive.append_event(&LogEvent {
+                time: e.time + shift,
+                ..e.clone()
+            });
+        }
+        Diagnosis::from_archive(&archive, DiagnosisConfig::default())
+    };
+    let (base, moved) = (diagnose(SimDuration::ZERO), diagnose(shift));
+    assert!(!base.failures.is_empty());
+    let shifted = |fs: &[DetectedFailure]| {
+        fs.iter()
+            .map(|f| DetectedFailure {
+                time: f.time + shift,
+                ..*f
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(moved.failures, shifted(&base.failures));
+    assert_eq!(moved.swo_failures, shifted(&base.swo_failures));
+    let swos = base.swos.iter().map(|w| SwoWindow {
+        start: w.start + shift,
+        end: w.end + shift,
+        ..*w
+    });
+    assert_eq!(moved.swos, swos.collect::<Vec<_>>());
+    let causes = |d: &Diagnosis| {
+        classify_all(d)
+            .into_iter()
+            .map(|(_, c)| c)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(causes(&moved), causes(&base));
+    assert_eq!(moved.skipped_lines, base.skipped_lines);
 }
 
 #[test]
