@@ -38,6 +38,7 @@ use hpc_diagnosis::report;
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
 use hpc_faultsim::chaos::{ChaosFeed, ChaosSpec, Intensity, Pathology, RECORD_SLACK};
 use hpc_faultsim::Scenario;
+use hpc_logs::time::SimDuration;
 use hpc_logs::{LogArchive, LogSource};
 use hpc_platform::SystemId;
 use hpc_stream::{StreamConfig, StreamEngine};
@@ -70,9 +71,10 @@ fn parse_args() -> Options {
             _ => args.usage(),
         }
     }
-    if opts.cabinets == 0 || opts.days == 0 {
-        // A system has at least one cabinet, and a zero-day archive holds
-        // no failures for any cell to score.
+    if opts.cabinets == 0 || opts.days == 0 || SimDuration::horizon_days(opts.days).is_none() {
+        // A system has at least one cabinet, a zero-day archive holds no
+        // failures for any cell to score, and every instant simulated must
+        // render as a log timestamp.
         args.usage();
     }
     opts

@@ -35,6 +35,9 @@ fn chaos_rejects_bad_command_lines_with_usage() {
             &["--cabinets", "0"],
             // Zero days ran every cell on an empty archive and failed them all.
             &["--days", "0"],
+            // Past the last four-digit-year timestamp; this count of days
+            // in milliseconds wrapped to about 1.4 days and ran.
+            &["--days", "213503982336"],
         ],
     );
 }

@@ -3,9 +3,9 @@
 //!
 //! ```text
 //! acceptor thread ──► bounded sync_channel ──► N worker threads
-//!      │ (nonblocking accept,   │ (queue full = deliberate          │
-//!      │  polls the shutdown    │  backpressure: the acceptor       │
-//!      │  flag between polls)   │  answers 503 + Retry-After        │
+//!      │ (blocking accept,      │ (queue full = deliberate          │
+//!      │  checks the shutdown   │  backpressure: the acceptor       │
+//!      │  flag after each one)  │  answers 503 + Retry-After        │
 //!      │                        │  itself and drops the socket)     ▼
 //!      ▼                        ▼                        parse → route → respond
 //! ```
@@ -17,14 +17,15 @@
 //! failures), so the write buffer is bounded and a slow consumer can only
 //! slow its own socket.
 //!
-//! Graceful drain: when the shutdown flag flips, the acceptor stops
-//! accepting and closes the queue; workers finish the connections they
-//! hold (capped by the keep-alive request budget and socket timeouts)
-//! and exit; [`ServerHandle::join`] returns. No in-flight response is
+//! Graceful drain: once the shutdown flag flips, [`ServerHandle::join`]
+//! connects once to wake the acceptor, which stops accepting (that
+//! connection is never queued) and closes the queue; workers finish the
+//! connections they hold (capped by the keep-alive request budget and
+//! socket timeouts) and exit; `join` returns. No in-flight response is
 //! abandoned.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
@@ -134,8 +135,19 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Waits for the acceptor and every worker to exit.
+    /// Waits for the acceptor and every worker to exit; the shutdown flag
+    /// must already be set.
     pub fn join(self) {
+        // The acceptor blocks in `accept`: one connection wakes it to see
+        // the flag. It may have exited already, so a refusal is fine.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, WRITE_TIMEOUT);
         let _ = self.acceptor.join();
         for w in self.workers {
             let _ = w.join();
@@ -152,7 +164,6 @@ pub fn serve(
     shutdown: Arc<AtomicBool>,
 ) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let fleet = Arc::new(fleet);
     let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.queue.max(1));
     let rx = Arc::new(Mutex::new(rx));
@@ -181,8 +192,14 @@ pub fn serve(
 }
 
 fn acceptor_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shutdown: Arc<AtomicBool>) {
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            // `join`'s wake-up, or a client arriving during the drain:
+            // neither is queued.
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 hpc_telemetry::counter("fleetd.http.connections").inc();
                 match tx.try_send(stream) {
@@ -199,9 +216,7 @@ fn acceptor_loop(listener: TcpListener, tx: SyncSender<TcpStream>, shutdown: Arc
                     Err(TrySendError::Disconnected(_)) => break,
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Out of descriptors and the like: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }

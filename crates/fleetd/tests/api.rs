@@ -391,6 +391,32 @@ fn pipelined_keep_alive_requests_share_one_connection() {
     let _ = std::fs::remove_dir_all(&d1);
 }
 
+/// A new connection reaches a worker the moment it arrives: fifty fresh
+/// connections one after another, each sending one request and reading its
+/// reply, take well under the 5 ms each that an acceptor polling every
+/// 10 ms would add on average.
+#[test]
+fn fresh_connections_are_served_without_an_accept_delay() {
+    let d1 = tmpdir("accept");
+    generate_feed(&d1, SystemId::S1, 11);
+    let srv = Server::start(vec![replay_config("S1", &d1)], ServerConfig::default());
+    srv.wait_all_finished();
+    assert_eq!(get(srv.addr, "/v1/systems", "").0, 200);
+
+    let started = Instant::now();
+    for _ in 0..50 {
+        assert_eq!(get(srv.addr, "/v1/systems", "").0, 200);
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "50 fresh connections took {elapsed:?}"
+    );
+
+    srv.stop();
+    let _ = std::fs::remove_dir_all(&d1);
+}
+
 /// N threads hammer every endpoint while a live follow shard ingests a
 /// feed that is still being appended. Zero 5xx (other than deliberate
 /// 503 backpressure), and every 200 JSON body parses.

@@ -987,11 +987,21 @@ impl LogEvent {
     }
 }
 
-/// Renders a node's scheduler name (`nid00042`). Scheduler logs address
-/// nodes by nid while console/controller logs use cnames; the diagnosis
-/// pipeline joins the two namespaces.
+/// A node's scheduler name (`nid00042`). Scheduler logs address nodes by
+/// nid while console/controller logs use cnames; the diagnosis pipeline
+/// joins the two namespaces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Nid(pub NodeId);
+
+impl std::fmt::Display for Nid {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "nid{:05}", self.0 .0)
+    }
+}
+
+/// Renders a node's scheduler name ([`Nid`]) as a fresh string.
 pub fn nid_name(node: NodeId) -> String {
-    format!("nid{:05}", node.0)
+    Nid(node).to_string()
 }
 
 /// Parses a `nid00042`-style name.

@@ -190,7 +190,7 @@ pub fn save_archive(archive: &LogArchive, root: &Path) -> io::Result<()> {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
-        let mut w = BufWriter::new(fs::File::create(&path)?);
+        let mut w = BufWriter::with_capacity(BLOCK_BYTES, fs::File::create(&path)?);
         for line in archive.lines(source) {
             w.write_all(line.as_bytes())?;
             w.write_all(b"\n")?;

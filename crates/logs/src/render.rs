@@ -7,16 +7,29 @@
 //! `L0_sysd_mce`, `Out of memory: Kill process …`, the enigmatic
 //! `type:2; severity:80; …` BIOS pattern, and so on.
 //!
+//! Each line is written in one pass into the one `String` it is kept as:
+//! the head (timestamp, source, tag) once, then the message, with cnames,
+//! nids and node lists written in place. A call trace copies its record's
+//! head onto each of its lines.
+//!
 //! Rendering and parsing ([`crate::parse`]) are exact inverses; a property
 //! test in the parse module round-trips every event class.
 
+use std::fmt::{self, Write};
+
+use hpc_platform::id::Cname;
 use hpc_platform::system::SchedulerKind;
 use hpc_platform::NodeId;
 
 use crate::event::{
-    nid_name, ConsoleDetail, ControllerDetail, ControllerScope, ErdDetail, LogEvent, Payload,
-    SchedulerDetail,
+    ConsoleDetail, ControllerDetail, ControllerScope, ErdDetail, LogEvent, Nid, Payload,
+    SchedulerDetail, StackModule,
 };
+use crate::time::SimTime;
+
+/// Bytes reserved for a line: the longest fixed formats fit without
+/// growing; a long node list grows its line once or twice.
+const LINE_CAPACITY: usize = 128;
 
 /// Renders an event into `out`, one string per physical log line.
 ///
@@ -30,6 +43,7 @@ pub fn render_into(event: &LogEvent, scheduler: SchedulerKind, out: &mut Vec<Str
         Payload::Erd { scope, detail } => render_erd(ts, *scope, detail, out),
         Payload::Scheduler { detail } => render_scheduler(ts, scheduler, detail, out),
     }
+    .expect("writing to a String cannot fail");
 }
 
 /// Convenience wrapper returning freshly allocated lines.
@@ -40,12 +54,15 @@ pub fn render(event: &LogEvent, scheduler: SchedulerKind) -> Vec<String> {
 }
 
 fn render_console(
-    ts: crate::time::SimTime,
+    ts: SimTime,
     node: NodeId,
     detail: &ConsoleDetail,
     out: &mut Vec<String>,
-) {
-    let head = format!("{ts} {} kernel:", node.cname());
+) -> fmt::Result {
+    let mut line = String::with_capacity(LINE_CAPACITY);
+    write!(line, "{ts} {} kernel:", node.cname())?;
+    let head = line.len();
+    let mut trace = None;
     match detail {
         ConsoleDetail::Mce {
             bank,
@@ -57,10 +74,11 @@ fn render_console(
             } else {
                 "uncorrected"
             };
-            out.push(format!(
-                "{head} mce: [Hardware Error]: Machine Check Exception bank={bank} kind={} status={status}",
+            write!(
+                line,
+                " mce: [Hardware Error]: Machine Check Exception bank={bank} kind={} status={status}",
                 kind.token()
-            ));
+            )?;
         }
         ConsoleDetail::MemoryError { dimm, correctable } => {
             let kind = if *correctable {
@@ -68,211 +86,218 @@ fn render_console(
             } else {
                 "uncorrectable"
             };
-            out.push(format!(
-                "{head} EDAC MC0: {kind} memory error on DIMM {dimm}"
-            ));
+            write!(line, " EDAC MC0: {kind} memory error on DIMM {dimm}")?;
         }
         ConsoleDetail::SegFault { app, pid } => {
             let exe = app.executable();
-            out.push(format!(
-                "{head} {exe}[{pid}]: segfault at 7f2e00dead ip 000000000040beef error 6 in {exe}"
-            ));
+            write!(
+                line,
+                " {exe}[{pid}]: segfault at 7f2e00dead ip 000000000040beef error 6 in {exe}"
+            )?;
         }
         ConsoleDetail::OomKill { victim, pid } => {
-            out.push(format!(
-                "{head} Out of memory: Kill process {pid} ({}) score 912 or sacrifice child",
+            write!(
+                line,
+                " Out of memory: Kill process {pid} ({}) score 912 or sacrifice child",
                 victim.executable()
-            ));
+            )?;
         }
         ConsoleDetail::KernelOops { cause, modules } => {
-            out.push(format!("{head} {}", cause.first_line()));
-            render_call_trace(&head, modules, out);
+            write!(line, " {}", cause.first_line())?;
+            trace = Some(modules);
         }
         ConsoleDetail::KernelPanic { reason } => {
-            out.push(format!(
-                "{head} Kernel panic - not syncing: {}",
-                reason.message()
-            ));
+            write!(line, " Kernel panic - not syncing: {}", reason.message())?;
         }
         ConsoleDetail::LustreError { kind } => {
-            out.push(format!(
-                "{head} LustreError: 11-0: fs0-OST0001: {}",
-                kind.token()
-            ));
+            write!(line, " LustreError: 11-0: fs0-OST0001: {}", kind.token())?;
         }
         ConsoleDetail::HungTaskTimeout { task, pid, modules } => {
-            out.push(format!(
-                "{head} INFO: task {}:{pid} blocked for more than 120 seconds.",
+            write!(
+                line,
+                " INFO: task {}:{pid} blocked for more than 120 seconds.",
                 task.executable()
-            ));
-            render_call_trace(&head, modules, out);
+            )?;
+            trace = Some(modules);
         }
         ConsoleDetail::CpuStall { cpu } => {
-            out.push(format!(
-                "{head} INFO: rcu_sched self-detected stall on CPU {cpu}"
-            ));
+            write!(line, " INFO: rcu_sched self-detected stall on CPU {cpu}")?;
         }
         ConsoleDetail::PageAllocFailure { app, order } => {
-            out.push(format!(
-                "{head} {}: page allocation failure: order:{order}, mode:0x280da",
+            write!(
+                line,
+                " {}: page allocation failure: order:{order}, mode:0x280da",
                 app.executable()
-            ));
+            )?;
         }
         ConsoleDetail::GpuError { gpu, xid } => {
-            out.push(format!("{head} NVRM: Xid {xid} on GPU {gpu}"));
+            write!(line, " NVRM: Xid {xid} on GPU {gpu}")?;
         }
-        ConsoleDetail::DiskError => {
-            out.push(format!("{head} sd 0:0:0:0: [sda] Unhandled error code"));
-        }
+        ConsoleDetail::DiskError => line.push_str(" sd 0:0:0:0: [sda] Unhandled error code"),
         ConsoleDetail::BiosError => {
-            out.push(format!(
-                "{head} type:2; severity:80; class:3; subclass:D; operation: 2"
-            ));
+            line.push_str(" type:2; severity:80; class:3; subclass:D; operation: 2")
         }
         ConsoleDetail::NhcWarning { test } => {
-            out.push(format!("{head} NHC: warning test={}", test.token()));
+            write!(line, " NHC: warning test={}", test.token())?;
         }
         ConsoleDetail::UnexpectedShutdown => {
-            out.push(format!("{head} EMERGENCY: node unexpectedly shut down"));
+            line.push_str(" EMERGENCY: node unexpectedly shut down")
         }
         ConsoleDetail::GracefulShutdown => {
-            out.push(format!(
-                "{head} reboot: System halted (scheduled maintenance)"
-            ));
+            line.push_str(" reboot: System halted (scheduled maintenance)")
         }
     }
+    let trace = trace.map(|modules| call_trace(&line[..head], modules));
+    out.push(line);
+    out.extend(trace.into_iter().flatten());
+    Ok(())
 }
 
-/// Appends a `Call Trace:` section; one frame per module.
-fn render_call_trace(head: &str, modules: &[crate::event::StackModule], out: &mut Vec<String>) {
-    out.push(format!("{head} Call Trace:"));
-    for m in modules {
-        out.push(format!(
-            "{head}  [<ffffffff8100beef>] {}+0x132/0x240",
-            m.symbol()
-        ));
+/// A `Call Trace:` section, one frame per module, each line opening with
+/// the record's `head`.
+fn call_trace(head: &str, modules: &[StackModule]) -> Vec<String> {
+    let frames = modules
+        .iter()
+        .map(|m| format!("{head}  [<ffffffff8100beef>] {}+0x132/0x240", m.symbol()));
+    std::iter::once(format!("{head} Call Trace:"))
+        .chain(frames)
+        .collect()
+}
+
+/// The cname a controller or ERD line names as its source.
+fn scope_cname(scope: ControllerScope) -> Cname {
+    match scope {
+        ControllerScope::Blade(b) => b.cname(),
+        ControllerScope::Cabinet(c) => c.cname(),
     }
 }
 
 fn render_controller(
-    ts: crate::time::SimTime,
+    ts: SimTime,
     scope: ControllerScope,
     detail: &ControllerDetail,
     out: &mut Vec<String>,
-) {
-    let head = match scope {
-        ControllerScope::Blade(b) => format!("{ts} {} bc:", b.cname()),
-        ControllerScope::Cabinet(c) => format!("{ts} {} cc:", c.cname()),
+) -> fmt::Result {
+    let tag = match scope {
+        ControllerScope::Blade(_) => "bc",
+        ControllerScope::Cabinet(_) => "cc",
     };
-    let line = match detail {
-        ControllerDetail::NodeHeartbeatFault { node } => format!(
-            "{head} ec_node_heartbeat_fault: node {} missed heartbeat",
+    let mut line = String::with_capacity(LINE_CAPACITY);
+    write!(line, "{ts} {} {tag}:", scope_cname(scope))?;
+    match detail {
+        ControllerDetail::NodeHeartbeatFault { node } => write!(
+            line,
+            " ec_node_heartbeat_fault: node {} missed heartbeat",
             node.cname()
-        ),
-        ControllerDetail::NodeVoltageFault { node } => format!(
-            "{head} ec_node_voltage_fault: node {} voltage out of range",
+        )?,
+        ControllerDetail::NodeVoltageFault { node } => write!(
+            line,
+            " ec_node_voltage_fault: node {} voltage out of range",
             node.cname()
-        ),
+        )?,
         ControllerDetail::BcHeartbeatFault => {
-            format!("{head} ec_bc_heartbeat_fault: blade controller heartbeat lost")
+            line.push_str(" ec_bc_heartbeat_fault: blade controller heartbeat lost")
         }
-        ControllerDetail::EcbFault { channel } => {
-            format!("{head} ecb_fault: electronic circuit breaker tripped channel={channel}")
-        }
+        ControllerDetail::EcbFault { channel } => write!(
+            line,
+            " ecb_fault: electronic circuit breaker tripped channel={channel}"
+        )?,
         ControllerDetail::SensorReadFailed { channel } => {
-            format!("{head} get sensor reading failed channel={channel}")
+            write!(line, " get sensor reading failed channel={channel}")?
         }
-        ControllerDetail::CabinetPowerFault => format!("{head} cabinet power fault"),
-        ControllerDetail::MicroControllerFault => {
-            format!("{head} cabinet micro controller fault")
-        }
+        ControllerDetail::CabinetPowerFault => line.push_str(" cabinet power fault"),
+        ControllerDetail::MicroControllerFault => line.push_str(" cabinet micro controller fault"),
         ControllerDetail::CommunicationFault => {
-            format!("{head} communication fault: controller unreachable")
+            line.push_str(" communication fault: controller unreachable")
         }
-        ControllerDetail::ModuleHealthFault => format!("{head} module health fault"),
-        ControllerDetail::RpmFault { fan } => format!("{head} fan rpm fault fan={fan}"),
+        ControllerDetail::ModuleHealthFault => line.push_str(" module health fault"),
+        ControllerDetail::RpmFault { fan } => write!(line, " fan rpm fault fan={fan}")?,
         ControllerDetail::L0SysdMce { node } => {
-            format!("{head} L0_sysd_mce: memory error node={}", node.cname())
+            write!(line, " L0_sysd_mce: memory error node={}", node.cname())?
         }
         ControllerDetail::NodePowerOff { node } => {
-            format!("{head} node {} powered off by operator", node.cname())
+            write!(line, " node {} powered off by operator", node.cname())?
         }
-    };
+    }
     out.push(line);
+    Ok(())
 }
 
 fn render_erd(
-    ts: crate::time::SimTime,
+    ts: SimTime,
     scope: ControllerScope,
     detail: &ErdDetail,
     out: &mut Vec<String>,
-) {
-    let src = match scope {
-        ControllerScope::Blade(b) => b.cname().to_string(),
-        ControllerScope::Cabinet(c) => c.cname().to_string(),
-    };
-    let head = format!("{ts} erd:");
-    let line = match detail {
+) -> fmt::Result {
+    let src = scope_cname(scope);
+    let mut line = String::with_capacity(LINE_CAPACITY);
+    write!(line, "{ts} erd:")?;
+    match detail {
         ErdDetail::SedcWarning {
             sensor,
             channel,
             reading,
             deviation,
-        } => format!(
-            "{head} ec_sedc_warning src={src} sensor={} ch={channel} reading={reading} {}",
+        } => write!(
+            line,
+            " ec_sedc_warning src={src} sensor={} ch={channel} reading={reading} {}",
             sensor.mnemonic(),
             deviation.as_str()
-        ),
+        )?,
         ErdDetail::SedcReading {
             sensor,
             channel,
             reading,
-        } => format!(
-            "{head} ec_sedc_data src={src} sensor={} ch={channel} reading={reading}",
+        } => write!(
+            line,
+            " ec_sedc_data src={src} sensor={} ch={channel} reading={reading}",
             sensor.mnemonic()
-        ),
-        ErdDetail::HwError { node, component } => format!(
-            "{head} ec_hw_error src={} component={}",
+        )?,
+        ErdDetail::HwError { node, component } => write!(
+            line,
+            " ec_hw_error src={} component={}",
             node.cname(),
             component.mnemonic()
-        ),
-        ErdDetail::HeartbeatStop => format!("{head} ec_heartbeat_stop src={src}"),
-        ErdDetail::L0Failed => format!("{head} ec_l0_failed src={src}"),
-        ErdDetail::LinkError { port, kind } => format!(
-            "{head} ec_link_error src={src} port={port} {}",
+        )?,
+        ErdDetail::HeartbeatStop => write!(line, " ec_heartbeat_stop src={src}")?,
+        ErdDetail::L0Failed => write!(line, " ec_l0_failed src={src}")?,
+        ErdDetail::LinkError { port, kind } => write!(
+            line,
+            " ec_link_error src={src} port={port} {}",
             kind.as_log_fragment()
-        ),
+        )?,
         ErdDetail::Environment { air_flow_reduced } => {
             let action = if *air_flow_reduced {
                 "air flow reduced"
             } else {
                 "fan speed adjusted"
             };
-            format!("{head} ec_environment src={src} {action}")
+            write!(line, " ec_environment src={src} {action}")?
         }
-        ErdDetail::CabinetSensorCheck { ok } => format!(
-            "{head} ec_cabinet_sensor_check src={src} status={}",
+        ErdDetail::CabinetSensorCheck { ok } => write!(
+            line,
+            " ec_cabinet_sensor_check src={src} status={}",
             if *ok { "ok" } else { "warn" }
-        ),
-        ErdDetail::NodeFailed { node } => {
-            format!("{head} ec_node_failed src={}", node.cname())
-        }
-    };
+        )?,
+        ErdDetail::NodeFailed { node } => write!(line, " ec_node_failed src={}", node.cname())?,
+    }
     out.push(line);
+    Ok(())
 }
 
 fn render_scheduler(
-    ts: crate::time::SimTime,
+    ts: SimTime,
     scheduler: SchedulerKind,
     detail: &SchedulerDetail,
     out: &mut Vec<String>,
-) {
+) -> fmt::Result {
     let daemon = match scheduler {
         SchedulerKind::Slurm => "slurmctld",
         SchedulerKind::Torque => "pbs_server",
     };
-    let head = format!("{ts} {daemon}:");
-    let line = match detail {
+    let mut line = String::with_capacity(LINE_CAPACITY);
+    write!(line, "{ts} {daemon}:")?;
+    match detail {
         SchedulerDetail::JobStart {
             job,
             apid,
@@ -280,82 +305,80 @@ fn render_scheduler(
             app,
             nodes,
             mem_per_node_mib,
-        } => format!(
-            "{head} job={job} apid={apid} user={user} app={} mem_per_node={mem_per_node_mib}MiB nodes={} start",
-            app.executable(),
-            compress_nid_list(nodes)
-        ),
+        } => {
+            write!(
+                line,
+                " job={job} apid={apid} user={user} app={} mem_per_node={mem_per_node_mib}MiB nodes=",
+                app.executable()
+            )?;
+            write_nid_list(&mut line, nodes)?;
+            line.push_str(" start");
+        }
         SchedulerDetail::JobEnd {
             job,
             exit_code,
             reason,
-        } => format!(
-            "{head} job={job} end exit_code={exit_code} reason={}",
+        } => write!(
+            line,
+            " job={job} end exit_code={exit_code} reason={}",
             reason.token()
-        ),
-        SchedulerDetail::NhcResult { node, test, passed } => format!(
-            "{head} nhc: node={} test={} status={}",
-            nid_name(*node),
+        )?,
+        SchedulerDetail::NhcResult { node, test, passed } => write!(
+            line,
+            " nhc: node={} test={} status={}",
+            Nid(*node),
             test.token(),
             if *passed { "pass" } else { "fail" }
-        ),
-        SchedulerDetail::NodeStateChange { node, state } => format!(
-            "{head} node={} state={}",
-            nid_name(*node),
-            state.token()
-        ),
-        SchedulerDetail::EpilogueCleanup { job, node } => format!(
-            "{head} epilogue: job={job} node={} cleaned",
-            nid_name(*node)
-        ),
+        )?,
+        SchedulerDetail::NodeStateChange { node, state } => {
+            write!(line, " node={} state={}", Nid(*node), state.token())?
+        }
+        SchedulerDetail::EpilogueCleanup { job, node } => {
+            write!(line, " epilogue: job={job} node={} cleaned", Nid(*node))?
+        }
         SchedulerDetail::MemOverallocation {
             job,
             node,
             requested_mib,
             available_mib,
-        } => format!(
-            "{head} sched: job={job} node={} memory overallocation requested={requested_mib}MiB available={available_mib}MiB",
-            nid_name(*node)
-        ),
-    };
+        } => write!(
+            line,
+            " sched: job={job} node={} memory overallocation requested={requested_mib}MiB available={available_mib}MiB",
+            Nid(*node)
+        )?,
+    }
     out.push(line);
+    Ok(())
 }
 
-/// Compresses a node list into Slurm hostlist syntax: `nid00007` for a
-/// single node, `nid[00001-00004,00007]` otherwise. The input need not be
-/// sorted; the output enumerates sorted, deduplicated ranges.
-fn compress_nid_list(nodes: &[NodeId]) -> String {
-    if nodes.is_empty() {
-        return "nid[]".to_string();
-    }
+/// Writes a node list in Slurm hostlist syntax: `nid00007` for a single
+/// node, `nid[00001-00004,00007]` otherwise. The input need not be sorted;
+/// the output enumerates sorted, deduplicated ranges.
+fn write_nid_list(line: &mut String, nodes: &[NodeId]) -> fmt::Result {
     let mut sorted: Vec<u32> = nodes.iter().map(|n| n.0).collect();
     sorted.sort_unstable();
     sorted.dedup();
-    if sorted.len() == 1 {
-        return nid_name(NodeId(sorted[0]));
+    if let [only] = sorted[..] {
+        return write!(line, "{}", Nid(NodeId(only)));
     }
-    let mut parts: Vec<String> = Vec::new();
-    let mut start = sorted[0];
-    let mut prev = sorted[0];
-    for &n in &sorted[1..] {
-        if n == prev + 1 {
-            prev = n;
-            continue;
+    line.push_str("nid[");
+    let mut rest = &sorted[..];
+    while let Some(&start) = rest.first() {
+        // The run of consecutive ids opening `rest`.
+        let run = 1 + rest.windows(2).take_while(|w| w[1] == w[0] + 1).count();
+        let end = rest[run - 1];
+        if start != sorted[0] {
+            line.push(',');
         }
-        parts.push(range_part(start, prev));
-        start = n;
-        prev = n;
+        if start == end {
+            write!(line, "{start:05}")?;
+        } else {
+            write!(line, "{start:05}-{end:05}")?;
+        }
+        rest = &rest[run..];
     }
-    parts.push(range_part(start, prev));
-    format!("nid[{}]", parts.join(","))
-}
-
-fn range_part(start: u32, end: u32) -> String {
-    if start == end {
-        format!("{start:05}")
-    } else {
-        format!("{start:05}-{end:05}")
-    }
+    line.push(']');
+    Ok(())
 }
 
 /// Expands Slurm hostlist syntax back into node ids. Accepts both the
@@ -388,12 +411,17 @@ pub fn expand_nid_list(s: &str) -> Option<Vec<NodeId>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{AppKind, JobEndReason, JobId, LogEvent, OopsCause, StackModule};
-    use crate::time::SimTime;
+    use crate::event::{AppKind, JobEndReason, JobId, LogEvent, OopsCause};
     use hpc_platform::BladeId;
 
     fn at(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    fn compress_nid_list(nodes: &[NodeId]) -> String {
+        let mut list = String::new();
+        write_nid_list(&mut list, nodes).unwrap();
+        list
     }
 
     #[test]

@@ -27,6 +27,10 @@ pub const MILLIS_PER_WEEK: u64 = 7 * MILLIS_PER_DAY;
 /// Days from 1970-01-01 to the simulation epoch 2016-01-01 (16801 days).
 const EPOCH_DAYS_FROM_UNIX: i64 = 16_801;
 
+/// Days from the epoch to 10000-01-01: the longest horizon whose every
+/// instant renders as a four-digit-year timestamp.
+const MAX_HORIZON_DAYS: u64 = 2_916_096;
+
 /// A point in simulated time: milliseconds since 2016-01-01T00:00:00.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
@@ -62,6 +66,18 @@ impl SimDuration {
     /// Span of `n` days.
     pub const fn from_days(n: u64) -> SimDuration {
         SimDuration(n * MILLIS_PER_DAY)
+    }
+
+    /// A simulation horizon of `n` days from the epoch, or `None` when it
+    /// would end after 9999-12-31T23:59:59.999, the last instant the
+    /// 23-character log timestamp can express (2,916,096 days; a larger
+    /// `n` would also overflow [`SimDuration::from_days`]).
+    pub const fn horizon_days(n: u64) -> Option<SimDuration> {
+        if n > MAX_HORIZON_DAYS {
+            None
+        } else {
+            Some(SimDuration::from_days(n))
+        }
     }
 
     /// Raw milliseconds.
@@ -235,13 +251,35 @@ impl Add<SimDuration> for SimDuration {
 }
 
 impl fmt::Display for SimTime {
+    /// `2016-03-04T12:33:01.123`, built in one buffer and written once
+    /// (every simulated log line starts with one). The year takes at least
+    /// four digits, as `{:04}` would; a year past 9999 widens the stamp.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let c = self.to_civil();
-        write!(
-            f,
-            "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}.{:03}",
-            c.year, c.month, c.day, c.hour, c.minute, c.second, c.millisecond
-        )
+        // Up to 20 year digits (never before the 2016 epoch, so no sign),
+        // then the fixed `-MM-DDTHH:MM:SS.mmm`.
+        let mut buf = *b"00000000000000000000-00-00T00:00:00.000";
+        let mut start = 20;
+        let mut year = c.year as u64;
+        while year > 0 || start > 16 {
+            start -= 1;
+            buf[start] = b'0' + (year % 10) as u8;
+            year /= 10;
+        }
+        let mut put = |at: usize, value: u16, width: usize| {
+            let mut value = value;
+            for slot in buf[at..at + width].iter_mut().rev() {
+                *slot = b'0' + (value % 10) as u8;
+                value /= 10;
+            }
+        };
+        put(21, c.month.into(), 2);
+        put(24, c.day.into(), 2);
+        put(27, c.hour.into(), 2);
+        put(30, c.minute.into(), 2);
+        put(33, c.second.into(), 2);
+        put(36, c.millisecond, 3);
+        f.write_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits and separators"))
     }
 }
 
@@ -322,6 +360,21 @@ mod tests {
             let s = t.to_string();
             assert_eq!(SimTime::parse(&s), Some(t), "round-trip of {s}");
         }
+    }
+
+    #[test]
+    fn the_longest_horizon_ends_on_the_last_four_digit_year_instant() {
+        let end = SimDuration::horizon_days(MAX_HORIZON_DAYS).unwrap();
+        let last = SimTime::from_millis(end.as_millis() - 1);
+        assert_eq!(last.to_string(), "9999-12-31T23:59:59.999");
+        assert_eq!(SimTime::parse("9999-12-31T23:59:59.999"), Some(last));
+        assert_eq!(
+            (last + SimDuration::from_millis(1)).to_string(),
+            "10000-01-01T00:00:00.000"
+        );
+        assert_eq!(SimDuration::horizon_days(MAX_HORIZON_DAYS + 1), None);
+        assert_eq!(SimDuration::horizon_days(213_503_982_336), None);
+        assert_eq!(SimDuration::horizon_days(u64::MAX), None);
     }
 
     #[test]

@@ -288,18 +288,30 @@ impl Cname {
 }
 
 impl fmt::Display for Cname {
+    /// `c0-0c1s4n2`, down to the first unaddressed level, built in one
+    /// buffer and written once (most simulated log lines carry one).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "c{}-{}", self.column, self.row)?;
-        if let Some(ch) = self.chassis {
-            write!(f, "c{ch}")?;
-            if let Some(s) = self.slot {
-                write!(f, "s{s}")?;
-                if let Some(n) = self.node {
-                    write!(f, "n{n}")?;
-                }
+        // Five tags and five fields of at most ten digits each.
+        let mut buf = [0u8; 55];
+        let mut len = 0;
+        let fields = [
+            (b'c', Some(self.column)),
+            (b'-', Some(self.row)),
+            (b'c', self.chassis),
+            (b's', self.slot),
+            (b'n', self.node),
+        ];
+        for (tag, field) in fields {
+            let Some(mut value) = field else { break };
+            buf[len] = tag;
+            let digits = value.checked_ilog10().unwrap_or(0) as usize + 1;
+            len += 1 + digits;
+            for slot in buf[len - digits..len].iter_mut().rev() {
+                *slot = b'0' + (value % 10) as u8;
+                value /= 10;
             }
         }
-        Ok(())
+        f.write_str(std::str::from_utf8(&buf[..len]).expect("ASCII tags and digits"))
     }
 }
 

@@ -15,6 +15,7 @@ use std::process::exit;
 
 use hpc_node_failures::faultsim::Scenario;
 use hpc_node_failures::logs::fs::save_archive;
+use hpc_node_failures::logs::time::SimDuration;
 use hpc_node_failures::platform::SystemId;
 use hpc_node_failures::telemetry::{self, Flags};
 
@@ -49,8 +50,9 @@ fn main() {
     let cabinets: u32 = args.get(2).map_or(2, |s| flags.parse(s));
     let days: u64 = args.get(3).map_or(7, |s| flags.parse(s));
     let seed: u64 = args.get(4).map_or(42, |s| flags.parse(s));
-    if cabinets == 0 {
+    if cabinets == 0 || SimDuration::horizon_days(days).is_none() {
         // A system has at least one cabinet; the topology cannot be empty.
+        // Every instant simulated must render as a log timestamp.
         flags.usage();
     }
     if let Some(path) = &telemetry_json {

@@ -690,6 +690,9 @@ fn bad_command_lines_exit_2_with_usage() {
                 // RNG, and 2^32 + 1 truncated to one cabinet.
                 &["out", "S1", "0", "1", "1"],
                 &["out", "S1", "4294967297"],
+                // Past the last four-digit-year timestamp; this count of
+                // days in milliseconds wrapped to about 1.4 days and ran.
+                &["out", "S1", "1", "213503982336", "42"],
             ],
         ),
         (
