@@ -31,8 +31,34 @@ use crate::swo::SwoWindow;
 
 // --- primitive writers --------------------------------------------------
 
+/// Where the writers put bytes: a segment image (`Vec<u8>`) or [`Discard`].
+pub trait Sink {
+    fn push(&mut self, byte: u8);
+    fn extend_from_slice(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn push(&mut self, byte: u8) {
+        Vec::push(self, byte);
+    }
+
+    fn extend_from_slice(&mut self, bytes: &[u8]) {
+        Vec::extend_from_slice(self, bytes);
+    }
+}
+
+/// A sink that keeps nothing: [`encode_payload`] into it is a walk over a
+/// payload's node references that writes no bytes.
+pub struct Discard;
+
+impl Sink for Discard {
+    fn push(&mut self, _: u8) {}
+
+    fn extend_from_slice(&mut self, _: &[u8]) {}
+}
+
 /// Appends a LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+pub fn put_varint(out: &mut impl Sink, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -45,15 +71,15 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Appends a zigzag-encoded signed varint.
-fn put_zigzag(out: &mut Vec<u8>, v: i64) {
+fn put_zigzag(out: &mut impl Sink, v: i64) {
     put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
+fn put_f64(out: &mut impl Sink, v: f64) {
     out.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-fn put_bool(out: &mut Vec<u8>, v: bool) {
+fn put_bool(out: &mut impl Sink, v: bool) {
     out.push(v as u8);
 }
 
@@ -141,7 +167,7 @@ impl<'a> Dec<'a> {
 /// Ordinals are part of the on-disk format: append-only, never reorder.
 macro_rules! ordinal {
     ($put:ident, $get:ident, $ty:ty, [$($variant:expr),+ $(,)?]) => {
-        fn $put(out: &mut Vec<u8>, v: $ty) {
+        fn $put(out: &mut impl Sink, v: $ty) {
             const ALL: &[$ty] = &[$($variant),+];
             let idx = ALL
                 .iter()
@@ -322,7 +348,7 @@ ordinal!(
     ]
 );
 
-fn put_scope(out: &mut Vec<u8>, scope: ControllerScope) {
+fn put_scope(out: &mut impl Sink, scope: ControllerScope) {
     match scope {
         ControllerScope::Blade(b) => {
             out.push(0);
@@ -358,9 +384,14 @@ fn get_u16(dec: &mut Dec<'_>) -> Result<u16, String> {
 /// Encodes one payload tag-free (the segment's [`EventClass`] carries the
 /// variant). Every node reference goes through `node`, which maps it to
 /// its dictionary index — the *same* function body runs for dictionary
-/// collection (a recording mapper) and the real encode (a lookup mapper),
-/// so the two passes cannot disagree about which fields are node ids.
-pub fn encode_payload(payload: &Payload, node: &mut dyn FnMut(NodeId) -> u64, out: &mut Vec<u8>) {
+/// collection (a recording mapper into [`Discard`]) and the real encode (a
+/// lookup mapper into the image), so the two passes cannot disagree about
+/// which fields are node ids.
+pub fn encode_payload(
+    payload: &Payload,
+    node: &mut impl FnMut(NodeId) -> u64,
+    out: &mut impl Sink,
+) {
     match payload {
         Payload::Console { node: n, detail } => {
             put_varint(out, node(*n));

@@ -57,13 +57,15 @@ pub mod scan;
 
 pub use scan::{Scan, ScanStats};
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 use hpc_logs::event::{LogEvent, Payload};
 use hpc_logs::time::SimTime;
@@ -74,7 +76,7 @@ use hpc_telemetry::json::{self, JsonValue};
 use crate::detection::DetectedFailure;
 use crate::store::EventClass;
 use crate::swo::SwoWindow;
-use codec::{put_varint, Dec};
+use codec::{put_varint, Dec, Discard};
 
 /// On-disk schema version this build writes; bump on any incompatible
 /// layout change. Schema 1 stores (no block directory) still open.
@@ -469,91 +471,89 @@ fn encode_block_dir(blocks: &[Block], out: &mut Vec<u8>) {
     }
 }
 
-/// Encodes one class's rows as a complete segment file image.
+/// Encodes one class's rows as a complete segment file image, built in
+/// one buffer: header, body, footer.
 fn encode_segment(class: EventClass, rows: &[(u32, &LogEvent)]) -> Vec<u8> {
-    // Pass 1: collect every referenced node id into a sorted dictionary.
+    // Pass 1: collect every referenced node id into a sorted dictionary,
+    // walking the payloads without writing a byte.
     let mut dict: Vec<NodeId> = Vec::new();
-    {
-        let mut scratch = Vec::new();
-        for (_, e) in rows {
-            codec::encode_payload(
-                &e.payload,
-                &mut |n| {
-                    dict.push(n);
-                    0
-                },
-                &mut scratch,
-            );
-            scratch.clear();
-        }
+    for (_, e) in rows {
+        codec::encode_payload(
+            &e.payload,
+            &mut |n| {
+                dict.push(n);
+                0
+            },
+            &mut Discard,
+        );
     }
     dict.sort_unstable();
     dict.dedup();
 
-    let mut body = Vec::new();
+    let mut image = Vec::new();
+    image.extend_from_slice(SEG_MAGIC);
+    image.push(class as u8);
+    let header = image.len();
+    // Where the body's next byte lands, relative to the body.
+    let at = |image: &Vec<u8>| (image.len() - header) as u64;
     // Dictionary column: sorted unique node ids, delta-encoded.
-    put_varint(&mut body, dict.len() as u64);
+    put_varint(&mut image, dict.len() as u64);
     let mut prev = 0u64;
     for n in &dict {
-        put_varint(&mut body, n.0 as u64 - prev);
+        put_varint(&mut image, n.0 as u64 - prev);
         prev = n.0 as u64;
     }
     // Time column: first absolute, then deltas (rows are chronological).
     // Every column notes where each block's first row landed.
     let mut blocks = Vec::with_capacity(rows.len().div_ceil(BLOCK_ROWS));
-    put_varint(&mut body, rows.len() as u64);
+    put_varint(&mut image, rows.len() as u64);
     let mut prev_t = SimTime::EPOCH;
     for (i, (pos, e)) in rows.iter().enumerate() {
         if i % BLOCK_ROWS == 0 {
             blocks.push(Block {
                 first_time: e.time.as_millis(),
                 first_pos: *pos as u64,
-                time_off: body.len() as u64,
+                time_off: at(&image),
                 ..Block::default()
             });
         }
-        put_varint(&mut body, e.time.since(prev_t).as_millis());
+        put_varint(&mut image, e.time.since(prev_t).as_millis());
         prev_t = e.time;
     }
     // Position column: strictly increasing global positions, delta-encoded.
     let mut prev_p = 0u64;
     for (i, (pos, _)) in rows.iter().enumerate() {
         if i % BLOCK_ROWS == 0 {
-            blocks[i / BLOCK_ROWS].pos_off = body.len() as u64;
+            blocks[i / BLOCK_ROWS].pos_off = at(&image);
         }
-        put_varint(&mut body, *pos as u64 - prev_p);
+        put_varint(&mut image, *pos as u64 - prev_p);
         prev_p = *pos as u64;
     }
     // Payload column: tag-free, nodes as dictionary indexes.
     for (i, (_, e)) in rows.iter().enumerate() {
         if i % BLOCK_ROWS == 0 {
-            blocks[i / BLOCK_ROWS].payload_off = body.len() as u64;
+            blocks[i / BLOCK_ROWS].payload_off = at(&image);
         }
         codec::encode_payload(
             &e.payload,
             &mut |n| dict.binary_search(&n).expect("pass-1 collected every node") as u64,
-            &mut body,
+            &mut image,
         );
     }
-    let index_off = body.len() as u64;
-    encode_block_dir(&blocks, &mut body);
+    let index_off = at(&image);
+    encode_block_dir(&blocks, &mut image);
 
     let min_time = rows.first().map(|(_, e)| e.time.as_millis()).unwrap_or(0);
     let max_time = rows.last().map(|(_, e)| e.time.as_millis()).unwrap_or(0);
-    let checksum = hash64(&body);
-
-    let mut file = Vec::with_capacity(SEG_MAGIC.len() + 1 + body.len() + INDEXED_FOOTER_LEN);
-    file.extend_from_slice(SEG_MAGIC);
-    file.push(class as u8);
-    file.extend_from_slice(&body);
-    file.extend_from_slice(&footer(
+    let checksum = hash64(&image[header..]);
+    image.extend_from_slice(&footer(
         min_time,
         max_time,
         rows.len() as u64,
         checksum,
         Some(index_off),
     ));
-    file
+    image
 }
 
 fn encode_derived(c: &StoreContents<'_>) -> Vec<u8> {
@@ -573,6 +573,28 @@ fn encode_derived(c: &StoreContents<'_>) -> Vec<u8> {
 /// Writes a complete store into `dir` (created if absent), replacing any
 /// previous contents file-by-file. Returns the manifest as written.
 pub fn write_store(dir: &Path, contents: &StoreContents<'_>) -> io::Result<Manifest> {
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
+    write_store_with(dir, contents, threads)
+}
+
+/// [`write_store`] on a pool of `threads` segment writers, capped at the
+/// number of populated classes; the calling thread is one of them. Each
+/// writer loops: take the queue lock, pull the next class — largest first,
+/// so the longest encode starts at once — release the lock, encode the
+/// class's segment and write it durably. After every writer has joined,
+/// `derived.bin` and then the manifest are written, each rename followed by
+/// a sync of `dir`, so a manifest on disk names only segments already on
+/// disk. The first error stops every writer's pulls and is returned.
+///
+/// Telemetry: `core.segstore.encode_us` gets one sample per segment, and
+/// `core.segstore.sync_us` one per `sync_all`, files and directory alike.
+fn write_store_with(
+    dir: &Path,
+    contents: &StoreContents<'_>,
+    threads: usize,
+) -> io::Result<Manifest> {
     let _span = hpc_telemetry::span!("core.segstore.write");
     fs::create_dir_all(dir)?;
 
@@ -581,31 +603,60 @@ pub fn write_store(dir: &Path, contents: &StoreContents<'_>) -> io::Result<Manif
     for (pos, e) in contents.events.iter().enumerate() {
         by_class[EventClass::of(&e.payload) as usize].push((pos as u32, e));
     }
+    let mut classes: Vec<EventClass> = EventClass::ALL
+        .into_iter()
+        .filter(|&c| !by_class[c as usize].is_empty())
+        .collect();
+    classes.sort_by_key(|&c| Reverse(by_class[c as usize].len()));
+    let threads = threads.clamp(1, classes.len().max(1));
 
-    let mut bytes_written = 0u64;
-    let mut segments = Vec::new();
-    for class in EventClass::ALL {
-        let rows = &by_class[class as usize];
-        if rows.is_empty() {
-            continue;
+    // The classes left to pull, and the first error a writer met.
+    let queue = Mutex::new((classes.into_iter(), None));
+    let work = || {
+        let mut written = Vec::new();
+        loop {
+            let pulled = {
+                let mut queue = queue.lock().expect("a segment writer panicked mid-pull");
+                let (pending, error) = &mut *queue;
+                if error.is_some() {
+                    None
+                } else {
+                    pending.next()
+                }
+            };
+            let Some(class) = pulled else {
+                return written;
+            };
+            match write_segment(dir, class, &by_class[class as usize]) {
+                Ok(meta) => written.push(meta),
+                Err(e) => {
+                    let mut queue = queue.lock().expect("a segment writer panicked mid-pull");
+                    queue.1.get_or_insert(e);
+                    return written;
+                }
+            }
         }
-        let image = encode_segment(class, rows);
-        let file = format!("seg-{}.col", class.key());
-        write_atomic(&dir.join(&file), &image)?;
-        bytes_written += image.len() as u64;
-        segments.push(SegmentMeta {
-            class,
-            file,
-            events: rows.len() as u64,
-            min_time: rows.first().map(|(_, e)| e.time).unwrap_or(SimTime::EPOCH),
-            max_time: rows.last().map(|(_, e)| e.time).unwrap_or(SimTime::EPOCH),
-            bytes: image.len() as u64,
-        });
+    };
+    let mut segments = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut written = work();
+        for worker in spawned {
+            written.extend(worker.join().expect("segment writer panicked"));
+        }
+        written
+    });
+    if let (_, Some(e)) = queue
+        .into_inner()
+        .expect("a segment writer panicked mid-pull")
+    {
+        return Err(e);
     }
+    // Back in `EventClass::ALL` order: the manifest does not depend on the pool.
+    segments.sort_by_key(|s| s.class as u8);
 
     let derived = encode_derived(contents);
     write_atomic(&dir.join(DERIVED_FILE), &derived)?;
-    bytes_written += derived.len() as u64;
+    sync_dir(dir)?;
 
     let mut manifest = Manifest {
         schema_version: SCHEMA_VERSION,
@@ -620,25 +671,65 @@ pub fn write_store(dir: &Path, contents: &StoreContents<'_>) -> io::Result<Manif
     manifest.fingerprint = manifest.derive_fingerprint();
     let manifest_text = manifest.to_json().pretty();
     write_atomic(&dir.join(MANIFEST_FILE), manifest_text.as_bytes())?;
-    bytes_written += manifest_text.len() as u64;
+    sync_dir(dir)?;
 
+    let segment_bytes: u64 = manifest.segments.iter().map(|s| s.bytes).sum();
+    let bytes_written = segment_bytes + derived.len() as u64 + manifest_text.len() as u64;
     hpc_telemetry::counter("core.segstore.bytes.written").add(bytes_written);
     hpc_telemetry::counter("core.segstore.segments.written").add(manifest.segments.len() as u64);
     hpc_telemetry::counter("core.segstore.events.written").add(manifest.events);
     Ok(manifest)
 }
 
+/// One segment writer's unit of work: encode `class`'s rows and write the
+/// image durably under its final name.
+fn write_segment(
+    dir: &Path,
+    class: EventClass,
+    rows: &[(u32, &LogEvent)],
+) -> io::Result<SegmentMeta> {
+    let encoding = Instant::now();
+    let image = encode_segment(class, rows);
+    hpc_telemetry::histogram("core.segstore.encode_us")
+        .record(encoding.elapsed().as_micros() as u64);
+    let file = format!("seg-{}.col", class.key());
+    write_atomic(&dir.join(&file), &image)?;
+    Ok(SegmentMeta {
+        class,
+        file,
+        events: rows.len() as u64,
+        min_time: rows.first().map(|(_, e)| e.time).unwrap_or(SimTime::EPOCH),
+        max_time: rows.last().map(|(_, e)| e.time).unwrap_or(SimTime::EPOCH),
+        bytes: image.len() as u64,
+    })
+}
+
 /// Write-to-temp-then-rename so a crash mid-write never leaves a
 /// half-written file under its final name (the footer checksum catches
-/// the rename-less leftovers).
+/// the rename-less leftovers). The rename is durable once the directory
+/// is synced ([`sync_dir`]).
 fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(bytes)?;
-        f.sync_all()?;
+        sync(&f)?;
     }
     fs::rename(&tmp, path)
+}
+
+/// Syncs the directory `dir` itself, so the renames into it survive a
+/// power loss.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    sync(&fs::File::open(dir)?)
+}
+
+/// `sync_all`, timed into `core.segstore.sync_us`.
+fn sync(file: &fs::File) -> io::Result<()> {
+    let syncing = Instant::now();
+    file.sync_all()?;
+    hpc_telemetry::histogram("core.segstore.sync_us").record(syncing.elapsed().as_micros() as u64);
+    Ok(())
 }
 
 // --- segment read -------------------------------------------------------
@@ -1479,6 +1570,106 @@ mod tests {
         fs::write(&victim, &image[..image.len() - 17]).unwrap();
         assert!(matches!(open_store(&dir), Err(OpenError::Corrupt(..))));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What `Diagnosis::save_store` writes for `d`.
+    fn contents_of(d: &crate::Diagnosis) -> StoreContents<'_> {
+        StoreContents {
+            events: d.events(),
+            failures: &d.failures,
+            swos: &d.swos,
+            swo_failures: &d.swo_failures,
+            ..contents(&[], &[])
+        }
+    }
+
+    /// Every file in `dir`, by name.
+    fn files_of(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn every_pool_width_writes_the_same_bytes() {
+        use crate::{Diagnosis, DiagnosisConfig};
+        use hpc_faultsim::chaos::{ChaosFeed, ChaosSpec, Intensity};
+        use hpc_faultsim::Scenario;
+        use hpc_platform::SystemId;
+
+        let archive = Scenario::new(SystemId::S1, 2, 7, 42).run().archive;
+        let golden = Diagnosis::from_archive(&archive, DiagnosisConfig::default());
+        let logs = tmpdir("pool-chaos-logs");
+        let out = Scenario::new(SystemId::S1, 1, 2, 21).run();
+        ChaosFeed::corrupt(&out.archive, &ChaosSpec::mixed(Intensity::Heavy, 5))
+            .write_dir(&logs)
+            .unwrap();
+        let chaos = Diagnosis::from_dir(&logs, DiagnosisConfig::default()).unwrap();
+        fs::remove_dir_all(&logs).unwrap();
+        let counts = class_counts(golden.events());
+        let busiest = counts
+            .into_iter()
+            .max_by_key(|&(c, n)| (n, c as u8))
+            .unwrap()
+            .0;
+        let one_class: Vec<LogEvent> = golden
+            .events()
+            .iter()
+            .filter(|e| EventClass::of(&e.payload) == busiest)
+            .cloned()
+            .collect();
+        let stores = [
+            ("s1-2x7-seed42", contents_of(&golden)),
+            ("heavy-mixed-chaos", contents_of(&chaos)),
+            ("empty", contents(&[], &[])),
+            ("one-class", contents(&one_class, &[])),
+        ];
+        for (name, store) in &stores {
+            let dir = tmpdir(&format!("pool-{name}-1"));
+            let manifest = write_store_with(&dir, store, 1).unwrap();
+            let reference = files_of(&dir);
+            assert_eq!(reference.len(), manifest.segments.len() + 2, "{name}");
+            fs::remove_dir_all(&dir).unwrap();
+            for threads in [2, 4, 64] {
+                let dir = tmpdir(&format!("pool-{name}-{threads}"));
+                assert_eq!(write_store_with(&dir, store, threads).unwrap(), manifest);
+                let files = files_of(&dir);
+                let names = |f: &[(String, Vec<u8>)]| f.iter().map(|f| f.0.clone()).collect();
+                let (got, want): (Vec<String>, Vec<String>) = (names(&files), names(&reference));
+                assert_eq!(got, want, "{name} at pool width {threads}");
+                assert!(files == reference, "{name} at pool width {threads}");
+                fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+        assert!(
+            stores[3].1.events.len() > 1,
+            "the one-class store holds rows"
+        );
+    }
+
+    #[test]
+    fn a_failed_segment_write_fails_every_width_and_writes_no_manifest() {
+        let events = codec::one_of_every_class();
+        let first = EventClass::of(&events[0].payload);
+        let last = EventClass::of(&events[events.len() - 1].payload);
+        for threads in [1, 2, 4, 64] {
+            for squatted in [first, last] {
+                let dir = tmpdir(&format!("squat-{threads}-{}", squatted.key()));
+                // A directory where the writer's temp file must go.
+                fs::create_dir(dir.join(format!("seg-{}.tmp", squatted.key()))).unwrap();
+                let written = write_store_with(&dir, &contents(&events, &[]), threads);
+                assert!(written.is_err(), "width {threads}, {}", squatted.key());
+                assert!(!dir.join(MANIFEST_FILE).exists());
+                fs::remove_dir_all(&dir).unwrap();
+            }
+        }
     }
 
     /// 700 cpu-stall rows (three blocks) in runs of seven equal times, so a

@@ -362,6 +362,26 @@ fn snapshot_renders(tree: &Tree) -> Vec<String> {
     bad
 }
 
+/// Tier-1 proves the workspace: each `crates/*` package is a default member
+/// of the root workspace, so a bare `cargo test` at the root runs its tests.
+fn default_members(tree: &Tree) -> Vec<String> {
+    let root = files(tree, &|p| p == "Cargo.toml");
+    let manifest = root.first().map_or("", |f| f.1);
+    let line = manifest.lines().find(|l| l.starts_with("default-members"));
+    let open = line.and_then(|l| Some(manifest.find(l)? + l.find('[')?));
+    let items = open.map_or(Vec::new(), |open| block(manifest, open).1);
+    let members: Vec<&str> = items.iter().filter_map(|i| i.split('"').nth(1)).collect();
+    let crates = files(tree, &|p| {
+        glob("crates/*/Cargo.toml", p) && p.matches('/').count() == 2
+    });
+    let outside = crates.into_iter().filter(|(p, _)| {
+        let dir = p.trim_end_matches("/Cargo.toml");
+        !members.iter().any(|m| glob(m, dir))
+    });
+    let why = "is not a default member of the root workspace";
+    outside.map(|(p, _)| format!("{p}: {why}")).collect()
+}
+
 /// The package's own tree, walked once for every test that reads it.
 fn tree() -> &'static Tree {
     static TREE: OnceLock<Tree> = OnceLock::new();
@@ -427,6 +447,14 @@ fn no_snapshot_body_is_rendered_per_request() {
     assert_clean(
         "No snapshot body is rendered per request",
         &snapshot_renders(tree()),
+    );
+}
+
+#[test]
+fn every_project_crate_is_a_default_member() {
+    assert_clean(
+        "Every project crate is a default member",
+        &default_members(tree()),
     );
 }
 
@@ -681,4 +709,32 @@ fn snapshot_render_violations_are_reported() {
         ("crates/fleetd/src/snapshot.rs", &sixth),
     ];
     assert_reported(snapshot_renders, &base, &plants);
+}
+
+#[test]
+fn a_crate_outside_the_default_members_is_reported() {
+    let root = "[workspace]\nmembers = [\"crates/*\"]\n\
+                default-members = [\n    \".\",\n    \"crates/core\", # the library\n]\n";
+    let base = tree_of(&[
+        ("Cargo.toml", root),
+        ("crates/core/Cargo.toml", "[package]\n"),
+        ("crates/core/tests/fixture/Cargo.toml", "[package]\n"),
+        ("vendor/rand/Cargo.toml", "[package]\n"),
+    ]);
+    let plants = [("crates/stats/Cargo.toml", "[package]\n")];
+    assert_reported(default_members, &base, &plants);
+    let unlisted = plant(
+        &base,
+        ("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n"),
+    );
+    assert_eq!(
+        default_members(&unlisted),
+        ["crates/core/Cargo.toml: is not a default member of the root workspace"]
+    );
+    let glob = plant(
+        &base,
+        ("Cargo.toml", "default-members = [\".\", \"crates/*\"]\n"),
+    );
+    let planted = plant(&glob, plants[0]);
+    assert!(default_members(&planted).is_empty());
 }
