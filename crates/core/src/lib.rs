@@ -49,3 +49,20 @@ pub use segment::{
     Store, StoreContents,
 };
 pub use store::{EntityIndex, EventClass, EventStore, Postings};
+
+/// Archives that tests in more than one module read, each simulated once
+/// per test binary.
+#[cfg(test)]
+mod fixtures {
+    use hpc_logs::LogArchive;
+    use std::sync::OnceLock;
+
+    /// System S1, one cabinet, two days, seed 21.
+    pub(crate) fn s1_1x2_seed21() -> &'static LogArchive {
+        static ARCHIVE: OnceLock<LogArchive> = OnceLock::new();
+        ARCHIVE.get_or_init(|| {
+            let scenario = hpc_faultsim::Scenario::new(hpc_platform::SystemId::S1, 1, 2, 21);
+            scenario.run().archive
+        })
+    }
+}

@@ -494,11 +494,11 @@ mod tests {
     #[test]
     fn from_dir_agrees_at_tiny_blocks_and_every_pool_width() {
         use hpc_faultsim::chaos::{ChaosFeed, ChaosSpec, Intensity};
-        let out = Scenario::new(SystemId::S1, 1, 2, 21).run();
+        let archive = crate::fixtures::s1_1x2_seed21();
         let clean = tmpdir("blocks-clean");
-        hpc_logs::fs::save_archive(&out.archive, &clean).unwrap();
+        hpc_logs::fs::save_archive(archive, &clean).unwrap();
         let hostile = tmpdir("blocks-chaos");
-        ChaosFeed::corrupt(&out.archive, &ChaosSpec::mixed(Intensity::Heavy, 5))
+        ChaosFeed::corrupt(archive, &ChaosSpec::mixed(Intensity::Heavy, 5))
             .write_dir(&hostile)
             .unwrap();
         for dir in [&clean, &hostile] {

@@ -342,13 +342,12 @@ mod tests {
     use crate::pipeline::DiagnosisConfig;
     use hpc_faultsim::Scenario;
     use hpc_platform::SystemId;
+    use std::sync::OnceLock;
 
     #[test]
     fn case_studies_find_archetypes_on_long_window() {
-        let out = Scenario::new(SystemId::S1, 2, 28, 17).run();
-        let d = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());
-        let jobs = JobLog::from_diagnosis(&d);
-        let cases = case_studies(&d, &jobs);
+        let (d, jobs) = repeat_offender_window();
+        let cases = case_studies(d, jobs);
         assert!(cases.len() >= 3, "only {} case studies found", cases.len());
         let rendered = render_case_studies(&cases);
         assert!(rendered.contains("Table V"));
@@ -359,22 +358,25 @@ mod tests {
     }
 
     /// A window in which both nodes of the reported same-job OOM group fail
-    /// again on other days.
-    fn repeat_offender_window() -> (Diagnosis, JobLog) {
-        let out = Scenario::new(SystemId::S1, 2, 28, 17).run();
-        let d = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());
-        let jobs = JobLog::from_diagnosis(&d);
-        (d, jobs)
+    /// again on other days; simulated and diagnosed once for every test.
+    fn repeat_offender_window() -> &'static (Diagnosis, JobLog) {
+        static WINDOW: OnceLock<(Diagnosis, JobLog)> = OnceLock::new();
+        WINDOW.get_or_init(|| {
+            let out = Scenario::new(SystemId::S1, 2, 28, 17).run();
+            let d = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());
+            let jobs = JobLog::from_diagnosis(&d);
+            (d, jobs)
+        })
     }
 
     #[test]
     fn same_job_case_lists_exactly_the_group() {
         let (d, jobs) = repeat_offender_window();
-        let cases = case_studies(&d, &jobs);
+        let cases = case_studies(d, jobs);
         let oom = (cases.iter())
             .find(|c| c.title.contains("same-job"))
             .expect("this window has a same-job OOM group");
-        let groups = shared_job_groups(&d, &jobs, 2);
+        let groups = shared_job_groups(d, jobs, 2);
         let group = (groups.iter())
             .find(|g| oom.external.contains(&format!("(job {})", g.job)))
             .expect("the case names its job");
@@ -387,7 +389,7 @@ mod tests {
         for f in &oom.failures {
             let mut members = group.nodes.iter().zip(&group.times);
             assert!(members.any(|(n, t)| (*n, *t) == (f.node, f.time)));
-            let cause = crate::root_cause::classify(&d, f);
+            let cause = crate::root_cause::classify(d, f);
             assert_eq!(cause, InferredCause::MemoryExhaustion);
         }
     }
@@ -397,12 +399,12 @@ mod tests {
         // Classification, lead times and groups derived once must print
         // what each section's own entry point prints.
         let (d, jobs) = repeat_offender_window();
-        let report = full_report(&d, &jobs);
-        assert!(report.contains(&render_summary(&d, &jobs)));
-        let cases = render_case_studies(&case_studies(&d, &jobs));
+        let report = full_report(d, jobs);
+        assert!(report.contains(&render_summary(d, jobs)));
+        let cases = render_case_studies(&case_studies(d, jobs));
         assert!(cases.contains("same-job"), "{cases}");
         assert!(report.contains(&cases));
-        let advisories = render_advisories(&crate::advisor::advise(&d, &jobs));
+        let advisories = render_advisories(&crate::advisor::advise(d, jobs));
         assert!(advisories.contains("BLOCK-JOB"), "{advisories}");
         assert!(report.ends_with(&advisories));
     }

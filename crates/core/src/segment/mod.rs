@@ -1607,8 +1607,8 @@ mod tests {
         let archive = Scenario::new(SystemId::S1, 2, 7, 42).run().archive;
         let golden = Diagnosis::from_archive(&archive, DiagnosisConfig::default());
         let logs = tmpdir("pool-chaos-logs");
-        let out = Scenario::new(SystemId::S1, 1, 2, 21).run();
-        ChaosFeed::corrupt(&out.archive, &ChaosSpec::mixed(Intensity::Heavy, 5))
+        let archive = crate::fixtures::s1_1x2_seed21();
+        ChaosFeed::corrupt(archive, &ChaosSpec::mixed(Intensity::Heavy, 5))
             .write_dir(&logs)
             .unwrap();
         let chaos = Diagnosis::from_dir(&logs, DiagnosisConfig::default()).unwrap();

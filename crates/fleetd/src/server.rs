@@ -265,9 +265,8 @@ fn handle_connection(mut stream: TcpStream, fleet: &Fleet, shutdown: &AtomicBool
                     served += 1;
                     let started = Instant::now();
                     let resp = route(&req, fleet);
-                    let class = resp.status / 100;
                     hpc_telemetry::counter("fleetd.http.requests").inc();
-                    hpc_telemetry::counter(&format!("fleetd.http.responses.{class}xx")).inc();
+                    hpc_telemetry::counter(response_counter(resp.status)).inc();
                     hpc_telemetry::histogram("fleetd.http.request_micros")
                         .record(started.elapsed().as_micros() as u64);
                     let bytes = resp.write_to(req.method == Method::Head);
@@ -287,8 +286,7 @@ fn handle_connection(mut stream: TcpStream, fleet: &Fleet, shutdown: &AtomicBool
                 Parse::Error(status, reason) => {
                     hpc_telemetry::counter("fleetd.http.requests").inc();
                     hpc_telemetry::counter("fleetd.http.parse_errors").inc();
-                    hpc_telemetry::counter(&format!("fleetd.http.responses.{}xx", status / 100))
-                        .inc();
+                    hpc_telemetry::counter(response_counter(status)).inc();
                     let resp = Response::error(status, reason);
                     let _ = stream.write_all(&resp.write_to(false));
                     return;
@@ -312,6 +310,20 @@ fn handle_connection(mut stream: TcpStream, fleet: &Fleet, shutdown: &AtomicBool
             Err(_) => return,
         }
     }
+}
+
+/// The counter of `status`'s class (`fleetd.http.responses.<class>xx`),
+/// named from a table rather than formatted per response. fleetd emits
+/// 1xx-5xx statuses only.
+fn response_counter(status: u16) -> &'static str {
+    const CLASSES: [&str; 5] = [
+        "fleetd.http.responses.1xx",
+        "fleetd.http.responses.2xx",
+        "fleetd.http.responses.3xx",
+        "fleetd.http.responses.4xx",
+        "fleetd.http.responses.5xx",
+    ];
+    CLASSES[usize::from(status / 100) - 1]
 }
 
 /// Maps one request to its response. Pure: no I/O beyond snapshot reads.
@@ -452,6 +464,14 @@ mod tests {
             query: query.to_string(),
             headers: Vec::new(),
             keep_alive: true,
+        }
+    }
+
+    #[test]
+    fn response_counters_name_the_status_class() {
+        for status in [101, 200, 304, 400, 404, 405, 411, 431, 500, 503, 505, 599] {
+            let name = format!("fleetd.http.responses.{}xx", status / 100);
+            assert_eq!(response_counter(status), name);
         }
     }
 

@@ -141,7 +141,7 @@ fn newline_indent<W: Write>(out: &mut W, indent: Option<usize>, depth: usize) ->
     Ok(())
 }
 
-fn write_number<W: Write>(out: &mut W, n: f64) -> fmt::Result {
+pub(crate) fn write_number<W: Write>(out: &mut W, n: f64) -> fmt::Result {
     if !n.is_finite() {
         // JSON has no NaN/Inf; null is the conventional fallback.
         out.write_str("null")
@@ -155,7 +155,7 @@ fn write_number<W: Write>(out: &mut W, n: f64) -> fmt::Result {
 /// Writes `s` quoted, copying each run of characters that need no escape
 /// in one piece. Only ASCII bytes are ever escaped, so every cut lands on
 /// a character boundary.
-fn write_string<W: Write>(out: &mut W, s: &str) -> fmt::Result {
+pub(crate) fn write_string<W: Write>(out: &mut W, s: &str) -> fmt::Result {
     out.write_char('"')?;
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {

@@ -6,6 +6,7 @@
 //! up names in per-item loops — lookups take a mutex.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::{self, JsonValue};
@@ -72,38 +73,47 @@ impl Registry {
 
     /// Counter by name, created on first use.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
-            _ => panic!("telemetry metric {name:?} already registered with a different kind"),
-        }
+        let make = || Metric::Counter(Arc::new(Counter::new()));
+        self.intern(name, make, |m| match m {
+            Metric::Counter(c) => Some(Arc::clone(c)),
+            _ => None,
+        })
     }
 
     /// Gauge by name, created on first use.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("telemetry metric {name:?} already registered with a different kind"),
-        }
+        let make = || Metric::Gauge(Arc::new(Gauge::new()));
+        self.intern(name, make, |m| match m {
+            Metric::Gauge(g) => Some(Arc::clone(g)),
+            _ => None,
+        })
     }
 
     /// Histogram by name, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+        let make = || Metric::Histogram(Arc::new(Histogram::new()));
+        self.intern(name, make, |m| match m {
+            Metric::Histogram(h) => Some(Arc::clone(h)),
+            _ => None,
+        })
+    }
+
+    /// The metric named `name` as `pick` takes it, registered from `make`
+    /// on a miss. A hit looks the name up by `&str` and allocates nothing.
+    fn intern<T>(
+        &self,
+        name: &str,
+        make: impl FnOnce() -> Metric,
+        pick: impl Fn(&Metric) -> Option<T>,
+    ) -> T {
         let mut m = self.metrics.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            _ => panic!("telemetry metric {name:?} already registered with a different kind"),
-        }
+        let picked = match m.get(name) {
+            Some(metric) => pick(metric),
+            None => pick(m.entry(name.to_string()).or_insert_with(make)),
+        };
+        picked.unwrap_or_else(|| {
+            panic!("telemetry metric {name:?} already registered with a different kind")
+        })
     }
 
     /// Point-in-time copy of every metric.
@@ -184,65 +194,69 @@ impl Snapshot {
     ///   ]
     /// }
     /// ```
+    ///
+    /// The bytes are those of the tree `JsonValue::pretty` would print for
+    /// this layout, written straight into one pre-sized `String`.
     pub fn to_json(&self) -> String {
-        let mut counters: Vec<(String, JsonValue)> = Vec::new();
-        for (k, v) in &self.counters {
-            counters.push((k.clone(), JsonValue::Number(*v as f64)));
+        let mut out = String::with_capacity(self.json_len_hint());
+        let _ = self.write_json(&mut out);
+        out
+    }
+
+    /// About how long [`Snapshot::to_json`] is: the layout's bytes per
+    /// entry, names unescaped and every number as wide as `u64::MAX`.
+    fn json_len_hint(&self) -> usize {
+        const NUMBER: usize = 20;
+        fn members<V>(map: &BTreeMap<String, V>) -> usize {
+            map.keys().map(|k| k.len() + 10 + NUMBER).sum()
         }
-        let mut gauges: Vec<(String, JsonValue)> = Vec::new();
-        for (k, v) in &self.gauges {
-            gauges.push((k.clone(), JsonValue::Number(*v)));
-        }
-        let mut histograms: Vec<(String, JsonValue)> = Vec::new();
-        for (k, h) in &self.histograms {
-            let buckets: Vec<JsonValue> = h
-                .buckets
-                .iter()
-                .map(|b| {
-                    JsonValue::Object(vec![
-                        ("lo".into(), JsonValue::Number(b.lo as f64)),
-                        ("hi".into(), JsonValue::Number(b.hi as f64)),
-                        ("count".into(), JsonValue::Number(b.count as f64)),
-                    ])
-                })
-                .collect();
-            histograms.push((
-                k.clone(),
-                JsonValue::Object(vec![
-                    ("count".into(), JsonValue::Number(h.count as f64)),
-                    ("sum".into(), JsonValue::Number(h.sum as f64)),
-                    ("min".into(), JsonValue::Number(h.min as f64)),
-                    ("max".into(), JsonValue::Number(h.max as f64)),
-                    ("buckets".into(), JsonValue::Array(buckets)),
-                ]),
-            ));
-        }
-        let spans: Vec<JsonValue> = self
+        let buckets: usize = self.histograms.values().map(|h| h.buckets.len()).sum();
+        let spans: usize = self
             .spans
             .iter()
-            .map(|n| {
-                JsonValue::Object(vec![
-                    ("name".into(), JsonValue::String(n.name.clone())),
-                    (
-                        "parent".into(),
-                        match n.parent {
-                            Some(p) => JsonValue::Number(p as f64),
-                            None => JsonValue::Null,
-                        },
-                    ),
-                    ("wall_us".into(), JsonValue::Number(n.wall_us as f64)),
-                    ("calls".into(), JsonValue::Number(n.calls as f64)),
-                ])
-            })
-            .collect();
-        let root = JsonValue::Object(vec![
-            ("version".into(), JsonValue::Number(2.0)),
-            ("counters".into(), JsonValue::Object(counters)),
-            ("gauges".into(), JsonValue::Object(gauges)),
-            ("histograms".into(), JsonValue::Object(histograms)),
-            ("spans".into(), JsonValue::Array(spans)),
-        ]);
-        root.pretty()
+            .map(|n| n.name.len() + 84 + 3 * NUMBER)
+            .sum();
+        96 + members(&self.counters)
+            + members(&self.gauges)
+            + members(&self.histograms)
+            + self.histograms.len() * (95 + 4 * NUMBER)
+            + buckets * (77 + 3 * NUMBER)
+            + spans
+    }
+
+    fn write_json(&self, out: &mut String) -> fmt::Result {
+        out.push_str("{\n  \"version\": 2,\n  \"counters\": ");
+        write_map(out, &self.counters, |out, v| number(out, "", *v))?;
+        out.push_str(",\n  \"gauges\": ");
+        write_map(out, &self.gauges, |out, v| json::write_number(out, *v))?;
+        out.push_str(",\n  \"histograms\": ");
+        write_map(out, &self.histograms, |out, h| {
+            number(out, "{\n      \"count\": ", h.count)?;
+            number(out, ",\n      \"sum\": ", h.sum)?;
+            number(out, ",\n      \"min\": ", h.min)?;
+            number(out, ",\n      \"max\": ", h.max)?;
+            out.push_str(",\n      \"buckets\": ");
+            write_list(out, 3, &h.buckets, |out, b| {
+                number(out, "\n          \"lo\": ", b.lo)?;
+                number(out, ",\n          \"hi\": ", b.hi)?;
+                number(out, ",\n          \"count\": ", b.count)
+            })?;
+            out.push_str("\n    }");
+            Ok(())
+        })?;
+        out.push_str(",\n  \"spans\": ");
+        write_list(out, 1, &self.spans, |out, n| {
+            out.push_str("\n      \"name\": ");
+            json::write_string(out, &n.name)?;
+            match n.parent {
+                Some(p) => number(out, ",\n      \"parent\": ", p as u64)?,
+                None => out.push_str(",\n      \"parent\": null"),
+            }
+            number(out, ",\n      \"wall_us\": ", n.wall_us)?;
+            number(out, ",\n      \"calls\": ", n.calls)
+        })?;
+        out.push_str("\n}\n");
+        Ok(())
     }
 
     /// Parses a snapshot back from its [`Snapshot::to_json`] form.
@@ -282,6 +296,66 @@ impl Snapshot {
         }
         Ok(snap)
     }
+}
+
+/// Two spaces per level, as deep as the layout goes.
+const INDENT: &str = "        ";
+
+/// `head` (separator, indent and key) then `v` as a JSON number.
+fn number(out: &mut String, head: &str, v: u64) -> fmt::Result {
+    out.push_str(head);
+    json::write_number(out, v as f64)
+}
+
+/// A top-level member's object: `{}` when empty, else one `"name": value`
+/// line per entry at depth 2, in name order.
+fn write_map<V>(
+    out: &mut String,
+    map: &BTreeMap<String, V>,
+    value: impl Fn(&mut String, &V) -> fmt::Result,
+) -> fmt::Result {
+    if map.is_empty() {
+        out.push_str("{}");
+        return Ok(());
+    }
+    out.push('{');
+    for (i, (name, v)) in map.iter().enumerate() {
+        out.push_str(if i > 0 { ",\n    " } else { "\n    " });
+        json::write_string(out, name)?;
+        out.push_str(": ");
+        value(out, v)?;
+    }
+    out.push_str("\n  }");
+    Ok(())
+}
+
+/// An array at `depth` of objects one level in: `[]` when empty, else each
+/// item's braces on their own lines around the members `members` writes.
+fn write_list<T>(
+    out: &mut String,
+    depth: usize,
+    items: &[T],
+    members: impl Fn(&mut String, &T) -> fmt::Result,
+) -> fmt::Result {
+    if items.is_empty() {
+        out.push_str("[]");
+        return Ok(());
+    }
+    let (outer, inner) = (&INDENT[..2 * depth], &INDENT[..2 * depth + 2]);
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        out.push_str(if i > 0 { ",\n" } else { "\n" });
+        out.push_str(inner);
+        out.push('{');
+        members(out, item)?;
+        out.push('\n');
+        out.push_str(inner);
+        out.push('}');
+    }
+    out.push('\n');
+    out.push_str(outer);
+    out.push(']');
+    Ok(())
 }
 
 fn parse_span(v: &JsonValue, index: usize) -> Result<SpanNode, String> {
@@ -348,6 +422,7 @@ fn parse_histogram(v: &JsonValue) -> Result<HistogramSnapshot, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn interns_by_name() {
@@ -387,5 +462,234 @@ mod tests {
         r.counter("x").inc();
         r.reset();
         assert!(r.snapshot().counters.is_empty());
+    }
+
+    /// `Snapshot::to_json` as it stood before it wrote straight to bytes:
+    /// a `JsonValue` tree, pretty-printed. Frozen as the byte-for-byte
+    /// reference for the direct writer; do not edit.
+    mod frozen {
+        use super::super::Snapshot;
+        use crate::json::JsonValue;
+
+        pub fn to_json(snapshot: &Snapshot) -> String {
+            let mut counters: Vec<(String, JsonValue)> = Vec::new();
+            for (k, v) in &snapshot.counters {
+                counters.push((k.clone(), JsonValue::Number(*v as f64)));
+            }
+            let mut gauges: Vec<(String, JsonValue)> = Vec::new();
+            for (k, v) in &snapshot.gauges {
+                gauges.push((k.clone(), JsonValue::Number(*v)));
+            }
+            let mut histograms: Vec<(String, JsonValue)> = Vec::new();
+            for (k, h) in &snapshot.histograms {
+                let buckets: Vec<JsonValue> = h
+                    .buckets
+                    .iter()
+                    .map(|b| {
+                        JsonValue::Object(vec![
+                            ("lo".into(), JsonValue::Number(b.lo as f64)),
+                            ("hi".into(), JsonValue::Number(b.hi as f64)),
+                            ("count".into(), JsonValue::Number(b.count as f64)),
+                        ])
+                    })
+                    .collect();
+                histograms.push((
+                    k.clone(),
+                    JsonValue::Object(vec![
+                        ("count".into(), JsonValue::Number(h.count as f64)),
+                        ("sum".into(), JsonValue::Number(h.sum as f64)),
+                        ("min".into(), JsonValue::Number(h.min as f64)),
+                        ("max".into(), JsonValue::Number(h.max as f64)),
+                        ("buckets".into(), JsonValue::Array(buckets)),
+                    ]),
+                ));
+            }
+            let spans: Vec<JsonValue> = snapshot
+                .spans
+                .iter()
+                .map(|n| {
+                    JsonValue::Object(vec![
+                        ("name".into(), JsonValue::String(n.name.clone())),
+                        (
+                            "parent".into(),
+                            match n.parent {
+                                Some(p) => JsonValue::Number(p as f64),
+                                None => JsonValue::Null,
+                            },
+                        ),
+                        ("wall_us".into(), JsonValue::Number(n.wall_us as f64)),
+                        ("calls".into(), JsonValue::Number(n.calls as f64)),
+                    ])
+                })
+                .collect();
+            let root = JsonValue::Object(vec![
+                ("version".into(), JsonValue::Number(2.0)),
+                ("counters".into(), JsonValue::Object(counters)),
+                ("gauges".into(), JsonValue::Object(gauges)),
+                ("histograms".into(), JsonValue::Object(histograms)),
+                ("spans".into(), JsonValue::Array(spans)),
+            ]);
+            root.pretty()
+        }
+    }
+
+    /// Random snapshots that hit every writer branch: names with quotes,
+    /// backslashes, control characters and 2-, 3- and 4-byte characters;
+    /// counters on both sides of 2^53 up to `u64::MAX`; NaN, ±inf, -0.0,
+    /// fractional and negative gauges; empty, recorded and full 65-bucket
+    /// histograms; root and child spans. Half are narrow: no value that
+    /// `from_json` cannot give back.
+    struct Snapshots;
+
+    impl Snapshots {
+        const PIECES: [&'static str; 12] = [
+            "a",
+            "core.ingest",
+            ".",
+            "\"",
+            "\\",
+            "\n",
+            "\t",
+            "\u{1}",
+            "\u{7f}",
+            "é",
+            "€",
+            "😀",
+        ];
+        const COUNTERS: [u64; 6] = [0, 1, (1 << 53) - 1, 1 << 53, (1 << 53) + 1, u64::MAX];
+        const GAUGES: [f64; 11] = [
+            0.0,
+            -0.0,
+            4.0,
+            -42.0,
+            0.5,
+            -2.25,
+            1e-7,
+            9.0e15,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+
+        fn name(rng: &mut TestRng, min: u64) -> String {
+            (0..min + rng.below(6))
+                .map(|_| Snapshots::PIECES[rng.below(12) as usize])
+                .collect()
+        }
+
+        fn count(rng: &mut TestRng, wide: bool) -> u64 {
+            match rng.below(3) {
+                0 if wide => Snapshots::COUNTERS[rng.below(6) as usize],
+                1 if wide => rng.next_u64(),
+                _ => rng.below(1 << 20),
+            }
+        }
+
+        fn gauge(rng: &mut TestRng, wide: bool) -> f64 {
+            match rng.below(2) {
+                0 if wide => Snapshots::GAUGES[rng.below(11) as usize],
+                _ => (rng.unit_f64() - 0.5) * 10f64.powi(rng.below(24) as i32 - 12),
+            }
+        }
+
+        fn histogram(rng: &mut TestRng, wide: bool) -> HistogramSnapshot {
+            let h = Histogram::new();
+            match rng.below(3) {
+                0 => {}
+                1 if wide => {
+                    h.record(0);
+                    (0..64).for_each(|i| h.record(1 << i));
+                }
+                _ => (0..rng.below(20)).for_each(|_| h.record(rng.below(1 << 20))),
+            }
+            h.snapshot()
+        }
+    }
+
+    impl Strategy for Snapshots {
+        type Value = Snapshot;
+        fn sample(&self, rng: &mut TestRng) -> Snapshot {
+            // A narrow snapshot's values all survive `from_json`.
+            let wide = rng.below(2) == 0;
+            let mut s = Snapshot::default();
+            for _ in 0..rng.below(6) {
+                s.counters
+                    .insert(Snapshots::name(rng, 0), Snapshots::count(rng, wide));
+            }
+            for _ in 0..rng.below(6) {
+                s.gauges
+                    .insert(Snapshots::name(rng, 0), Snapshots::gauge(rng, wide));
+            }
+            for _ in 0..rng.below(4) {
+                s.histograms
+                    .insert(Snapshots::name(rng, 0), Snapshots::histogram(rng, wide));
+            }
+            for i in 0..rng.below(6) as usize {
+                s.spans.push(SpanNode {
+                    name: Snapshots::name(rng, 1),
+                    parent: (i > 0 && rng.below(3) > 0).then(|| rng.below(i as u64) as usize),
+                    wall_us: Snapshots::count(rng, wide),
+                    calls: Snapshots::count(rng, wide),
+                });
+            }
+            s
+        }
+    }
+
+    /// Whether `from_json` can give `s` back: every integer survives the
+    /// trip through `f64` and every gauge is a JSON number.
+    fn exact(s: &Snapshot) -> bool {
+        let fits = |v: u64| v as f64 as u64 == v;
+        let spans = s.spans.iter().flat_map(|n| [n.wall_us, n.calls]);
+        let histograms = s.histograms.values().flat_map(|h| {
+            let buckets = h.buckets.iter().flat_map(|b| [b.lo, b.hi, b.count]);
+            [h.count, h.sum, h.min, h.max].into_iter().chain(buckets)
+        });
+        s.gauges.values().all(|g| g.is_finite())
+            && s.counters
+                .values()
+                .copied()
+                .chain(spans)
+                .chain(histograms)
+                .all(fits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+        #[test]
+        fn direct_writer_matches_the_frozen_tree_writer(s in Snapshots) {
+            let text = s.to_json();
+            prop_assert_eq!(&text, &frozen::to_json(&s));
+            if exact(&s) {
+                prop_assert_eq!(Snapshot::from_json(&text), Ok(s));
+            }
+        }
+    }
+
+    #[test]
+    fn the_writer_is_pre_sized_for_plain_names() {
+        let r = Registry::new();
+        r.counter("fleetd.http.requests").add(u64::MAX);
+        r.gauge("core.ingest.threads").set(4.0);
+        let h = r.histogram("core.detect.time_us");
+        h.record(0);
+        (0..64).for_each(|i| h.record(1 << i));
+        r.histogram("core.empty_us");
+        let mut s = r.snapshot();
+        let span = |name: &str, parent| SpanNode {
+            name: name.into(),
+            parent,
+            wall_us: u64::MAX,
+            calls: u64::MAX,
+        };
+        s.spans = vec![span("core.from_dir", None), span("core.ingest", Some(0))];
+        let text = s.to_json();
+        assert_eq!(text, frozen::to_json(&s));
+        assert!(
+            text.len() <= s.json_len_hint(),
+            "{} > {}",
+            text.len(),
+            s.json_len_hint()
+        );
     }
 }
