@@ -411,8 +411,10 @@ impl<'a> StorePlan<'a> {
     ///
     /// With no entity predicate this never decodes a payload row: a
     /// class-only filter sums manifest row counts outright, and time
-    /// bounds decode at most the time columns of window-straddling
-    /// segments ([`Store::count_rows`]).
+    /// bounds read, in each window-straddling segment, the times of the
+    /// one or two blocks a bound falls in, decoded by the first count
+    /// that cuts them and kept while the store is open
+    /// ([`Store::count_rows`]).
     pub fn count(&self) -> Result<u64, OpenError> {
         let Some((from, to)) = self.bounds() else {
             return Ok(0);

@@ -936,6 +936,12 @@ fn check_blocks(
 /// narrower range is what the planner's cursors do. The one other read is
 /// the node index's: it records each payload's offset during a
 /// front-to-back read and later decodes single payloads there.
+///
+/// What every query would otherwise decode again — the node dictionary,
+/// the node index and the times of each block a count cuts — is kept
+/// here once a read has decoded and checked it, for as long as the store
+/// is open. A failed decode keeps nothing, so the next read fails the
+/// same way.
 #[derive(Debug)]
 pub(crate) struct Segment {
     path: PathBuf,
@@ -949,9 +955,28 @@ pub(crate) struct Segment {
     block_rows: usize,
     /// One entry per `block_rows` rows, never empty.
     blocks: Vec<Block>,
+    /// The node dictionary, decoded by the first read that needs it.
+    dict: OnceLock<Vec<NodeId>>,
+    /// The times of each block, decoded by the first count cut that falls
+    /// in it (`scan.rs`); one cell per entry of `blocks`.
+    block_times: Vec<OnceLock<Vec<SimTime>>>,
     /// The rows of each subject node, built by the first node query that
     /// selects this segment (`scan.rs`).
     node_index: OnceLock<scan::NodeIndex>,
+}
+
+/// The value in `cell`, filled by `fill` on first use. An error fills
+/// nothing, so the next call runs `fill` again; a fill racing on another
+/// thread may win, and both are equal.
+fn cached<T>(
+    cell: &OnceLock<T>,
+    fill: impl FnOnce() -> Result<T, OpenError>,
+) -> Result<&T, OpenError> {
+    if let Some(value) = cell.get() {
+        return Ok(value);
+    }
+    let value = fill()?;
+    Ok(cell.get_or_init(|| value))
 }
 
 impl Segment {
@@ -1008,6 +1033,8 @@ impl Segment {
             max_time: meta.max_time,
             cols: env.body.start..env.body.start + cols_len,
             block_rows: block_rows as usize,
+            dict: OnceLock::new(),
+            block_times: blocks.iter().map(|_| OnceLock::new()).collect(),
             blocks,
             node_index: OnceLock::new(),
             image,
@@ -1028,10 +1055,15 @@ impl Segment {
         (blocks.end * self.block_rows).min(self.rows) - blocks.start * self.block_rows
     }
 
-    /// The node dictionary, which leads the body. Also checks that the row
-    /// count after it matches the footer and that the time column starts
-    /// where the directory says.
-    fn dict(&self) -> Result<Vec<NodeId>, OpenError> {
+    /// The node dictionary, decoded by the first call and kept.
+    fn dict(&self) -> Result<&[NodeId], OpenError> {
+        cached(&self.dict, || self.decode_dict()).map(Vec::as_slice)
+    }
+
+    /// Decodes the node dictionary, which leads the body. Also checks that
+    /// the row count after it matches the footer and that the time column
+    /// starts where the directory says.
+    fn decode_dict(&self) -> Result<Vec<NodeId>, OpenError> {
         let cols = self.cols();
         let fail = |e: String| self.corrupt(e);
         let mut dec = Dec::new(cols);
@@ -1178,7 +1210,7 @@ impl Segment {
         let mut payloads = self.payloads(0);
         let total = slots.len();
         for (time, pos) in times.into_iter().zip(positions) {
-            let payload = payloads.next(&dict)?;
+            let payload = payloads.next(dict)?;
             let slot = slots.get_mut(pos as usize).ok_or_else(|| {
                 self.corrupt(format!(
                     "event position {pos} out of range ({total} events)"
@@ -1884,6 +1916,132 @@ mod tests {
             .iter()
             .find(|s| s.class == EventClass::CpuStall);
         assert!(stalls.unwrap().node_index.get().is_none());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `multi_block_events`' store in `tmpdir(name)` with its cpu-stall
+    /// segment's columns edited by `edit` (which also gets the block
+    /// directory) and resealed: the directory and the opened store.
+    fn resealed_stalls(name: &str, edit: impl Fn(&mut [u8], &[Block])) -> (PathBuf, Store) {
+        let dir = tmpdir(name);
+        write_store(&dir, &contents(&multi_block_events(), &[])).unwrap();
+        let victim = dir.join("seg-cpu_stall.col");
+        let image = fs::read(&victim).unwrap();
+        let (mut cols, block_dir, f) = split_segment(&image);
+        edit(&mut cols, &decode_block_dir(&block_dir).unwrap());
+        fs::write(&victim, join_segment(image[8], &cols, Some(&block_dir), f)).unwrap();
+        let store = Store::open(&dir).unwrap();
+        (dir, store)
+    }
+
+    fn stalls(store: &Store) -> &Segment {
+        let seg = store
+            .segments
+            .iter()
+            .find(|s| s.class == EventClass::CpuStall);
+        seg.unwrap()
+    }
+
+    /// Asserts `answer` is a corrupt store whose reason mentions `why`.
+    fn assert_corrupt<T: fmt::Debug>(what: &str, answer: Result<T, OpenError>, why: &str) {
+        match answer {
+            Err(OpenError::Corrupt(_, reason)) => assert!(reason.contains(why), "{what}: {reason}"),
+            other => panic!("{what}: expected a corrupt store, got {other:?}"),
+        }
+    }
+
+    /// A dictionary that is not strictly increasing, under a resealed
+    /// checksum: every query that reads it is corrupt on two calls in a
+    /// row and nothing is kept. A windowed count never reads it.
+    #[test]
+    fn a_dictionary_out_of_order_fails_every_read_and_is_not_kept() {
+        use crate::query::{self, QueryFilter};
+        let (dir, store) = resealed_stalls("dict-out-of-order", |cols, _| {
+            // 16 entries, then node 0, then a difference of 1 made 0.
+            assert_eq!(cols[..3], [16, 0, 1]);
+            cols[2] = 0;
+        });
+        let from = Some(SimTime::from_millis(80_000));
+        let window = QueryFilter {
+            from,
+            ..Default::default()
+        };
+        let node = QueryFilter {
+            node: Some(NodeId(3)),
+            from,
+            ..Default::default()
+        };
+        for attempt in 0..2 {
+            let why = "dictionary is not strictly increasing";
+            let tail = query::plan(&store, &window).tail(5, SchedulerKind::Slurm);
+            assert_corrupt(&format!("tail, attempt {attempt}"), tail, why);
+            let count = query::plan(&store, &node).count();
+            assert_corrupt(&format!("node count, attempt {attempt}"), count, why);
+        }
+        let seg = stalls(&store);
+        assert!(seg.dict.get().is_none() && seg.node_index.get().is_none());
+        let in_window = multi_block_events()
+            .iter()
+            .filter(|e| e.time >= SimTime::from_millis(80_000))
+            .count();
+        assert_eq!(
+            query::plan(&store, &window).count().unwrap(),
+            in_window as u64
+        );
+        assert_corrupt("load", store.load(), "dictionary");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Block 1's time column made one byte longer than its directory entry
+    /// says, under a resealed checksum: every count that cuts block 1 and
+    /// every scan that reads it is corrupt on two calls in a row and its
+    /// times are not kept. A count cutting blocks 0 and 2 answers.
+    #[test]
+    fn a_time_block_off_its_directory_entry_fails_every_cut_and_is_not_kept() {
+        use crate::query::{self, HistKey, QueryFilter};
+        let (dir, store) = resealed_stalls("time-block-off", |cols, blocks| {
+            // A one-byte difference of 0 (equal times) inside block 1
+            // becomes the first byte of a longer varint.
+            let block_1 = blocks[1].time_off as usize + 1..blocks[2].time_off as usize;
+            let at = block_1.clone().find(|&i| cols[i] == 0).unwrap();
+            cols[at] = 0x80;
+        });
+        let seg = stalls(&store);
+        let starts: Vec<u64> = seg.blocks.iter().map(|b| b.first_time).collect();
+        assert!(starts[0] < 10_000 && starts[1] < 50_000);
+        assert!(50_000 < starts[2] && starts[2] <= 80_000, "{starts:?}");
+        let cut = QueryFilter {
+            classes: vec![EventClass::CpuStall],
+            from: Some(SimTime::from_millis(50_000)),
+            ..Default::default()
+        };
+        for attempt in 0..2 {
+            let why = "time column: block 2 is not where the directory says";
+            let plan = query::plan(&store, &cut);
+            assert_corrupt(&format!("count, attempt {attempt}"), plan.count(), why);
+            let by_class = plan.histogram(HistKey::Class);
+            assert_corrupt(&format!("histogram, attempt {attempt}"), by_class, why);
+            let tail = plan.tail(300, SchedulerKind::Slurm);
+            assert_corrupt(&format!("tail, attempt {attempt}"), tail, why);
+        }
+        assert!(seg.block_times[1].get().is_none());
+
+        let around = QueryFilter {
+            from: Some(SimTime::from_millis(10_000)),
+            to: Some(SimTime::from_millis(80_000)),
+            ..cut
+        };
+        let in_window = multi_block_events()
+            .iter()
+            .filter(|e| EventClass::of(&e.payload) == EventClass::CpuStall)
+            .filter(|e| (10_000..80_000).contains(&e.time.as_millis()))
+            .count();
+        assert_eq!(
+            query::plan(&store, &around).count().unwrap(),
+            in_window as u64
+        );
+        assert!(seg.block_times[0].get().is_some() && seg.block_times[2].get().is_some());
+        assert!(seg.block_times[1].get().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -28,6 +28,12 @@
 //!    holding the first in-range row (at most a block of rows that are
 //!    not returned) and never past the last in-range row.
 //!
+//! What a query reads that the next would read again is kept in the
+//! segment while the store is open: the node dictionary, the node index
+//! and the times of each block a count cuts ([`Store::count_rows`]). All
+//! three are bounded by the segment — about 8 bytes of times per row and
+//! 4 per dictionary entry, plus the index's 16 per indexed row.
+//!
 //! Per-segment cursors are merged by global position into one
 //! chronological stream, one event at a time; no full event vector is
 //! ever materialised.
@@ -54,7 +60,7 @@ use hpc_logs::time::SimTime;
 use hpc_platform::NodeId;
 
 use super::codec::{self, Dec};
-use super::{OpenError, Payloads, Segment, SegmentMeta, Store, MANIFEST_FILE};
+use super::{cached, OpenError, Payloads, Segment, SegmentMeta, Store, MANIFEST_FILE};
 use crate::store::EventClass;
 
 /// What one scan (or column-only count) skipped and decoded.
@@ -236,18 +242,22 @@ impl Segment {
         }))
     }
 
+    /// The times of block `b`, decoded by the first call and kept. The
+    /// decode checks what any read of the block checks, the footer's last
+    /// time included; a failed one keeps nothing.
+    fn block_times(&self, b: usize) -> Result<&[SimTime], OpenError> {
+        cached(&self.block_times[b], || self.times(b..b + 1)).map(Vec::as_slice)
+    }
+
     /// The node index, built on first use; `rows_decoded` counts a
     /// build's rows. A failed build caches nothing, so the next call
     /// fails the same way.
     fn node_index(&self, dict: &[NodeId], rows_decoded: &mut u64) -> Result<&NodeIndex, OpenError> {
-        if let Some(index) = self.node_index.get() {
-            return Ok(index);
-        }
-        let index = NodeIndex::build(self, dict)?;
-        *rows_decoded += self.rows as u64;
-        // A build racing on another thread may have won; both are equal.
-        let _ = self.node_index.set(index);
-        Ok(self.node_index.get().expect("the index was just set"))
+        cached(&self.node_index, || {
+            let index = NodeIndex::build(self, dict)?;
+            *rows_decoded += self.rows as u64;
+            Ok(index)
+        })
     }
 
     /// The payload of an indexed row, decoded at its recorded offset.
@@ -280,7 +290,7 @@ enum Rows<'a> {
 /// One segment's in-range rows, decoded on demand in row order.
 struct Cursor<'a> {
     seg: &'a Segment,
-    dict: Vec<NodeId>,
+    dict: &'a [NodeId],
     rows: Rows<'a>,
     /// The next in-range row, pre-decoded for the merge.
     peeked: Option<(u32, LogEvent)>,
@@ -291,7 +301,7 @@ impl<'a> Cursor<'a> {
     /// it for the merge.
     fn window(
         seg: &'a Segment,
-        dict: Vec<NodeId>,
+        dict: &'a [NodeId],
         window: Window,
         rows_decoded: &mut u64,
     ) -> Result<Cursor<'a>, OpenError> {
@@ -301,7 +311,7 @@ impl<'a> Cursor<'a> {
         // Rows between the block's start and the first in-range row have
         // no offset of their own: they are decoded and dropped.
         for _ in 0..window.first {
-            payloads.next(&dict)?;
+            payloads.next(dict)?;
         }
         *rows_decoded += window.first as u64;
         let rows = Rows::Window {
@@ -316,7 +326,7 @@ impl<'a> Cursor<'a> {
     /// Primes a cursor over `rows` for the merge.
     fn primed(
         seg: &'a Segment,
-        dict: Vec<NodeId>,
+        dict: &'a [NodeId],
         rows: Rows<'a>,
         rows_decoded: &mut u64,
     ) -> Result<Cursor<'a>, OpenError> {
@@ -344,7 +354,7 @@ impl<'a> Cursor<'a> {
                 if row >= times.len() {
                     return Ok(None);
                 }
-                let payload = payloads.next(&self.dict)?;
+                let payload = payloads.next(self.dict)?;
                 *next += 1;
                 (positions[row], times[row], payload)
             }
@@ -352,7 +362,7 @@ impl<'a> Cursor<'a> {
                 let Some(row) = rows.next() else {
                     return Ok(None);
                 };
-                let payload = self.seg.payload_at(row, &self.dict)?;
+                let payload = self.seg.payload_at(row, self.dict)?;
                 (row.position, row.time, payload)
             }
         };
@@ -487,7 +497,7 @@ impl Store {
             };
             stats.segments_decoded += 1;
             let rows = seg
-                .node_index(&dict, &mut stats.rows_decoded)?
+                .node_index(dict, &mut stats.rows_decoded)?
                 .rows(slot, from, to, last);
             if !rows.is_empty() {
                 let rows = Rows::Node(rows.iter());
@@ -506,9 +516,10 @@ impl Store {
     /// Counts rows of `classes` (empty = all) with times in `[from, to]`
     /// without decoding a single payload: segments fully inside the
     /// window answer from the catalogue row count, straddling segments
-    /// decode the times of the one or two blocks a bound falls in. With
-    /// no time bounds this touches no segment bytes at all — the manifest
-    /// alone answers.
+    /// from the times of the one or two blocks a bound falls in, each
+    /// decoded by the first count that cuts it and kept while the store
+    /// is open. With no time bounds this touches no segment bytes at all —
+    /// the manifest alone answers.
     pub fn count_rows(
         &self,
         classes: &[EventClass],
@@ -524,7 +535,7 @@ impl Store {
     /// catalogue selects is cut at the multiples of `width` milliseconds
     /// (`None`: not cut), and `each` gets the segment's class, a time
     /// inside the piece and the piece's in-window row count. Each cut
-    /// decodes the times of the one block it falls in.
+    /// reads the times of the one block it falls in.
     pub(crate) fn count_rows_in_buckets(
         &self,
         classes: &[EventClass],
@@ -540,15 +551,13 @@ impl Store {
                 continue;
             }
             // Rows with a time before `t`, from the times of the one block
-            // `t` falls in; consecutive cuts often share it.
-            let mut held: Option<(usize, Vec<SimTime>)> = None;
+            // `t` falls in.
+            let mut read = false;
             let mut rows_before = |t: u64| -> Result<usize, OpenError> {
                 let t = SimTime::from_millis(t);
                 let b = seg.block_of(t);
-                let times = match &mut held {
-                    Some((block, times)) if *block == b => times,
-                    _ => &mut held.insert((b, seg.times(b..b + 1)?)).1,
-                };
+                read = true;
+                let times = seg.block_times(b)?;
                 Ok(b * seg.block_rows + times.partition_point(|x| *x < t))
             };
             // A bound at or beyond the segment's own is answered by the
@@ -573,7 +582,7 @@ impl Store {
                 _ => seg.rows,
             };
             each(meta.class, piece, hi.saturating_sub(lo) as u64);
-            stats.segments_decoded += u64::from(held.is_some());
+            stats.segments_decoded += u64::from(read);
         }
         flush_segment_counters(&stats);
         Ok(())

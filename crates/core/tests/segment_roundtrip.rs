@@ -275,44 +275,60 @@ fn assert_warm_node_scan_decodes_only_its_rows(
     assert_eq!(drain().rows_decoded, node_rows);
 }
 
+const KEYS: [HistKey; 6] = [
+    HistKey::Class,
+    HistKey::Node,
+    HistKey::Blade,
+    HistKey::Cabinet,
+    HistKey::Day,
+    HistKey::Hour,
+];
+
+/// Every verb's answer to one plan: the event stream, `count`, the
+/// histogram of each of `KEYS`, `tail` 7 and 300, and `failures`.
+type Answers = (
+    Vec<LogEvent>,
+    u64,
+    Vec<Vec<query::HistBucket>>,
+    Vec<Vec<(SimTime, hpc_diagnosis::EventClass, String)>>,
+    Vec<hpc_diagnosis::DetectedFailure>,
+);
+
+fn answers(plan: &query::StorePlan<'_>) -> Answers {
+    let mut events = plan.events().expect("events");
+    let streamed = events.by_ref().collect();
+    assert!(events.take_error().is_none(), "mid-stream error");
+    (
+        streamed,
+        plan.count().expect("count"),
+        KEYS.map(|key| plan.histogram(key).expect("histogram"))
+            .to_vec(),
+        [7, 300]
+            .map(|n| plan.tail(n, SchedulerKind::Slurm).expect("tail"))
+            .to_vec(),
+        plan.failures().expect("failures"),
+    )
+}
+
 /// For every filter, `plan(...).events()` must yield exactly
 /// `Store::load` followed by `filter.matches`, in order, and every planner
 /// verb must agree with the in-memory `EventStore` verb over the same
-/// data — `tail` both shorter and longer than a block.
+/// data — `tail` both shorter and longer than a block. Every verb runs
+/// twice on one store kept open across the filters — the second run reads
+/// what the first kept — and both answers equal those of a store opened
+/// afresh for the filter, which has kept nothing.
 fn assert_plans_match_full_load(dir: &std::path::Path, filters: &[QueryFilter]) {
     let store = segment::Store::open(dir).expect("open");
     let full = segment::Store::open(dir)
         .and_then(segment::Store::load)
         .expect("load");
     let mem = EventStore::build(full.events.clone(), &full.failures);
-    let keys = [
-        HistKey::Class,
-        HistKey::Node,
-        HistKey::Blade,
-        HistKey::Cabinet,
-        HistKey::Day,
-        HistKey::Hour,
-    ];
     for filter in filters {
         let plan = query::plan(&store, filter);
         let mut planned = plan.events().expect("events");
-        let streamed: Vec<LogEvent> = planned.by_ref().collect();
+        planned.by_ref().for_each(drop);
         assert!(planned.take_error().is_none(), "mid-stream error");
         let stats = planned.stats();
-
-        // Brute force: full decode, then the residual predicate alone.
-        let brute: Vec<LogEvent> = full
-            .events
-            .iter()
-            .filter(|e| filter.matches(e))
-            .cloned()
-            .collect();
-        assert_eq!(streamed, brute, "{filter:?}");
-        assert_eq!(
-            plan.count().expect("count"),
-            brute.len() as u64,
-            "{filter:?}"
-        );
 
         // Pruning must never decode more rows than the store holds (plus,
         // under a node predicate, the node's rows again after a segment's
@@ -326,24 +342,40 @@ fn assert_plans_match_full_load(dir: &std::path::Path, filters: &[QueryFilter]) 
         );
         assert_warm_node_scan_decodes_only_its_rows(&plan, node_rows);
 
-        for key in keys {
+        let first = answers(&plan);
+        assert_eq!(answers(&plan), first, "second run {filter:?}");
+        let fresh = segment::Store::open(dir).expect("reopen");
+        assert_eq!(
+            answers(&query::plan(&fresh, filter)),
+            first,
+            "fresh open {filter:?}"
+        );
+
+        // Brute force: full decode, then the residual predicate alone.
+        let (streamed, count, histograms, tails, failures) = first;
+        let brute: Vec<LogEvent> = full
+            .events
+            .iter()
+            .filter(|e| filter.matches(e))
+            .cloned()
+            .collect();
+        assert_eq!(streamed, brute, "{filter:?}");
+        assert_eq!(count, brute.len() as u64, "{filter:?}");
+        for (key, buckets) in KEYS.into_iter().zip(histograms) {
             assert_eq!(
-                plan.histogram(key).expect("histogram"),
+                buckets,
                 query::histogram(&mem, filter, key),
                 "{key:?} {filter:?}"
             );
         }
-        for n in [7, 300] {
+        for (n, tail) in [7, 300].into_iter().zip(tails) {
             assert_eq!(
-                plan.tail(n, SchedulerKind::Slurm).expect("tail"),
+                tail,
                 query::tail(&mem, filter, n, SchedulerKind::Slurm),
                 "tail {n} {filter:?}"
             );
         }
-        assert_eq!(
-            plan.failures().expect("failures"),
-            query::failures(&full.failures, filter)
-        );
+        assert_eq!(failures, query::failures(&full.failures, filter));
     }
 }
 
@@ -445,15 +477,7 @@ proptest! {
         let stats = planned.stats();
         drop(planned);
         let count = plan.count().expect("count");
-        let keys = [
-            HistKey::Class,
-            HistKey::Node,
-            HistKey::Blade,
-            HistKey::Cabinet,
-            HistKey::Day,
-            HistKey::Hour,
-        ];
-        let hists: Vec<_> = keys
+        let hists: Vec<_> = KEYS
             .iter()
             .map(|k| plan.histogram(*k).expect("histogram"))
             .collect();
@@ -487,7 +511,7 @@ proptest! {
         assert_warm_node_scan_decodes_only_its_rows(&query::plan(&warm, &filter), node_rows);
 
         let mem = EventStore::build(full.events, &full.failures);
-        for (key, hist) in keys.iter().zip(&hists) {
+        for (key, hist) in KEYS.iter().zip(&hists) {
             prop_assert_eq!(hist, &query::histogram(&mem, &filter, *key));
         }
         prop_assert_eq!(tail, query::tail(&mem, &filter, 7, SchedulerKind::Slurm));
@@ -1015,8 +1039,9 @@ fn node_queries_decode_only_the_nodes_rows_across_blocks() {
 }
 
 /// fleetd shares one store across its workers: four threads released
-/// together onto one freshly opened store, racing to build its indexes,
-/// get the answers a serial run gets.
+/// together onto one freshly opened store, racing to decode and keep its
+/// dictionaries, node indexes and cut blocks' times, get the answers a
+/// serial run gets.
 #[test]
 fn concurrent_node_queries_on_one_store_answer_like_a_serial_run() {
     let d = Diagnosis::from_events(node_scoped_events(), 0, DiagnosisConfig::default());
@@ -1025,21 +1050,29 @@ fn concurrent_node_queries_on_one_store_answer_like_a_serial_run() {
     let answers = |store: &segment::Store, thread: u32| {
         let mut out = Vec::new();
         for i in 0..12 {
-            // Each thread starts at another node.
-            let node = [0, 1, 2, 3, 5, 196, 197, 390, 391, 392, 8, 9][(i + thread as usize) % 12];
+            // Each thread starts at another node and another window.
+            let k = (i + thread as usize) % 12;
+            let node = format!(
+                "nid{:05}",
+                [0, 1, 2, 3, 5, 196, 197, 390, 391, 392, 8, 9][k]
+            );
+            // Bounds inside blocks: racing counts fill the same block's times.
+            let from = (k as u64 * 29_000 + 500).to_string();
+            let to = (k as u64 * 29_000 + 96_500).to_string();
             for pairs in [
-                &[("verb", "tail"), ("n", "20")][..],
-                &[("verb", "count"), ("from", "100000")],
-                &[("verb", "histogram"), ("by", "class")],
+                &[("node", node.as_str()), ("verb", "tail"), ("n", "20")][..],
+                &[("node", &node), ("verb", "count"), ("from", "100000")],
+                &[("node", &node), ("verb", "histogram"), ("by", "class")],
+                &[("verb", "count"), ("from", &from), ("to", &to)],
+                &[("verb", "histogram"), ("by", "class"), ("from", &from)],
             ] {
                 let mut request = query::Request::default();
-                request.set("node", &format!("nid{node:05}")).expect("node");
                 for (key, value) in pairs {
                     request.set(key, value).expect("request");
                 }
                 let plan = query::plan(store, &request.filter);
                 let answer = request.run(&plan, SchedulerKind::Slurm).expect("answer");
-                out.push((node, answer.text()));
+                out.push((k, answer.text()));
             }
         }
         out.sort();

@@ -263,6 +263,8 @@ impl Snapshot {
     ///
     /// Values beyond 2^53 (unrepresentable in JSON numbers without loss)
     /// round-trip approximately; all realistic telemetry stays far below.
+    /// A gauge that is not finite (NaN or ±infinity, which JSON cannot
+    /// hold) is written as `null` and reads back as NaN.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
         let root = json::parse(text)?;
         let obj = root.as_object().ok_or("top level is not an object")?;
@@ -277,7 +279,10 @@ impl Snapshot {
                 }
                 "gauges" => {
                     for (name, v) in value.as_object().ok_or("gauges is not an object")? {
-                        let n = v.as_number().ok_or("gauge value is not a number")?;
+                        let n = match v {
+                            JsonValue::Null => f64::NAN,
+                            v => v.as_number().ok_or("gauge value is not a number")?,
+                        };
                         snap.gauges.insert(name.clone(), n);
                     }
                 }
@@ -537,7 +542,7 @@ mod tests {
     /// backslashes, control characters and 2-, 3- and 4-byte characters;
     /// counters on both sides of 2^53 up to `u64::MAX`; NaN, ±inf, -0.0,
     /// fractional and negative gauges; empty, recorded and full 65-bucket
-    /// histograms; root and child spans. Half are narrow: no value that
+    /// histograms; root and child spans. Half are narrow: no integer that
     /// `from_json` cannot give back.
     struct Snapshots;
 
@@ -637,7 +642,7 @@ mod tests {
     }
 
     /// Whether `from_json` can give `s` back: every integer survives the
-    /// trip through `f64` and every gauge is a JSON number.
+    /// trip through `f64`. A gauge that is not finite comes back NaN.
     fn exact(s: &Snapshot) -> bool {
         let fits = |v: u64| v as f64 as u64 == v;
         let spans = s.spans.iter().flat_map(|n| [n.wall_us, n.calls]);
@@ -645,13 +650,12 @@ mod tests {
             let buckets = h.buckets.iter().flat_map(|b| [b.lo, b.hi, b.count]);
             [h.count, h.sum, h.min, h.max].into_iter().chain(buckets)
         });
-        s.gauges.values().all(|g| g.is_finite())
-            && s.counters
-                .values()
-                .copied()
-                .chain(spans)
-                .chain(histograms)
-                .all(fits)
+        s.counters
+            .values()
+            .copied()
+            .chain(spans)
+            .chain(histograms)
+            .all(fits)
     }
 
     proptest! {
@@ -661,7 +665,16 @@ mod tests {
             let text = s.to_json();
             prop_assert_eq!(&text, &frozen::to_json(&s));
             if exact(&s) {
-                prop_assert_eq!(Snapshot::from_json(&text), Ok(s));
+                let mut back = Snapshot::from_json(&text).expect("a written snapshot reads back");
+                prop_assert_eq!(back.to_json(), text);
+                // NaN equals nothing, so gauges are compared one by one.
+                let gauges = std::mem::take(&mut back.gauges);
+                prop_assert!(gauges.keys().eq(s.gauges.keys()));
+                for (back, sent) in gauges.values().zip(s.gauges.values()) {
+                    let nan = back.is_nan() && !sent.is_finite();
+                    prop_assert!(back == sent || nan, "{} read back as {}", sent, back);
+                }
+                prop_assert_eq!(back, Snapshot { gauges: BTreeMap::new(), ..s });
             }
         }
     }
