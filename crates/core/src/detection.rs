@@ -233,14 +233,7 @@ mod tests {
     #[test]
     fn terminal_classes_cover_every_terminal_signature() {
         let mut events = crate::segment::codec::one_of_every_class();
-        let states = [
-            NodeState::Up,
-            NodeState::Suspect,
-            NodeState::AdminDown,
-            NodeState::Down,
-            NodeState::PoweredOff,
-        ];
-        events.extend(states.map(|state| state_ev(0, 1, state)));
+        events.extend(NodeState::ALL.map(|state| state_ev(0, 1, state)));
         let mut terminal = Vec::new();
         for e in &events {
             let class = EventClass::of(&e.payload);

@@ -3,7 +3,10 @@
 //! Segments use a small hand-written codec with no serialization
 //! framework behind it: LEB128 varints for integers, zigzag for the one signed field
 //! (`JobEnd.exit_code`), IEEE-754 bit patterns for sensor readings, and
-//! single-byte ordinals for the closed vocabulary enums. Within one
+//! single-byte ordinals for the closed vocabulary enums. A variant's
+//! ordinal is its position in its vocabulary's `ALL` list (e.g.
+//! [`PanicReason::ALL`]), so those lists are append-only: reordering one
+//! would change what every stored ordinal means. Within one
 //! segment every event shares an [`EventClass`], so payloads are encoded
 //! *tag-free* — the class determines the variant, and only its fields are
 //! written. Node references are interned through a per-segment dictionary
@@ -163,190 +166,26 @@ impl<'a> Dec<'a> {
 
 // --- enum ordinals ------------------------------------------------------
 
-/// Maps a closed-vocabulary enum to/from a stable single-byte ordinal.
-/// Ordinals are part of the on-disk format: append-only, never reorder.
-macro_rules! ordinal {
-    ($put:ident, $get:ident, $ty:ty, [$($variant:expr),+ $(,)?]) => {
-        fn $put(out: &mut impl Sink, v: $ty) {
-            const ALL: &[$ty] = &[$($variant),+];
-            let idx = ALL
-                .iter()
-                .position(|x| *x == v)
-                .expect("ordinal table covers every variant");
-            out.push(idx as u8);
-        }
-
-        fn $get(dec: &mut Dec<'_>) -> Result<$ty, String> {
-            const ALL: &[$ty] = &[$($variant),+];
-            let b = dec.u8()?;
-            ALL.get(b as usize)
-                .copied()
-                .ok_or_else(|| format!(concat!("invalid ", stringify!($ty), " ordinal {}"), b))
-        }
-    };
+/// Appends `v`'s ordinal: its position in `all`, its vocabulary's `ALL`
+/// list. Ordinals are part of the on-disk format, so each `ALL` is
+/// append-only; `codec::tests::ordinals_match_the_on_disk_reference` pins
+/// them.
+fn put_ordinal<T: Copy + PartialEq>(out: &mut impl Sink, all: &[T], v: T) {
+    let idx = all
+        .iter()
+        .position(|x| *x == v)
+        .expect("`ALL` lists every variant");
+    out.push(idx as u8);
 }
 
-ordinal!(
-    put_mce_kind,
-    get_mce_kind,
-    MceKind,
-    [MceKind::Page, MceKind::Cache, MceKind::Dimm]
-);
-ordinal!(
-    put_oops_cause,
-    get_oops_cause,
-    OopsCause,
-    [
-        OopsCause::PagingRequest,
-        OopsCause::NullDeref,
-        OopsCause::InvalidOpcode,
-        OopsCause::GeneralProtection,
-    ]
-);
-ordinal!(
-    put_stack_module,
-    get_stack_module,
-    StackModule,
-    [
-        StackModule::SleepOnPage,
-        StackModule::LdlmBl,
-        StackModule::DvsIpcMsg,
-        StackModule::MceLog,
-        StackModule::RwsemDownFailed,
-        StackModule::OomKillProcess,
-        StackModule::PtlrpcMain,
-        StackModule::XpmemFault,
-        StackModule::PageFault,
-        StackModule::DoFork,
-        StackModule::IoSchedule,
-        StackModule::Generic,
-    ]
-);
-ordinal!(
-    put_panic_reason,
-    get_panic_reason,
-    PanicReason,
-    [
-        PanicReason::FatalMce,
-        PanicReason::LustreBug,
-        PanicReason::KernelBug,
-        PanicReason::OutOfMemory,
-        PanicReason::CpuCorruption,
-        PanicReason::FirmwareBug,
-        PanicReason::DriverBug,
-        PanicReason::HungTask,
-    ]
-);
-ordinal!(
-    put_lustre_kind,
-    get_lustre_kind,
-    LustreErrorKind,
-    [
-        LustreErrorKind::Timeout,
-        LustreErrorKind::Evicted,
-        LustreErrorKind::IoError,
-        LustreErrorKind::PageFaultLock,
-        LustreErrorKind::InodeError,
-    ]
-);
-ordinal!(
-    put_app_kind,
-    get_app_kind,
-    AppKind,
-    [
-        AppKind::MpiSimulation,
-        AppKind::Matlab,
-        AppKind::Python,
-        AppKind::MolecularDynamics,
-        AppKind::Climate,
-        AppKind::Genomics,
-    ]
-);
-ordinal!(
-    put_job_end_reason,
-    get_job_end_reason,
-    JobEndReason,
-    [
-        JobEndReason::Completed,
-        JobEndReason::WallTimeExceeded,
-        JobEndReason::MemoryLimitExceeded,
-        JobEndReason::UserCancelled,
-        JobEndReason::NodeFail,
-        JobEndReason::AppError,
-    ]
-);
-ordinal!(
-    put_nhc_test,
-    get_nhc_test,
-    NhcTest,
-    [
-        NhcTest::Heartbeat,
-        NhcTest::FilesystemMount,
-        NhcTest::FreeMemory,
-        NhcTest::AppExit,
-        NhcTest::ProcessTable,
-    ]
-);
-ordinal!(
-    put_node_state,
-    get_node_state,
-    NodeState,
-    [
-        NodeState::Up,
-        NodeState::Suspect,
-        NodeState::AdminDown,
-        NodeState::Down,
-        NodeState::PoweredOff,
-    ]
-);
-ordinal!(
-    put_sensor_kind,
-    get_sensor_kind,
-    SensorKind,
-    [
-        SensorKind::Temperature,
-        SensorKind::Voltage,
-        SensorKind::FanSpeed,
-        SensorKind::AirVelocity,
-        SensorKind::Current,
-        SensorKind::Power,
-    ]
-);
-ordinal!(
-    put_deviation,
-    get_deviation,
-    Deviation,
-    [
-        Deviation::Nominal,
-        Deviation::BelowMinimum,
-        Deviation::AboveMaximum
-    ]
-);
-ordinal!(
-    put_component,
-    get_component,
-    Component,
-    [
-        Component::Cpu,
-        Component::Dimm,
-        Component::Nic,
-        Component::Disk,
-        Component::Gpu,
-        Component::BurstBufferSsd,
-    ]
-);
-ordinal!(
-    put_link_error,
-    get_link_error,
-    LinkErrorKind,
-    [
-        LinkErrorKind::Crc,
-        LinkErrorKind::LaneDegrade,
-        LinkErrorKind::LinkDown,
-        LinkErrorKind::Failover { succeeded: true },
-        LinkErrorKind::Failover { succeeded: false },
-    ]
-);
+/// Reads an ordinal written by [`put_ordinal`] over the same `all`.
+fn get_ordinal<T: Copy>(dec: &mut Dec<'_>, all: &[T]) -> Result<T, String> {
+    let b = dec.u8()?;
+    all.get(b as usize).copied().ok_or_else(|| {
+        let name = std::any::type_name::<T>().rsplit("::").next().unwrap_or("");
+        format!("invalid {name} ordinal {b}")
+    })
+}
 
 fn put_scope(out: &mut impl Sink, scope: ControllerScope) {
     match scope {
@@ -402,7 +241,7 @@ pub fn encode_payload(
                     corrected,
                 } => {
                     out.push(*bank);
-                    put_mce_kind(out, *kind);
+                    put_ordinal(out, &MceKind::ALL, *kind);
                     put_bool(out, *corrected);
                 }
                 ConsoleDetail::MemoryError { dimm, correctable } => {
@@ -410,40 +249,44 @@ pub fn encode_payload(
                     put_bool(out, *correctable);
                 }
                 ConsoleDetail::SegFault { app, pid } => {
-                    put_app_kind(out, *app);
+                    put_ordinal(out, &AppKind::ALL, *app);
                     put_varint(out, *pid as u64);
                 }
                 ConsoleDetail::OomKill { victim, pid } => {
-                    put_app_kind(out, *victim);
+                    put_ordinal(out, &AppKind::ALL, *victim);
                     put_varint(out, *pid as u64);
                 }
                 ConsoleDetail::KernelOops { cause, modules } => {
-                    put_oops_cause(out, *cause);
+                    put_ordinal(out, &OopsCause::ALL, *cause);
                     put_varint(out, modules.len() as u64);
                     for m in modules {
-                        put_stack_module(out, *m);
+                        put_ordinal(out, &StackModule::ALL, *m);
                     }
                 }
-                ConsoleDetail::KernelPanic { reason } => put_panic_reason(out, *reason),
-                ConsoleDetail::LustreError { kind } => put_lustre_kind(out, *kind),
+                ConsoleDetail::KernelPanic { reason } => {
+                    put_ordinal(out, &PanicReason::ALL, *reason)
+                }
+                ConsoleDetail::LustreError { kind } => {
+                    put_ordinal(out, &LustreErrorKind::ALL, *kind)
+                }
                 ConsoleDetail::HungTaskTimeout { task, pid, modules } => {
-                    put_app_kind(out, *task);
+                    put_ordinal(out, &AppKind::ALL, *task);
                     put_varint(out, *pid as u64);
                     put_varint(out, modules.len() as u64);
                     for m in modules {
-                        put_stack_module(out, *m);
+                        put_ordinal(out, &StackModule::ALL, *m);
                     }
                 }
                 ConsoleDetail::CpuStall { cpu } => out.push(*cpu),
                 ConsoleDetail::PageAllocFailure { app, order } => {
-                    put_app_kind(out, *app);
+                    put_ordinal(out, &AppKind::ALL, *app);
                     out.push(*order);
                 }
                 ConsoleDetail::GpuError { gpu, xid } => {
                     out.push(*gpu);
                     out.push(*xid);
                 }
-                ConsoleDetail::NhcWarning { test } => put_nhc_test(out, *test),
+                ConsoleDetail::NhcWarning { test } => put_ordinal(out, &NhcTest::ALL, *test),
                 ConsoleDetail::DiskError
                 | ConsoleDetail::BiosError
                 | ConsoleDetail::UnexpectedShutdown
@@ -478,27 +321,27 @@ pub fn encode_payload(
                     reading,
                     deviation,
                 } => {
-                    put_sensor_kind(out, *sensor);
+                    put_ordinal(out, &SensorKind::ALL, *sensor);
                     put_varint(out, *channel as u64);
                     put_f64(out, *reading);
-                    put_deviation(out, *deviation);
+                    put_ordinal(out, &Deviation::ALL, *deviation);
                 }
                 ErdDetail::SedcReading {
                     sensor,
                     channel,
                     reading,
                 } => {
-                    put_sensor_kind(out, *sensor);
+                    put_ordinal(out, &SensorKind::ALL, *sensor);
                     put_varint(out, *channel as u64);
                     put_f64(out, *reading);
                 }
                 ErdDetail::HwError { node: n, component } => {
                     put_varint(out, node(*n));
-                    put_component(out, *component);
+                    put_ordinal(out, &Component::ALL, *component);
                 }
                 ErdDetail::LinkError { port, kind } => {
                     out.push(*port);
-                    put_link_error(out, *kind);
+                    put_ordinal(out, &LinkErrorKind::ALL, *kind);
                 }
                 ErdDetail::Environment { air_flow_reduced } => put_bool(out, *air_flow_reduced),
                 ErdDetail::CabinetSensorCheck { ok } => put_bool(out, *ok),
@@ -518,7 +361,7 @@ pub fn encode_payload(
                 put_varint(out, job.0);
                 put_varint(out, apid.0);
                 put_varint(out, *user as u64);
-                put_app_kind(out, *app);
+                put_ordinal(out, &AppKind::ALL, *app);
                 put_varint(out, nodes.len() as u64);
                 for n in nodes {
                     put_varint(out, node(*n));
@@ -532,7 +375,7 @@ pub fn encode_payload(
             } => {
                 put_varint(out, job.0);
                 put_zigzag(out, *exit_code as i64);
-                put_job_end_reason(out, *reason);
+                put_ordinal(out, &JobEndReason::ALL, *reason);
             }
             SchedulerDetail::NhcResult {
                 node: n,
@@ -540,12 +383,12 @@ pub fn encode_payload(
                 passed,
             } => {
                 put_varint(out, node(*n));
-                put_nhc_test(out, *test);
+                put_ordinal(out, &NhcTest::ALL, *test);
                 put_bool(out, *passed);
             }
             SchedulerDetail::NodeStateChange { node: n, state } => {
                 put_varint(out, node(*n));
-                put_node_state(out, *state);
+                put_ordinal(out, &NodeState::ALL, *state);
             }
             SchedulerDetail::EpilogueCleanup { job, node: n } => {
                 put_varint(out, job.0);
@@ -602,7 +445,7 @@ pub fn decode_payload(
             let detail = match class {
                 C::Mce => ConsoleDetail::Mce {
                     bank: dec.u8()?,
-                    kind: get_mce_kind(dec)?,
+                    kind: get_ordinal(dec, &MceKind::ALL)?,
                     corrected: dec.bool()?,
                 },
                 C::MemoryError => ConsoleDetail::MemoryError {
@@ -610,33 +453,33 @@ pub fn decode_payload(
                     correctable: dec.bool()?,
                 },
                 C::SegFault => ConsoleDetail::SegFault {
-                    app: get_app_kind(dec)?,
+                    app: get_ordinal(dec, &AppKind::ALL)?,
                     pid: get_u32(dec)?,
                 },
                 C::OomKill => ConsoleDetail::OomKill {
-                    victim: get_app_kind(dec)?,
+                    victim: get_ordinal(dec, &AppKind::ALL)?,
                     pid: get_u32(dec)?,
                 },
                 C::KernelOops => {
-                    let cause = get_oops_cause(dec)?;
+                    let cause = get_ordinal(dec, &OopsCause::ALL)?;
                     let modules = decode_modules(dec)?;
                     ConsoleDetail::KernelOops { cause, modules }
                 }
                 C::KernelPanic => ConsoleDetail::KernelPanic {
-                    reason: get_panic_reason(dec)?,
+                    reason: get_ordinal(dec, &PanicReason::ALL)?,
                 },
                 C::LustreError => ConsoleDetail::LustreError {
-                    kind: get_lustre_kind(dec)?,
+                    kind: get_ordinal(dec, &LustreErrorKind::ALL)?,
                 },
                 C::HungTaskTimeout => {
-                    let task = get_app_kind(dec)?;
+                    let task = get_ordinal(dec, &AppKind::ALL)?;
                     let pid = get_u32(dec)?;
                     let modules = decode_modules(dec)?;
                     ConsoleDetail::HungTaskTimeout { task, pid, modules }
                 }
                 C::CpuStall => ConsoleDetail::CpuStall { cpu: dec.u8()? },
                 C::PageAllocFailure => ConsoleDetail::PageAllocFailure {
-                    app: get_app_kind(dec)?,
+                    app: get_ordinal(dec, &AppKind::ALL)?,
                     order: dec.u8()?,
                 },
                 C::GpuError => ConsoleDetail::GpuError {
@@ -646,7 +489,7 @@ pub fn decode_payload(
                 C::DiskError => ConsoleDetail::DiskError,
                 C::BiosError => ConsoleDetail::BiosError,
                 C::NhcWarning => ConsoleDetail::NhcWarning {
-                    test: get_nhc_test(dec)?,
+                    test: get_ordinal(dec, &NhcTest::ALL)?,
                 },
                 C::UnexpectedShutdown => ConsoleDetail::UnexpectedShutdown,
                 C::GracefulShutdown => ConsoleDetail::GracefulShutdown,
@@ -702,25 +545,25 @@ pub fn decode_payload(
             let scope = get_scope(dec)?;
             let detail = match class {
                 C::SedcWarning => ErdDetail::SedcWarning {
-                    sensor: get_sensor_kind(dec)?,
+                    sensor: get_ordinal(dec, &SensorKind::ALL)?,
                     channel: get_u16(dec)?,
                     reading: dec.f64()?,
-                    deviation: get_deviation(dec)?,
+                    deviation: get_ordinal(dec, &Deviation::ALL)?,
                 },
                 C::SedcReading => ErdDetail::SedcReading {
-                    sensor: get_sensor_kind(dec)?,
+                    sensor: get_ordinal(dec, &SensorKind::ALL)?,
                     channel: get_u16(dec)?,
                     reading: dec.f64()?,
                 },
                 C::HwError => ErdDetail::HwError {
                     node: node(dec)?,
-                    component: get_component(dec)?,
+                    component: get_ordinal(dec, &Component::ALL)?,
                 },
                 C::HeartbeatStop => ErdDetail::HeartbeatStop,
                 C::L0Failed => ErdDetail::L0Failed,
                 C::LinkError => ErdDetail::LinkError {
                     port: dec.u8()?,
-                    kind: get_link_error(dec)?,
+                    kind: get_ordinal(dec, &LinkErrorKind::ALL)?,
                 },
                 C::Environment => ErdDetail::Environment {
                     air_flow_reduced: dec.bool()?,
@@ -736,7 +579,7 @@ pub fn decode_payload(
             let job = JobId(dec.varint()?);
             let apid = Apid(dec.varint()?);
             let user = get_u32(dec)?;
-            let app = get_app_kind(dec)?;
+            let app = get_ordinal(dec, &AppKind::ALL)?;
             let len = dec.varint()? as usize;
             if len > dec.remaining() {
                 return Err(format!("node list length {len} exceeds segment body"));
@@ -762,20 +605,20 @@ pub fn decode_payload(
                 job: JobId(dec.varint()?),
                 exit_code: i32::try_from(dec.zigzag()?)
                     .map_err(|_| "exit code exceeds i32".to_string())?,
-                reason: get_job_end_reason(dec)?,
+                reason: get_ordinal(dec, &JobEndReason::ALL)?,
             },
         },
         C::NhcResult => Payload::Scheduler {
             detail: SchedulerDetail::NhcResult {
                 node: node(dec)?,
-                test: get_nhc_test(dec)?,
+                test: get_ordinal(dec, &NhcTest::ALL)?,
                 passed: dec.bool()?,
             },
         },
         C::NodeStateChange => Payload::Scheduler {
             detail: SchedulerDetail::NodeStateChange {
                 node: node(dec)?,
-                state: get_node_state(dec)?,
+                state: get_ordinal(dec, &NodeState::ALL)?,
             },
         },
         C::EpilogueCleanup => Payload::Scheduler {
@@ -804,7 +647,7 @@ fn decode_modules(dec: &mut Dec<'_>) -> Result<Vec<StackModule>, String> {
     }
     let mut modules = Vec::with_capacity(len);
     for _ in 0..len {
-        modules.push(get_stack_module(dec)?);
+        modules.push(get_ordinal(dec, &StackModule::ALL)?);
     }
     Ok(modules)
 }
@@ -815,7 +658,7 @@ fn put_terminal(out: &mut Vec<u8>, t: TerminalKind) {
     match t {
         TerminalKind::Panic(reason) => {
             out.push(0);
-            put_panic_reason(out, reason);
+            put_ordinal(out, &PanicReason::ALL, reason);
         }
         TerminalKind::UnexpectedShutdown => out.push(1),
         TerminalKind::AdminDown => out.push(2),
@@ -825,7 +668,7 @@ fn put_terminal(out: &mut Vec<u8>, t: TerminalKind) {
 
 fn get_terminal(dec: &mut Dec<'_>) -> Result<TerminalKind, String> {
     match dec.u8()? {
-        0 => Ok(TerminalKind::Panic(get_panic_reason(dec)?)),
+        0 => Ok(TerminalKind::Panic(get_ordinal(dec, &PanicReason::ALL)?)),
         1 => Ok(TerminalKind::UnexpectedShutdown),
         2 => Ok(TerminalKind::AdminDown),
         3 => Ok(TerminalKind::SchedulerDown),
@@ -1155,10 +998,163 @@ mod tests {
         assert_eq!(dec.remaining(), 0);
     }
 
+    /// `all` written as text is `reference`, and each variant encodes as
+    /// its position there and decodes back.
+    fn pinned<T: Copy + PartialEq + std::fmt::Debug>(
+        all: &'static [T],
+        text: fn(T) -> &'static str,
+        reference: &[&str],
+    ) {
+        let texts: Vec<&str> = all.iter().map(|&v| text(v)).collect();
+        assert_eq!(texts, reference);
+        for (i, &v) in all.iter().enumerate() {
+            let mut buf = Vec::new();
+            put_ordinal(&mut buf, all, v);
+            assert_eq!(buf, [i as u8], "{v:?}");
+            assert_eq!(get_ordinal(&mut Dec::new(&buf), all), Ok(v));
+        }
+    }
+
+    /// The on-disk ordinals of all thirteen vocabularies, pinned as the text
+    /// of each `ALL` in the order stores were written with. A reordered
+    /// `ALL`, or a variant inserted anywhere but the end, changes what
+    /// stored bytes mean and fails here, whether or not any golden scenario
+    /// emits the variants it moves.
+    #[test]
+    fn ordinals_match_the_on_disk_reference() {
+        pinned(
+            &NodeState::ALL,
+            NodeState::token,
+            &["up", "suspect", "admindown", "down", "poweroff"],
+        );
+        pinned(&MceKind::ALL, MceKind::token, &["page", "cache", "dimm"]);
+        pinned(
+            &OopsCause::ALL,
+            OopsCause::first_line,
+            &[
+                "BUG: unable to handle kernel paging request",
+                "BUG: kernel NULL pointer dereference",
+                "invalid opcode: 0000 [#1] SMP",
+                "general protection fault: 0000 [#1] SMP",
+            ],
+        );
+        pinned(
+            &StackModule::ALL,
+            StackModule::symbol,
+            &[
+                "sleep_on_page",
+                "ldlm_bl_thread_main",
+                "dvs_ipc_msg",
+                "mce_log",
+                "rwsem_down_failed",
+                "oom_kill_process",
+                "ptlrpc_main",
+                "xpmem_fault",
+                "do_page_fault",
+                "do_fork",
+                "io_schedule",
+                "schedule_timeout",
+            ],
+        );
+        pinned(
+            &LustreErrorKind::ALL,
+            LustreErrorKind::token,
+            &[
+                "timeout",
+                "evicted",
+                "io_error",
+                "page_fault_lock",
+                "inode_error",
+            ],
+        );
+        pinned(
+            &PanicReason::ALL,
+            PanicReason::message,
+            &[
+                "Fatal Machine check",
+                "LBUG",
+                "Fatal exception",
+                "Out of memory and no killable processes",
+                "CPU context corrupt",
+                "firmware fatal error",
+                "driver fatal error",
+                "hung_task: blocked tasks",
+            ],
+        );
+        pinned(
+            &AppKind::ALL,
+            AppKind::executable,
+            &[
+                "mpi_sim",
+                "matlab",
+                "python3",
+                "namd2",
+                "wrf.exe",
+                "genome_pipe",
+            ],
+        );
+        pinned(
+            &JobEndReason::ALL,
+            JobEndReason::token,
+            &[
+                "completed",
+                "walltime",
+                "memlimit",
+                "user_cancel",
+                "node_fail",
+                "app_error",
+            ],
+        );
+        pinned(
+            &NhcTest::ALL,
+            NhcTest::token,
+            &[
+                "heartbeat",
+                "fs_mount",
+                "free_memory",
+                "app_exit",
+                "process_table",
+            ],
+        );
+        pinned(
+            &SensorKind::ALL,
+            SensorKind::mnemonic,
+            &["TEMP", "VOLT", "FAN_RPM", "AIR_VEL", "CURRENT", "POWER"],
+        );
+        pinned(
+            &Deviation::ALL,
+            Deviation::as_str,
+            &[
+                "nominal",
+                "below minimum threshold",
+                "above maximum threshold",
+            ],
+        );
+        pinned(
+            &Component::ALL,
+            Component::mnemonic,
+            &["CPU", "DIMM", "NIC", "DISK", "GPU", "BB_SSD"],
+        );
+        pinned(
+            &LinkErrorKind::ALL,
+            LinkErrorKind::as_log_fragment,
+            &[
+                "lane CRC error",
+                "lane degrade: width reduced",
+                "link inactive",
+                "failover completed",
+                "failover FAILED",
+            ],
+        );
+    }
+
     #[test]
     fn corrupted_ordinals_error_not_panic() {
-        // A panic reason ordinal of 200 must be rejected.
-        assert!(get_panic_reason(&mut Dec::new(&[200])).is_err());
+        // A panic reason ordinal of 200 must be rejected, naming its type.
+        assert_eq!(
+            get_ordinal(&mut Dec::new(&[200]), &PanicReason::ALL),
+            Err("invalid PanicReason ordinal 200".to_string())
+        );
         assert!(get_scope(&mut Dec::new(&[7, 0])).is_err());
         assert!(get_terminal(&mut Dec::new(&[9])).is_err());
     }

@@ -241,8 +241,7 @@ pub fn fatal_mce_chain<R: Rng + ?Sized>(
         }
     }
     let lead = timing.internal_lead(rng);
-    let kinds = [MceKind::Page, MceKind::Cache, MceKind::Dimm];
-    let kind = kinds[rng.gen_range(0..kinds.len())];
+    let kind = MceKind::ALL[rng.gen_range(0..MceKind::ALL.len())];
     b.internal(
         t.saturating_sub(lead),
         ConsoleDetail::Mce {

@@ -96,7 +96,7 @@ pub fn benign_hw_errors<R: Rng + ?Sized>(rng: &mut R, node: NodeId, t: SimTime) 
         let detail = if chance(rng, 0.5) {
             ConsoleDetail::Mce {
                 bank: rng.gen_range(0..8),
-                kind: [MceKind::Page, MceKind::Cache, MceKind::Dimm][rng.gen_range(0..3)],
+                kind: MceKind::ALL[rng.gen_range(0..MceKind::ALL.len())],
                 corrected: true,
             }
         } else {

@@ -64,6 +64,17 @@ pub enum NodeState {
 }
 
 impl NodeState {
+    /// Every state, in ordinal order: a variant's position here is its on-disk
+    /// ordinal in the segment codec, so new variants are appended, never
+    /// inserted or reordered.
+    pub const ALL: [NodeState; 5] = [
+        NodeState::Up,
+        NodeState::Suspect,
+        NodeState::AdminDown,
+        NodeState::Down,
+        NodeState::PoweredOff,
+    ];
+
     /// Lower-case token used in scheduler logs.
     pub fn token(self) -> &'static str {
         match self {
@@ -77,14 +88,7 @@ impl NodeState {
 
     /// Parses a scheduler-log token.
     pub fn from_token(s: &str) -> Option<NodeState> {
-        Some(match s {
-            "up" => NodeState::Up,
-            "suspect" => NodeState::Suspect,
-            "admindown" => NodeState::AdminDown,
-            "down" => NodeState::Down,
-            "poweroff" => NodeState::PoweredOff,
-            _ => return None,
-        })
+        NodeState::ALL.into_iter().find(|v| v.token() == s)
     }
 
     /// Whether this state counts as a manifested node failure for the
@@ -108,6 +112,11 @@ pub enum MceKind {
 }
 
 impl MceKind {
+    /// Every kind, in ordinal order: a variant's position here is its on-disk
+    /// ordinal in the segment codec, so new variants are appended, never
+    /// inserted or reordered.
+    pub const ALL: [MceKind; 3] = [MceKind::Page, MceKind::Cache, MceKind::Dimm];
+
     /// Log token.
     pub fn token(self) -> &'static str {
         match self {
@@ -119,12 +128,7 @@ impl MceKind {
 
     /// Parses a log token.
     pub fn from_token(s: &str) -> Option<MceKind> {
-        Some(match s {
-            "page" => MceKind::Page,
-            "cache" => MceKind::Cache,
-            "dimm" => MceKind::Dimm,
-            _ => return None,
-        })
+        MceKind::ALL.into_iter().find(|v| v.token() == s)
     }
 }
 
@@ -143,6 +147,16 @@ pub enum OopsCause {
 }
 
 impl OopsCause {
+    /// Every cause, in ordinal order: a variant's position here is its on-disk
+    /// ordinal in the segment codec, so new variants are appended, never
+    /// inserted or reordered.
+    pub const ALL: [OopsCause; 4] = [
+        OopsCause::PagingRequest,
+        OopsCause::NullDeref,
+        OopsCause::InvalidOpcode,
+        OopsCause::GeneralProtection,
+    ];
+
     /// First-line text of the oops.
     pub fn first_line(self) -> &'static str {
         match self {
@@ -155,14 +169,9 @@ impl OopsCause {
 
     /// Recognises an oops first line.
     pub fn from_first_line(s: &str) -> Option<OopsCause> {
-        [
-            OopsCause::PagingRequest,
-            OopsCause::NullDeref,
-            OopsCause::InvalidOpcode,
-            OopsCause::GeneralProtection,
-        ]
-        .into_iter()
-        .find(|&c| s.starts_with(c.first_line()))
+        OopsCause::ALL
+            .into_iter()
+            .find(|c| s.starts_with(c.first_line()))
     }
 }
 
@@ -200,7 +209,9 @@ pub enum StackModule {
 }
 
 impl StackModule {
-    /// All diagnostically meaningful modules.
+    /// All diagnostically meaningful modules, in ordinal order: a module's
+    /// position here is its on-disk ordinal in the segment codec, so new
+    /// modules are appended, never inserted or reordered.
     pub const ALL: [StackModule; 12] = [
         StackModule::SleepOnPage,
         StackModule::LdlmBl,
@@ -257,6 +268,17 @@ pub enum LustreErrorKind {
 }
 
 impl LustreErrorKind {
+    /// Every kind, in ordinal order: a variant's position here is its on-disk
+    /// ordinal in the segment codec, so new variants are appended, never
+    /// inserted or reordered.
+    pub const ALL: [LustreErrorKind; 5] = [
+        LustreErrorKind::Timeout,
+        LustreErrorKind::Evicted,
+        LustreErrorKind::IoError,
+        LustreErrorKind::PageFaultLock,
+        LustreErrorKind::InodeError,
+    ];
+
     /// Log token.
     pub fn token(self) -> &'static str {
         match self {
@@ -270,14 +292,7 @@ impl LustreErrorKind {
 
     /// Parses a log token.
     pub fn from_token(s: &str) -> Option<LustreErrorKind> {
-        Some(match s {
-            "timeout" => LustreErrorKind::Timeout,
-            "evicted" => LustreErrorKind::Evicted,
-            "io_error" => LustreErrorKind::IoError,
-            "page_fault_lock" => LustreErrorKind::PageFaultLock,
-            "inode_error" => LustreErrorKind::InodeError,
-            _ => return None,
-        })
+        LustreErrorKind::ALL.into_iter().find(|v| v.token() == s)
     }
 }
 
@@ -303,6 +318,20 @@ pub enum PanicReason {
 }
 
 impl PanicReason {
+    /// Every reason, in ordinal order: a variant's position here is its on-disk
+    /// ordinal in the segment codec, so new variants are appended, never
+    /// inserted or reordered.
+    pub const ALL: [PanicReason; 8] = [
+        PanicReason::FatalMce,
+        PanicReason::LustreBug,
+        PanicReason::KernelBug,
+        PanicReason::OutOfMemory,
+        PanicReason::CpuCorruption,
+        PanicReason::FirmwareBug,
+        PanicReason::DriverBug,
+        PanicReason::HungTask,
+    ];
+
     /// Panic message fragment.
     pub fn message(self) -> &'static str {
         match self {
@@ -319,18 +348,9 @@ impl PanicReason {
 
     /// Recognises a panic message fragment.
     pub fn from_message(s: &str) -> Option<PanicReason> {
-        [
-            PanicReason::FatalMce,
-            PanicReason::LustreBug,
-            PanicReason::KernelBug,
-            PanicReason::OutOfMemory,
-            PanicReason::CpuCorruption,
-            PanicReason::FirmwareBug,
-            PanicReason::DriverBug,
-            PanicReason::HungTask,
-        ]
-        .into_iter()
-        .find(|&r| s.starts_with(r.message()))
+        PanicReason::ALL
+            .into_iter()
+            .find(|r| s.starts_with(r.message()))
     }
 }
 
@@ -353,7 +373,10 @@ pub enum AppKind {
 }
 
 impl AppKind {
-    /// All application kinds.
+    /// All application kinds, in ordinal order: a kind's position here is
+    /// its on-disk ordinal in the segment codec and its index in the
+    /// simulator's random draws and `app_weights`, so new kinds are
+    /// appended, never inserted or reordered.
     pub const ALL: [AppKind; 6] = [
         AppKind::MpiSimulation,
         AppKind::Matlab,
@@ -399,6 +422,18 @@ pub enum JobEndReason {
 }
 
 impl JobEndReason {
+    /// Every reason, in ordinal order: a variant's position here is its on-disk
+    /// ordinal in the segment codec, so new variants are appended, never
+    /// inserted or reordered.
+    pub const ALL: [JobEndReason; 6] = [
+        JobEndReason::Completed,
+        JobEndReason::WallTimeExceeded,
+        JobEndReason::MemoryLimitExceeded,
+        JobEndReason::UserCancelled,
+        JobEndReason::NodeFail,
+        JobEndReason::AppError,
+    ];
+
     /// Log token.
     pub fn token(self) -> &'static str {
         match self {
@@ -413,15 +448,7 @@ impl JobEndReason {
 
     /// Parses a log token.
     pub fn from_token(s: &str) -> Option<JobEndReason> {
-        Some(match s {
-            "completed" => JobEndReason::Completed,
-            "walltime" => JobEndReason::WallTimeExceeded,
-            "memlimit" => JobEndReason::MemoryLimitExceeded,
-            "user_cancel" => JobEndReason::UserCancelled,
-            "node_fail" => JobEndReason::NodeFail,
-            "app_error" => JobEndReason::AppError,
-            _ => return None,
-        })
+        JobEndReason::ALL.into_iter().find(|v| v.token() == s)
     }
 
     /// Whether this reason is a *user/configuration* problem rather than a
@@ -453,6 +480,17 @@ pub enum NhcTest {
 }
 
 impl NhcTest {
+    /// Every test, in ordinal order: a variant's position here is its on-disk
+    /// ordinal in the segment codec, so new variants are appended, never
+    /// inserted or reordered.
+    pub const ALL: [NhcTest; 5] = [
+        NhcTest::Heartbeat,
+        NhcTest::FilesystemMount,
+        NhcTest::FreeMemory,
+        NhcTest::AppExit,
+        NhcTest::ProcessTable,
+    ];
+
     /// Log token.
     pub fn token(self) -> &'static str {
         match self {
@@ -466,14 +504,7 @@ impl NhcTest {
 
     /// Parses a log token.
     pub fn from_token(s: &str) -> Option<NhcTest> {
-        Some(match s {
-            "heartbeat" => NhcTest::Heartbeat,
-            "fs_mount" => NhcTest::FilesystemMount,
-            "free_memory" => NhcTest::FreeMemory,
-            "app_exit" => NhcTest::AppExit,
-            "process_table" => NhcTest::ProcessTable,
-            _ => return None,
-        })
+        NhcTest::ALL.into_iter().find(|v| v.token() == s)
     }
 }
 
@@ -1029,85 +1060,127 @@ mod tests {
     }
 
     #[test]
-    fn node_state_tokens_round_trip() {
-        for s in [
-            NodeState::Up,
-            NodeState::Suspect,
-            NodeState::AdminDown,
-            NodeState::Down,
-            NodeState::PoweredOff,
-        ] {
-            assert_eq!(NodeState::from_token(s.token()), Some(s));
-        }
+    fn node_state_failure_classification() {
         assert!(NodeState::AdminDown.is_failure());
         assert!(NodeState::Down.is_failure());
         assert!(!NodeState::PoweredOff.is_failure());
         assert!(!NodeState::Suspect.is_failure());
     }
 
-    #[test]
-    fn token_round_trips() {
-        for k in [MceKind::Page, MceKind::Cache, MceKind::Dimm] {
-            assert_eq!(MceKind::from_token(k.token()), Some(k));
+    /// Every text form of `all` parses back to its variant, and `parse`
+    /// refuses a text no variant renders.
+    fn round_trips<T: Copy + PartialEq + std::fmt::Debug>(
+        all: &[T],
+        text: fn(T) -> &'static str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) {
+        for &v in all {
+            assert_eq!(parse(text(v)), Some(v), "{v:?}");
         }
-        for k in [
-            LustreErrorKind::Timeout,
-            LustreErrorKind::Evicted,
-            LustreErrorKind::IoError,
-            LustreErrorKind::PageFaultLock,
-            LustreErrorKind::InodeError,
-        ] {
-            assert_eq!(LustreErrorKind::from_token(k.token()), Some(k));
-        }
-        for r in [
-            JobEndReason::Completed,
-            JobEndReason::WallTimeExceeded,
-            JobEndReason::MemoryLimitExceeded,
-            JobEndReason::UserCancelled,
-            JobEndReason::NodeFail,
-            JobEndReason::AppError,
-        ] {
-            assert_eq!(JobEndReason::from_token(r.token()), Some(r));
-        }
-        for t in [
-            NhcTest::Heartbeat,
-            NhcTest::FilesystemMount,
-            NhcTest::FreeMemory,
-            NhcTest::AppExit,
-            NhcTest::ProcessTable,
-        ] {
-            assert_eq!(NhcTest::from_token(t.token()), Some(t));
-        }
-        for m in StackModule::ALL {
-            assert_eq!(StackModule::from_symbol(m.symbol()), Some(m));
-        }
-        for a in AppKind::ALL {
-            assert_eq!(AppKind::from_executable(a.executable()), Some(a));
+        assert_eq!(parse("BOGUS"), None);
+    }
+
+    /// For a vocabulary matched by prefix (`suffix == false`) or suffix: no
+    /// text form is a prefix (suffix) of another, so the lookup order over
+    /// `ALL` cannot change an answer, and each text is still recognised with
+    /// the rest of its line around it.
+    fn affix_free<T: Copy + PartialEq + std::fmt::Debug>(
+        all: &[T],
+        text: fn(T) -> &'static str,
+        parse: impl Fn(&str) -> Option<T>,
+        suffix: bool,
+    ) {
+        for &a in all {
+            for &b in all {
+                let (ta, tb) = (text(a), text(b));
+                let covers = if suffix {
+                    tb.ends_with(ta)
+                } else {
+                    tb.starts_with(ta)
+                };
+                assert!(
+                    a == b || !covers,
+                    "{a:?} text {ta:?} within {b:?} text {tb:?}"
+                );
+            }
+            let line = if suffix {
+                format!("port=3 {}", text(a))
+            } else {
+                format!("{} at 0000", text(a))
+            };
+            assert_eq!(parse(&line), Some(a), "{line}");
         }
     }
 
+    /// One round trip over `ALL` for each closed vocabulary the parser
+    /// reads whole, through the inverse the parser uses; the oops and panic
+    /// texts have their own test, and sensor mnemonics are checked in
+    /// `hpc-platform`.
+    #[test]
+    fn token_round_trips() {
+        use crate::parse::{parse_component, parse_deviation, parse_link_error};
+        round_trips(&NodeState::ALL, NodeState::token, NodeState::from_token);
+        round_trips(&MceKind::ALL, MceKind::token, MceKind::from_token);
+        round_trips(
+            &StackModule::ALL,
+            StackModule::symbol,
+            StackModule::from_symbol,
+        );
+        round_trips(
+            &LustreErrorKind::ALL,
+            LustreErrorKind::token,
+            LustreErrorKind::from_token,
+        );
+        round_trips(&AppKind::ALL, AppKind::executable, AppKind::from_executable);
+        round_trips(
+            &JobEndReason::ALL,
+            JobEndReason::token,
+            JobEndReason::from_token,
+        );
+        round_trips(&NhcTest::ALL, NhcTest::token, NhcTest::from_token);
+        round_trips(&Component::ALL, Component::mnemonic, parse_component);
+
+        round_trips(&Deviation::ALL, Deviation::as_str, parse_deviation);
+        affix_free(&Deviation::ALL, Deviation::as_str, parse_deviation, true);
+        round_trips(
+            &LinkErrorKind::ALL,
+            LinkErrorKind::as_log_fragment,
+            parse_link_error,
+        );
+        affix_free(
+            &LinkErrorKind::ALL,
+            LinkErrorKind::as_log_fragment,
+            parse_link_error,
+            true,
+        );
+    }
+
+    /// Oops first lines and panic messages, which the parser matches by
+    /// prefix, round-trip and are recognised with the rest of their line.
     #[test]
     fn oops_and_panic_recognition() {
-        for c in [
-            OopsCause::PagingRequest,
-            OopsCause::NullDeref,
-            OopsCause::InvalidOpcode,
-            OopsCause::GeneralProtection,
-        ] {
-            assert_eq!(OopsCause::from_first_line(c.first_line()), Some(c));
-        }
-        for r in [
-            PanicReason::FatalMce,
-            PanicReason::LustreBug,
-            PanicReason::KernelBug,
-            PanicReason::OutOfMemory,
-            PanicReason::CpuCorruption,
-            PanicReason::FirmwareBug,
-            PanicReason::DriverBug,
-            PanicReason::HungTask,
-        ] {
-            assert_eq!(PanicReason::from_message(r.message()), Some(r));
-        }
+        round_trips(
+            &OopsCause::ALL,
+            OopsCause::first_line,
+            OopsCause::from_first_line,
+        );
+        affix_free(
+            &OopsCause::ALL,
+            OopsCause::first_line,
+            OopsCause::from_first_line,
+            false,
+        );
+        round_trips(
+            &PanicReason::ALL,
+            PanicReason::message,
+            PanicReason::from_message,
+        );
+        affix_free(
+            &PanicReason::ALL,
+            PanicReason::message,
+            PanicReason::from_message,
+            false,
+        );
     }
 
     #[test]

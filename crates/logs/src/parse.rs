@@ -522,15 +522,7 @@ fn parse_erd_payload(rest: &str) -> Option<(ControllerScope, ErdDetail)> {
         let sensor = SensorKind::from_mnemonic(sensor?)?;
         let channel = ch?.parse().ok()?;
         let reading: f64 = reading?.parse().ok()?;
-        let deviation = if rest.ends_with("below minimum threshold") {
-            Deviation::BelowMinimum
-        } else if rest.ends_with("above maximum threshold") {
-            Deviation::AboveMaximum
-        } else if rest.ends_with("nominal") {
-            Deviation::Nominal
-        } else {
-            return None;
-        };
+        let deviation = parse_deviation(rest)?;
         ErdDetail::SedcWarning {
             sensor,
             channel,
@@ -573,32 +565,22 @@ fn parse_erd_payload(rest: &str) -> Option<(ControllerScope, ErdDetail)> {
     Some((scope, detail))
 }
 
-fn parse_component(s: &str) -> Option<Component> {
-    Some(match s {
-        "CPU" => Component::Cpu,
-        "DIMM" => Component::Dimm,
-        "NIC" => Component::Nic,
-        "DISK" => Component::Disk,
-        "GPU" => Component::Gpu,
-        "BB_SSD" => Component::BurstBufferSsd,
-        _ => return None,
-    })
+pub(crate) fn parse_component(s: &str) -> Option<Component> {
+    Component::ALL.into_iter().find(|c| c.mnemonic() == s)
 }
 
-fn parse_link_error(rest: &str) -> Option<LinkErrorKind> {
-    if rest.ends_with("lane CRC error") {
-        Some(LinkErrorKind::Crc)
-    } else if rest.ends_with("lane degrade: width reduced") {
-        Some(LinkErrorKind::LaneDegrade)
-    } else if rest.ends_with("link inactive") {
-        Some(LinkErrorKind::LinkDown)
-    } else if rest.ends_with("failover completed") {
-        Some(LinkErrorKind::Failover { succeeded: true })
-    } else if rest.ends_with("failover FAILED") {
-        Some(LinkErrorKind::Failover { succeeded: false })
-    } else {
-        None
-    }
+/// The deviation a SEDC warning line ends with.
+pub(crate) fn parse_deviation(rest: &str) -> Option<Deviation> {
+    Deviation::ALL
+        .into_iter()
+        .find(|d| rest.ends_with(d.as_str()))
+}
+
+/// The link error class a link-error line ends with.
+pub(crate) fn parse_link_error(rest: &str) -> Option<LinkErrorKind> {
+    LinkErrorKind::ALL
+        .into_iter()
+        .find(|k| rest.ends_with(k.as_log_fragment()))
 }
 
 fn parse_scheduler(line: &str, out: &mut Vec<LogEvent>) -> bool {

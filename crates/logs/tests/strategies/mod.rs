@@ -26,7 +26,7 @@ pub fn console_detail() -> impl Strategy<Value = ConsoleDetail> {
     prop_oneof![
         (
             0u8..8,
-            prop::sample::select(vec![MceKind::Page, MceKind::Cache, MceKind::Dimm]),
+            prop::sample::select(MceKind::ALL.to_vec()),
             any::<bool>()
         )
             .prop_map(|(bank, kind, corrected)| ConsoleDetail::Mce {
@@ -40,34 +40,14 @@ pub fn console_detail() -> impl Strategy<Value = ConsoleDetail> {
         (app_kind(), 1u32..100_000)
             .prop_map(|(victim, pid)| ConsoleDetail::OomKill { victim, pid }),
         (
-            prop::sample::select(vec![
-                OopsCause::PagingRequest,
-                OopsCause::NullDeref,
-                OopsCause::InvalidOpcode,
-                OopsCause::GeneralProtection,
-            ]),
+            prop::sample::select(OopsCause::ALL.to_vec()),
             stack_modules()
         )
             .prop_map(|(cause, modules)| ConsoleDetail::KernelOops { cause, modules }),
-        prop::sample::select(vec![
-            PanicReason::FatalMce,
-            PanicReason::LustreBug,
-            PanicReason::KernelBug,
-            PanicReason::OutOfMemory,
-            PanicReason::CpuCorruption,
-            PanicReason::FirmwareBug,
-            PanicReason::DriverBug,
-            PanicReason::HungTask,
-        ])
-        .prop_map(|reason| ConsoleDetail::KernelPanic { reason }),
-        prop::sample::select(vec![
-            LustreErrorKind::Timeout,
-            LustreErrorKind::Evicted,
-            LustreErrorKind::IoError,
-            LustreErrorKind::PageFaultLock,
-            LustreErrorKind::InodeError,
-        ])
-        .prop_map(|kind| ConsoleDetail::LustreError { kind }),
+        prop::sample::select(PanicReason::ALL.to_vec())
+            .prop_map(|reason| ConsoleDetail::KernelPanic { reason }),
+        prop::sample::select(LustreErrorKind::ALL.to_vec())
+            .prop_map(|kind| ConsoleDetail::LustreError { kind }),
         (app_kind(), 1u32..100_000, stack_modules())
             .prop_map(|(task, pid, modules)| ConsoleDetail::HungTaskTimeout { task, pid, modules }),
         (0u8..64).prop_map(|cpu| ConsoleDetail::CpuStall { cpu }),
@@ -76,14 +56,8 @@ pub fn console_detail() -> impl Strategy<Value = ConsoleDetail> {
         (0u8..4, 0u8..120).prop_map(|(gpu, xid)| ConsoleDetail::GpuError { gpu, xid }),
         Just(ConsoleDetail::DiskError),
         Just(ConsoleDetail::BiosError),
-        prop::sample::select(vec![
-            NhcTest::Heartbeat,
-            NhcTest::FilesystemMount,
-            NhcTest::FreeMemory,
-            NhcTest::AppExit,
-            NhcTest::ProcessTable,
-        ])
-        .prop_map(|test| ConsoleDetail::NhcWarning { test }),
+        prop::sample::select(NhcTest::ALL.to_vec())
+            .prop_map(|test| ConsoleDetail::NhcWarning { test }),
         Just(ConsoleDetail::UnexpectedShutdown),
         Just(ConsoleDetail::GracefulShutdown),
     ]
@@ -167,14 +141,7 @@ pub fn erd_event() -> impl Strategy<Value = (ControllerScope, ErdDetail)> {
             }),
         (
             node_id(),
-            prop::sample::select(vec![
-                hpc_platform::components::Component::Cpu,
-                hpc_platform::components::Component::Dimm,
-                hpc_platform::components::Component::Nic,
-                hpc_platform::components::Component::Disk,
-                hpc_platform::components::Component::Gpu,
-                hpc_platform::components::Component::BurstBufferSsd,
-            ])
+            prop::sample::select(hpc_platform::components::Component::ALL.to_vec())
         )
             .prop_map(|(node, component)| {
                 (
@@ -187,13 +154,7 @@ pub fn erd_event() -> impl Strategy<Value = (ControllerScope, ErdDetail)> {
         (
             blade_scope(),
             0u8..8,
-            prop::sample::select(vec![
-                LinkErrorKind::Crc,
-                LinkErrorKind::LaneDegrade,
-                LinkErrorKind::LinkDown,
-                LinkErrorKind::Failover { succeeded: true },
-                LinkErrorKind::Failover { succeeded: false },
-            ])
+            prop::sample::select(LinkErrorKind::ALL.to_vec())
         )
             .prop_map(|(s, port, kind)| (s, ErdDetail::LinkError { port, kind })),
         (cabinet_scope(), any::<bool>()).prop_map(|(s, air)| (
@@ -236,14 +197,7 @@ pub fn scheduler_detail() -> impl Strategy<Value = SchedulerDetail> {
         (
             1u64..1_000_000,
             -255i32..256,
-            prop::sample::select(vec![
-                JobEndReason::Completed,
-                JobEndReason::WallTimeExceeded,
-                JobEndReason::MemoryLimitExceeded,
-                JobEndReason::UserCancelled,
-                JobEndReason::NodeFail,
-                JobEndReason::AppError,
-            ])
+            prop::sample::select(JobEndReason::ALL.to_vec())
         )
             .prop_map(|(job, exit_code, reason)| SchedulerDetail::JobEnd {
                 job: JobId(job),
@@ -252,13 +206,7 @@ pub fn scheduler_detail() -> impl Strategy<Value = SchedulerDetail> {
             }),
         (
             node_id(),
-            prop::sample::select(vec![
-                NhcTest::Heartbeat,
-                NhcTest::FilesystemMount,
-                NhcTest::FreeMemory,
-                NhcTest::AppExit,
-                NhcTest::ProcessTable,
-            ]),
+            prop::sample::select(NhcTest::ALL.to_vec()),
             any::<bool>()
         )
             .prop_map(|(node, test, passed)| SchedulerDetail::NhcResult {
@@ -266,16 +214,7 @@ pub fn scheduler_detail() -> impl Strategy<Value = SchedulerDetail> {
                 test,
                 passed
             }),
-        (
-            node_id(),
-            prop::sample::select(vec![
-                NodeState::Up,
-                NodeState::Suspect,
-                NodeState::AdminDown,
-                NodeState::Down,
-                NodeState::PoweredOff,
-            ])
-        )
+        (node_id(), prop::sample::select(NodeState::ALL.to_vec()))
             .prop_map(|(node, state)| SchedulerDetail::NodeStateChange { node, state }),
         (1u64..1_000_000, node_id()).prop_map(|(job, node)| SchedulerDetail::EpilogueCleanup {
             job: JobId(job),

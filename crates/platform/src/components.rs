@@ -23,6 +23,18 @@ pub enum Component {
 }
 
 impl Component {
+    /// Every component class, in ordinal order: a variant's position here
+    /// is its on-disk ordinal in the segment codec, so new variants are
+    /// appended, never inserted or reordered.
+    pub const ALL: [Component; 6] = [
+        Component::Cpu,
+        Component::Dimm,
+        Component::Nic,
+        Component::Disk,
+        Component::Gpu,
+        Component::BurstBufferSsd,
+    ];
+
     /// Short mnemonic used in log rendering.
     pub fn mnemonic(self) -> &'static str {
         match self {

@@ -53,6 +53,18 @@ pub enum LinkErrorKind {
 }
 
 impl LinkErrorKind {
+    /// Every error class (a succeeded failover before a failed one), in
+    /// ordinal order: a variant's position here is its on-disk ordinal in
+    /// the segment codec, so new variants are appended, never inserted or
+    /// reordered.
+    pub const ALL: [LinkErrorKind; 5] = [
+        LinkErrorKind::Crc,
+        LinkErrorKind::LaneDegrade,
+        LinkErrorKind::LinkDown,
+        LinkErrorKind::Failover { succeeded: true },
+        LinkErrorKind::Failover { succeeded: false },
+    ];
+
     /// Log fragment for rendering.
     pub fn as_log_fragment(self) -> &'static str {
         match self {

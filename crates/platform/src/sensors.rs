@@ -33,7 +33,9 @@ pub enum SensorKind {
 }
 
 impl SensorKind {
-    /// All sensor kinds.
+    /// All sensor kinds, in ordinal order: a kind's position here is its
+    /// on-disk ordinal in the segment codec, so new kinds are appended,
+    /// never inserted or reordered.
     pub const ALL: [SensorKind; 6] = [
         SensorKind::Temperature,
         SensorKind::Voltage,
@@ -57,15 +59,7 @@ impl SensorKind {
 
     /// Parses a mnemonic back into a kind.
     pub fn from_mnemonic(s: &str) -> Option<SensorKind> {
-        Some(match s {
-            "TEMP" => SensorKind::Temperature,
-            "VOLT" => SensorKind::Voltage,
-            "FAN_RPM" => SensorKind::FanSpeed,
-            "AIR_VEL" => SensorKind::AirVelocity,
-            "CURRENT" => SensorKind::Current,
-            "POWER" => SensorKind::Power,
-            _ => return None,
-        })
+        SensorKind::ALL.into_iter().find(|k| k.mnemonic() == s)
     }
 
     /// Nominal operating range for this sensor kind: (low threshold, nominal
@@ -133,6 +127,15 @@ pub enum Deviation {
 }
 
 impl Deviation {
+    /// Every outcome, in ordinal order: a variant's position here is its on-disk
+    /// ordinal in the segment codec, so new variants are appended, never
+    /// inserted or reordered.
+    pub const ALL: [Deviation; 3] = [
+        Deviation::Nominal,
+        Deviation::BelowMinimum,
+        Deviation::AboveMaximum,
+    ];
+
     /// Log text fragment.
     pub fn as_str(self) -> &'static str {
         match self {
