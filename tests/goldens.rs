@@ -1,7 +1,7 @@
 //! The committed goldens, checked through the binaries the way an operator
 //! would reproduce them: the `S1 2 7 42` scenario is simulated, saved as a
 //! segment store with `hpc-diagnose --save-store`, reported on, reopened
-//! with `--from-store`, and queried.
+//! with `--from-store`, and queried; the same shape on S2-S5 is simulated.
 //!
 //! A golden that must change is rewritten from the same command lines with
 //! the release binaries:
@@ -10,6 +10,10 @@
 //! ./target/release/hpc-simulate /tmp/seg-logs S1 2 7 42
 //! (cd /tmp/seg-logs && sha256sum p0-directory/console controller/controller.log \
 //!   erd/event-20160101 scheduler/slurmctld.log) > testdata/golden-simulate-s1-2c-7d-seed42.sha256
+//! for s in S2 S3 S4 S5; do ./target/release/hpc-simulate /tmp/sims/$s $s 2 7 42; done
+//! (cd /tmp/sims && for s in S2 S3 S4 S5; do sha256sum $s/p0-directory/console \
+//!   $s/controller/controller.log $s/erd/event-20160101 $s/scheduler/*; done) \
+//!   > testdata/golden-simulate-s2-s5-2c-7d-seed42.sha256
 //! ./target/release/hpc-diagnose /tmp/seg-logs --save-store /tmp/seg-store \
 //!   > testdata/golden-report-s1-2c-7d-seed42.txt
 //! (cd /tmp/seg-store && sha256sum seg-*.col derived.bin) \
@@ -34,6 +38,11 @@ use support::sha256::hex_digest;
 
 /// The golden scenario: system, cabinets, days, seed.
 const SCENARIO: [&str; 4] = ["S1", "2", "7", "42"];
+
+/// The other systems, simulated in the golden scenario's shape: S2's PBS
+/// log and chatty blades, S3's OOM-heavy mix, S5's hung-task, GPU and disk
+/// families and empty ERD stream.
+const OTHER_SYSTEMS: [&str; 4] = ["S2", "S3", "S4", "S5"];
 
 /// The `hpc-query` verb matrix behind
 /// `testdata/golden-queries-s1-2c-7d-seed42.txt`, in file order:
@@ -147,6 +156,25 @@ fn simulated_logs_match_the_committed_sha256_sums() {
     let dir = tmpdir("simulate");
     let logs = golden_logs(&dir);
     check_sums(&logs, "golden-simulate-s1-2c-7d-seed42.sha256");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Each other system's log files, simulated into `DIR/<system>`, match the
+/// committed sums byte for byte.
+#[test]
+fn every_system_simulates_to_the_committed_sha256_sums() {
+    let dir = tmpdir("systems");
+    for system in OTHER_SYSTEMS {
+        let logs = dir.join(system);
+        let shape = [&[logs.to_str().unwrap(), system][..], &SCENARIO[1..]].concat();
+        run(env!("CARGO_BIN_EXE_hpc-simulate"), &shape);
+    }
+    let listed = check_sums(&dir, "golden-simulate-s2-s5-2c-7d-seed42.sha256");
+    for system in OTHER_SYSTEMS {
+        let prefix = format!("{system}/");
+        let files = listed.iter().filter(|n| n.starts_with(&prefix)).count();
+        assert_eq!(files, 4, "{system}: the sums list {files} files, not 4");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
