@@ -41,22 +41,25 @@ pub fn s5_scenario(days: u64, seed: u64) -> Scenario {
 /// background singleton incidents and injects rare, wide application bursts
 /// against large jobs.
 pub fn mega_burst_scenario(system: SystemId, days: u64, seed: u64) -> Scenario {
+    use hpc_faultsim::Family::*;
     let mut sc = scenario(system, days, seed);
     let c = &mut sc.config;
-    c.rate_fatal_mce = 0.04;
-    c.rate_cpu_corruption = 0.02;
-    c.rate_mem_fail_slow = 0.02;
-    c.rate_nvf = 0.02;
-    c.rate_lustre_bug = 0.04;
-    c.rate_kernel_bug = 0.02;
-    c.rate_driver_firmware = 0.02;
-    c.rate_unknown_bios = 0.01;
-    c.rate_unknown_l0 = 0.01;
-    c.rate_operator = 0.01;
-    c.rate_blade_failure = 0.03;
-    c.rate_app_oom = 0.06;
-    c.rate_app_exit = 0.08;
-    c.rate_app_fs = 0.05;
+    c.rates = c.rates.with(&[
+        (FatalMce, 0.04),
+        (CpuCorruption, 0.02),
+        (MemFailSlow, 0.02),
+        (Nvf, 0.02),
+        (LustreBug, 0.04),
+        (KernelBug, 0.02),
+        (DriverFirmware, 0.02),
+        (UnknownBios, 0.01),
+        (UnknownL0, 0.01),
+        (Operator, 0.01),
+        (BladeFailure, 0.03),
+        (AppOom, 0.06),
+        (AppExit, 0.08),
+        (AppFs, 0.05),
+    ]);
     c.app_burst_nodes = (12, 30);
     c.app_burst_window_mins = 10.0;
     sc.workload.large_job_prob = 0.25;
@@ -68,22 +71,25 @@ pub fn mega_burst_scenario(system: SystemId, days: u64, seed: u64) -> Scenario {
 /// Clustered variant for Fig. 4: one or two same-cause incident clusters
 /// dominate each day's failures (65–82% dominant share in the paper).
 pub fn clustered_scenario(system: SystemId, days: u64, seed: u64) -> Scenario {
+    use hpc_faultsim::Family::*;
     let mut sc = scenario(system, days, seed);
     let c = &mut sc.config;
-    c.rate_fatal_mce = 0.20;
-    c.rate_cpu_corruption = 0.06;
-    c.rate_mem_fail_slow = 0.06;
-    c.rate_nvf = 0.03;
-    c.rate_lustre_bug = 0.20;
-    c.rate_kernel_bug = 0.10;
-    c.rate_driver_firmware = 0.10;
-    c.rate_unknown_bios = 0.01;
-    c.rate_unknown_l0 = 0.01;
-    c.rate_operator = 0.01;
-    c.rate_blade_failure = 0.04;
-    c.rate_app_oom = 0.12;
-    c.rate_app_exit = 0.14;
-    c.rate_app_fs = 0.10;
+    c.rates = c.rates.with(&[
+        (FatalMce, 0.20),
+        (CpuCorruption, 0.06),
+        (MemFailSlow, 0.06),
+        (Nvf, 0.03),
+        (LustreBug, 0.20),
+        (KernelBug, 0.10),
+        (DriverFirmware, 0.10),
+        (UnknownBios, 0.01),
+        (UnknownL0, 0.01),
+        (Operator, 0.01),
+        (BladeFailure, 0.04),
+        (AppOom, 0.12),
+        (AppExit, 0.14),
+        (AppFs, 0.10),
+    ]);
     c.hw_cluster_nodes = (3, 8);
     c.hw_cluster_window_mins = 90.0;
     c.app_burst_nodes = (4, 10);

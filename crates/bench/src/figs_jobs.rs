@@ -110,8 +110,6 @@ pub fn fig17() -> String {
     sc.workload.large_nodes = (48, 280);
     sc.workload.mean_duration_mins = 260.0;
     sc.workload.overalloc_job_prob = 0.7;
-    sc.config.inject_overalloc_ooms = true;
-    sc.config.overalloc_all_fail_prob = 0.2;
     sc.config.overalloc_node_fail_prob = (0.01, 0.3);
     let (_, d) = run_and_diagnose(&sc);
     let jobs = JobLog::from_diagnosis(&d);

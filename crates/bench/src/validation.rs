@@ -11,7 +11,7 @@ use hpc_diagnosis::lead_time::{false_positive_analysis, lead_times, summarize};
 use hpc_diagnosis::root_cause::last_oops;
 use hpc_diagnosis::stack_trace::{origin_by_vote, origin_first_frames, TraceOrigin};
 use hpc_diagnosis::{Diagnosis, DiagnosisConfig};
-use hpc_faultsim::{Scenario, TrueRootCause};
+use hpc_faultsim::{Family, Scenario, TrueRootCause};
 use hpc_logs::time::SimDuration;
 use hpc_platform::SystemId;
 
@@ -137,7 +137,7 @@ pub fn swo_report() -> String {
         "SWOs are <3% of anomalous failures; intended shutdowns are recognised and excluded",
     );
     let mut sc = Scenario::new(SystemId::S1, 2, 28, 97);
-    sc.config.rate_swo = 0.07;
+    sc.config.rates[Family::Swo] = 0.07;
     let out = sc.run();
     let d = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());
     let intended = out.truth.swos.iter().filter(|x| x.intended).count();

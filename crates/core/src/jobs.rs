@@ -390,7 +390,6 @@ mod tests {
         let mut sc = Scenario::new(SystemId::S1, 2, 3, 11);
         sc.workload.overalloc_job_prob = 0.3;
         sc.workload.large_job_prob = 0.25;
-        sc.config.inject_overalloc_ooms = true;
         let out = sc.run();
         let d = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());
         let jobs = JobLog::from_diagnosis(&d);

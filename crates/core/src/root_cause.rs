@@ -533,24 +533,24 @@ mod tests {
         // classify as InterconnectFailure purely from the dead-link +
         // failed-failover evidence (no console terminal exists).
         let mut sc = Scenario::new(SystemId::S1, 2, 21, 31);
-        sc.config = hpc_faultsim::ScenarioConfig {
-            rate_fatal_mce: 0.0,
-            rate_cpu_corruption: 0.0,
-            rate_mem_fail_slow: 0.0,
-            rate_nvf: 0.0,
-            rate_link_failure: 0.4,
-            rate_lustre_bug: 0.0,
-            rate_kernel_bug: 0.0,
-            rate_driver_firmware: 0.0,
-            rate_app_oom: 0.0,
-            rate_app_exit: 0.0,
-            rate_app_fs: 0.0,
-            rate_unknown_bios: 0.0,
-            rate_unknown_l0: 0.0,
-            rate_operator: 0.0,
-            rate_blade_failure: 0.0,
-            ..hpc_faultsim::ScenarioConfig::default()
-        };
+        use hpc_faultsim::Family::*;
+        sc.config.rates = sc.config.rates.with(&[
+            (FatalMce, 0.0),
+            (CpuCorruption, 0.0),
+            (MemFailSlow, 0.0),
+            (Nvf, 0.0),
+            (LinkFailure, 0.4),
+            (LustreBug, 0.0),
+            (KernelBug, 0.0),
+            (DriverFirmware, 0.0),
+            (AppOom, 0.0),
+            (AppExit, 0.0),
+            (AppFs, 0.0),
+            (UnknownBios, 0.0),
+            (UnknownL0, 0.0),
+            (Operator, 0.0),
+            (BladeFailure, 0.0),
+        ]);
         let out = sc.run();
         assert!(!out.truth.failures.is_empty(), "no link failures injected");
         let d = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());

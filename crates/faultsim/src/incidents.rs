@@ -32,46 +32,28 @@ use hpc_sched::nhc;
 
 use crate::fault::{FailureRecord, TrueRootCause};
 
-/// Timing and probability knobs shared by all chains.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChainTiming {
-    /// Uniform range (minutes) of the *internal* precursor lead: how long
-    /// before the terminal event the first console symptom appears.
-    pub internal_lead_mins: (f64, f64),
-    /// Uniform range (minutes) of the *external* early-indicator lead.
-    /// Roughly 5× the internal lead, per Fig. 13.
-    pub external_lead_mins: (f64, f64),
-    /// Probability that an eligible failure exhibits fail-slow external
-    /// indicators (drives Fig. 13's 10–28% enhanceable fraction).
-    pub external_indicator_prob: f64,
-    /// Probability that a failing chain emits a node heartbeat fault just
-    /// before the terminal event (drives Fig. 5/6's NHF→failure rates).
-    pub nhf_precursor_prob: f64,
-    /// Delay between a crash-style terminal event and the scheduler's
-    /// `down` notice.
-    pub down_detection: SimDuration,
+/// Uniform range (minutes) of the *internal* precursor lead: how long
+/// before the terminal event the first console symptom appears.
+const INTERNAL_LEAD_MINS: (f64, f64) = (2.0, 12.0);
+/// Uniform range (minutes) of the *external* early-indicator lead.
+/// Roughly 5× the internal lead, per Fig. 13.
+const EXTERNAL_LEAD_MINS: (f64, f64) = (18.0, 60.0);
+/// Probability that an eligible failure exhibits fail-slow external
+/// indicators (drives Fig. 13's 10–28% enhanceable fraction).
+const EXTERNAL_INDICATOR_PROB: f64 = 0.25;
+/// Probability that a failing chain emits a node heartbeat fault just
+/// before the terminal event (drives Fig. 5/6's NHF→failure rates).
+const NHF_PRECURSOR_PROB: f64 = 0.55;
+/// Delay between a crash-style terminal event and the scheduler's `down`
+/// notice.
+const DOWN_DETECTION: SimDuration = SimDuration::from_secs(60);
+
+fn internal_lead<R: Rng + ?Sized>(rng: &mut R) -> SimDuration {
+    mins(rng.gen_range(INTERNAL_LEAD_MINS.0..=INTERNAL_LEAD_MINS.1))
 }
 
-impl Default for ChainTiming {
-    fn default() -> ChainTiming {
-        ChainTiming {
-            internal_lead_mins: (2.0, 12.0),
-            external_lead_mins: (18.0, 60.0),
-            external_indicator_prob: 0.25,
-            nhf_precursor_prob: 0.55,
-            down_detection: SimDuration::from_secs(60),
-        }
-    }
-}
-
-impl ChainTiming {
-    fn internal_lead<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
-        mins(rng.gen_range(self.internal_lead_mins.0..=self.internal_lead_mins.1))
-    }
-
-    fn external_lead<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
-        mins(rng.gen_range(self.external_lead_mins.0..=self.external_lead_mins.1))
-    }
+fn external_lead<R: Rng + ?Sized>(rng: &mut R) -> SimDuration {
+    mins(rng.gen_range(EXTERNAL_LEAD_MINS.0..=EXTERNAL_LEAD_MINS.1))
 }
 
 fn mins(m: f64) -> SimDuration {
@@ -162,32 +144,22 @@ impl ChainBuilder {
         reason: PanicReason,
         cause: TrueRootCause,
         job: Option<JobId>,
-        timing: &ChainTiming,
     ) -> Incident {
         self.internal(self.t, ConsoleDetail::KernelPanic { reason });
-        self.events.push(nhc::crash_down_event(
-            self.node,
-            self.t + timing.down_detection,
-        ));
+        self.events
+            .push(nhc::crash_down_event(self.node, self.t + DOWN_DETECTION));
         self.finish(cause, job)
     }
 
     /// Abrupt-shutdown terminal (unknown-cause patterns).
-    fn finish_shutdown(
-        mut self,
-        cause: TrueRootCause,
-        job: Option<JobId>,
-        timing: &ChainTiming,
-    ) -> Incident {
+    fn finish_shutdown(mut self, cause: TrueRootCause, job: Option<JobId>) -> Incident {
         self.events.push(console(
             self.t,
             self.node,
             ConsoleDetail::UnexpectedShutdown,
         ));
-        self.events.push(nhc::crash_down_event(
-            self.node,
-            self.t + timing.down_detection,
-        ));
+        self.events
+            .push(nhc::crash_down_event(self.node, self.t + DOWN_DETECTION));
         self.finish(cause, job)
     }
 
@@ -222,15 +194,10 @@ impl ChainBuilder {
 
 /// Fatal MCE chain: (optional `ec_hw_error`s) … uncorrected MCEs → kernel
 /// oops via `mce_log` → `Fatal Machine check` panic.
-pub fn fatal_mce_chain<R: Rng + ?Sized>(
-    rng: &mut R,
-    node: NodeId,
-    t: SimTime,
-    timing: &ChainTiming,
-) -> Incident {
+pub fn fatal_mce_chain<R: Rng + ?Sized>(rng: &mut R, node: NodeId, t: SimTime) -> Incident {
     let mut b = ChainBuilder::new(node, t);
-    if chance(rng, timing.external_indicator_prob) {
-        let lead = timing.external_lead(rng);
+    if chance(rng, EXTERNAL_INDICATOR_PROB) {
+        let lead = external_lead(rng);
         b.external(erd_hw_error(t.saturating_sub(lead), node, Component::Cpu));
         if chance(rng, 0.6) {
             b.external(erd_hw_error(
@@ -240,7 +207,7 @@ pub fn fatal_mce_chain<R: Rng + ?Sized>(
             ));
         }
     }
-    let lead = timing.internal_lead(rng);
+    let lead = internal_lead(rng);
     let kind = MceKind::ALL[rng.gen_range(0..MceKind::ALL.len())];
     b.internal(
         t.saturating_sub(lead),
@@ -265,36 +232,26 @@ pub fn fatal_mce_chain<R: Rng + ?Sized>(
             modules: vec![StackModule::MceLog, StackModule::Generic],
         },
     );
-    if chance(rng, timing.nhf_precursor_prob) {
+    if chance(rng, NHF_PRECURSOR_PROB) {
         b.nhf_precursor(SimDuration::from_secs(45));
     }
-    b.finish_panic(
-        PanicReason::FatalMce,
-        TrueRootCause::HardwareMce,
-        None,
-        timing,
-    )
+    b.finish_panic(PanicReason::FatalMce, TrueRootCause::HardwareMce, None)
 }
 
 /// CPU-corruption chain (Table V case 2): MCEs and CPU stalls escalating to
 /// a `CPU context corrupt` panic; link errors and temperature violations
 /// may exist *distant* from the failure (added as scenario noise, not
 /// here).
-pub fn cpu_corruption_chain<R: Rng + ?Sized>(
-    rng: &mut R,
-    node: NodeId,
-    t: SimTime,
-    timing: &ChainTiming,
-) -> Incident {
+pub fn cpu_corruption_chain<R: Rng + ?Sized>(rng: &mut R, node: NodeId, t: SimTime) -> Incident {
     let mut b = ChainBuilder::new(node, t);
-    if chance(rng, timing.external_indicator_prob) {
+    if chance(rng, EXTERNAL_INDICATOR_PROB) {
         b.external(erd_hw_error(
-            t.saturating_sub(timing.external_lead(rng)),
+            t.saturating_sub(external_lead(rng)),
             node,
             Component::Cpu,
         ));
     }
-    let lead = timing.internal_lead(rng);
+    let lead = internal_lead(rng);
     b.internal(
         t.saturating_sub(lead),
         ConsoleDetail::Mce {
@@ -316,28 +273,22 @@ pub fn cpu_corruption_chain<R: Rng + ?Sized>(
             modules: vec![StackModule::MceLog],
         },
     );
-    if chance(rng, timing.nhf_precursor_prob) {
+    if chance(rng, NHF_PRECURSOR_PROB) {
         b.nhf_precursor(SimDuration::from_secs(30));
     }
     b.finish_panic(
         PanicReason::CpuCorruption,
         TrueRootCause::CpuCorruption,
         None,
-        timing,
     )
 }
 
 /// Fail-slow memory chain (Table V case 5): *always* has long-lived
 /// external `ec_hw_error`s, correctable EDAC errors turning uncorrectable,
 /// then a fatal MCE panic. The paper's flagship lead-time-enhancement case.
-pub fn memory_fail_slow_chain<R: Rng + ?Sized>(
-    rng: &mut R,
-    node: NodeId,
-    t: SimTime,
-    timing: &ChainTiming,
-) -> Incident {
+pub fn memory_fail_slow_chain<R: Rng + ?Sized>(rng: &mut R, node: NodeId, t: SimTime) -> Incident {
     let mut b = ChainBuilder::new(node, t);
-    let lead = timing.external_lead(rng);
+    let lead = external_lead(rng);
     // Sustained hardware errors: several externals spread over the window
     // ("for certain failures, hardware errors sustain for a long time").
     for i in 0..3u64 {
@@ -347,7 +298,7 @@ pub fn memory_fail_slow_chain<R: Rng + ?Sized>(
             Component::Dimm,
         ));
     }
-    let int_lead = timing.internal_lead(rng);
+    let int_lead = internal_lead(rng);
     b.internal(
         t.saturating_sub(int_lead),
         ConsoleDetail::MemoryError {
@@ -362,26 +313,16 @@ pub fn memory_fail_slow_chain<R: Rng + ?Sized>(
             correctable: false,
         },
     );
-    if chance(rng, timing.nhf_precursor_prob) {
+    if chance(rng, NHF_PRECURSOR_PROB) {
         b.nhf_precursor(SimDuration::from_secs(50));
     }
-    b.finish_panic(
-        PanicReason::FatalMce,
-        TrueRootCause::MemoryFailSlow,
-        None,
-        timing,
-    )
+    b.finish_panic(PanicReason::FatalMce, TrueRootCause::MemoryFailSlow, None)
 }
 
 /// Node-voltage-fault chain: an NVF (controller log) minutes ahead, then an
 /// abrupt shutdown. NVFs "occur rarely, but when they do, they often relate
 /// to failures" (Fig. 5).
-pub fn nvf_chain<R: Rng + ?Sized>(
-    rng: &mut R,
-    node: NodeId,
-    t: SimTime,
-    timing: &ChainTiming,
-) -> Incident {
+pub fn nvf_chain<R: Rng + ?Sized>(rng: &mut R, node: NodeId, t: SimTime) -> Incident {
     let mut b = ChainBuilder::new(node, t);
     let lead = mins(rng.gen_range(1.0..6.0));
     b.external(LogEvent {
@@ -398,23 +339,18 @@ pub fn nvf_chain<R: Rng + ?Sized>(
             correctable: false,
         },
     );
-    b.finish_shutdown(TrueRootCause::NodeVoltage, None, timing)
+    b.finish_shutdown(TrueRootCause::NodeVoltage, None)
 }
 
 /// Interconnect link-failure chain (ref. \[22\]): CRC errors degrade into a dead
 /// link, the failover FAILS, the node's Lustre traffic times out, and the
 /// scheduler marks the unreachable node down — with **no** console terminal
 /// (the node itself is fine). The link errors are the external indicator.
-pub fn link_failure_chain<R: Rng + ?Sized>(
-    rng: &mut R,
-    node: NodeId,
-    t: SimTime,
-    timing: &ChainTiming,
-) -> Incident {
+pub fn link_failure_chain<R: Rng + ?Sized>(rng: &mut R, node: NodeId, t: SimTime) -> Incident {
     use hpc_platform::interconnect::LinkErrorKind;
     let mut b = ChainBuilder::new(node, t);
     let blade = node.blade();
-    let lead = timing.external_lead(rng);
+    let lead = external_lead(rng);
     let port = rng.gen_range(0..8);
     let link = |time: SimTime, kind: LinkErrorKind| LogEvent {
         time,
@@ -437,7 +373,7 @@ pub fn link_failure_chain<R: Rng + ?Sized>(
         LinkErrorKind::Failover { succeeded: false },
     ));
     // The unreachable node's filesystem traffic times out.
-    let int_lead = timing.internal_lead(rng);
+    let int_lead = internal_lead(rng);
     b.internal(
         t.saturating_sub(SimDuration::from_millis(int_lead.as_millis() / 2)),
         ConsoleDetail::LustreError {
@@ -446,27 +382,22 @@ pub fn link_failure_chain<R: Rng + ?Sized>(
     );
     // No console terminal: only the scheduler notices.
     b.events
-        .push(nhc::crash_down_event(node, t + timing.down_detection));
+        .push(nhc::crash_down_event(node, t + DOWN_DETECTION));
     b.finish(TrueRootCause::InterconnectFailure, None)
 }
 
 /// Lustre-bug chain (system software, not job-triggered): Lustre errors →
 /// oops through `ldlm_bl`/`ptlrpc` → LBUG panic.
-pub fn lustre_bug_chain<R: Rng + ?Sized>(
-    rng: &mut R,
-    node: NodeId,
-    t: SimTime,
-    timing: &ChainTiming,
-) -> Incident {
+pub fn lustre_bug_chain<R: Rng + ?Sized>(rng: &mut R, node: NodeId, t: SimTime) -> Incident {
     let mut b = ChainBuilder::new(node, t);
-    if chance(rng, timing.external_indicator_prob) {
+    if chance(rng, EXTERNAL_INDICATOR_PROB) {
         b.external(erd_hw_error(
-            t.saturating_sub(timing.external_lead(rng)),
+            t.saturating_sub(external_lead(rng)),
             node,
             Component::Nic,
         ));
     }
-    let lead = timing.internal_lead(rng);
+    let lead = internal_lead(rng);
     b.internal(
         t.saturating_sub(lead),
         ConsoleDetail::LustreError {
@@ -486,28 +417,18 @@ pub fn lustre_bug_chain<R: Rng + ?Sized>(
             modules: vec![StackModule::LdlmBl, StackModule::PtlrpcMain],
         },
     );
-    if chance(rng, timing.nhf_precursor_prob * 0.5) {
+    if chance(rng, NHF_PRECURSOR_PROB * 0.5) {
         b.nhf_precursor(SimDuration::from_secs(40));
     }
-    b.finish_panic(
-        PanicReason::LustreBug,
-        TrueRootCause::LustreBug,
-        None,
-        timing,
-    )
+    b.finish_panic(PanicReason::LustreBug, TrueRootCause::LustreBug, None)
 }
 
 /// Kernel-bug chain: invalid-opcode oops → fatal-exception panic. "7.14% of
 /// the failures were caused due to critical kernel bugs (e.g., invalid
 /// opcode)" (Fig. 16).
-pub fn kernel_bug_chain<R: Rng + ?Sized>(
-    rng: &mut R,
-    node: NodeId,
-    t: SimTime,
-    timing: &ChainTiming,
-) -> Incident {
+pub fn kernel_bug_chain<R: Rng + ?Sized>(rng: &mut R, node: NodeId, t: SimTime) -> Incident {
     let mut b = ChainBuilder::new(node, t);
-    let lead = timing.internal_lead(rng);
+    let lead = internal_lead(rng);
     b.internal(
         t.saturating_sub(lead),
         ConsoleDetail::KernelOops {
@@ -515,31 +436,21 @@ pub fn kernel_bug_chain<R: Rng + ?Sized>(
             modules: vec![StackModule::Generic, StackModule::PageFault],
         },
     );
-    b.finish_panic(
-        PanicReason::KernelBug,
-        TrueRootCause::KernelBug,
-        None,
-        timing,
-    )
+    b.finish_panic(PanicReason::KernelBug, TrueRootCause::KernelBug, None)
 }
 
 /// Driver/firmware chain (the "Others" slice of Fig. 16: CPU stalls and
 /// driver/firmware bugs).
-pub fn driver_firmware_chain<R: Rng + ?Sized>(
-    rng: &mut R,
-    node: NodeId,
-    t: SimTime,
-    timing: &ChainTiming,
-) -> Incident {
+pub fn driver_firmware_chain<R: Rng + ?Sized>(rng: &mut R, node: NodeId, t: SimTime) -> Incident {
     let mut b = ChainBuilder::new(node, t);
-    if chance(rng, timing.external_indicator_prob) {
+    if chance(rng, EXTERNAL_INDICATOR_PROB) {
         b.external(erd_hw_error(
-            t.saturating_sub(timing.external_lead(rng)),
+            t.saturating_sub(external_lead(rng)),
             node,
             Component::Nic,
         ));
     }
-    let lead = timing.internal_lead(rng);
+    let lead = internal_lead(rng);
     if chance(rng, 0.5) {
         b.internal(
             t.saturating_sub(lead),
@@ -560,7 +471,7 @@ pub fn driver_firmware_chain<R: Rng + ?Sized>(
     } else {
         PanicReason::FirmwareBug
     };
-    b.finish_panic(reason, TrueRootCause::DriverFirmwareBug, None, timing)
+    b.finish_panic(reason, TrueRootCause::DriverFirmwareBug, None)
 }
 
 /// Application memory-exhaustion chain: page-allocation failures → OOM
@@ -572,10 +483,9 @@ pub fn oom_chain<R: Rng + ?Sized>(
     t: SimTime,
     app: AppKind,
     job: JobId,
-    timing: &ChainTiming,
 ) -> Incident {
     let mut b = ChainBuilder::new(node, t);
-    let lead = timing.internal_lead(rng);
+    let lead = internal_lead(rng);
     b.internal(
         t.saturating_sub(lead),
         ConsoleDetail::PageAllocFailure {
@@ -616,10 +526,9 @@ pub fn app_exit_chain<R: Rng + ?Sized>(
     t: SimTime,
     app: AppKind,
     job: JobId,
-    timing: &ChainTiming,
 ) -> Incident {
     let mut b = ChainBuilder::new(node, t);
-    let lead = timing.internal_lead(rng);
+    let lead = internal_lead(rng);
     b.internal(
         t.saturating_sub(lead),
         ConsoleDetail::SegFault {
@@ -639,10 +548,9 @@ pub fn app_fs_bug_chain<R: Rng + ?Sized>(
     t: SimTime,
     _app: AppKind,
     job: JobId,
-    timing: &ChainTiming,
 ) -> Incident {
     let mut b = ChainBuilder::new(node, t);
-    let lead = timing.internal_lead(rng);
+    let lead = internal_lead(rng);
     b.internal(
         t.saturating_sub(lead),
         ConsoleDetail::LustreError {
@@ -656,24 +564,14 @@ pub fn app_fs_bug_chain<R: Rng + ?Sized>(
             modules: vec![StackModule::DvsIpcMsg, StackModule::SleepOnPage],
         },
     );
-    b.finish_panic(
-        PanicReason::LustreBug,
-        TrueRootCause::AppFsBug,
-        Some(job),
-        timing,
-    )
+    b.finish_panic(PanicReason::LustreBug, TrueRootCause::AppFsBug, Some(job))
 }
 
 /// Unknown-cause pattern 1: the BIOS `type:2; severity:80; …` pattern
 /// followed by an anomalous shutdown "without any other helpful patterns".
-pub fn unknown_bios_chain<R: Rng + ?Sized>(
-    rng: &mut R,
-    node: NodeId,
-    t: SimTime,
-    timing: &ChainTiming,
-) -> Incident {
+pub fn unknown_bios_chain<R: Rng + ?Sized>(rng: &mut R, node: NodeId, t: SimTime) -> Incident {
     let mut b = ChainBuilder::new(node, t);
-    let lead = timing.internal_lead(rng);
+    let lead = internal_lead(rng);
     b.internal(t.saturating_sub(lead), ConsoleDetail::BiosError);
     if chance(rng, 0.5) {
         b.internal(
@@ -681,17 +579,12 @@ pub fn unknown_bios_chain<R: Rng + ?Sized>(
             ConsoleDetail::BiosError,
         );
     }
-    b.finish_shutdown(TrueRootCause::UnknownBios, None, timing)
+    b.finish_shutdown(TrueRootCause::UnknownBios, None)
 }
 
 /// Unknown-cause pattern 2: `L0_sysd_mce` in the blade-controller log,
 /// then the node dies with no internal symptom at all.
-pub fn unknown_l0_chain<R: Rng + ?Sized>(
-    rng: &mut R,
-    node: NodeId,
-    t: SimTime,
-    timing: &ChainTiming,
-) -> Incident {
+pub fn unknown_l0_chain<R: Rng + ?Sized>(rng: &mut R, node: NodeId, t: SimTime) -> Incident {
     let mut b = ChainBuilder::new(node, t);
     let lead = mins(rng.gen_range(2.0..15.0));
     b.external(LogEvent {
@@ -701,13 +594,13 @@ pub fn unknown_l0_chain<R: Rng + ?Sized>(
             detail: ControllerDetail::L0SysdMce { node },
         },
     });
-    b.finish_shutdown(TrueRootCause::UnknownL0Mce, None, timing)
+    b.finish_shutdown(TrueRootCause::UnknownL0Mce, None)
 }
 
 /// Unknown-cause pattern 3: a bare shutdown with no prior anomaly —
 /// operator error or undetectable cause.
-pub fn operator_shutdown_chain(node: NodeId, t: SimTime, timing: &ChainTiming) -> Incident {
-    ChainBuilder::new(node, t).finish_shutdown(TrueRootCause::OperatorShutdown, None, timing)
+pub fn operator_shutdown_chain(node: NodeId, t: SimTime) -> Incident {
+    ChainBuilder::new(node, t).finish_shutdown(TrueRootCause::OperatorShutdown, None)
 }
 
 #[cfg(test)]
@@ -743,46 +636,42 @@ mod tests {
     #[test]
     fn all_non_app_chains_build() {
         let mut rng = StdRng::seed_from_u64(1);
-        let timing = ChainTiming::default();
         let n = NodeId(17);
         check_basic(
-            &fatal_mce_chain(&mut rng, n, t0(), &timing),
+            &fatal_mce_chain(&mut rng, n, t0()),
             TrueRootCause::HardwareMce,
         );
         check_basic(
-            &cpu_corruption_chain(&mut rng, n, t0(), &timing),
+            &cpu_corruption_chain(&mut rng, n, t0()),
             TrueRootCause::CpuCorruption,
         );
         check_basic(
-            &memory_fail_slow_chain(&mut rng, n, t0(), &timing),
+            &memory_fail_slow_chain(&mut rng, n, t0()),
             TrueRootCause::MemoryFailSlow,
         );
+        check_basic(&nvf_chain(&mut rng, n, t0()), TrueRootCause::NodeVoltage);
         check_basic(
-            &nvf_chain(&mut rng, n, t0(), &timing),
-            TrueRootCause::NodeVoltage,
-        );
-        check_basic(
-            &lustre_bug_chain(&mut rng, n, t0(), &timing),
+            &lustre_bug_chain(&mut rng, n, t0()),
             TrueRootCause::LustreBug,
         );
         check_basic(
-            &kernel_bug_chain(&mut rng, n, t0(), &timing),
+            &kernel_bug_chain(&mut rng, n, t0()),
             TrueRootCause::KernelBug,
         );
         check_basic(
-            &driver_firmware_chain(&mut rng, n, t0(), &timing),
+            &driver_firmware_chain(&mut rng, n, t0()),
             TrueRootCause::DriverFirmwareBug,
         );
         check_basic(
-            &unknown_bios_chain(&mut rng, n, t0(), &timing),
+            &unknown_bios_chain(&mut rng, n, t0()),
             TrueRootCause::UnknownBios,
         );
         check_basic(
-            &unknown_l0_chain(&mut rng, n, t0(), &timing),
+            &unknown_l0_chain(&mut rng, n, t0()),
             TrueRootCause::UnknownL0Mce,
         );
         check_basic(
-            &operator_shutdown_chain(n, t0(), &timing),
+            &operator_shutdown_chain(n, t0()),
             TrueRootCause::OperatorShutdown,
         );
     }
@@ -790,13 +679,12 @@ mod tests {
     #[test]
     fn app_chains_carry_job_and_no_externals() {
         let mut rng = StdRng::seed_from_u64(2);
-        let timing = ChainTiming::default();
         let n = NodeId(3);
         let job = JobId(99);
         for inc in [
-            oom_chain(&mut rng, n, t0(), AppKind::Matlab, job, &timing),
-            app_exit_chain(&mut rng, n, t0(), AppKind::Python, job, &timing),
-            app_fs_bug_chain(&mut rng, n, t0(), AppKind::MpiSimulation, job, &timing),
+            oom_chain(&mut rng, n, t0(), AppKind::Matlab, job),
+            app_exit_chain(&mut rng, n, t0(), AppKind::Python, job),
+            app_fs_bug_chain(&mut rng, n, t0(), AppKind::MpiSimulation, job),
         ] {
             assert_eq!(inc.record.job, Some(job));
             assert!(inc.record.cause.is_app_triggered());
@@ -811,13 +699,12 @@ mod tests {
     #[test]
     fn fail_slow_always_has_external_indicators() {
         let mut rng = StdRng::seed_from_u64(3);
-        let timing = ChainTiming::default();
         for _ in 0..20 {
-            let inc = memory_fail_slow_chain(&mut rng, NodeId(5), t0(), &timing);
+            let inc = memory_fail_slow_chain(&mut rng, NodeId(5), t0());
             let ext = inc.record.external_indicator.expect("fail-slow externals");
             let lead = inc.record.time.since(ext);
             assert!(
-                lead.as_mins_f64() >= timing.external_lead_mins.0 - 1.0,
+                lead.as_mins_f64() >= EXTERNAL_LEAD_MINS.0 - 1.0,
                 "external lead {lead} too short"
             );
         }
@@ -828,9 +715,8 @@ mod tests {
         // The ≈5× enhancement of Fig. 13 requires external indicators to
         // strictly lead internal ones.
         let mut rng = StdRng::seed_from_u64(4);
-        let timing = ChainTiming::default();
         for _ in 0..50 {
-            let inc = memory_fail_slow_chain(&mut rng, NodeId(5), t0(), &timing);
+            let inc = memory_fail_slow_chain(&mut rng, NodeId(5), t0());
             let ext = inc.record.external_lead().unwrap().as_mins_f64();
             let int = inc.record.internal_lead().unwrap().as_mins_f64();
             assert!(ext > int, "external {ext}min should lead internal {int}min");
@@ -840,7 +726,7 @@ mod tests {
     #[test]
     fn link_failure_chain_has_no_console_terminal() {
         let mut rng = StdRng::seed_from_u64(9);
-        let inc = link_failure_chain(&mut rng, NodeId(8), t0(), &ChainTiming::default());
+        let inc = link_failure_chain(&mut rng, NodeId(8), t0());
         assert_eq!(inc.record.cause, TrueRootCause::InterconnectFailure);
         // External link evidence exists and leads the failure.
         let ext = inc.record.external_indicator.expect("link externals");
@@ -884,7 +770,7 @@ mod tests {
     #[test]
     fn nvf_chain_contains_controller_nvf() {
         let mut rng = StdRng::seed_from_u64(5);
-        let inc = nvf_chain(&mut rng, NodeId(20), t0(), &ChainTiming::default());
+        let inc = nvf_chain(&mut rng, NodeId(20), t0());
         assert!(inc.events.iter().any(|e| matches!(
             e.payload,
             Payload::Controller {
@@ -897,14 +783,7 @@ mod tests {
     #[test]
     fn admindown_chains_end_at_terminal_time() {
         let mut rng = StdRng::seed_from_u64(6);
-        let inc = app_exit_chain(
-            &mut rng,
-            NodeId(1),
-            t0(),
-            AppKind::Climate,
-            JobId(7),
-            &ChainTiming::default(),
-        );
+        let inc = app_exit_chain(&mut rng, NodeId(1), t0(), AppKind::Climate, JobId(7));
         // The last scheduler event of the chain is the admindown at exactly t.
         let max_time = inc.events.iter().map(|e| e.time).max().unwrap();
         assert_eq!(max_time, inc.record.time);
@@ -912,7 +791,7 @@ mod tests {
 
     #[test]
     fn operator_shutdown_has_no_precursors() {
-        let inc = operator_shutdown_chain(NodeId(0), t0(), &ChainTiming::default());
+        let inc = operator_shutdown_chain(NodeId(0), t0());
         assert_eq!(inc.record.first_internal, None);
         assert_eq!(inc.record.external_indicator, None);
         assert_eq!(inc.events.len(), 2); // shutdown + down notice

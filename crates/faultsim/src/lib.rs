@@ -29,5 +29,4 @@ pub mod scenario;
 
 pub use chaos::{ChaosFeed, ChaosLedger, ChaosSpec, Intensity, Pathology, RECORD_SLACK};
 pub use fault::{FailureRecord, GroundTruth, RootCauseClass, TrueRootCause};
-pub use incidents::ChainTiming;
-pub use scenario::{Scenario, ScenarioConfig, SimOutput};
+pub use scenario::{Family, Rates, Scenario, ScenarioConfig, SimOutput};

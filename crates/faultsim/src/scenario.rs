@@ -17,6 +17,8 @@
 //! presets [`Scenario::new`] applies) to land in the paper's reported
 //! bands; EXPERIMENTS.md records the calibration.
 
+use std::ops::{Index, IndexMut};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,49 +33,14 @@ use hpc_sched::JobTimeline;
 
 use crate::engine::EventQueue;
 use crate::fault::{FailureRecord, GroundTruth};
-use crate::incidents::{self, ChainTiming, Incident};
+use crate::incidents::{self, Incident};
 use crate::noise;
 
-/// Rate and probability knobs of one scenario. All `rate_*` fields are mean
-/// occurrences per simulated day, machine-wide.
+/// Rate and probability knobs of one scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
-    // ---- failure incident families (occurrences/day) ----
-    /// Fatal MCE incidents.
-    pub rate_fatal_mce: f64,
-    /// CPU corruption incidents.
-    pub rate_cpu_corruption: f64,
-    /// Fail-slow memory incidents (always with external indicators).
-    pub rate_mem_fail_slow: f64,
-    /// Node-voltage-fault incidents.
-    pub rate_nvf: f64,
-    /// Interconnect link failures with failed failovers (ref. \[22\]): node
-    /// unreachable, scheduler-down terminal only.
-    pub rate_link_failure: f64,
-    /// System Lustre-bug incidents.
-    pub rate_lustre_bug: f64,
-    /// Kernel-bug incidents.
-    pub rate_kernel_bug: f64,
-    /// Driver/firmware incidents.
-    pub rate_driver_firmware: f64,
-    /// Application OOM bursts (each kills several nodes of one job).
-    pub rate_app_oom: f64,
-    /// Abnormal-app-exit bursts.
-    pub rate_app_exit: f64,
-    /// Application-triggered FS-bug bursts.
-    pub rate_app_fs: f64,
-    /// Unknown-cause BIOS-pattern failures.
-    pub rate_unknown_bios: f64,
-    /// Unknown-cause `L0_sysd_mce` failures.
-    pub rate_unknown_l0: f64,
-    /// Operator-error shutdowns.
-    pub rate_operator: f64,
-    /// Whole-blade hardware failures (all four nodes, same cause — the
-    /// Fig. 18 population).
-    pub rate_blade_failure: f64,
-    /// System-wide outages (<3% of anomalous failures in the paper;
-    /// disabled by default — specific scenarios enable it).
-    pub rate_swo: f64,
+    /// Mean occurrences per simulated day, machine-wide, of each family.
+    pub rates: Rates,
 
     /// Nodes per application burst (inclusive range, clamped to job size).
     pub app_burst_nodes: (u32, u32),
@@ -86,57 +53,12 @@ pub struct ScenarioConfig {
     /// Intra-cluster spread, minutes.
     pub hw_cluster_window_mins: f64,
 
-    // ---- benign noise families (occurrences/day) ----
-    /// Benign NHFs (power-off / skipped heartbeat).
-    pub rate_benign_nhf: f64,
-    /// Benign NVFs: transient voltage glitches that do not fail the node
-    /// (keeps Fig. 5's NVF correspondence below 100%).
-    pub rate_benign_nvf: f64,
-    /// Benign `ec_hw_error`s during healthy times (§III-D) — external
-    /// indicators that do NOT precede failures, keeping the
-    /// external-correlation false-positive rate realistic (Fig. 14).
-    pub rate_benign_hw_external: f64,
-    /// Nodes per day receiving correctable-error noise.
-    pub rate_benign_hw_nodes: f64,
-    /// Nodes per day receiving Lustre I/O noise.
-    pub rate_lustre_noise_nodes: f64,
-    /// Blade SEDC warning bursts per day.
-    pub rate_sedc_blade_bursts: f64,
-    /// Cabinet fault/warning bursts per day.
-    pub rate_cabinet_bursts: f64,
-    /// Link-error chatter bursts per day.
-    pub rate_link_noise: f64,
-    /// Benign BIOS-pattern events per day.
-    pub rate_benign_bios: f64,
-    /// Intended (excluded) shutdowns per day.
-    pub rate_graceful_shutdown: f64,
-    /// Hung-task reports per day (S5's pathology; 0 on Cray systems).
-    pub rate_hung_task_nodes: f64,
-    /// GPU-error noise per day (S5).
-    pub rate_gpu_noise: f64,
-    /// Disk-error noise per day (S5).
-    pub rate_disk_noise: f64,
-    /// Software-error noise (segfault/page-alloc) per day.
-    pub rate_software_noise: f64,
-    /// Non-failing OOM episodes per day.
-    pub rate_oom_noise: f64,
-
     /// Number of "chatty" blades with recurring daily warnings (Fig. 9).
     pub chatty_blades: u32,
-    /// Per-hour warning rate range for chatty blades.
-    pub chatty_rate_per_hour: (f64, f64),
 
-    /// Chain timing/probability knobs.
-    pub timing: ChainTiming,
-
-    /// Whether jobs with overallocated nodes get OOM-failure injection
-    /// (Fig. 17).
-    pub inject_overalloc_ooms: bool,
-    /// Probability that *all* of a job's overallocated nodes fail (jobs J5,
-    /// J8 of Fig. 17).
-    pub overalloc_all_fail_prob: f64,
-    /// Otherwise, per-node failure probability range (J1 had 1 failure in
-    /// 600 overallocated nodes; J16 had 6 in 683).
+    /// Per-node failure probability range of an overallocated job's nodes
+    /// when they do not all fail (J1 had 1 failure in 600 overallocated
+    /// nodes; J16 had 6 in 683).
     pub overalloc_node_fail_prob: (f64, f64),
 
     /// Temperature telemetry: number of blades sampled (0 = off) and the
@@ -146,62 +68,65 @@ pub struct ScenarioConfig {
     pub telemetry_interval_mins: u64,
     /// Powered-off nodes that read 0 °C in telemetry.
     pub telemetry_off_nodes: Vec<NodeId>,
-
-    /// Failed nodes stay unschedulable/ineligible for this long.
-    pub recovery_hours: (f64, f64),
 }
+
+/// Per-hour warning rate range of a chatty blade.
+const CHATTY_RATE_PER_HOUR: (f64, f64) = (20.0, 80.0);
+
+/// Probability that *all* of a job's overallocated nodes fail (jobs J5, J8
+/// of Fig. 17).
+const OVERALLOC_ALL_FAIL_PROB: f64 = 0.2;
+
+/// Failed nodes stay unschedulable/ineligible for this many hours
+/// (uniform range).
+pub const RECOVERY_HOURS: (f64, f64) = (2.0, 6.0);
 
 impl Default for ScenarioConfig {
     /// Baseline production-Cray mix, tuned so that the *diagnosed* class
     /// shares land near the paper's S3 text figures (HW 37% / SW 32% / App
-    /// 31%) with 4–8 failures/day and heavy benign noise.
+    /// 31%) with 4–8 failures/day and heavy benign noise. System-wide
+    /// outages and S5's hung-task, GPU and disk noise stay off.
     fn default() -> ScenarioConfig {
+        use Family::*;
         ScenarioConfig {
-            rate_fatal_mce: 0.60,
-            rate_cpu_corruption: 0.22,
-            rate_mem_fail_slow: 0.30,
-            rate_nvf: 0.12,
-            rate_link_failure: 0.08,
-            rate_lustre_bug: 0.85,
-            rate_kernel_bug: 0.45,
-            rate_driver_firmware: 0.45,
-            rate_app_oom: 0.28,
-            rate_app_exit: 0.34,
-            rate_app_fs: 0.26,
-            rate_unknown_bios: 0.05,
-            rate_unknown_l0: 0.05,
-            rate_operator: 0.05,
-            rate_blade_failure: 0.10,
-            rate_swo: 0.0,
+            rates: Rates::SILENT.with(&[
+                (FatalMce, 0.60),
+                (CpuCorruption, 0.22),
+                (MemFailSlow, 0.30),
+                (Nvf, 0.12),
+                (LinkFailure, 0.08),
+                (LustreBug, 0.85),
+                (KernelBug, 0.45),
+                (DriverFirmware, 0.45),
+                (AppOom, 0.28),
+                (AppExit, 0.34),
+                (AppFs, 0.26),
+                (UnknownBios, 0.05),
+                (UnknownL0, 0.05),
+                (Operator, 0.05),
+                (BladeFailure, 0.10),
+                (BenignNhf, 2.5),
+                (BenignNvf, 0.025),
+                (BenignHwExternal, 4.5),
+                (BenignHw, 22.0),
+                (LustreNoise, 34.0),
+                (SedcBlade, 26.0),
+                (CabinetBurst, 6.0),
+                (LinkNoise, 10.0),
+                (BenignBios, 1.5),
+                (Graceful, 0.4),
+                (SoftwareNoise, 1.0),
+                (OomNoise, 0.8),
+            ]),
             app_burst_nodes: (2, 5),
             app_burst_window_mins: 4.0,
             hw_cluster_nodes: (1, 3),
             hw_cluster_window_mins: 12.0,
-            rate_benign_nhf: 2.5,
-            rate_benign_nvf: 0.025,
-            rate_benign_hw_external: 4.5,
-            rate_benign_hw_nodes: 22.0,
-            rate_lustre_noise_nodes: 34.0,
-            rate_sedc_blade_bursts: 26.0,
-            rate_cabinet_bursts: 6.0,
-            rate_link_noise: 10.0,
-            rate_benign_bios: 1.5,
-            rate_graceful_shutdown: 0.4,
-            rate_hung_task_nodes: 0.0,
-            rate_gpu_noise: 0.0,
-            rate_disk_noise: 0.0,
-            rate_software_noise: 1.0,
-            rate_oom_noise: 0.8,
             chatty_blades: 0,
-            chatty_rate_per_hour: (20.0, 80.0),
-            timing: ChainTiming::default(),
-            inject_overalloc_ooms: false,
-            overalloc_all_fail_prob: 0.2,
             overalloc_node_fail_prob: (0.002, 0.25),
             telemetry_blades: 0,
             telemetry_interval_mins: 15,
             telemetry_off_nodes: Vec::new(),
-            recovery_hours: (2.0, 6.0),
         }
     }
 }
@@ -211,6 +136,7 @@ impl ScenarioConfig {
     /// FS bugs (Fig. 16); S5 is the institutional cluster dominated by
     /// hung-task noise with no environmental logs (Fig. 15).
     fn for_system(system: SystemId) -> ScenarioConfig {
+        use Family::*;
         let base = ScenarioConfig::default();
         match system {
             SystemId::S1 => base,
@@ -218,21 +144,23 @@ impl ScenarioConfig {
                 // Fig. 16 mix: app-exit 37.5%, FS bugs 26.78%, memory
                 // 16.07%, kernel 7.14%, others 12.5%. Effective burst size
                 // with size-weighted job selection is ≈3 nodes.
-                rate_fatal_mce: 0.03,
-                rate_cpu_corruption: 0.01,
-                rate_mem_fail_slow: 0.02,
-                rate_nvf: 0.02,
-                rate_lustre_bug: 0.11,
-                rate_kernel_bug: 0.12,
-                rate_driver_firmware: 0.05,
-                rate_app_oom: 0.15,
-                rate_app_exit: 0.42,
-                rate_app_fs: 0.18,
-                rate_unknown_bios: 0.015,
-                rate_unknown_l0: 0.015,
-                rate_operator: 0.015,
-                rate_blade_failure: 0.01,
-                rate_benign_nhf: 0.5,
+                rates: base.rates.with(&[
+                    (FatalMce, 0.03),
+                    (CpuCorruption, 0.01),
+                    (MemFailSlow, 0.02),
+                    (Nvf, 0.02),
+                    (LustreBug, 0.11),
+                    (KernelBug, 0.12),
+                    (DriverFirmware, 0.05),
+                    (AppOom, 0.15),
+                    (AppExit, 0.42),
+                    (AppFs, 0.18),
+                    (UnknownBios, 0.015),
+                    (UnknownL0, 0.015),
+                    (Operator, 0.015),
+                    (BladeFailure, 0.01),
+                    (BenignNhf, 0.5),
+                ]),
                 chatty_blades: 10,
                 ..base
             },
@@ -240,56 +168,60 @@ impl ScenarioConfig {
                 // §III-F text: HW 37% / SW 32% / App 31%, with memory
                 // exhaustion in 27% of failures. OOM bursts dominate the
                 // application share accordingly.
-                rate_fatal_mce: 0.90,
-                rate_cpu_corruption: 0.30,
-                rate_mem_fail_slow: 0.45,
-                rate_nvf: 0.12,
-                rate_lustre_bug: 0.60,
-                rate_kernel_bug: 0.45,
-                rate_driver_firmware: 0.45,
-                rate_app_oom: 1.00,
-                rate_app_exit: 0.12,
-                rate_app_fs: 0.12,
+                rates: base.rates.with(&[
+                    (FatalMce, 0.90),
+                    (CpuCorruption, 0.30),
+                    (MemFailSlow, 0.45),
+                    (Nvf, 0.12),
+                    (LustreBug, 0.60),
+                    (KernelBug, 0.45),
+                    (DriverFirmware, 0.45),
+                    (AppOom, 1.00),
+                    (AppExit, 0.12),
+                    (AppFs, 0.12),
+                ]),
                 app_burst_nodes: (2, 6),
-                ..ScenarioConfig::default()
+                ..base
             },
             SystemId::S4 => ScenarioConfig {
-                rate_fatal_mce: 0.5,
-                rate_lustre_bug: 0.7,
-                rate_app_exit: 0.3,
-                ..ScenarioConfig::default()
+                rates: base
+                    .rates
+                    .with(&[(FatalMce, 0.5), (LustreBug, 0.7), (AppExit, 0.3)]),
+                ..base
             },
             SystemId::S5 => ScenarioConfig {
                 // No environmental logs; local FS; hung tasks dominate.
-                rate_fatal_mce: 0.03,
-                rate_cpu_corruption: 0.0,
-                rate_mem_fail_slow: 0.0,
-                rate_nvf: 0.0,
-                rate_link_failure: 0.0,
-                rate_lustre_bug: 0.05,
-                rate_kernel_bug: 0.05,
-                rate_driver_firmware: 0.03,
-                rate_app_oom: 0.10,
-                rate_app_exit: 0.12,
-                rate_app_fs: 0.05,
-                rate_unknown_bios: 0.0,
-                rate_unknown_l0: 0.0,
-                rate_operator: 0.03,
-                rate_blade_failure: 0.0,
-                rate_benign_nhf: 0.0,
-                rate_benign_hw_external: 0.0,
-                rate_benign_hw_nodes: 1.5,
-                rate_lustre_noise_nodes: 2.2,
-                rate_sedc_blade_bursts: 0.0,
-                rate_cabinet_bursts: 0.0,
-                rate_link_noise: 0.0,
-                rate_benign_bios: 0.0,
-                rate_hung_task_nodes: 28.0,
-                rate_gpu_noise: 0.35,
-                rate_disk_noise: 0.35,
-                rate_software_noise: 1.0,
-                rate_oom_noise: 2.4,
-                ..ScenarioConfig::default()
+                rates: base.rates.with(&[
+                    (FatalMce, 0.03),
+                    (CpuCorruption, 0.0),
+                    (MemFailSlow, 0.0),
+                    (Nvf, 0.0),
+                    (LinkFailure, 0.0),
+                    (LustreBug, 0.05),
+                    (KernelBug, 0.05),
+                    (DriverFirmware, 0.03),
+                    (AppOom, 0.10),
+                    (AppExit, 0.12),
+                    (AppFs, 0.05),
+                    (UnknownBios, 0.0),
+                    (UnknownL0, 0.0),
+                    (Operator, 0.03),
+                    (BladeFailure, 0.0),
+                    (BenignNhf, 0.0),
+                    (BenignHwExternal, 0.0),
+                    (BenignHw, 1.5),
+                    (LustreNoise, 2.2),
+                    (SedcBlade, 0.0),
+                    (CabinetBurst, 0.0),
+                    (LinkNoise, 0.0),
+                    (BenignBios, 0.0),
+                    (HungTask, 28.0),
+                    (GpuNoise, 0.35),
+                    (DiskNoise, 0.35),
+                    (SoftwareNoise, 1.0),
+                    (OomNoise, 2.4),
+                ]),
+                ..base
             },
         }
     }
@@ -363,44 +295,88 @@ pub struct SimOutput {
     pub topology: Topology,
 }
 
-/// Families interleaved through the event queue.
+/// The incident and noise families interleaved through the event queue.
+/// Each fires at its [`Rates`] entry, a mean count per simulated day,
+/// machine-wide; a family at rate 0 never fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Family {
+pub enum Family {
+    // ---- failure incident families ----
+    /// Fatal MCE incidents.
     FatalMce,
+    /// CPU corruption incidents.
     CpuCorruption,
+    /// Fail-slow memory incidents (always with external indicators).
     MemFailSlow,
+    /// Node-voltage-fault incidents.
     Nvf,
+    /// Interconnect link failures with failed failovers (ref. \[22\]): node
+    /// unreachable, scheduler-down terminal only.
     LinkFailure,
+    /// System Lustre-bug incidents.
     LustreBug,
+    /// Kernel-bug incidents.
     KernelBug,
+    /// Driver/firmware incidents.
     DriverFirmware,
+    /// Application OOM bursts (each kills several nodes of one job).
     AppOom,
+    /// Abnormal-app-exit bursts.
     AppExit,
+    /// Application-triggered FS-bug bursts.
     AppFs,
+    /// Unknown-cause BIOS-pattern failures.
     UnknownBios,
+    /// Unknown-cause `L0_sysd_mce` failures.
     UnknownL0,
+    /// Operator-error shutdowns.
     Operator,
+    /// Whole-blade hardware failures (all four nodes, same cause — the
+    /// Fig. 18 population).
     BladeFailure,
+    /// System-wide outages (<3% of anomalous failures in the paper;
+    /// disabled by default — specific scenarios enable it).
     Swo,
+
+    // ---- benign noise families ----
+    /// Benign NHFs (power-off / skipped heartbeat).
     BenignNhf,
+    /// Benign NVFs: transient voltage glitches that do not fail the node
+    /// (keeps Fig. 5's NVF correspondence below 100%).
     BenignNvf,
+    /// Benign `ec_hw_error`s during healthy times (§III-D) — external
+    /// indicators that do NOT precede failures, keeping the
+    /// external-correlation false-positive rate realistic (Fig. 14).
     BenignHwExternal,
+    /// Nodes receiving correctable-error noise.
     BenignHw,
+    /// Nodes receiving Lustre I/O noise.
     LustreNoise,
+    /// Blade SEDC warning bursts.
     SedcBlade,
+    /// Cabinet fault/warning bursts.
     CabinetBurst,
+    /// Link-error chatter bursts.
     LinkNoise,
+    /// Benign BIOS-pattern events.
     BenignBios,
+    /// Intended (excluded) shutdowns.
     Graceful,
+    /// Hung-task reports (S5's pathology; 0 on Cray systems).
     HungTask,
+    /// GPU-error noise (S5).
     GpuNoise,
+    /// Disk-error noise (S5).
     DiskNoise,
+    /// Software-error noise (segfault/page-alloc).
     SoftwareNoise,
+    /// Non-failing OOM episodes.
     OomNoise,
 }
 
 impl Family {
-    const ALL: [Family; 31] = [
+    /// Every family, in declaration order: the order the event queue is
+    /// seeded in, so reordering it changes every simulated byte.
+    pub const ALL: [Family; 31] = [
         Family::FatalMce,
         Family::CpuCorruption,
         Family::MemFailSlow,
@@ -495,6 +471,46 @@ impl Family {
     }
 }
 
+/// A mean rate per simulated day for each [`Family`], indexed by family.
+///
+/// ```
+/// use hpc_faultsim::scenario::{Family, Rates};
+///
+/// let mut rates = Rates::SILENT.with(&[(Family::AppExit, 0.5)]);
+/// rates[Family::Swo] = 0.1;
+/// assert_eq!((rates[Family::AppExit], rates[Family::Swo]), (0.5, 0.1));
+/// assert_eq!(rates[Family::FatalMce], 0.0);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rates([f64; Family::ALL.len()]);
+
+impl Rates {
+    /// Every family at rate 0: nothing fires.
+    pub const SILENT: Rates = Rates([0.0; Family::ALL.len()]);
+
+    /// This table with each `(family, rate)` of `overrides` set.
+    pub fn with(mut self, overrides: &[(Family, f64)]) -> Rates {
+        for &(family, rate) in overrides {
+            self[family] = rate;
+        }
+        self
+    }
+}
+
+impl Index<Family> for Rates {
+    type Output = f64;
+
+    fn index(&self, family: Family) -> &f64 {
+        &self.0[family as usize]
+    }
+}
+
+impl IndexMut<Family> for Rates {
+    fn index_mut(&mut self, family: Family) -> &mut f64 {
+        &mut self.0[family as usize]
+    }
+}
+
 /// Failure incidents never start before this margin, so precursor leads
 /// never clamp against the epoch.
 const FAILURE_MARGIN: SimDuration = SimDuration::from_hours(3);
@@ -569,48 +585,11 @@ impl<'a> Runner<'a> {
         }
     }
 
-    fn rate_of(&self, family: Family) -> f64 {
-        let c = &self.sc.config;
-        match family {
-            Family::FatalMce => c.rate_fatal_mce,
-            Family::CpuCorruption => c.rate_cpu_corruption,
-            Family::MemFailSlow => c.rate_mem_fail_slow,
-            Family::Nvf => c.rate_nvf,
-            Family::LinkFailure => c.rate_link_failure,
-            Family::LustreBug => c.rate_lustre_bug,
-            Family::KernelBug => c.rate_kernel_bug,
-            Family::DriverFirmware => c.rate_driver_firmware,
-            Family::AppOom => c.rate_app_oom,
-            Family::AppExit => c.rate_app_exit,
-            Family::AppFs => c.rate_app_fs,
-            Family::UnknownBios => c.rate_unknown_bios,
-            Family::UnknownL0 => c.rate_unknown_l0,
-            Family::Operator => c.rate_operator,
-            Family::BladeFailure => c.rate_blade_failure,
-            Family::Swo => c.rate_swo,
-            Family::BenignNhf => c.rate_benign_nhf,
-            Family::BenignNvf => c.rate_benign_nvf,
-            Family::BenignHwExternal => c.rate_benign_hw_external,
-            Family::BenignHw => c.rate_benign_hw_nodes,
-            Family::LustreNoise => c.rate_lustre_noise_nodes,
-            Family::SedcBlade => c.rate_sedc_blade_bursts,
-            Family::CabinetBurst => c.rate_cabinet_bursts,
-            Family::LinkNoise => c.rate_link_noise,
-            Family::BenignBios => c.rate_benign_bios,
-            Family::Graceful => c.rate_graceful_shutdown,
-            Family::HungTask => c.rate_hung_task_nodes,
-            Family::GpuNoise => c.rate_gpu_noise,
-            Family::DiskNoise => c.rate_disk_noise,
-            Family::SoftwareNoise => c.rate_software_noise,
-            Family::OomNoise => c.rate_oom_noise,
-        }
-    }
-
     fn inject_families(&mut self) {
         let horizon_end = SimTime::EPOCH + self.sc.horizon;
         let mut queue: EventQueue<Family> = EventQueue::new();
         for family in Family::ALL {
-            let rate = self.rate_of(family);
+            let rate = self.sc.config.rates[family];
             if rate <= 0.0 {
                 continue;
             }
@@ -630,7 +609,7 @@ impl<'a> Runner<'a> {
                 continue; // family exhausted; do not reschedule
             }
             self.handle(family, t);
-            let mean_gap = MILLIS_PER_DAY as f64 / self.rate_of(family);
+            let mean_gap = MILLIS_PER_DAY as f64 / self.sc.config.rates[family];
             let next = t + SimDuration::from_millis(exp_sample(&mut self.rng, mean_gap) as u64 + 1);
             queue.push(next, family);
         }
@@ -650,7 +629,7 @@ impl<'a> Runner<'a> {
     }
 
     fn mark_failed(&mut self, node: NodeId, t: SimTime) {
-        let (lo, hi) = self.sc.config.recovery_hours;
+        let (lo, hi) = RECOVERY_HOURS;
         let rec = SimDuration::from_millis((self.rng.gen_range(lo..=hi) * 3_600_000.0) as u64);
         self.failed_until[node.index()] = t + rec;
     }
@@ -661,16 +640,26 @@ impl<'a> Runner<'a> {
         self.events.extend(incident.events);
     }
 
+    /// One single-node failure at `t`, if an eligible node is found.
+    fn single_node<F>(&mut self, t: SimTime, build: F)
+    where
+        F: FnOnce(&mut StdRng, NodeId, SimTime) -> Incident,
+    {
+        if let Some(node) = self.pick_failable_node(t) {
+            let incident = build(&mut self.rng, node, t);
+            self.push_incident(incident);
+        }
+    }
+
     /// A cluster of same-cause single-node failures (bad batch / shared
     /// bug), sized by `hw_cluster_nodes`.
     fn hw_cluster<F>(&mut self, t: SimTime, mut build: F)
     where
-        F: FnMut(&mut StdRng, NodeId, SimTime, &ChainTiming) -> Incident,
+        F: FnMut(&mut StdRng, NodeId, SimTime) -> Incident,
     {
         let (lo, hi) = self.sc.config.hw_cluster_nodes;
         let k = self.rng.gen_range(lo..=hi);
         let window_ms = (self.sc.config.hw_cluster_window_mins * 60_000.0) as u64;
-        let timing = self.sc.config.timing;
         for i in 0..k {
             let ti = if i == 0 {
                 t
@@ -678,7 +667,7 @@ impl<'a> Runner<'a> {
                 t + SimDuration::from_millis(self.rng.gen_range(0..window_ms.max(1)))
             };
             if let Some(node) = self.pick_failable_node(ti) {
-                let incident = build(&mut self.rng, node, ti, &timing);
+                let incident = build(&mut self.rng, node, ti);
                 self.push_incident(incident);
             }
         }
@@ -689,14 +678,7 @@ impl<'a> Runner<'a> {
     /// locality across spatially distant blades).
     fn app_burst<F>(&mut self, t: SimTime, mut build: F)
     where
-        F: FnMut(
-            &mut StdRng,
-            NodeId,
-            SimTime,
-            AppKind,
-            hpc_logs::event::JobId,
-            &ChainTiming,
-        ) -> Incident,
+        F: FnMut(&mut StdRng, NodeId, SimTime, AppKind, hpc_logs::event::JobId) -> Incident,
     {
         // Candidate jobs: active at t with enough runway behind and ahead.
         // Selection is weighted by job size — wide jobs stress many nodes
@@ -724,7 +706,6 @@ impl<'a> Runner<'a> {
         let window_ms = ((self.sc.config.app_burst_window_mins * 60_000.0) as u64)
             .min(end.since(t).as_millis().saturating_sub(60_000))
             .max(1);
-        let timing = self.sc.config.timing;
         for (i, node) in victims.into_iter().enumerate() {
             if self.failed_until[node.index()] > t {
                 continue;
@@ -734,7 +715,7 @@ impl<'a> Runner<'a> {
             } else {
                 self.rng.gen_range(0..window_ms)
             });
-            let incident = build(&mut self.rng, node, ti, app, job, &timing);
+            let incident = build(&mut self.rng, node, ti, app, job);
             self.push_incident(incident);
         }
     }
@@ -746,51 +727,22 @@ impl<'a> Runner<'a> {
     }
 
     fn dispatch(&mut self, family: Family, t: SimTime) {
-        let timing = self.sc.config.timing;
         match family {
             Family::FatalMce => self.hw_cluster(t, incidents::fatal_mce_chain),
             Family::CpuCorruption => self.hw_cluster(t, incidents::cpu_corruption_chain),
-            Family::MemFailSlow => {
-                if let Some(node) = self.pick_failable_node(t) {
-                    let inc = incidents::memory_fail_slow_chain(&mut self.rng, node, t, &timing);
-                    self.push_incident(inc);
-                }
-            }
-            Family::Nvf => {
-                if let Some(node) = self.pick_failable_node(t) {
-                    let inc = incidents::nvf_chain(&mut self.rng, node, t, &timing);
-                    self.push_incident(inc);
-                }
-            }
-            Family::LinkFailure => {
-                if let Some(node) = self.pick_failable_node(t) {
-                    let inc = incidents::link_failure_chain(&mut self.rng, node, t, &timing);
-                    self.push_incident(inc);
-                }
-            }
+            Family::MemFailSlow => self.single_node(t, incidents::memory_fail_slow_chain),
+            Family::Nvf => self.single_node(t, incidents::nvf_chain),
+            Family::LinkFailure => self.single_node(t, incidents::link_failure_chain),
             Family::LustreBug => self.hw_cluster(t, incidents::lustre_bug_chain),
             Family::KernelBug => self.hw_cluster(t, incidents::kernel_bug_chain),
             Family::DriverFirmware => self.hw_cluster(t, incidents::driver_firmware_chain),
             Family::AppOom => self.app_burst(t, incidents::oom_chain),
             Family::AppExit => self.app_burst(t, incidents::app_exit_chain),
             Family::AppFs => self.app_burst(t, incidents::app_fs_bug_chain),
-            Family::UnknownBios => {
-                if let Some(node) = self.pick_failable_node(t) {
-                    let inc = incidents::unknown_bios_chain(&mut self.rng, node, t, &timing);
-                    self.push_incident(inc);
-                }
-            }
-            Family::UnknownL0 => {
-                if let Some(node) = self.pick_failable_node(t) {
-                    let inc = incidents::unknown_l0_chain(&mut self.rng, node, t, &timing);
-                    self.push_incident(inc);
-                }
-            }
+            Family::UnknownBios => self.single_node(t, incidents::unknown_bios_chain),
+            Family::UnknownL0 => self.single_node(t, incidents::unknown_l0_chain),
             Family::Operator => {
-                if let Some(node) = self.pick_failable_node(t) {
-                    let inc = incidents::operator_shutdown_chain(node, t, &timing);
-                    self.push_incident(inc);
-                }
+                self.single_node(t, |_, node, t| incidents::operator_shutdown_chain(node, t))
             }
             Family::BladeFailure => self.blade_failure(t),
             Family::Swo => self.system_wide_outage(t),
@@ -905,14 +857,13 @@ impl<'a> Runner<'a> {
         if nodes.len() < 2 {
             return;
         }
-        let timing = self.sc.config.timing;
         let use_mce = chance(&mut self.rng, 0.7);
         for (i, node) in nodes.into_iter().enumerate() {
             let ti = t + SimDuration::from_millis(self.rng.gen_range(0..30_000) + i as u64);
             let inc = if use_mce {
-                incidents::fatal_mce_chain(&mut self.rng, node, ti, &timing)
+                incidents::fatal_mce_chain(&mut self.rng, node, ti)
             } else {
-                incidents::nvf_chain(&mut self.rng, node, ti, &timing)
+                incidents::nvf_chain(&mut self.rng, node, ti)
             };
             self.push_incident(inc);
         }
@@ -982,11 +933,9 @@ impl<'a> Runner<'a> {
     }
 
     /// Fig. 17: jobs with overallocated nodes suffer OOM failures on some
-    /// or all of those nodes.
+    /// or all of those nodes. A workload without overallocation draws
+    /// nothing here.
     fn inject_overalloc_ooms(&mut self) {
-        if !self.sc.config.inject_overalloc_ooms {
-            return;
-        }
         let jobs: Vec<(
             hpc_logs::event::JobId,
             AppKind,
@@ -1000,9 +949,8 @@ impl<'a> Runner<'a> {
             .filter(|j| !j.overallocated_nodes.is_empty())
             .map(|j| (j.id, j.app, j.start, j.end, j.overallocated_nodes.clone()))
             .collect();
-        let timing = self.sc.config.timing;
         for (job, app, start, end, over_nodes) in jobs {
-            let all_fail = chance(&mut self.rng, self.sc.config.overalloc_all_fail_prob);
+            let all_fail = chance(&mut self.rng, OVERALLOC_ALL_FAIL_PROB);
             let per_node_p = {
                 let (lo, hi) = self.sc.config.overalloc_node_fail_prob;
                 self.rng.gen_range(lo..=hi)
@@ -1022,7 +970,7 @@ impl<'a> Runner<'a> {
                 if self.failed_until[node.index()] > t {
                     continue;
                 }
-                let inc = incidents::oom_chain(&mut self.rng, node, t, app, job, &timing);
+                let inc = incidents::oom_chain(&mut self.rng, node, t, app, job);
                 self.push_incident(inc);
             }
         }
@@ -1034,7 +982,7 @@ impl<'a> Runner<'a> {
             return;
         }
         let days = self.sc.horizon.as_millis() / MILLIS_PER_DAY;
-        let (lo, hi) = self.sc.config.chatty_rate_per_hour;
+        let (lo, hi) = CHATTY_RATE_PER_HOUR;
         // One chatty blade stops mid-day (Fig. 9's blade 7).
         let stopper = self.rng.gen_range(0..count);
         for i in 0..count {
@@ -1107,6 +1055,15 @@ mod tests {
         assert!(lines > 10_000, "only {lines} lines");
         assert!(failures.iter().any(|f| f.cause.is_app_triggered()));
         assert!(failures.iter().any(|f| f.external_indicator.is_some()));
+    }
+
+    #[test]
+    fn family_positions_are_declaration_order() {
+        // `Rates` and the per-family event counters index by `family as
+        // usize`, and the queue is seeded in `ALL` order.
+        for (i, family) in Family::ALL.into_iter().enumerate() {
+            assert_eq!(family as usize, i, "{family:?}");
+        }
     }
 
     #[test]
@@ -1229,7 +1186,6 @@ mod tests {
         let mut sc = Scenario::new(SystemId::S1, 2, 3, 11);
         sc.workload.overalloc_job_prob = 0.25;
         sc.workload.large_job_prob = 0.3;
-        sc.config.inject_overalloc_ooms = true;
         let out = sc.run();
         let oom_failures: Vec<_> = out
             .truth

@@ -1,43 +1,14 @@
 //! Edge-case and invariant tests for scenario orchestration.
 
-use hpc_faultsim::{Scenario, ScenarioConfig, TrueRootCause};
+use hpc_faultsim::scenario::RECOVERY_HOURS;
+use hpc_faultsim::{Family, Rates, Scenario, ScenarioConfig, TrueRootCause};
 use hpc_logs::event::{LogSource, Payload, SchedulerDetail};
 use hpc_platform::{SystemId, Topology};
 
 /// A config with every fault/noise family disabled.
 fn silent_config() -> ScenarioConfig {
     ScenarioConfig {
-        rate_fatal_mce: 0.0,
-        rate_cpu_corruption: 0.0,
-        rate_mem_fail_slow: 0.0,
-        rate_nvf: 0.0,
-        rate_link_failure: 0.0,
-        rate_lustre_bug: 0.0,
-        rate_kernel_bug: 0.0,
-        rate_driver_firmware: 0.0,
-        rate_app_oom: 0.0,
-        rate_app_exit: 0.0,
-        rate_app_fs: 0.0,
-        rate_unknown_bios: 0.0,
-        rate_unknown_l0: 0.0,
-        rate_operator: 0.0,
-        rate_blade_failure: 0.0,
-        rate_swo: 0.0,
-        rate_benign_nhf: 0.0,
-        rate_benign_nvf: 0.0,
-        rate_benign_hw_external: 0.0,
-        rate_benign_hw_nodes: 0.0,
-        rate_lustre_noise_nodes: 0.0,
-        rate_sedc_blade_bursts: 0.0,
-        rate_cabinet_bursts: 0.0,
-        rate_link_noise: 0.0,
-        rate_benign_bios: 0.0,
-        rate_graceful_shutdown: 0.0,
-        rate_hung_task_nodes: 0.0,
-        rate_gpu_noise: 0.0,
-        rate_disk_noise: 0.0,
-        rate_software_noise: 0.0,
-        rate_oom_noise: 0.0,
+        rates: Rates::SILENT,
         chatty_blades: 0,
         ..ScenarioConfig::default()
     }
@@ -122,7 +93,7 @@ fn per_family_rates_drive_cause_mix() {
     // Only app-exit bursts enabled → every failure is AppAbnormalExit.
     let mut sc = Scenario::new(SystemId::S1, 2, 14, 5);
     sc.config = ScenarioConfig {
-        rate_app_exit: 0.5,
+        rates: Rates::SILENT.with(&[(Family::AppExit, 0.5)]),
         ..silent_config()
     };
     let out = sc.run();
@@ -141,7 +112,7 @@ fn recovery_window_blocks_immediate_refailure() {
     let mut sc = Scenario::new(SystemId::S1, 1, 28, 6);
     // Aggressive single-family hammering on a small machine.
     sc.config = ScenarioConfig {
-        rate_fatal_mce: 6.0,
+        rates: Rates::SILENT.with(&[(Family::FatalMce, 6.0)]),
         hw_cluster_nodes: (1, 1),
         ..silent_config()
     };
@@ -150,7 +121,7 @@ fn recovery_window_blocks_immediate_refailure() {
     for f in &out.truth.failures {
         per_node.entry(f.node).or_default().push(f.time);
     }
-    let (lo, _) = sc.config.recovery_hours;
+    let (lo, _) = RECOVERY_HOURS;
     for times in per_node.values() {
         for w in times.windows(2) {
             assert!(

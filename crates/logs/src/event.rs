@@ -375,8 +375,8 @@ pub enum AppKind {
 impl AppKind {
     /// All application kinds, in ordinal order: a kind's position here is
     /// its on-disk ordinal in the segment codec and its index in the
-    /// simulator's random draws and `app_weights`, so new kinds are
-    /// appended, never inserted or reordered.
+    /// simulator's random draws and in hpc-sched's `APP_WEIGHTS`, so new
+    /// kinds are appended, never inserted or reordered.
     pub const ALL: [AppKind; 6] = [
         AppKind::MpiSimulation,
         AppKind::Matlab,

@@ -19,4 +19,4 @@ pub mod workload;
 
 pub use allocator::Allocator;
 pub use job::{Job, JobTimeline};
-pub use workload::{generate_workload, EndMix, WorkloadConfig};
+pub use workload::{generate_workload, WorkloadConfig};

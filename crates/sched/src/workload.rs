@@ -17,121 +17,60 @@ use crate::allocator::Allocator;
 use crate::job::{Job, JobTimeline};
 
 /// Weights of non-failure job outcomes (node-fail ends are applied later by
-/// the fault simulator).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EndMix {
-    /// Successful completion.
-    pub completed: f64,
-    /// Wall-time limit exceeded (config error).
-    pub walltime: f64,
-    /// Memory limit exceeded (config error).
-    pub memlimit: f64,
-    /// Cancelled by user (config error).
-    pub user_cancel: f64,
-    /// Application bug (nonzero exit).
-    pub app_error: f64,
-}
+/// the fault simulator). Tuned to Fig. 12: "90.43% to 95.71% of the jobs
+/// complete successfully … 0.06% to 6.02% finish with non-zero exit
+/// codes", with most of the erroneous ones being configuration errors
+/// (wall-time, memory limit, user cancel); the rest are application bugs.
+const END_MIX: [(JobEndReason, f64); 5] = [
+    (JobEndReason::Completed, 93.0),
+    (JobEndReason::WallTimeExceeded, 2.4),
+    (JobEndReason::MemoryLimitExceeded, 1.6),
+    (JobEndReason::UserCancelled, 1.8),
+    (JobEndReason::AppError, 1.2),
+];
 
-impl Default for EndMix {
-    /// Tuned to Fig. 12: "90.43% to 95.71% of the jobs complete
-    /// successfully … 0.06% to 6.02% finish with non-zero exit codes", with
-    /// most of the erroneous ones being configuration errors.
-    fn default() -> EndMix {
-        EndMix {
-            completed: 93.0,
-            walltime: 2.4,
-            memlimit: 1.6,
-            user_cancel: 1.8,
-            app_error: 1.2,
-        }
-    }
-}
-
-impl EndMix {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> JobEndReason {
-        const REASONS: [JobEndReason; 5] = [
-            JobEndReason::Completed,
-            JobEndReason::WallTimeExceeded,
-            JobEndReason::MemoryLimitExceeded,
-            JobEndReason::UserCancelled,
-            JobEndReason::AppError,
-        ];
-        let w = [
-            self.completed,
-            self.walltime,
-            self.memlimit,
-            self.user_cancel,
-            self.app_error,
-        ];
-        REASONS[weighted_index(rng, &w)]
-    }
-}
+/// Most jobs are small: size is 1 + geometric-ish up to this cap.
+const MAX_SMALL_NODES: u32 = 8;
+/// Jobs run at least this many minutes.
+const MIN_DURATION_MINS: f64 = 4.0;
+/// Physical node memory in MiB: an overallocating job requests twice it.
+pub const NODE_MEM_MIB: u32 = 65_536;
+/// Fraction range of an overallocating job's nodes that actually get an
+/// overcommitted allocation ("a subset of them suffer resource
+/// overallocation errors").
+const OVERALLOC_NODE_FRAC: (f64, f64) = (0.15, 1.0);
+/// Distinct submitting users.
+const USERS: u32 = 120;
+/// Relative weights of [`AppKind::ALL`].
+const APP_WEIGHTS: [f64; AppKind::ALL.len()] = [4.0, 1.0, 1.5, 2.0, 2.0, 1.0];
 
 /// Workload generator parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// Mean job arrivals per hour.
     pub arrivals_per_hour: f64,
-    /// Most jobs are small: size is 1 + geometric-ish up to this cap.
-    pub max_small_nodes: u32,
     /// Probability a job is "large".
     pub large_job_prob: f64,
     /// Large job size range (inclusive).
     pub large_nodes: (u32, u32),
     /// Mean job duration in minutes (exponential, floored at
-    /// `min_duration_mins`).
+    /// `MIN_DURATION_MINS`).
     pub mean_duration_mins: f64,
-    /// Minimum job duration in minutes.
-    pub min_duration_mins: f64,
-    /// Physical node memory in MiB (drives overallocation detection).
-    pub node_mem_mib: u32,
     /// Probability a job requests more memory than a node has — the
     /// Fig. 17 Slurm overallocation bug. Zero in baseline scenarios.
     pub overalloc_job_prob: f64,
-    /// Fraction range of an overallocating job's nodes that actually get
-    /// an overcommitted allocation ("a subset of them suffer resource
-    /// overallocation errors").
-    pub overalloc_node_frac: (f64, f64),
-    /// Outcome mix.
-    pub end_mix: EndMix,
-    /// Distinct submitting users.
-    pub users: u32,
-    /// Relative weights of [`AppKind::ALL`].
-    pub app_weights: [f64; 6],
-    /// Diurnal arrival modulation amplitude in [0, 1): arrival rate peaks
-    /// mid-afternoon and troughs at night, `rate(h) = base · (1 + A·cos(2π(h−14)/24))`.
-    /// 0 disables the pattern (the default, so baseline scenarios stay
-    /// calibration-stable).
-    pub diurnal_amplitude: f64,
 }
 
 impl Default for WorkloadConfig {
     fn default() -> WorkloadConfig {
         WorkloadConfig {
             arrivals_per_hour: 40.0,
-            max_small_nodes: 8,
             large_job_prob: 0.06,
             large_nodes: (16, 96),
             mean_duration_mins: 75.0,
-            min_duration_mins: 4.0,
-            node_mem_mib: 65_536,
             overalloc_job_prob: 0.0,
-            overalloc_node_frac: (0.15, 1.0),
-            end_mix: EndMix::default(),
-            users: 120,
-            app_weights: [4.0, 1.0, 1.5, 2.0, 2.0, 1.0],
-            diurnal_amplitude: 0.0,
         }
     }
-}
-
-/// Diurnal rate factor at a given hour of day.
-fn diurnal_factor(amplitude: f64, hour: u32) -> f64 {
-    if amplitude <= 0.0 {
-        return 1.0;
-    }
-    let phase = std::f64::consts::TAU * (hour as f64 - 14.0) / 24.0;
-    (1.0 + amplitude * phase.cos()).max(0.05)
 }
 
 /// Generates a job timeline over `[0, horizon)` against a topology.
@@ -153,30 +92,29 @@ pub fn generate_workload<R: Rng + ?Sized>(
 
     while (t_ms as u64) < horizon.as_millis() {
         let start = SimTime::from_millis(t_ms as u64);
-        let factor = diurnal_factor(config.diurnal_amplitude, start.hour_of_day());
         let size = sample_size(config, topology, rng);
-        let dur_mins = exp_sample(rng, config.mean_duration_mins).max(config.min_duration_mins);
+        let dur_mins = exp_sample(rng, config.mean_duration_mins).max(MIN_DURATION_MINS);
         let end = start + SimDuration::from_millis((dur_mins * 60_000.0) as u64);
 
         if let Some(nodes) = alloc.allocate(size as usize, start, end) {
             let overallocating = chance(rng, config.overalloc_job_prob);
             let (mem, over_nodes) = if overallocating {
-                let mem = config.node_mem_mib * 2;
-                let frac =
-                    rng.gen_range(config.overalloc_node_frac.0..=config.overalloc_node_frac.1);
+                let mem = NODE_MEM_MIB * 2;
+                let frac = rng.gen_range(OVERALLOC_NODE_FRAC.0..=OVERALLOC_NODE_FRAC.1);
                 let k = ((nodes.len() as f64 * frac).round() as usize).max(1);
                 (mem, sample_subset(rng, &nodes, k))
             } else {
                 // 25–90% of node memory.
                 let frac = rng.gen_range(0.25..0.9);
-                ((config.node_mem_mib as f64 * frac) as u32, Vec::new())
+                ((NODE_MEM_MIB as f64 * frac) as u32, Vec::new())
             };
-            let reason = config.end_mix.sample(rng);
+            let weights = END_MIX.map(|(_, weight)| weight);
+            let reason = END_MIX[weighted_index(rng, &weights)].0;
             jobs.push(Job {
                 id: JobId(next_id),
                 apid: Apid(100_000 + next_id),
-                user: 1_000 + rng.gen_range(0..config.users),
-                app: AppKind::ALL[weighted_index(rng, &config.app_weights)],
+                user: 1_000 + rng.gen_range(0..USERS),
+                app: AppKind::ALL[weighted_index(rng, &APP_WEIGHTS)],
                 nodes,
                 mem_per_node_mib: mem,
                 start,
@@ -187,7 +125,7 @@ pub fn generate_workload<R: Rng + ?Sized>(
             });
             next_id += 1;
         }
-        t_ms += exp_sample(rng, mean_gap_ms) / factor;
+        t_ms += exp_sample(rng, mean_gap_ms);
     }
     hpc_telemetry::counter("sched.jobs_generated").add(jobs.len() as u64);
     JobTimeline::from_jobs(jobs)
@@ -200,7 +138,7 @@ fn sample_size<R: Rng + ?Sized>(config: &WorkloadConfig, topology: &Topology, rn
     } else {
         // Geometric-ish small sizes: mostly 1–2 nodes.
         let mut s = 1;
-        while s < config.max_small_nodes && chance(rng, 0.45) {
+        while s < MAX_SMALL_NODES && chance(rng, 0.45) {
             s *= 2;
         }
         rng.gen_range(1..=s)
@@ -280,7 +218,7 @@ mod tests {
         assert!(!tl.is_empty());
         for j in tl.jobs() {
             assert!(
-                j.mem_per_node_mib > cfg.node_mem_mib,
+                j.mem_per_node_mib > NODE_MEM_MIB,
                 "overallocating job requests more than node memory"
             );
             assert!(!j.overallocated_nodes.is_empty());
@@ -288,42 +226,6 @@ mod tests {
                 assert!(j.nodes.contains(n));
             }
         }
-    }
-
-    #[test]
-    fn diurnal_pattern_shifts_arrivals_towards_afternoon() {
-        let topo = Topology::miniature(SystemId::S1, 2);
-        let run = |amplitude: f64| {
-            let mut rng = StdRng::seed_from_u64(77);
-            let cfg = WorkloadConfig {
-                diurnal_amplitude: amplitude,
-                ..WorkloadConfig::default()
-            };
-            let tl = generate_workload(&topo, &cfg, SimDuration::from_days(4), &mut rng);
-            let day: usize = tl
-                .jobs()
-                .iter()
-                .filter(|j| (10..22).contains(&j.start.hour_of_day()))
-                .count();
-            (day, tl.len())
-        };
-        let (flat_day, flat_total) = run(0.0);
-        let (diurnal_day, diurnal_total) = run(0.6);
-        let flat_share = flat_day as f64 / flat_total as f64;
-        let diurnal_share = diurnal_day as f64 / diurnal_total as f64;
-        assert!(
-            diurnal_share > flat_share + 0.05,
-            "diurnal {diurnal_share} vs flat {flat_share}"
-        );
-    }
-
-    #[test]
-    fn zero_amplitude_factor_is_identity() {
-        for h in 0..24 {
-            assert_eq!(super::diurnal_factor(0.0, h), 1.0);
-        }
-        // Peak at 14:00, trough at 02:00.
-        assert!(super::diurnal_factor(0.5, 14) > super::diurnal_factor(0.5, 2));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use hpc_platform::{NodeId, SystemId, Topology};
 use hpc_sched::allocator::Allocator;
 use hpc_sched::events::scheduler_events;
 use hpc_sched::job::Job;
-use hpc_sched::workload::{generate_workload, WorkloadConfig};
+use hpc_sched::workload::{generate_workload, WorkloadConfig, NODE_MEM_MIB};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -70,7 +70,7 @@ proptest! {
                 prop_assert!(j.nodes.contains(n));
             }
             if !j.overallocated_nodes.is_empty() {
-                prop_assert!(j.mem_per_node_mib > cfg.node_mem_mib);
+                prop_assert!(j.mem_per_node_mib > NODE_MEM_MIB);
             }
         }
         // Dedicated nodes: sample instants for exclusivity.

@@ -19,7 +19,6 @@ fn main() {
     sc.workload.large_job_prob = 0.35;
     sc.workload.large_nodes = (32, 220);
     sc.workload.arrivals_per_hour = 12.0;
-    sc.config.inject_overalloc_ooms = true;
     let out = sc.run();
 
     let d = Diagnosis::from_archive(&out.archive, DiagnosisConfig::default());

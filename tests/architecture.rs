@@ -193,11 +193,12 @@ fn block(text: &str, open: usize) -> (usize, Vec<&str>) {
 }
 
 /// Nothing is configurable that nothing configures: each pub field of each
-/// `pub struct *Config` in crates/{core,stream,fleetd}/src is written outside
-/// its `Default` impl, in the shipping non-comment code of src, crates/*/src,
-/// examples or benchmark, by a struct-literal field (shorthand included) or a
-/// `.field =`. No file in src or crates/*/src names `serde`, whose facade
-/// expands to nothing. Returns the `*Config`s found and the violations.
+/// `pub struct *Config` in crates/*/src is written outside its `Default`
+/// impl, in the shipping non-comment code of src, crates/*/src, examples or
+/// benchmark, by a struct-literal field (shorthand included), a `.field =`
+/// or an indexed `.field[..] =`. No file in src or crates/*/src names
+/// `serde`, whose facade expands to nothing. Returns the `*Config`s found
+/// and the violations.
 fn knob_census(tree: &Tree) -> (Vec<String>, Vec<String>) {
     let mut bad = grep(tree, &sources, ALL, &any("serde"));
     let code = |text: &str| {
@@ -205,8 +206,7 @@ fn knob_census(tree: &Tree) -> (Vec<String>, Vec<String>) {
         lines.collect::<Vec<_>>().join("\n")
     };
     let mut knobs: Vec<(String, &str, Vec<String>)> = Vec::new();
-    let defining = "crates/core/src/*.rs|crates/stream/src/*.rs|crates/fleetd/src/*.rs";
-    for (path, text) in files(tree, &|p| glob(defining, p)) {
+    for (path, text) in files(tree, &|p| glob("crates/*/src/*.rs", p)) {
         let text = code(text);
         for (i, head) in text.match_indices("pub struct ") {
             let name = ident(&text[i + head.len()..]);
@@ -249,7 +249,11 @@ fn knob_census(tree: &Tree) -> (Vec<String>, Vec<String>) {
         }
         for (i, _) in text.match_indices('.') {
             let field = ident(&text[i + 1..]);
-            let rest = text[i + 1 + field.len()..].trim_start();
+            let mut rest = text[i + 1 + field.len()..].trim_start();
+            if rest.starts_with('[') {
+                let open = text.len() - rest.len();
+                rest = text[block(&text, open).0..].trim_start();
+            }
             if !field.is_empty() && rest.starts_with('=') && !rest[1..].starts_with('=') {
                 assigned.insert(field.to_string());
             }
@@ -413,6 +417,8 @@ fn nothing_is_configurable_that_nothing_configures() {
         "StreamConfig",
         "ServerConfig",
         "ShardConfig",
+        "ScenarioConfig",
+        "WorkloadConfig",
     ] {
         assert!(
             knobs.iter().any(|k| k == name),
@@ -570,6 +576,33 @@ fn knob_census_reports_a_field_only_its_default_writes_and_serde() {
     let serde = "#[cfg(test)]\nmod t {\n    use serde::Serialize;\n}\n";
     let bad = knob_census(&plant(&clean, ("crates/core/src/x.rs", serde))).1;
     assert_eq!(bad, ["crates/core/src/x.rs:3:     use serde::Serialize;"]);
+}
+
+#[test]
+fn knob_census_counts_an_indexed_table_write() {
+    let config = "pub struct ScenarioConfig {\n    pub rates: Rates,\n}\n\
+                  impl Default for ScenarioConfig {\n    fn default() -> Self {\n        \
+                  let mut c = ScenarioConfig { rates: Rates::SILENT };\n        \
+                  c.rates[Family::Swo] = 0.5;\n        c\n    }\n}\n";
+    let base = tree_of(&[("crates/faultsim/src/scenario.rs", config)]);
+    let unset = "crates/faultsim/src/scenario.rs: \
+                 ScenarioConfig::rates is set only by its Default impl and tests";
+    let (knobs, bad) = knob_census(&base);
+    assert_eq!(
+        (knobs, bad),
+        (vec!["ScenarioConfig".to_string()], vec![unset.to_string()])
+    );
+    for reader in [
+        "fn f(c: &ScenarioConfig) -> bool {\n    c.rates[Family::Swo] == 0.0\n}\n",
+        "fn f(c: &ScenarioConfig) -> f64 {\n    let r = c.rates[Family::Swo];\n    r\n}\n",
+    ] {
+        let bad = knob_census(&plant(&base, ("crates/bench/src/v.rs", reader))).1;
+        assert_eq!(bad, [unset], "{reader:?} only reads");
+    }
+    let writer = "fn main() {\n    let mut sc = Scenario::default();\n    \
+                  sc.config.rates[Family::pick(&[1, 2])] = 0.07;\n}\n";
+    let bad = knob_census(&plant(&base, ("crates/bench/src/v.rs", writer))).1;
+    assert!(bad.is_empty(), "an indexed write is a write: {bad:?}");
 }
 
 #[test]

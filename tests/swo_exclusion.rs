@@ -4,12 +4,12 @@
 
 use hpc_node_failures::diagnosis::swo::intended_shutdown_count;
 use hpc_node_failures::diagnosis::{Diagnosis, DiagnosisConfig};
-use hpc_node_failures::faultsim::Scenario;
+use hpc_node_failures::faultsim::{Family, Scenario};
 use hpc_node_failures::platform::SystemId;
 
 fn swo_scenario(seed: u64) -> Scenario {
     let mut sc = Scenario::new(SystemId::S1, 2, 14, seed);
-    sc.config.rate_swo = 0.15; // ~2 SWOs over two weeks
+    sc.config.rates[Family::Swo] = 0.15; // ~2 SWOs over two weeks
     sc
 }
 
